@@ -1,10 +1,19 @@
 """Exact rational linear programming with machine-checkable certificates.
 
-A two-phase primal simplex over `fractions.Fraction`.  Pivoting follows
-Bland's smallest-index rule (entering column with the lowest index among
-improving reduced costs; leaving row by minimum ratio, ties broken by the
-smallest basic column index), so solving terminates without perturbation
-and is fully deterministic: identical programs yield identical outcomes.
+A two-phase primal simplex in exact rational arithmetic.  Pivoting
+follows Bland's smallest-index rule (entering column with the lowest
+index among improving reduced costs; leaving row by minimum ratio, ties
+broken by the smallest basic column index), so solving terminates without
+perturbation and is fully deterministic: identical programs yield
+identical outcomes.
+
+The dense tableau holds each row as integer numerators over one positive
+integer denominator, reduced by their gcd after every update, in the
+fraction-free style of Edmonds and Bareiss; every entry is therefore the
+same rational a `fractions.Fraction` tableau would hold, and the pivot
+rule reads only signs and cross products of numerators.  Programs and
+outcomes are `Fraction`-valued; the tableau converts once on the way in
+and once on the way out.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .core import ZERO, InvalidInput, _rat_tuple, rat
@@ -140,8 +150,17 @@ class _Tableau:
     Internal rows are the original constraints (variables substituted,
     right-hand sides flipped nonnegative) followed by one ``p <= u - l``
     row per doubly bounded variable.  Each row keeps a *probe* column --
-    its slack, surplus, or artificial identity column -- from which dual
-    multipliers are read back after any phase.
+    its initial basic column, a slack or an artificial with entry +1 in
+    that row only -- from which dual multipliers are read back after any
+    phase.
+
+    Row ``i``, right-hand side last, is the list ``rows[i]`` of integer
+    numerators over one positive integer denominator ``dens[i]``; the
+    reduced costs are kept the same way (``rc`` over ``rc_den``).  Each
+    update divides the changed row by the gcd of its denominator and
+    numerators, so every entry equals the reduced rational that exact
+    rational pivoting would hold, and a basic column ``b`` of row ``i``
+    reads ``rows[i][b] == dens[i]``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -152,16 +171,14 @@ class _Tableau:
         self.var_kind: list[str] = []
         self.var_cols: list[tuple[int, ...]] = []  # internal column ids per var
         shift = [ZERO] * lp.n_vars  # constant term of x_j in terms of columns
-        cols_coeff: list[dict[int, Fraction]] = []  # per column: row -> coeff
-        cols_cost: list[Fraction] = []
+        self.costs: list[Fraction] = []  # per internal column
         self.offset = ZERO
 
         extra_rows: list[tuple[int, Fraction]] = []  # (column, u - l) box rows
 
         def new_col(cost: Fraction) -> int:
-            cols_coeff.append({})
-            cols_cost.append(cost)
-            return len(cols_coeff) - 1
+            self.costs.append(cost)
+            return len(self.costs) - 1
 
         for j in range(lp.n_vars):
             lo, hi = lp.lower[j], lp.upper[j]
@@ -185,7 +202,8 @@ class _Tableau:
                 self.var_kind.append(_SPLIT)
                 self.var_cols.append((p, q))
 
-        # Rows: original constraints first, then box rows.
+        # Rows: original constraints first, then box rows.  Every internal
+        # column belongs to one variable, so no coefficient is summed.
         raw_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
         for con in lp.constraints:
             coeffs: dict[int, Fraction] = {}
@@ -193,142 +211,105 @@ class _Tableau:
             for j, a in enumerate(con.coeffs):
                 if a == 0:
                     continue
-                rhs -= a * shift[j]
+                if shift[j]:
+                    rhs -= a * shift[j]
                 kind = self.var_kind[j]
                 cols = self.var_cols[j]
-                if kind == _SHIFT:
-                    coeffs[cols[0]] = coeffs.get(cols[0], ZERO) + a
-                elif kind == _REFLECT:
-                    coeffs[cols[0]] = coeffs.get(cols[0], ZERO) - a
-                else:
-                    coeffs[cols[0]] = coeffs.get(cols[0], ZERO) + a
-                    coeffs[cols[1]] = coeffs.get(cols[1], ZERO) - a
+                coeffs[cols[0]] = -a if kind == _REFLECT else a
+                if kind == _SPLIT:
+                    coeffs[cols[1]] = -a
             raw_rows.append((coeffs, con.relation, rhs))
         for col, width in extra_rows:
             raw_rows.append(({col: Fraction(1)}, LE, width))
 
         self.n_orig_rows = lp.n_rows
+        self.row_origin = list(range(len(raw_rows)))
 
-        # Equality form with slack/surplus, then flip to nonnegative rhs.
-        self.sigma: list[Fraction] = []
-        slack_of_row: list[int | None] = []
-        for coeffs, relation, rhs in raw_rows:
-            if relation == LE:
-                s = new_col(ZERO)
-                coeffs[s] = Fraction(1)
-                slack_of_row.append(s)
-            elif relation == GE:
-                s = new_col(ZERO)
-                coeffs[s] = Fraction(-1)
-                slack_of_row.append(s)
-            else:
-                slack_of_row.append(None)
-            self.sigma.append(Fraction(-1) if rhs < 0 else Fraction(1))
-
-        ncols = len(cols_coeff)
-        self.rows: list[list[Fraction]] = []
-        self.rhs: list[Fraction] = []
-        self.row_origin: list[int] = []
-        for i, (coeffs, _relation, rhs) in enumerate(raw_rows):
-            sgn = self.sigma[i]
-            row = [ZERO] * ncols
-            for col, a in coeffs.items():
-                row[col] = sgn * a
-            self.rows.append(row)
-            self.rhs.append(sgn * rhs)
-            self.row_origin.append(i)
-
-        # Probes and initial basis: the slack if it survives the flip with
+        # Equality form with slack/surplus, flipped to nonnegative rhs.  The
+        # initial basis and probes: the slack if it survives the flip with
         # coefficient +1, otherwise a fresh artificial column.
-        self.costs = cols_cost
+        slacks = [None if rel == EQ else new_col(ZERO) for _c, rel, _r in raw_rows]
+        self.sigma = [-1 if rhs < 0 else 1 for _c, _rel, rhs in raw_rows]
         self.artificial: set[int] = set()
-        self.probe: list[tuple[int, Fraction]] = []  # per raw row: (col, entry)
         self.basis: list[int] = []
-        for i in range(len(self.rows)):
-            s = slack_of_row[i]
-            entry = self.rows[i][s] if s is not None else None
-            if s is not None and entry == 1:
+        for (_coeffs, relation, _rhs), s, sgn in zip(raw_rows, slacks, self.sigma):
+            if s is not None and sgn == (1 if relation == LE else -1):
                 self.basis.append(s)
-                self.probe.append((s, Fraction(1)))
             else:
-                a = len(self.costs)
-                self.costs.append(ZERO)
-                self.artificial.add(a)
-                for row in self.rows:
-                    row.append(ZERO)
-                self.rows[i][a] = Fraction(1)
-                self.basis.append(a)
-                if s is not None:
-                    self.probe.append((s, entry))
-                else:
-                    self.probe.append((a, Fraction(1)))
-        # Artificial probes beat slack probes: single entry +1 by construction.
-        for i in range(len(self.rows)):
-            b = self.basis[i]
-            if b in self.artificial:
-                self.probe[i] = (b, Fraction(1))
-
+                self.basis.append(new_col(ZERO))
+                self.artificial.add(self.basis[-1])
+        self.probe = list(self.basis)
         self.ncols = len(self.costs)
         self.banned: set[int] = set()
 
+        # The one conversion to integer rows over a common denominator.
+        self.rows: list[list[int]] = []
+        self.dens: list[int] = []
+        for (coeffs, relation, rhs), s, sgn, b in zip(
+            raw_rows, slacks, self.sigma, self.basis
+        ):
+            den = lcm(rhs.denominator, *[a.denominator for a in coeffs.values()])
+            row = [0] * (self.ncols + 1)
+            for col, a in coeffs.items():
+                row[col] = sgn * a.numerator * (den // a.denominator)
+            if s is not None:
+                row[s] = sgn * den if relation == LE else -sgn * den
+            row[b] = den
+            row[-1] = sgn * rhs.numerator * (den // rhs.denominator)
+            self.rows.append(row)
+            self.dens.append(den)
+        self.rc: list[int] = []
+        self.rc_den = 1
+
     # -- simplex machinery -------------------------------------------------
 
-    def _reduced_costs(self, costs: Sequence[Fraction]) -> list[Fraction]:
-        rc = list(costs)
-        for r, b in enumerate(self.basis):
-            cb = costs[b]
-            if cb == 0:
-                continue
-            row = self.rows[r]
-            for j, a in enumerate(row):
-                if a:
-                    rc[j] -= cb * a
-        return rc
+    def _reduced_costs(self, costs: Sequence[Fraction]) -> None:
+        """Set ``rc`` to ``costs`` minus the basic cost of every row.
 
-    def _objective_value(self, costs: Sequence[Fraction]) -> Fraction:
-        total = ZERO
+        The last entry, the right-hand side's column, is minus the
+        objective value of the basic solution (offset excluded).
+        """
+        self.rc, self.rc_den = _integer_row([*costs, ZERO])
         for r, b in enumerate(self.basis):
-            cb = costs[b]
-            if cb and self.rhs[r]:
-                total += cb * self.rhs[r]
-        return total
+            if self.rc[b]:
+                pivot = [(j, q) for j, q in enumerate(self.rows[r]) if q]
+                self.rc, self.rc_den = _eliminate(
+                    self.rc, self.rc_den, b, pivot, self.dens[r]
+                )
 
-    def _pivot(self, r: int, col: int, rc: list[Fraction]) -> None:
+    def _objective_value(self) -> Fraction:
+        return -Fraction(self.rc[-1], self.rc_den)
+
+    def _pivot(self, r: int, col: int) -> None:
         prow = self.rows[r]
-        pval = prow[col]
-        if pval != 1:
-            inv = Fraction(1) / pval
-            for j, a in enumerate(prow):
-                if a:
-                    prow[j] = a * inv
-            self.rhs[r] *= inv
-        nz = [j for j, a in enumerate(prow) if a]
-        prhs = self.rhs[r]
+        if prow[col] < 0:
+            prow = [-a for a in prow]
+        g = gcd(*prow)
+        if g != 1:
+            prow = [a // g for a in prow]
+        p = prow[col]
+        self.rows[r], self.dens[r] = prow, p
+        pivot = [(j, q) for j, q in enumerate(prow) if q]
         for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[col]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-                if prhs:
-                    self.rhs[i] -= f * prhs
-        f = rc[col]
-        if f:
-            for j in nz:
-                rc[j] -= f * prow[j]
+            if i != r and row[col]:
+                self.rows[i], self.dens[i] = _eliminate(row, self.dens[i], col, pivot, p)
+        if self.rc[col]:
+            self.rc, self.rc_den = _eliminate(self.rc, self.rc_den, col, pivot, p)
         self.basis[r] = col
 
-    def _run(self, costs: Sequence[Fraction]) -> tuple[str, list[Fraction], int]:
+    def _run(self, costs: Sequence[Fraction]) -> tuple[str, int]:
         """Bland-rule simplex to optimality or unboundedness.
 
-        Returns ("optimal", reduced costs, -1) or ("unbounded", reduced
-        costs, entering column).
+        Leaves the final reduced costs in ``rc`` and returns ("optimal",
+        -1) or ("unbounded", entering column).  Signs of reduced costs
+        and entries are those of their numerators; ratios ``rhs / entry``
+        share their row's denominator, so they compare by cross products.
         """
-        rc = self._reduced_costs(costs)
+        self._reduced_costs(costs)
         basic = set(self.basis)
         while True:
             enter = -1
+            rc = self.rc
             for j in range(self.ncols):
                 if j in basic or j in self.banned:
                     continue
@@ -336,23 +317,23 @@ class _Tableau:
                     enter = j
                     break
             if enter < 0:
-                return "optimal", rc, -1
+                return "optimal", -1
             leave = -1
-            best: Fraction | None = None
+            best_rhs = best_a = 0
             for i, row in enumerate(self.rows):
                 a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if leave < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[i] < self.basis[leave]
                     ):
-                        best = ratio
+                        best_rhs, best_a = row[-1], a
                         leave = i
             if leave < 0:
-                return "unbounded", rc, enter
+                return "unbounded", enter
             departing = self.basis[leave]
             basic.discard(departing)
-            self._pivot(leave, enter, rc)
+            self._pivot(leave, enter)
             basic.add(enter)
             if departing in self.artificial:
                 # A departed artificial never re-enters; Bland's rule on the
@@ -361,21 +342,19 @@ class _Tableau:
 
     # -- outcome extraction -------------------------------------------------
 
-    def _duals(self, costs: Sequence[Fraction], rc: Sequence[Fraction]) -> list[Fraction]:
+    def _duals(self, costs: Sequence[Fraction]) -> list[Fraction]:
         """Multipliers of the original rows, read off the probe columns."""
-        inner = [ZERO] * len(self.rows)
-        for i, (col, entry) in enumerate(self.probe):
-            inner[i] = (costs[col] - rc[col]) / entry
         duals = [ZERO] * self.n_orig_rows
-        for i, origin in enumerate(self.row_origin):
+        for col, origin in zip(self.probe, self.row_origin):
             if origin < self.n_orig_rows:
-                duals[origin] = self.sigma[origin] * inner[i]
+                rc = Fraction(self.rc[col], self.rc_den)
+                duals[origin] = self.sigma[origin] * (costs[col] - rc)
         return duals
 
     def _primal(self) -> list[Fraction]:
         cols = [ZERO] * self.ncols
         for r, b in enumerate(self.basis):
-            cols[b] = self.rhs[r]
+            cols[b] = Fraction(self.rows[r][-1], self.dens[r])
         return self._map_point(cols)
 
     def _map_point(self, cols: Sequence[Fraction]) -> list[Fraction]:
@@ -418,14 +397,49 @@ class _Tableau:
                     enter = j
                     break
             if enter >= 0:
-                rc_dummy = [ZERO] * self.ncols
-                self._pivot(r, enter, rc_dummy)
+                self._pivot(r, enter)
                 r += 1
             else:
                 # 0 = 0 row: linearly dependent constraint, dual weight 0.
-                del self.rows[r], self.rhs[r], self.basis[r]
+                del self.rows[r], self.dens[r], self.basis[r]
                 del self.probe[r], self.row_origin[r]
         self.banned |= self.artificial
+
+
+def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    # Star-args from a list, not a generator: CPython builds a generator's
+    # argument tuple by resizing, which moves tuples between its per-size
+    # free lists and leaves them holding memory for the life of the process.
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _eliminate(
+    row: list[int], den: int, col: int, pivot: list[tuple[int, int]], p: int
+) -> tuple[list[int], int]:
+    """``row / den`` minus its ``col`` entry times the pivot row over ``p``.
+
+    ``pivot`` lists the pivot row's nonzero ``(column, numerator)`` pairs,
+    with numerator ``p`` in column ``col``, so the result is 0 there.
+    With ``f = row[col] / gcd(row[col], p)`` and ``s = p / gcd(row[col], p)``
+    the new row is ``row * s - f * pivot`` over ``den * s``, then divided
+    by its gcd.
+    """
+    g = gcd(row[col], p)
+    f, s = row[col] // g, p // g
+    if s == 1:
+        row = row.copy()
+    else:
+        row = [a * s for a in row]
+        den *= s
+    for j, q in pivot:
+        row[j] -= f * q
+    g = gcd(den, *row)
+    if g != 1:
+        row = [a // g for a in row]
+        den //= g
+    return row, den
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -438,10 +452,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
     phase1 = [ZERO] * tab.ncols
     for a in tab.artificial:
         phase1[a] = Fraction(-1)
-    status, rc, _ = tab._run(phase1)
-    assert status == "optimal"  # phase 1 objective is bounded above by 0
-    if tab._objective_value(phase1) < 0:
-        duals = tab._duals(phase1, rc)
+    status, _ = tab._run(phase1)
+    if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
+        raise AssertionError("phase 1 reported an unbounded objective")
+    if tab._objective_value() < 0:
+        duals = tab._duals(phase1)
         farkas = []
         for i, con in enumerate(lp.constraints):
             y = duals[i]
@@ -451,21 +466,21 @@ def solve(lp: LinearProgram) -> LpOutcome:
     tab.drive_out_artificials()
 
     # Phase 2: the real objective.
-    status, rc, enter = tab._run(tab.costs)
+    status, enter = tab._run(tab.costs)
     if status == "unbounded":
         ray_cols = [ZERO] * tab.ncols
         ray_cols[enter] = Fraction(1)
         for r, b in enumerate(tab.basis):
             a = tab.rows[r][enter]
             if a:
-                ray_cols[b] = -a
+                ray_cols[b] = -Fraction(a, tab.dens[r])
         point = tab._primal()
         ray = tab._map_ray(ray_cols)
         return Unbounded(tuple(point), tuple(ray))
 
-    value_max = tab._objective_value(tab.costs) + tab.offset
+    value_max = tab._objective_value() + tab.offset
     primal = tab._primal()
-    duals = tab._duals(tab.costs, rc)
+    duals = tab._duals(tab.costs)
     value = value_max if lp.maximize else -value_max
     return Optimal(value, tuple(primal), tuple(duals))
 
@@ -637,19 +652,6 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
     except (InvalidInput, TypeError, ZeroDivisionError):
         return False
     return False
-
-
-def dual_bound_valid(
-    lp: LinearProgram, dual: Sequence[Fraction], bound: Fraction
-) -> bool:
-    """Whether ``dual`` proves (by weak duality) that the maximum of the
-    maximization form of ``lp`` is at most ``bound``.
-
-    Needs no primal point, so it certifies statements like "the optimum
-    is <= 0" without re-solving.
-    """
-    value = dual_objective(lp, dual)
-    return value is not None and value <= bound
 
 
 def reduced_costs(

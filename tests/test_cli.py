@@ -183,3 +183,17 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["holds"] is True
+
+
+def test_report_is_unchanged_under_optimize_flag(dmw_file):
+    """``python -O`` strips ``assert``; no verdict may depend on one."""
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "famart.cli", "report", dmw_file],
+            capture_output=True,
+            text=True,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout
