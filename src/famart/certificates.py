@@ -39,6 +39,14 @@ from .lp import (
     reduced_costs,
     verify_outcome,
 )
+from .programs import (
+    arbitrage_lp,
+    coherence_coords,
+    expectation_bound_lp,
+    martingale_mass_lp,
+    ratio_bound_lp,
+    weighted_space,
+)
 
 Certificate = dict[str, Any]
 
@@ -50,6 +58,13 @@ class CertificateFormat(InvalidInput):
 # --------------------------------------------------------------------------
 # Payload helpers
 # --------------------------------------------------------------------------
+#
+# The encoders below are the package's only JSON encoders for rational
+# lists, coordinates, random variables and Faps; model files use them
+# too.  The decoders are this module's own, because the error contract
+# differs: a model-file error is invalid input (``InvalidInput``, CLI
+# exit 2), while a certificate is either malformed (``CertificateFormat``,
+# exit 2) or well formed but false (validation returns False, exit 1).
 
 
 def _get(d: Mapping[str, Any], key: str) -> Any:
@@ -72,39 +87,40 @@ def _parse_rats(xs: Any) -> tuple[Fraction, ...]:
     return tuple(_parse_rat(x) for x in xs)
 
 
-def _rstrs(xs: Sequence[Any]) -> list[str]:
+def rat_strs(xs: Sequence[Any]) -> list[str]:
     return [rat_str(x) for x in xs]
 
 
 def randvar_payload(x: RandVar) -> dict[str, Any]:
-    out: dict[str, Any] = {"values": _rstrs(x.values)}
+    out: dict[str, Any] = {"values": rat_strs(x.values)}
     if x.tail_value is not None:
         out["tail"] = rat_str(x.tail_value)
     return out
 
 
-def randvar_from_payload(m: Model, d: Mapping[str, Any]) -> RandVar:
+def randvar_from_payload(d: Mapping[str, Any]) -> RandVar:
     values = _parse_rats(_get(d, "values"))
     tail = _parse_rat(d["tail"]) if "tail" in d else None
     return RandVar(values, tail)
 
 
 def fap_payload(p: Fap) -> dict[str, Any]:
-    out: dict[str, Any] = {"alpha": rat_str(p.alpha), "mass": _rstrs(p.ca_mass)}
+    out: dict[str, Any] = {"alpha": rat_str(p.alpha), "mass": rat_strs(p.ca_mass)}
     if p.ca_tail is not None:
         out["tail"] = rat_str(p.ca_tail)
     return out
 
 
-def fap_from_payload(m: Model, d: Mapping[str, Any]) -> Fap:
+def fap_from_payload(d: Mapping[str, Any]) -> Fap:
     alpha = _parse_rat(_get(d, "alpha"))
     mass = _parse_rats(_get(d, "mass"))
     tail = _parse_rat(d["tail"]) if "tail" in d else None
     return Fap(alpha, mass, tail)
 
 
-def _coord_json(c: int) -> Any:
+def coord_payload(c: int) -> Any:
     return "tail" if c == TAIL else c
+
 
 def _coord_from_json(v: Any) -> int:
     if v == "tail":
@@ -115,7 +131,7 @@ def _coord_from_json(v: Any) -> int:
 
 
 def event_payload(event: frozenset[int]) -> list[Any]:
-    return [_coord_json(c) for c in sorted(event)]
+    return [coord_payload(c) for c in sorted(event)]
 
 
 def event_from_payload(v: Any) -> frozenset[int]:
@@ -134,7 +150,7 @@ def arbitrage_vector(
 ) -> Certificate:
     return {
         "kind": "arbitrage_vector",
-        "coefficients": _rstrs(coefficients),
+        "coefficients": rat_strs(coefficients),
         "gain": randvar_payload(gain),
     }
 
@@ -172,11 +188,11 @@ def farkas_witness(
         "kind": "farkas_witness",
         "lp": builder,
         "claim": claim,
-        "weights": _rstrs(weights),
+        "weights": rat_strs(weights),
     }
     if claim == "infeasible":
         combined, bound = farkas_combination(lp, tuple(weights))
-        out["combined"] = _rstrs(combined)
+        out["combined"] = rat_strs(combined)
         out["bound"] = rat_str(bound)
     elif claim in ("max_at_most", "min_at_least"):
         value = dual_objective(lp, tuple(weights))
@@ -184,7 +200,7 @@ def farkas_witness(
             raise InvalidInput("weights are not dual feasible")
         out["dual_value"] = rat_str(value)
         out["bound_value"] = rat_str(bound_value)
-        out["reduced"] = _rstrs(reduced_costs(lp, tuple(weights)))
+        out["reduced"] = rat_strs(reduced_costs(lp, tuple(weights)))
     else:
         raise InvalidInput(f"unknown farkas claim {claim!r}")
     if extras:
@@ -203,7 +219,7 @@ def witness(
     out: dict[str, Any] = {
         "kind": "witness",
         "claim": claim,
-        "coefficients": _rstrs(coefficients),
+        "coefficients": rat_strs(coefficients),
         "amount": rat_str(amount),
     }
     if x is not None:
@@ -223,7 +239,7 @@ def representing_fap(
     out: dict[str, Any] = {
         "kind": "representing_fap",
         "fap": fap_payload(p),
-        "previsions": _rstrs(previsions),
+        "previsions": rat_strs(previsions),
     }
     if event is not None:
         out["event"] = event_payload(event)
@@ -235,14 +251,14 @@ def sure_loss_bet(
 ) -> Certificate:
     return {
         "kind": "sure_loss_bet",
-        "stakes": _rstrs(stakes),
+        "stakes": rat_strs(stakes),
         "guaranteed_win": rat_str(win),
-        "previsions": _rstrs(previsions),
+        "previsions": rat_strs(previsions),
     }
 
 
 def tail_values(tails: Sequence[Fraction]) -> Certificate:
-    return {"kind": "tail_values", "values": _rstrs(tails)}
+    return {"kind": "tail_values", "values": rat_strs(tails)}
 
 
 def cstar_bound(
@@ -254,14 +270,14 @@ def cstar_bound(
     out["value"] = "infinite" if value is None else rat_str(value)
     if attaining is not None:
         out["attaining"] = {
-            "coefficients": _rstrs(attaining["coefficients"]),
+            "coefficients": rat_strs(attaining["coefficients"]),
             "gain": randvar_payload(attaining["x"]),
-            "coord": _coord_json(attaining["coord"]),
+            "coord": coord_payload(attaining["coord"]),
         }
     out["duals"] = [
         {
-            "coord": _coord_json(c),
-            "weights": _rstrs(w),
+            "coord": coord_payload(c),
+            "weights": rat_strs(w),
             "value": rat_str(v),
         }
         for c, (w, v) in duals.items()
@@ -280,40 +296,42 @@ def _validate_combination(
     """Parse coefficients and gain; confirm the gain is exactly the stated
     combination of the basis (span membership made checkable)."""
     coeffs = _parse_rats(coeff_payload)
-    x = randvar_from_payload(m, gain_payload)
+    x = randvar_from_payload(gain_payload)
     if len(coeffs) != len(ls.basis):
         return None
-    try:
-        x.check_conforms(m)
-        recomputed = ls.combine(coeffs) if ls.basis else None
-    except InvalidInput:
-        return None
+    x.check_conforms(m)
+    recomputed = ls.combine(coeffs) if ls.basis else None
     if recomputed is None or recomputed != x:
         return None
     return coeffs, x
 
 
-def _lp_for(cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]):
-    from . import checkers  # local import; checkers builds on this module
+def _bound_params(
+    cert: Mapping[str, Any], m: Model, extras: Mapping[str, Any]
+) -> tuple[Fap, Fraction] | None:
+    """The pmf Q and constant c of an explicit expectation-bound check, or
+    None when they differ from the ones the check was asked about."""
+    q = fap_from_payload(_get(cert, "q"))
+    c = _parse_rat(_get(cert, "c"))
+    if "q" in extras and fap_payload(extras["q"]) != _get(cert, "q"):
+        return None
+    if "c" in extras and rat(extras["c"]) != c:
+        return None
+    q.check_conforms(m)
+    return q, c
 
+
+def _lp_for(cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]):
     builder = _get(cert, "lp")
     if builder == "arbitrage":
-        return builder, checkers.arbitrage_lp(m, ls)
-    if builder == "negative-gain":
-        return builder, checkers.negative_gain_lp(m, ls)
+        return builder, arbitrage_lp(m, ls)
     if builder == "min-mass":
-        return builder, checkers.martingale_mass_lp(m, ls, strict=True)
+        return builder, martingale_mass_lp(m, ls, strict=True)
     if builder == "expectation-bound":
-        q = fap_from_payload(m, _get(cert, "q"))
-        c = _parse_rat(_get(cert, "c"))
-        if "q" in extras and fap_payload(extras["q"]) != _get(cert, "q"):
+        params = _bound_params(cert, m, extras)
+        if params is None or params[1] <= 0:
             return builder, None
-        if "c" in extras and rat(extras["c"]) != c:
-            return builder, None
-        q.check_conforms(m)
-        if c <= 0:
-            return builder, None
-        return builder, checkers.expectation_bound_lp(m, ls, q, c)
+        return builder, expectation_bound_lp(m, ls, *params)
     raise CertificateFormat(f"unknown program id {builder!r}")
 
 
@@ -363,16 +381,16 @@ def _support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
     return weights
 
 
+def _conforming_fap(cert: Mapping[str, Any], m: Model) -> Fap:
+    p = fap_from_payload(_get(cert, "fap"))
+    p.check_conforms(m)
+    return p
+
+
 def _validate_martingale_fap(
     cert: Mapping[str, Any], m: Model, ls: LinSpace
 ) -> bool:
-    try:
-        p = fap_from_payload(m, _get(cert, "fap"))
-        p.check_conforms(m)
-    except CertificateFormat:
-        raise
-    except InvalidInput:
-        return False
+    p = _conforming_fap(cert, m)
     for x in ls.basis:
         if expect(p, x) != 0:
             return False
@@ -386,13 +404,7 @@ def _validate_martingale_fap(
 def _validate_separating(
     cert: Mapping[str, Any], m: Model, ls: LinSpace
 ) -> bool:
-    try:
-        p = fap_from_payload(m, _get(cert, "fap"))
-        p.check_conforms(m)
-    except CertificateFormat:
-        raise
-    except InvalidInput:
-        return False
+    p = _conforming_fap(cert, m)
     if not is_equivalent(p, m) or p.alpha >= 1:
         return False
     for x in ls.basis:
@@ -438,24 +450,16 @@ def _validate_witness(
         total = sum((x.at(c) for c in support), ZERO)
         return total == amount and amount > 0
     if claim == "expectation_bound_violated":
-        q = fap_from_payload(m, _get(cert, "q"))
-        c = _parse_rat(_get(cert, "c"))
-        if "q" in extras and fap_payload(extras["q"]) != _get(cert, "q"):
+        params = _bound_params(cert, m, extras)
+        if params is None or sup_norm(x, m) > 1:
             return False
-        if "c" in extras and rat(extras["c"]) != c:
-            return False
-        try:
-            q.check_conforms(m)
-        except InvalidInput:
-            return False
-        if sup_norm(x, m) > 1:
-            return False
+        q, c = params
         value = ess_sup(x.negated(), m) - c * expect(q, x)
         return value == amount and amount < 0
     if claim == "event_dominance_violated":
         event = event_from_payload(_get(cert, "event"))
         previsions = _parse_rats(_get(cert, "previsions"))
-        if "previsions" in extras and _rstrs(extras["previsions"]) != _get(
+        if "previsions" in extras and rat_strs(extras["previsions"]) != _get(
             cert, "previsions"
         ):
             return False
@@ -474,13 +478,7 @@ def _validate_witness(
 def _validate_representing(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
 ) -> bool:
-    try:
-        p = fap_from_payload(m, _get(cert, "fap"))
-        p.check_conforms(m)
-    except CertificateFormat:
-        raise
-    except InvalidInput:
-        return False
+    p = _conforming_fap(cert, m)
     previsions = _parse_rats(_get(cert, "previsions"))
     if "previsions" in extras and tuple(rat(e) for e in extras["previsions"]) != previsions:
         return False
@@ -493,21 +491,16 @@ def _validate_representing(
             return False
     if "event" in cert:
         event = event_from_payload(cert["event"])
-        if "events" in extras:
-            family = [frozenset(e) for e in extras["events"]]
-            least = family[0]
-            for a in family[1:]:
-                least = least & a
-            if event != least:
-                return False
+        if "events" in extras and event != frozenset.intersection(
+            *map(frozenset, extras["events"])
+        ):
+            return False
         for i in range(m.n_states):
             if i not in event and p.ca_mass[i] != 0:
                 return False
         if TAIL not in event and p.tail_charge() != 0:
             return False
     else:
-        from .checkers import coherence_coords
-
         allowed = set(coherence_coords(m))
         for i in range(m.n_states):
             if i not in allowed and p.ca_mass[i] != 0:
@@ -520,8 +513,6 @@ def _validate_representing(
 def _validate_sure_loss(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
 ) -> bool:
-    from .checkers import coherence_coords
-
     stakes = _parse_rats(_get(cert, "stakes"))
     win = _parse_rat(_get(cert, "guaranteed_win"))
     previsions = _parse_rats(_get(cert, "previsions"))
@@ -559,8 +550,6 @@ def _validate_tail_values(
 def _validate_cstar(
     cert: Mapping[str, Any], m: Model, ls: LinSpace
 ) -> bool:
-    from .checkers import ratio_bound_lp
-
     raw = _get(cert, "value")
     support = m.support()
     if raw == "infinite":
@@ -601,22 +590,11 @@ def _validate_cstar(
 def _validate_weighted_ratio(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
 ) -> bool:
-    y = randvar_from_payload(m, _get(cert, "weight"))
-    try:
-        y.check_conforms(m)
-    except InvalidInput:
-        return False
+    y = randvar_from_payload(_get(cert, "weight"))
+    y.check_conforms(m)
     if "weight" in extras and randvar_payload(extras["weight"]) != _get(cert, "weight"):
         return False
-    weighted = LinSpace(
-        tuple(
-            RandVar(
-                tuple(a * b for a, b in zip(x.values, y.values)),
-                (x.tail_value * y.tail_value) if m.has_tail else None,
-            )
-            for x in ls.basis
-        )
-    )
+    weighted = weighted_space(m, ls, y)
     inner = _get(cert, "cstar")
     kind = _get(inner, "kind")
     if kind == "witness":
@@ -720,5 +698,7 @@ def validate_verdict(
     except CertificateFormat:
         raise
     except InvalidInput:
+        # A well-formed certificate whose data does not fit the model
+        # (wrong length, missing tail value, ...) is false, not malformed.
         return False
     raise CertificateFormat(f"unknown certificate kind {kind!r}")

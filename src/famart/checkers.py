@@ -2,10 +2,9 @@
 
 Every checker returns a :class:`Verdict` whose certificate re-validates
 against the model by plain arithmetic (see :mod:`famart.certificates`),
-never by re-running the solver.  The linear programs behind the verdicts
-are built by the ``*_lp`` functions below; their construction is
-deterministic, so a certificate that refers to one of them can be
-re-checked by rebuilding the same program.
+never by re-running the solver.  The checkers solve the programs that
+:mod:`famart.programs` builds; certificate validation rebuilds the same
+programs from there.
 
 Checked conditions, by their report labels:
 
@@ -21,7 +20,8 @@ Checked conditions, by their report labels:
          intersection-closed family of events.
 ``(8)``  all generators vanish at the tail.
 ``(10)`` the cone of dominated gains meets the nonnegative cone only at
-         zero; polyhedral here, hence decided like (6).
+         zero; polyhedral here, hence closed, so (10) is (6) and its
+         verdict is the (6) verdict relabelled.
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
 """
@@ -47,26 +47,25 @@ from .core import (
     sup_norm,
 )
 from .fap import Fap, from_p0, is_equivalent
-from .lp import (
-    EQ,
-    GE,
-    LE,
-    Infeasible,
-    LinearProgram,
-    Optimal,
-    Unbounded,
-    solve,
+from .lp import Infeasible, Optimal, Unbounded, solve
+from .programs import (
+    arbitrage_lp,
+    coherence_coords,
+    coherence_lp,
+    event_dominance_lp,
+    expectation_bound_lp,
+    martingale_mass_lp,
+    negative_gain_lp,
+    ratio_bound_lp,
+    weighted_space,
 )
 from .spaces import binomial_pmf
-
-Certificate = dict[str, Any]
-
 
 @dataclass(frozen=True)
 class Verdict:
     condition: str
     holds: bool
-    certificate: Certificate
+    certificate: certs.Certificate
     narrative: str
 
     def to_dict(self) -> dict[str, Any]:
@@ -76,165 +75,6 @@ class Verdict:
             "certificate": self.certificate,
             "narrative": self.narrative,
         }
-
-
-def _values_at(x: RandVar, coords: Sequence[int]) -> list[Fraction]:
-    return [x.at(c) for c in coords]
-
-
-def _combo_row(basis: Sequence[RandVar], coord: int) -> tuple[Fraction, ...]:
-    return tuple(x.at(coord) for x in basis)
-
-
-# --------------------------------------------------------------------------
-# Deterministic program builders (shared with certificate validation)
-# --------------------------------------------------------------------------
-
-
-def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:
-    """Feasibility: a combination nonnegative on the essential support whose
-    support values sum to at least one.
-
-    By positive homogeneity this is feasible exactly when some nonzero
-    nonnegative gain exists, i.e. when there is arbitrage.
-    """
-    support = m.support()
-    k = len(ls.basis)
-    rows = [(_combo_row(ls.basis, c), GE, ZERO) for c in support]
-    total = tuple(
-        sum((x.at(c) for c in support), ZERO) for x in ls.basis
-    )
-    rows.append((total, GE, Fraction(1)))
-    return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
-
-
-def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
-    """Feasibility: a combination at most -1 everywhere on the support,
-    i.e. a gain with strictly negative essential supremum (rescaled)."""
-    support = m.support()
-    k = len(ls.basis)
-    rows = [(_combo_row(ls.basis, c), LE, Fraction(-1)) for c in support]
-    return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
-
-
-def martingale_mass_lp(m: Model, ls: LinSpace, strict: bool) -> LinearProgram:
-    """Weights on the essential support that kill every generator.
-
-    Strict form: weights ``w_c = s_c + t`` with slack variables
-    ``s_c >= 0`` and the common floor ``t`` maximized, so the optimum is
-    the largest attainable minimum weight; it is positive exactly when a
-    strictly positive (equivalent) solution exists.  Relaxed form: plain
-    nonnegative weights, feasibility only.
-
-    Variables are ordered support-first (charged states, then the tail
-    when charged), with ``t`` last in the strict form.
-    """
-    support = m.support()
-    ns = len(support)
-    k = len(ls.basis)
-    nvars = ns + (1 if strict else 0)
-    lower: list[Fraction | None] = [ZERO] * ns + ([None] if strict else [])
-    rows = []
-    # Total mass one.
-    coeffs = [Fraction(1)] * ns + ([Fraction(ns)] if strict else [])
-    rows.append((tuple(coeffs), EQ, Fraction(1)))
-    # Zero expectation per generator.
-    for x in ls.basis:
-        vals = _values_at(x, support)
-        coeffs = list(vals) + ([sum(vals, ZERO)] if strict else [])
-        rows.append((tuple(coeffs), EQ, ZERO))
-    objective = [ZERO] * ns + ([Fraction(1)] if strict else [])
-    return LinearProgram(
-        objective=tuple(objective),
-        maximize=True,
-        constraints=rows,
-        lower=tuple(lower),
-        upper=(None,) * nvars,
-    )
-
-
-def expectation_bound_lp(
-    m: Model, ls: LinSpace, q: Fap, c: Fraction
-) -> LinearProgram:
-    """Minimize ``ess sup(-X_b) - c E_Q(X_b)`` over the unit ball.
-
-    Variables: the combination coefficients, then the epigraph variable
-    for the essential supremum of the negated gain.
-    """
-    support = m.support()
-    k = len(ls.basis)
-    rows = []
-    for coord in support:
-        row = list(_combo_row(ls.basis, coord))
-        rows.append((tuple(row + [Fraction(1)]), GE, ZERO))  # u >= -X_b
-        rows.append((tuple(row + [ZERO]), LE, Fraction(1)))
-        rows.append((tuple(row + [ZERO]), GE, Fraction(-1)))
-    objective = [-c * expect(q, x) for x in ls.basis] + [Fraction(1)]
-    return LinearProgram(
-        objective=tuple(objective), maximize=False, constraints=rows
-    )
-
-
-def ratio_bound_lp(m: Model, ls: LinSpace, coord: int) -> LinearProgram:
-    """Maximize the gain at one support coordinate subject to the gain
-    being at least -1 everywhere on the support."""
-    support = m.support()
-    rows = [(_combo_row(ls.basis, c), GE, Fraction(-1)) for c in support]
-    return LinearProgram(
-        objective=_combo_row(ls.basis, coord), maximize=True, constraints=rows
-    )
-
-
-def event_dominance_lp(
-    m: Model, ls: LinSpace, previsions: Sequence[Fraction], event: frozenset[int]
-) -> LinearProgram:
-    """Minimize ``sup_A X_b - E(X_b)`` over the unit ball, for one event A.
-
-    The event supremum is pointwise over the event's coordinates (charged
-    or not); the ball is the essential unit ball.
-    """
-    support = m.support()
-    k = len(ls.basis)
-    rows = []
-    for coord in sorted(event):
-        row = list(_combo_row(ls.basis, coord))
-        rows.append((tuple(row + [Fraction(-1)]), LE, ZERO))  # X_b <= u
-    for coord in support:
-        row = list(_combo_row(ls.basis, coord))
-        rows.append((tuple(row + [ZERO]), LE, Fraction(1)))
-        rows.append((tuple(row + [ZERO]), GE, Fraction(-1)))
-    objective = [-e for e in previsions] + [Fraction(1)]
-    return LinearProgram(
-        objective=tuple(objective), maximize=False, constraints=rows
-    )
-
-
-def coherence_coords(m: Model) -> tuple[int, ...]:
-    """Weighting coordinates for coherence: charged states plus the tail
-    state whenever the model has one."""
-    coords = list(m.charged_states())
-    if m.has_tail:
-        coords.append(TAIL)
-    return tuple(coords)
-
-
-def coherence_lp(
-    m: Model, gambles: Sequence[RandVar], previsions: Sequence[Fraction]
-) -> LinearProgram:
-    """Feasibility: a probability weighting over the coherence coordinates
-    reproducing every prevision."""
-    coords = coherence_coords(m)
-    n = len(coords)
-    rows = [((Fraction(1),) * n, EQ, Fraction(1))]
-    for x, e in zip(gambles, previsions):
-        rows.append((tuple(x.at(c) for c in coords), EQ, e))
-    return LinearProgram(
-        objective=(ZERO,) * n,
-        maximize=True,
-        constraints=rows,
-        lower=(ZERO,) * n,
-        upper=(None,) * n,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -260,29 +100,14 @@ def _fap_from_weights(m: Model, weights: dict[int, Fraction]) -> Fap:
     return Fap(ZERO, tuple(masses), tau if m.has_tail else None)
 
 
-def _arbitrage_like(m: Model, ls: LinSpace, condition: str, narrative: dict[str, str]) -> Verdict:
-    ls.check_conforms(m)
-    lp = arbitrage_lp(m, ls)
-    out = solve(lp)
-    if isinstance(out, Optimal):
-        x = ls.combine(out.primal)
-        norm = sup_norm(x, m)
-        coeffs = tuple(b / norm for b in out.primal)
-        x = ls.combine(coeffs)
-        return Verdict(
-            condition,
-            False,
-            certs.arbitrage_vector(coeffs, x),
-            narrative["fails"],
-        )
-    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
-    return Verdict(
-        condition,
-        True,
-        certs.farkas_witness(lp, "arbitrage", out.farkas, claim="infeasible"),
-        narrative["holds"],
-    )
+def _representing_fap(
+    m: Model, coords: Sequence[int], weights: Sequence[Fraction]
+) -> Fap:
+    """The countably additive Fap putting ``weights`` on ``coords``, in
+    order, and nothing elsewhere."""
+    by_coord = dict(zip(coords, weights))
+    masses = tuple(by_coord.get(i, ZERO) for i in range(m.n_states))
+    return Fap(ZERO, masses, by_coord.get(TAIL, ZERO) if m.has_tail else None)
 
 
 # --------------------------------------------------------------------------
@@ -292,40 +117,57 @@ def _arbitrage_like(m: Model, ls: LinSpace, condition: str, narrative: dict[str,
 
 def check_no_arbitrage(m: Model, ls: LinSpace) -> Verdict:
     """Condition (6): no gain is nonnegative with strictly positive mass."""
-    return _arbitrage_like(
-        m,
-        ls,
-        "(6)",
-        {
-            "holds": "no-arbitrage: the search for a nonnegative gain with "
-            "positive essential supremum is infeasible (Farkas witness).",
-            "fails": "arbitrage: the attached gain is nonnegative on the "
+    ls.check_conforms(m)
+    lp = arbitrage_lp(m, ls)
+    out = solve(lp)
+    if isinstance(out, Optimal):
+        x = ls.combine(out.primal)
+        norm = sup_norm(x, m)
+        coeffs = tuple(b / norm for b in out.primal)
+        x = ls.combine(coeffs)
+        return Verdict(
+            "(6)",
+            False,
+            certs.arbitrage_vector(coeffs, x),
+            "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
-        },
+        )
+    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
+        raise AssertionError("a feasibility program is never unbounded")
+    return Verdict(
+        "(6)",
+        True,
+        certs.farkas_witness(lp, "arbitrage", out.farkas, claim="infeasible"),
+        "no-arbitrage: the search for a nonnegative gain with "
+        "positive essential supremum is infeasible (Farkas witness).",
     )
+
+
+def norm_closure_from(no_arbitrage: Verdict) -> Verdict:
+    """Condition (10) read off a (6) verdict: same verdict, same
+    certificate, the (10) narrative.
+
+    On these finite-coordinate models the cone of dominated gains is
+    polyhedral and hence already norm-closed, so (10) is exactly (6).
+    """
+    if no_arbitrage.holds:
+        narrative = (
+            "the polyhedral cone of dominated gains is closed and meets "
+            "the nonnegative cone only at zero (no-arbitrage reduction; "
+            "Farkas witness)."
+        )
+    else:
+        narrative = (
+            "a nonzero nonnegative function lies in the cone of dominated "
+            "gains; the attached gain witnesses it."
+        )
+    return Verdict("(10)", no_arbitrage.holds, no_arbitrage.certificate, narrative)
 
 
 def check_norm_closure(m: Model, ls: LinSpace) -> Verdict:
     """Condition (10): the norm closure of (gains minus nonnegative
-    functions) meets the nonnegative cone only at zero.
-
-    On these finite-coordinate models that set is a polyhedral cone and
-    hence already norm-closed, so the condition reduces to the
-    no-arbitrage search.
-    """
-    verdict = _arbitrage_like(
-        m,
-        ls,
-        "(10)",
-        {
-            "holds": "the polyhedral cone of dominated gains is closed and "
-            "meets the nonnegative cone only at zero (no-arbitrage "
-            "reduction; Farkas witness).",
-            "fails": "a nonzero nonnegative function lies in the cone of "
-            "dominated gains; the attached gain witnesses it.",
-        },
-    )
-    return verdict
+    functions) meets the nonnegative cone only at zero; decided as (6)."""
+    return norm_closure_from(check_no_arbitrage(m, ls))
 
 
 def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
@@ -495,7 +337,7 @@ def compute_cstar(m: Model, ls: LinSpace) -> Fraction | None:
 
 def _cstar_with_certificate(
     m: Model, ls: LinSpace
-) -> tuple[Fraction | None, Certificate]:
+) -> tuple[Fraction | None, certs.Certificate]:
     ls.check_conforms(m)
     support = m.support()
     if not ls.basis:
@@ -594,15 +436,7 @@ def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
             "on tail models the weight must vanish at the tail, got "
             f"{y.tail_value}"
         )
-    weighted = LinSpace(
-        tuple(
-            RandVar(
-                tuple(a * b for a, b in zip(x.values, y.values)),
-                (x.tail_value * y.tail_value) if m.has_tail else None,
-            )
-            for x in ls.basis
-        )
-    )
+    weighted = weighted_space(m, ls, y)
     value, certificate = _cstar_with_certificate(m, weighted)
     if value is None:
         return Verdict(
@@ -622,7 +456,7 @@ def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
             "a finite weighted ratio bound implies an equivalent "
             "martingale functional for the weighted family"
         )
-    weighted_fap = certs.fap_from_payload(m, emfap.certificate["fap"])
+    weighted_fap = certs.fap_from_payload(emfap.certificate["fap"])
     q_ca = Fap(ZERO, weighted_fap.ca_mass, weighted_fap.ca_tail)
     qstar = qstar_from_weight(m, q_ca, y)
     certificate = {
@@ -683,23 +517,20 @@ def check_coherence(
         raise InvalidInput("one prevision per gamble is required")
     for x in gambles:
         x.check_conforms(m)
-    lp = coherence_lp(m, gambles, previsions)
-    out = solve(lp)
+    coords = coherence_coords(m)
+    out = solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Optimal):
-        coords = coherence_coords(m)
-        weights = dict(zip(coords, out.primal))
-        masses = tuple(weights.get(i, ZERO) for i in range(m.n_states))
-        fap = Fap(ZERO, masses, weights.get(TAIL) if m.has_tail else None)
         return Verdict(
             "coherence",
             True,
-            certs.representing_fap(fap, previsions),
+            certs.representing_fap(
+                _representing_fap(m, coords, out.primal), previsions
+            ),
             "coherent: the attached probability reproduces every prevision.",
         )
     if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
     stakes = tuple(out.farkas[1:])
-    coords = coherence_coords(m)
     win = min(
         sum(
             (c * (x.at(coord) - e) for c, x, e in zip(stakes, gambles, previsions)),
@@ -771,7 +602,7 @@ def check_event_dominance(
                     claim="event_dominance_violated",
                     amount=amount,
                     event=a,
-                    extras={"previsions": [certs.rat_str(e) for e in previsions]},
+                    extras={"previsions": certs.rat_strs(previsions)},
                 ),
                 "dominance fails along an unbounded direction on event "
                 f"{sorted(a)}.",
@@ -790,38 +621,25 @@ def check_event_dominance(
                     claim="event_dominance_violated",
                     amount=out.value,
                     event=a,
-                    extras={"previsions": [certs.rat_str(e) for e in previsions]},
+                    extras={"previsions": certs.rat_strs(previsions)},
                 ),
                 f"a unit-ball gain has supremum over {sorted(a)} below its "
                 "prevision.",
             )
-    least = family[0]
-    for a in family[1:]:
-        least = least & a
     # Closure puts the intersection of the whole family in it.
-    rep_lp_coords = sorted(least)
-    rows = [((Fraction(1),) * len(rep_lp_coords), EQ, Fraction(1))]
-    for x, e in zip(d.basis, previsions):
-        rows.append((tuple(x.at(c) for c in rep_lp_coords), EQ, e))
-    rep_lp = LinearProgram(
-        objective=(ZERO,) * len(rep_lp_coords),
-        maximize=True,
-        constraints=rows,
-        lower=(ZERO,) * len(rep_lp_coords),
-        upper=(None,) * len(rep_lp_coords),
-    )
-    rep_out = solve(rep_lp)
+    least = frozenset.intersection(*family)
+    coords = sorted(least)
+    rep_out = solve(coherence_lp(coords, d.basis, previsions))
     if not isinstance(rep_out, Optimal):  # pragma: no cover - exact duality
         raise AssertionError(
             "dominance on the least event implies a representation on it"
         )
-    weights = dict(zip(rep_lp_coords, rep_out.primal))
-    masses = tuple(weights.get(i, ZERO) for i in range(m.n_states))
-    fap = Fap(ZERO, masses, weights.get(TAIL, ZERO) if m.has_tail else None)
     return Verdict(
         "(7)",
         True,
-        certs.representing_fap(fap, previsions, event=least),
+        certs.representing_fap(
+            _representing_fap(m, coords, rep_out.primal), previsions, event=least
+        ),
         "dominance holds for every event; the attached probability sits "
         "on the least event, reproduces the previsions, and gives every "
         "event total mass.",

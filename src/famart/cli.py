@@ -15,9 +15,16 @@ from typing import Any
 
 from . import checkers
 from .certificates import CertificateFormat, fap_from_payload, validate_verdict
-from .core import InvalidInput, Model, RandVar, constant, rat
+from .core import InvalidInput, constant, rat
 from .fap import from_p0
-from .modelio import AuditError, build_report, load_model_file, serialize_model
+from .modelio import (
+    AuditError,
+    build_report,
+    load_model_file,
+    randvar_from_json,
+    read_json,
+    serialize_model,
+)
 from .spaces import (
     example_bp,
     example_dmw,
@@ -44,16 +51,6 @@ def _emit(payload: Any, fmt: str) -> None:
             print(payload)
 
 
-def _load_weight(path: str, m: Model) -> RandVar:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    values = tuple(rat(v) for v in doc["values"])
-    tail = rat(doc["tail"]) if "tail" in doc else None
-    x = RandVar(values, tail)
-    x.check_conforms(m)
-    return x
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     doc = load_model_file(args.path)
     m, ls = doc.model, doc.lin_space
@@ -67,8 +64,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if args.q == "p0":
                 q = from_p0(m)
             else:
-                with open(args.q, "r", encoding="utf-8") as fh:
-                    q = fap_from_payload(m, json.load(fh))
+                q = fap_from_payload(read_json(args.q))
             verdict = checkers.verify_condition3(m, ls, q, rat(args.c))
         else:
             verdict = checkers.find_emfap(m, ls)
@@ -78,7 +74,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         verdict = checkers.cstar_verdict(m, ls)
     elif cond == "5*":
         if args.weight is not None:
-            weight = _load_weight(args.weight, m)
+            weight = randvar_from_json(read_json(args.weight), m, "weight")
         elif not m.has_tail:
             weight = constant(1, m)
         else:
@@ -141,15 +137,7 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     doc = load_model_file(args.path)
-    try:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            verdict = json.load(fh)
-    except OSError as exc:
-        raise InvalidInput(f"cannot read {args.certificate}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(
-            f"{args.certificate} is not valid JSON: {exc}"
-        ) from exc
+    verdict = read_json(args.certificate)
     ok = validate_verdict(doc.model, doc.lin_space, verdict, doc.extras())
     print(json.dumps({"valid": ok}))
     return 0 if ok else 1

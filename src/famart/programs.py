@@ -1,0 +1,193 @@
+"""The linear programs behind the verdicts, built in one place.
+
+Both the checkers, which solve these programs, and certificate
+re-validation, which never solves anything, build them here.  The
+contract between the two sides:
+
+- Every builder is deterministic.  The same model, space and parameters
+  give the same program: the same rows in the same order over the same
+  variables.  Bland's rule is deterministic too, so the same program
+  also gives the same pivots and the same certificate.
+- A certificate names its program by id (the ``lp`` field of a Farkas
+  witness; a ratio-bound certificate implies :func:`ratio_bound_lp` for
+  each of its coordinates).  The validator rebuilds that program from
+  the model and checks the stored weights against it by exact
+  arithmetic.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from .core import TAIL, ZERO, LinSpace, Model, RandVar, expect
+from .fap import Fap
+from .lp import EQ, GE, LE, LinearProgram
+
+
+def _combo_row(basis: Sequence[RandVar], coord: int) -> tuple[Fraction, ...]:
+    """The generators' values at one coordinate: one row of a program
+    over combination coefficients."""
+    return tuple(x.at(coord) for x in basis)
+
+
+def weighted_space(m: Model, ls: LinSpace, y: RandVar) -> LinSpace:
+    """The weighted family ``{X Y}`` of condition (5*): each generator
+    multiplied pointwise by the weight ``y``."""
+    return LinSpace(
+        tuple(
+            RandVar(
+                tuple(a * b for a, b in zip(x.values, y.values)),
+                (x.tail_value * y.tail_value) if m.has_tail else None,
+            )
+            for x in ls.basis
+        )
+    )
+
+
+def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """Feasibility: a combination nonnegative on the essential support whose
+    support values sum to at least one.
+
+    By positive homogeneity this is feasible exactly when some nonzero
+    nonnegative gain exists, i.e. when there is arbitrage.
+    """
+    support = m.support()
+    k = len(ls.basis)
+    rows = [(_combo_row(ls.basis, c), GE, ZERO) for c in support]
+    total = tuple(
+        sum((x.at(c) for c in support), ZERO) for x in ls.basis
+    )
+    rows.append((total, GE, Fraction(1)))
+    return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
+
+
+def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """Feasibility: a combination at most -1 everywhere on the support,
+    i.e. a gain with strictly negative essential supremum (rescaled)."""
+    support = m.support()
+    k = len(ls.basis)
+    rows = [(_combo_row(ls.basis, c), LE, Fraction(-1)) for c in support]
+    return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
+
+
+def martingale_mass_lp(m: Model, ls: LinSpace, strict: bool) -> LinearProgram:
+    """Weights on the essential support that kill every generator.
+
+    Strict form: weights ``w_c = s_c + t`` with slack variables
+    ``s_c >= 0`` and the common floor ``t`` maximized, so the optimum is
+    the largest attainable minimum weight; it is positive exactly when a
+    strictly positive (equivalent) solution exists.  Relaxed form: plain
+    nonnegative weights, feasibility only.
+
+    Variables are ordered support-first (charged states, then the tail
+    when charged), with ``t`` last in the strict form.
+    """
+    support = m.support()
+    ns = len(support)
+    nvars = ns + (1 if strict else 0)
+    lower: list[Fraction | None] = [ZERO] * ns + ([None] if strict else [])
+    rows = []
+    # Total mass one.
+    coeffs = [Fraction(1)] * ns + ([Fraction(ns)] if strict else [])
+    rows.append((tuple(coeffs), EQ, Fraction(1)))
+    # Zero expectation per generator.
+    for x in ls.basis:
+        vals = [x.at(c) for c in support]
+        coeffs = vals + ([sum(vals, ZERO)] if strict else [])
+        rows.append((tuple(coeffs), EQ, ZERO))
+    objective = [ZERO] * ns + ([Fraction(1)] if strict else [])
+    return LinearProgram(
+        objective=tuple(objective),
+        maximize=True,
+        constraints=rows,
+        lower=tuple(lower),
+        upper=(None,) * nvars,
+    )
+
+
+def expectation_bound_lp(
+    m: Model, ls: LinSpace, q: Fap, c: Fraction
+) -> LinearProgram:
+    """Minimize ``ess sup(-X_b) - c E_Q(X_b)`` over the unit ball.
+
+    Variables: the combination coefficients, then the epigraph variable
+    for the essential supremum of the negated gain.
+    """
+    support = m.support()
+    rows = []
+    for coord in support:
+        row = list(_combo_row(ls.basis, coord))
+        rows.append((tuple(row + [Fraction(1)]), GE, ZERO))  # u >= -X_b
+        rows.append((tuple(row + [ZERO]), LE, Fraction(1)))
+        rows.append((tuple(row + [ZERO]), GE, Fraction(-1)))
+    objective = [-c * expect(q, x) for x in ls.basis] + [Fraction(1)]
+    return LinearProgram(
+        objective=tuple(objective), maximize=False, constraints=rows
+    )
+
+
+def ratio_bound_lp(m: Model, ls: LinSpace, coord: int) -> LinearProgram:
+    """Maximize the gain at one support coordinate subject to the gain
+    being at least -1 everywhere on the support."""
+    support = m.support()
+    rows = [(_combo_row(ls.basis, c), GE, Fraction(-1)) for c in support]
+    return LinearProgram(
+        objective=_combo_row(ls.basis, coord), maximize=True, constraints=rows
+    )
+
+
+def event_dominance_lp(
+    m: Model, ls: LinSpace, previsions: Sequence[Fraction], event: frozenset[int]
+) -> LinearProgram:
+    """Minimize ``sup_A X_b - E(X_b)`` over the unit ball, for one event A.
+
+    The event supremum is pointwise over the event's coordinates (charged
+    or not); the ball is the essential unit ball.
+    """
+    support = m.support()
+    rows = []
+    for coord in sorted(event):
+        row = list(_combo_row(ls.basis, coord))
+        rows.append((tuple(row + [Fraction(-1)]), LE, ZERO))  # X_b <= u
+    for coord in support:
+        row = list(_combo_row(ls.basis, coord))
+        rows.append((tuple(row + [ZERO]), LE, Fraction(1)))
+        rows.append((tuple(row + [ZERO]), GE, Fraction(-1)))
+    objective = [-e for e in previsions] + [Fraction(1)]
+    return LinearProgram(
+        objective=tuple(objective), maximize=False, constraints=rows
+    )
+
+
+def coherence_coords(m: Model) -> tuple[int, ...]:
+    """Weighting coordinates for coherence: charged states plus the tail
+    state whenever the model has one."""
+    coords = list(m.charged_states())
+    if m.has_tail:
+        coords.append(TAIL)
+    return tuple(coords)
+
+
+def coherence_lp(
+    coords: Sequence[int],
+    gambles: Sequence[RandVar],
+    previsions: Sequence[Fraction],
+) -> LinearProgram:
+    """Feasibility: a probability weighting over ``coords``, one variable
+    per coordinate in the given order, reproducing every prevision.
+
+    Coherence weights the :func:`coherence_coords`; the representation
+    behind (7) weights the least event of the family.
+    """
+    n = len(coords)
+    rows = [((Fraction(1),) * n, EQ, Fraction(1))]
+    for x, e in zip(gambles, previsions):
+        rows.append((tuple(x.at(c) for c in coords), EQ, e))
+    return LinearProgram(
+        objective=(ZERO,) * n,
+        maximize=True,
+        constraints=rows,
+        lower=(ZERO,) * n,
+        upper=(None,) * n,
+    )

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famart import checkers
-from famart.certificates import validate_verdict
+from famart import checkers, programs
+from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
 from famart.fap import Fap, from_p0, is_equivalent
+from famart.lp import Infeasible, solve
 from famart.spaces import (
     example_bp,
     example_dmw,
@@ -335,6 +336,30 @@ def test_norm_closure_mirrors_no_arbitrage():
     assert checkers.check_norm_closure(m, ls).holds
     m2 = _two_state()
     assert not checkers.check_norm_closure(m2, _span((F(1), F(0)))).holds
+
+
+def test_norm_closure_relabels_the_no_arbitrage_verdict():
+    for m, ls in (_dmw(F(1, 3), 2), (_two_state(), _span((F(1), F(0))))):
+        na = checkers.check_no_arbitrage(m, ls)
+        nc = checkers.check_norm_closure(m, ls)
+        assert nc.condition == "(10)"
+        assert (nc.holds, nc.certificate) == (na.holds, na.certificate)
+        assert nc == checkers.norm_closure_from(na)
+        assert validate_verdict(m, ls, nc.to_dict())
+
+
+def test_negative_gain_program_id_is_unknown_to_validation():
+    # No checker emits a Farkas witness over the negative-gain program, so
+    # validation cannot rebuild it: the id is malformed, not merely false.
+    m, ls = _dmw(F(1, 3), 2)
+    lp = programs.negative_gain_lp(m, ls)
+    out = solve(lp)
+    assert isinstance(out, Infeasible)
+    cert = farkas_witness(lp, "negative-gain", out.farkas, claim="infeasible")
+    for condition, holds in (("(4)", True), ("(6)", True), ("(3)", False)):
+        verdict = {"condition": condition, "holds": holds, "certificate": cert}
+        with pytest.raises(CertificateFormat, match="unknown program id 'negative-gain'"):
+            validate_verdict(m, ls, verdict)
 
 
 # -- coherence -------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,8 +73,60 @@ def test_check_condition3_with_explicit_q(dmw_file, capsys):
     assert json.loads(out)["certificate"]["claim"] == "min_at_least"
 
 
+def test_unreadable_side_files_are_exit_two(dmw_file, bp_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("{not json")
+    for side in (missing, str(garbled)):
+        assert main(["check", dmw_file, "--condition", "5*", "--weight", side]) == 2
+        assert main(["check", bp_file, "--condition", "5*", "--weight", side]) == 2
+        assert main(["check", dmw_file, "--condition", "3", "--q", side]) == 2
+        assert main(["certify", dmw_file, side]) == 2
+        assert main(["report", side]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"cannot read {missing}" in err
+    assert f"{garbled} is not valid JSON" in err
+
+
+def test_check_condition5star_with_weight_file(bp_file, tmp_path, capsys):
+    weight = {"values": ["1"] * 8, "tail": "0"}
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(weight))
+    code, out = run_cli(["check", bp_file, "--condition", "5*", "--weight", str(path)], capsys)
+    assert code == 0
+    verdict = json.loads(out)
+    assert verdict["condition"] == "(5*)" and verdict["holds"]
+    assert verdict["certificate"]["weight"] == {"values": ["1/1"] * 8, "tail": "0/1"}
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ({"values": "11111111", "tail": "0"}, "weight: 'values' must be a list"),
+        ([["1"] * 8, "0"], "weight must be an object with a 'values' list"),
+        ({"values": ["1"] * 8}, "weight lacks a tail value on a tail model"),
+    ],
+)
+def test_check_condition5star_rejects_malformed_weight(
+    bp_file, tmp_path, capsys, weight, message
+):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps(weight))
+    assert main(["check", bp_file, "--condition", "5*", "--weight", str(path)]) == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+def test_check_condition5star_rejects_string_weight_on_dmw(dmw_file, tmp_path, capsys):
+    # Four characters on a four-state model must not pass as four values.
+    path = tmp_path / "weight.json"
+    path.write_text('{"values": "1111"}')
+    assert main(["check", dmw_file, "--condition", "5*", "--weight", str(path)]) == 2
+    assert "'values' must be a list" in capsys.readouterr().err
+
+
 def test_examples_bp_file_values(bp_file):
-    doc = json.loads(open(bp_file).read())
+    doc = json.loads(Path(bp_file).read_text())
     assert doc["states"] == 8
     assert doc["tail"] is True
     assert doc["p0"][0] == "1/2"

@@ -1,11 +1,13 @@
 """Model file round trips, validation diagnostics, and report assembly."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
-from famart.core import InvalidInput
+from famart import checkers
+from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar
 from famart.modelio import (
     CONDITION_ORDER,
     build_report,
@@ -13,7 +15,13 @@ from famart.modelio import (
     parse_model,
     serialize_model,
 )
-from famart.spaces import example_bp, example_dmw, example_harmonic, trading_space
+from famart.spaces import (
+    example_bp,
+    example_dmw,
+    example_harmonic,
+    random_finite_model,
+    trading_space,
+)
 
 
 def _roundtrip(doc):
@@ -165,6 +173,24 @@ def test_report_audit_never_fires_on_fuzz_corpus():
         assert all(report["implications"].values())
 
 
+def test_report_builds_the_arbitrage_program_once(monkeypatch):
+    builds = []
+
+    def counting(m, ls):
+        builds.append(m)
+        return arbitrage_lp(m, ls)
+
+    arbitrage_lp = checkers.arbitrage_lp
+    monkeypatch.setattr(checkers, "arbitrage_lp", counting)
+    m, f, s = example_dmw(F(1, 3), 2)
+    report = build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
+    assert len(builds) == 1
+    rows = {v["condition"]: v for v in report["verdicts"]}
+    assert rows["(6)"]["holds"] and rows["(10)"]["holds"]
+    assert rows["(10)"]["certificate"] == rows["(6)"]["certificate"]
+    assert rows["(10)"]["narrative"] != rows["(6)"]["narrative"]
+
+
 def test_report_on_harmonic_rows():
     m, ls = example_harmonic(4)
     doc = parse_model(json.loads(json.dumps(serialize_model(m, lin_space=ls))))
@@ -175,3 +201,49 @@ def test_report_on_harmonic_rows():
     assert verdicts["(3)"] is False
     assert verdicts["(10)"] is False
     assert verdicts["(8)"] is True  # the generator vanishes at the tail
+
+
+# --------------------------------------------------------------------------
+# Report oracle: the assembled report JSON, pinned by digest
+# --------------------------------------------------------------------------
+
+
+def _pinned_model_files():
+    """Model files whose serialized form and report the digest pins."""
+    m, f, s, _q = example_bp(8, 4)
+    docs = [serialize_model(m, filtration=f, process=s)]
+    for n in (2, 3):
+        m, f, s = example_dmw(F(1, 3), n)
+        docs.append(serialize_model(m, filtration=f, process=s))
+    m, ls = example_harmonic(5)
+    docs.append(serialize_model(m, lin_space=ls))
+    for seed in range(60):
+        m, ls = random_finite_model(seed)
+        docs.append(serialize_model(m, lin_space=ls))
+    # State 2 is uncharged.  The least event {2, tail} carries the (7)
+    # representation (mass 3/5 at state 2, 2/5 at the tail), while the
+    # first prevision, 3, lies outside the first generator's range [-1, 1]
+    # on the coherence coordinates {0, 1, tail}, so coherence fails with a
+    # sure-loss bet.  Model files list the tail last in an event;
+    # certificates list it first.
+    m = Model((F(1, 2), F(1, 4), F(0)), F(1, 4))
+    ls = LinSpace((RandVar((F(1), F(-1), F(5)), F(0)), RandVar((F(1), F(1), F(2)), F(-2))))
+    events = (frozenset({1, 2, TAIL}), frozenset({2, TAIL}))
+    docs.append(serialize_model(m, lin_space=ls, previsions=(F(3), F(2, 5)), events=events))
+    return docs
+
+
+def test_report_digest_is_pinned():
+    digest = hashlib.sha256()
+    kinds = set()
+    for doc in _pinned_model_files():
+        blob = json.dumps(doc, indent=2)
+        digest.update(blob.encode() + b"\n")
+        report = build_report(parse_model(json.loads(blob)))
+        digest.update(json.dumps(report, indent=2).encode() + b"\n")
+        kinds.update((v["condition"], v["certificate"]["kind"]) for v in report["verdicts"])
+    assert {("(7)", "representing_fap"), ("coherence", "sure_loss_bet")} <= kinds
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
+REPORT_DIGEST = "e096686d06c3d75150c36c6a88fcd47df7c41cde5e6eca3ea413d41f0dea89f7"
