@@ -15,7 +15,8 @@ Checked conditions, by their report labels:
          scaled expectation bound ``c E_Q(X) <= ess sup(-X)`` for some
          equivalent pmf Q and c > 0.
 ``(5)``  a uniform two-sided ratio bound ``ess sup(X) <= c* ess sup(-X)``
-         on the unit sphere; ``(5*)`` is its weighted variant.
+         on the unit sphere; ``(5*)`` is its weighted variant, which a
+         report reads off its own (5) and (3) for the unit weight.
 ``(7)``  event-wise dominance ``sup_A X >= E(X)`` over an
          intersection-closed family of events.
 ``(8)``  all generators vanish at the tail.
@@ -331,64 +332,50 @@ def compute_cstar(m: Model, ls: LinSpace) -> Fraction | None:
     """Least uniform ratio bound ``ess sup(X) <= c* ess sup(-X)`` on the
     unit sphere; None when no finite bound exists (equivalently, the
     space contains a nonzero nonnegative gain)."""
-    value, _ = _cstar_with_certificate(m, ls)
-    return value
-
-
-def _cstar_with_certificate(
-    m: Model, ls: LinSpace
-) -> tuple[Fraction | None, certs.Certificate]:
-    ls.check_conforms(m)
-    support = m.support()
-    if not ls.basis:
-        return ZERO, certs.cstar_bound(ZERO, attaining=None, duals={})
-    best: Fraction | None = None
-    best_coord: int | None = None
-    best_primal: tuple[Fraction, ...] | None = None
-    duals: dict[int, tuple[tuple[Fraction, ...], Fraction]] = {}
-    for coord in support:
-        lp = ratio_bound_lp(m, ls, coord)
-        out = solve(lp)
-        if isinstance(out, Unbounded):
-            ray_gain = ls.combine(out.ray)
-            total = sum((ray_gain.at(c) for c in support), ZERO)
-            return None, certs.witness(
-                coefficients=out.ray,
-                x=ray_gain,
-                claim="nonnegative_direction",
-                amount=total,
-            )
-        if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
-            raise AssertionError("the ratio program is feasible at the zero gain")
-        duals[coord] = (out.dual, out.value)
-        if best is None or out.value > best:
-            best = out.value
-            best_coord = coord
-            best_primal = out.primal
-    attaining = {
-        "coefficients": best_primal,
-        "x": ls.combine(best_primal),
-        "coord": best_coord,
-    }
-    return best, certs.cstar_bound(best, attaining=attaining, duals=duals)
+    v = cstar_verdict(m, ls)
+    return rat(v.certificate["value"]) if v.holds else None
 
 
 def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
     """Condition (5) as a verdict: holds iff a finite ratio bound exists."""
-    value, certificate = _cstar_with_certificate(m, ls)
-    if value is None:
-        return Verdict(
-            "(5)",
-            False,
-            certificate,
-            "no finite ratio bound: the attached direction is a nonzero "
-            "nonnegative gain.",
-        )
+    ls.check_conforms(m)
+    support = m.support()
+    best: Fraction = ZERO
+    attaining = None
+    duals: dict[int, tuple[tuple[Fraction, ...], Fraction]] = {}
+    # With no gains there is no program to solve, and c* = 0.
+    for coord in support if ls.basis else ():
+        out = solve(ratio_bound_lp(m, ls, coord))
+        if isinstance(out, Unbounded):
+            ray_gain = ls.combine(out.ray)
+            total = sum((ray_gain.at(c) for c in support), ZERO)
+            return Verdict(
+                "(5)",
+                False,
+                certs.witness(
+                    coefficients=out.ray,
+                    x=ray_gain,
+                    claim="nonnegative_direction",
+                    amount=total,
+                ),
+                "no finite ratio bound: the attached direction is a nonzero "
+                "nonnegative gain.",
+            )
+        if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
+            raise AssertionError("the ratio program is feasible at the zero gain")
+        duals[coord] = (out.dual, out.value)
+        if attaining is None or out.value > best:
+            best = out.value
+            attaining = {
+                "coefficients": out.primal,
+                "x": ls.combine(out.primal),
+                "coord": coord,
+            }
     return Verdict(
         "(5)",
         True,
-        certificate,
-        f"finite ratio bound c* = {value} (attained; per-coordinate dual "
+        certs.cstar_bound(best, attaining=attaining, duals=duals),
+        f"finite ratio bound c* = {best} (attained; per-coordinate dual "
         "bounds attached).",
     )
 
@@ -410,17 +397,47 @@ def qstar_from_weight(m: Model, q: Fap, y: RandVar) -> Fap:
     return Fap(ZERO, masses, tail)
 
 
-def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
-    """Condition (5*): the ratio bound for the weighted family {X Y}.
+def weighted_ratio_from(
+    m: Model, y: RandVar, cstar: Verdict, emfap: Verdict | None
+) -> Verdict:
+    """Condition (5*) read off the (5) verdict of the weighted family
+    ``{X Y}`` and, when that holds, its (3) verdict, whose functional is
+    reweighted by ``y`` into Q*.  With the unit weight on a tail-less
+    model the weighted family is the family itself."""
+    certificate = {
+        "kind": "weighted_ratio_bound",
+        "cstar": cstar.certificate,
+        "weight": certs.randvar_payload(y),
+    }
+    if not cstar.holds:
+        return Verdict(
+            "(5*)",
+            False,
+            certificate,
+            "no finite weighted ratio bound: the attached direction is a "
+            "nonzero nonnegative weighted gain.",
+        )
+    if emfap is None or not emfap.holds:  # pragma: no cover - exact duality
+        raise AssertionError("a finite weighted ratio bound implies (3)")
+    q = certs.fap_from_payload(emfap.certificate["fap"])
+    qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
+    certificate["qstar"] = certs.martingale_fap(
+        m, qstar, equivalent=is_equivalent(qstar, m)
+    )
+    return Verdict(
+        "(5*)",
+        True,
+        certificate,
+        f"finite weighted ratio bound c* = {rat(cstar.certificate['value'])}; "
+        "since every explicit state is an atom, the reweighted functional "
+        "Q* attached is a countably additive martingale measure for the "
+        "original family.",
+    )
 
-    The weight must be strictly positive at every charged explicit state
-    and vanish at the tail on tail models (it is the limit along the
-    exhausting sequence).  When the weighted bound is finite, the states
-    being atoms lets the martingale functional of the weighted family be
-    reweighted into a countably additive martingale measure Q* for the
-    original family, which is attached.
-    """
-    ls.check_conforms(m)
+
+def check_weight(m: Model, y: RandVar) -> None:
+    """A (5*) weight is positive on the charged explicit states and, on
+    tail models, vanishes at the tail (its limit along the truncations)."""
     y.check_conforms(m)
     charged = m.charged_states()
     if not charged:
@@ -436,43 +453,22 @@ def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
             "on tail models the weight must vanish at the tail, got "
             f"{y.tail_value}"
         )
+
+
+def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
+    """Condition (5*): the ratio bound for the weighted family {X Y}.
+
+    When the weighted bound is finite, the states being atoms lets the
+    martingale functional of the weighted family be reweighted into a
+    countably additive martingale measure Q* for the original family,
+    which is attached.
+    """
+    ls.check_conforms(m)
+    check_weight(m, y)
     weighted = weighted_space(m, ls, y)
-    value, certificate = _cstar_with_certificate(m, weighted)
-    if value is None:
-        return Verdict(
-            "(5*)",
-            False,
-            {
-                "kind": "weighted_ratio_bound",
-                "cstar": certificate,
-                "weight": certs.randvar_payload(y),
-            },
-            "no finite weighted ratio bound: the attached direction is a "
-            "nonzero nonnegative weighted gain.",
-        )
-    emfap = find_emfap(m, weighted)
-    if not emfap.holds:  # pragma: no cover - excluded by exact duality
-        raise AssertionError(
-            "a finite weighted ratio bound implies an equivalent "
-            "martingale functional for the weighted family"
-        )
-    weighted_fap = certs.fap_from_payload(emfap.certificate["fap"])
-    q_ca = Fap(ZERO, weighted_fap.ca_mass, weighted_fap.ca_tail)
-    qstar = qstar_from_weight(m, q_ca, y)
-    certificate = {
-        "kind": "weighted_ratio_bound",
-        "cstar": certificate,
-        "weight": certs.randvar_payload(y),
-        "qstar": certs.martingale_fap(m, qstar, equivalent=is_equivalent(qstar, m)),
-    }
-    return Verdict(
-        "(5*)",
-        True,
-        certificate,
-        f"finite weighted ratio bound c* = {value}; since every explicit "
-        "state is an atom, the reweighted functional Q* attached is a "
-        "countably additive martingale measure for the original family.",
-    )
+    cstar = cstar_verdict(m, weighted)
+    emfap = find_emfap(m, weighted) if cstar.holds else None
+    return weighted_ratio_from(m, y, cstar, emfap)
 
 
 def check_condition8(m: Model, ls: LinSpace) -> Verdict:

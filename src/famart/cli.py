@@ -64,7 +64,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if args.q == "p0":
                 q = from_p0(m)
             else:
-                q = fap_from_payload(read_json(args.q))
+                try:
+                    q = fap_from_payload(read_json(args.q))
+                except CertificateFormat as exc:
+                    msg = f"--q file {args.q} is not a pmf {{alpha, mass, tail}}"
+                    raise InvalidInput(msg) from exc
             verdict = checkers.verify_condition3(m, ls, q, rat(args.c))
         else:
             verdict = checkers.find_emfap(m, ls)

@@ -28,6 +28,11 @@ ONE = Fraction(1)
 TAIL = -1
 
 
+#: Most digits a string may ask ``rat`` for in a numerator or denominator:
+#: CPython's int-to-str limit, so every value read can be printed again.
+MAX_DIGITS = 4300
+
+
 class InvalidInput(ValueError):
     """An argument violates a documented precondition or invariant."""
 
@@ -41,10 +46,28 @@ def rat(x: RationalLike) -> Fraction:
         return x
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InvalidInput(f"not an exact rational: {x!r}")
+    if isinstance(x, str) and _digit_bound(x) > MAX_DIGITS:
+        raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not an exact rational: {x!r}") from exc
+
+
+def _digit_bound(s: str) -> int:
+    """Bounds the digits of the numerator and the denominator that
+    ``Fraction(s)`` builds, whose decimal exponent can ask for any number."""
+    body, e, exponent = s.lower().partition("e")
+    if not e and len(s) <= MAX_DIGITS:
+        return len(s)  # counts every digit, and the point of a decimal
+    widest = max(sum(map(str.isdecimal, part)) for part in body.split("/"))
+    if not e and "." not in body:
+        return widest
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(exponent) > len(str(MAX_DIGITS)):
+        return MAX_DIGITS + 1
+    # A point or a negative exponent k makes a denominator 10**k: k + 1 digits.
+    return widest + (int(exponent) if exponent.isdecimal() else 0) + 1
 
 
 def rat_str(q: RationalLike) -> str:

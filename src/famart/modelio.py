@@ -99,6 +99,12 @@ def _coord_from_json(v: Any, m: Model) -> int:
     raise InvalidInput(f"bad coordinate {v!r}")
 
 
+def _block_from_json(block: Any, m: Model, key: str) -> frozenset[int]:
+    if not isinstance(block, list):
+        raise InvalidInput(f"{key!r}: a block must be a list, got {block!r}")
+    return frozenset(_coord_from_json(c, m) for c in block)
+
+
 def randvar_from_json(d: Any, m: Model, what: str) -> RandVar:
     """A model-file random variable; any bad field is ``InvalidInput``.
     (Certificates have their own decoders, which tell malformed from false.)"""
@@ -161,10 +167,7 @@ def parse_model(doc: Mapping[str, Any]) -> ModelDoc:
         ):
             raise InvalidInput("'filtration' must be a list of partitions")
         partitions = tuple(
-            tuple(
-                frozenset(_coord_from_json(c, model) for c in block)
-                for block in part
-            )
+            tuple(_block_from_json(block, model, "filtration") for block in part)
             for part in raw_f
         )
         filtration = Filtration(partitions)
@@ -204,10 +207,7 @@ def parse_model(doc: Mapping[str, Any]) -> ModelDoc:
         raw_ev = doc["events"]
         if not isinstance(raw_ev, list) or not raw_ev:
             raise InvalidInput("'events' must be a nonempty list of coordinate lists")
-        events = tuple(
-            frozenset(_coord_from_json(c, model) for c in block)
-            for block in raw_ev
-        )
+        events = tuple(_block_from_json(block, model, "events") for block in raw_ev)
     else:
         events = (frozenset(model.support()),)
 
@@ -274,14 +274,18 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     """Run every applicable checker, self-audit the implication chain, and
     re-validate each certificate before assembly."""
     m, ls = doc.model, doc.lin_space
+    extras = doc.extras()
     verdicts: dict[str, Verdict] = {}
     verdicts["(3)"] = checkers.find_emfap(m, ls)
     verdicts["(4)"] = checkers.check_acmfap(m, ls)
     verdicts["(5)"] = checkers.cstar_verdict(m, ls)
-    weight = None
     if not m.has_tail:
-        weight = constant(1, m)
-        verdicts["(5*)"] = checkers.verify_condition5star(m, ls, weight)
+        # The unit weight leaves the family as it is: (5*) is (5) and (3).
+        extras["weight"] = weight = constant(1, m)
+        checkers.check_weight(m, weight)
+        verdicts["(5*)"] = checkers.weighted_ratio_from(
+            m, weight, verdicts["(5)"], verdicts["(3)"]
+        )
     verdicts["(6)"] = checkers.check_no_arbitrage(m, ls)
     verdicts["(7)"] = checkers.check_event_dominance(
         ls, doc.previsions, doc.events, m
@@ -303,9 +307,6 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         raise AuditError("implication audit failed: no-arbitrage without a "
                          "nonnegative-essential-supremum verdict")
 
-    extras = doc.extras()
-    if weight is not None:
-        extras["weight"] = weight
     rows = []
     for cond in CONDITION_ORDER:
         if cond not in verdicts:

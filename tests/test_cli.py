@@ -73,6 +73,15 @@ def test_check_condition3_with_explicit_q(dmw_file, capsys):
     assert json.loads(out)["certificate"]["claim"] == "min_at_least"
 
 
+def test_check_condition3_rejects_a_q_file_that_is_not_a_pmf(dmw_file, tmp_path, capsys):
+    path = tmp_path / "q.json"
+    path.write_text("[1, 2]")
+    assert main(["check", dmw_file, "--condition", "3", "--q", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: --q file {path} is not a pmf" in err
+    assert "certificate" not in err
+
+
 def test_unreadable_side_files_are_exit_two(dmw_file, bp_file, tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     garbled = tmp_path / "garbled.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famart.core import (
+    MAX_DIGITS,
     TAIL,
     InvalidInput,
     LinSpace,
@@ -35,6 +36,20 @@ def test_rat_parses_strings_ints_and_rejects_floats():
         rat("x")
     with pytest.raises(InvalidInput):
         rat(True)
+
+
+def test_rat_caps_the_digits_a_string_asks_for():
+    assert rat("1e3") == 1000
+    assert rat("-2.5e-2") == F(-1, 40)
+    # The last exponent is rejected from its length, before it is read.
+    for big in ("1e5000", "1E+5000", "1e-5000", "1e" + "9" * 50):
+        with pytest.raises(InvalidInput, match=f"more than {MAX_DIGITS} digits"):
+            rat(big)
+    # The widest value rat_str prints is read back.
+    widest = "-" + "9" * MAX_DIGITS + "/1"
+    assert rat_str(rat(widest)) == widest
+    with pytest.raises(InvalidInput, match="digits"):
+        rat("9" * (MAX_DIGITS + 1) + "/1")
 
 
 def test_rat_str_is_canonical():

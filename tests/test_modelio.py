@@ -7,7 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from famart import checkers
-from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar
+from famart.certificates import validate_verdict
+from famart.cli import main
+from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
 from famart.modelio import (
     CONDITION_ORDER,
     build_report,
@@ -189,6 +191,61 @@ def test_report_builds_the_arbitrage_program_once(monkeypatch):
     assert rows["(6)"]["holds"] and rows["(10)"]["holds"]
     assert rows["(10)"]["certificate"] == rows["(6)"]["certificate"]
     assert rows["(10)"]["narrative"] != rows["(6)"]["narrative"]
+
+
+def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
+    # Each ratio program and the min-mass program is solved once; solving
+    # (5*) afresh took 24 solves on this model.
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    solve = checkers.solve
+    monkeypatch.setattr(checkers, "solve", counting)
+    m, f, s = example_dmw(F(1, 3), 3)
+    build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
+    assert len(calls) == 15
+
+
+def _unit_weight_models():
+    m, f, s = example_dmw(F(1, 3), 3)
+    yield _roundtrip(serialize_model(m, filtration=f, process=s))
+    for seed in range(10):
+        m, ls = random_finite_model(seed)
+        yield _roundtrip(serialize_model(m, lin_space=ls))
+
+
+@pytest.mark.parametrize("doc", list(_unit_weight_models()))
+def test_report_5star_row_equals_a_fresh_check(doc):
+    m, ls = doc.model, doc.lin_space
+    weight = constant(1, m)
+    fresh = checkers.verify_condition5star(m, ls, weight).to_dict()
+    rows = {v["condition"]: v for v in build_report(doc)["verdicts"]}
+    assert fresh == rows["(5*)"]
+    assert validate_verdict(m, ls, fresh, {**doc.extras(), "weight": weight})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("events", [1]),
+        ("filtration", [[[0, 1, 2, 3]], [[0, 1], 2]]),
+    ],
+)
+def test_non_list_blocks_are_invalid_input(tmp_path, capsys, key, value):
+    m, f, s = example_dmw(F(1, 3), 2)
+    doc = serialize_model(m, filtration=f, process=s)
+    doc[key] = value
+    with pytest.raises(InvalidInput, match=f"'{key}': a block must be a list"):
+        parse_model(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid input: '{key}'" in err
+    assert "TypeError" not in err
 
 
 def test_report_on_harmonic_rows():
