@@ -304,3 +304,28 @@ def test_report_digest_is_pinned():
 
 
 REPORT_DIGEST = "e096686d06c3d75150c36c6a88fcd47df7c41cde5e6eca3ea413d41f0dea89f7"
+
+
+def _cstar_of(row):
+    cert = row["certificate"]
+    if row["condition"] == "(5*)" and row["holds"]:
+        cert = cert["cstar"]
+    return cert["value"] if cert["kind"] == "cstar_bound" else None
+
+
+def test_verdict_digest_is_pinned():
+    # Verdicts and c* only, plus the full certificate of every failing
+    # (5) and (5*) row: these do not depend on which ratio programs the
+    # (5) sweep solves or on the pmfs that certify c*.
+    digest = hashlib.sha256()
+    for doc in _pinned_model_files():
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        for row in report["verdicts"]:
+            fact = [row["condition"], row["holds"], _cstar_of(row)]
+            if row["condition"] in ("(5)", "(5*)") and not row["holds"]:
+                fact.append(row["certificate"])
+            digest.update(json.dumps(fact, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == VERDICT_DIGEST
+
+
+VERDICT_DIGEST = "218d90652dc52aa6cb4e37f70f89b7fab3cf9934cd82291c1917625f93b14207"
