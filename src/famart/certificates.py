@@ -41,6 +41,7 @@ from .lp import (
 )
 from .programs import (
     arbitrage_lp,
+    check_weight,
     coherence_coords,
     expectation_bound_lp,
     martingale_mass_lp,
@@ -591,7 +592,7 @@ def _validate_weighted_ratio(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
 ) -> bool:
     y = randvar_from_payload(_get(cert, "weight"))
-    y.check_conforms(m)
+    check_weight(m, y)
     if "weight" in extras and randvar_payload(extras["weight"]) != _get(cert, "weight"):
         return False
     weighted = weighted_space(m, ls, y)

@@ -51,6 +51,7 @@ from .fap import Fap, from_p0, is_equivalent
 from .lp import Infeasible, Optimal, Unbounded, solve
 from .programs import (
     arbitrage_lp,
+    check_weight,
     coherence_coords,
     coherence_lp,
     event_dominance_lp,
@@ -433,26 +434,6 @@ def weighted_ratio_from(
         "Q* attached is a countably additive martingale measure for the "
         "original family.",
     )
-
-
-def check_weight(m: Model, y: RandVar) -> None:
-    """A (5*) weight is positive on the charged explicit states and, on
-    tail models, vanishes at the tail (its limit along the truncations)."""
-    y.check_conforms(m)
-    charged = m.charged_states()
-    if not charged:
-        raise InvalidInput("degenerate model: no charged explicit state")
-    for i in charged:
-        if y.values[i] <= 0:
-            raise InvalidInput(
-                f"weight must be positive on the support; state {i} has "
-                f"value {y.values[i]}"
-            )
-    if m.has_tail and y.tail_value != 0:
-        raise InvalidInput(
-            "on tail models the weight must vanish at the tail, got "
-            f"{y.tail_value}"
-        )
 
 
 def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:

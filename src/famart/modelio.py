@@ -51,6 +51,7 @@ from .core import (
     rat,
     rat_str,
 )
+from .programs import check_weight
 from .spaces import AdaptedProcess, Filtration, trading_space
 
 #: Report row order for conditions.
@@ -282,7 +283,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     if not m.has_tail:
         # The unit weight leaves the family as it is: (5*) is (5) and (3).
         extras["weight"] = weight = constant(1, m)
-        checkers.check_weight(m, weight)
+        check_weight(m, weight)
         verdicts["(5*)"] = checkers.weighted_ratio_from(
             m, weight, verdicts["(5)"], verdicts["(3)"]
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import TAIL, ZERO, LinSpace, Model, RandVar, expect
+from .core import TAIL, ZERO, InvalidInput, LinSpace, Model, RandVar, expect
 from .fap import Fap
 from .lp import EQ, GE, LE, LinearProgram
 
@@ -43,6 +43,26 @@ def weighted_space(m: Model, ls: LinSpace, y: RandVar) -> LinSpace:
             for x in ls.basis
         )
     )
+
+
+def check_weight(m: Model, y: RandVar) -> None:
+    """A (5*) weight is positive on the charged explicit states and, on
+    tail models, vanishes at the tail (its limit along the truncations)."""
+    y.check_conforms(m)
+    charged = m.charged_states()
+    if not charged:
+        raise InvalidInput("degenerate model: no charged explicit state")
+    for i in charged:
+        if y.values[i] <= 0:
+            raise InvalidInput(
+                f"weight must be positive on the support; state {i} has "
+                f"value {y.values[i]}"
+            )
+    if m.has_tail and y.tail_value != 0:
+        raise InvalidInput(
+            "on tail models the weight must vanish at the tail, got "
+            f"{y.tail_value}"
+        )
 
 
 def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:

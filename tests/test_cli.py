@@ -3,11 +3,17 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from famart import checkers
+from famart.certificates import validate_verdict
 from famart.cli import main
+from famart.core import RandVar, rat
+from famart.modelio import load_model_file
+from famart.programs import weighted_space
 
 
 def run_cli(args, capsys):
@@ -198,6 +204,27 @@ def test_certify_roundtrip_and_tamper(bp_file, tmp_path, capsys):
     cert_path.write_text(json.dumps(verdict))
     assert main(["certify", bp_file, str(cert_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("first", ["0", "-1"])
+def test_certify_rejects_a_5star_verdict_with_inadmissible_weight(
+    dmw_file, tmp_path, capsys, first
+):
+    # The weight vanishes (or is negative) at charged state 0, so the
+    # weighted family has a nonnegative direction; the verdict's own
+    # arithmetic checks out, but (5*) is not asked about such a weight.
+    doc = load_model_file(dmw_file)
+    m, ls = doc.model, doc.lin_space
+    y = RandVar((rat(first), F(1), F(1), F(1)))
+    inner = checkers.cstar_verdict(m, weighted_space(m, ls, y))
+    verdict = checkers.weighted_ratio_from(m, y, inner, None).to_dict()
+    assert not verdict["holds"]
+    assert not validate_verdict(m, ls, verdict, {"weight": y})
+    assert not validate_verdict(m, ls, verdict)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(verdict))
+    assert main(["certify", dmw_file, str(cert_path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"valid": False}
 
 
 def test_certify_against_wrong_model(bp_file, harmonic_file, tmp_path, capsys):
