@@ -45,7 +45,6 @@ from .programs import (
     coherence_coords,
     expectation_bound_lp,
     martingale_mass_lp,
-    ratio_bound_lp,
     weighted_space,
 )
 
@@ -263,26 +262,20 @@ def tail_values(tails: Sequence[Fraction]) -> Certificate:
 
 
 def cstar_bound(
-    value: Fraction | None,
+    value: Fraction,
     attaining: Mapping[str, Any] | None,
-    duals: Mapping[int, tuple[Sequence[Fraction], Fraction]],
+    cover: Sequence[Sequence[Fraction]],
 ) -> Certificate:
-    out: dict[str, Any] = {"kind": "cstar_bound"}
-    out["value"] = "infinite" if value is None else rat_str(value)
+    """c* with the gain attaining it and a cover of martingale pmfs, each
+    a list of weights over the support in support order."""
+    out: dict[str, Any] = {"kind": "cstar_bound", "value": rat_str(value)}
     if attaining is not None:
         out["attaining"] = {
             "coefficients": rat_strs(attaining["coefficients"]),
             "gain": randvar_payload(attaining["x"]),
             "coord": coord_payload(attaining["coord"]),
         }
-    out["duals"] = [
-        {
-            "coord": coord_payload(c),
-            "weights": rat_strs(w),
-            "value": rat_str(v),
-        }
-        for c, (w, v) in duals.items()
-    ]
+    out["cover"] = [rat_strs(q) for q in cover]
     return out
 
 
@@ -568,24 +561,22 @@ def _validate_cstar(
     if any(x.at(c) < -1 for c in support):
         return False
     coord = _coord_from_json(_get(attaining, "coord"))
-    if coord not in support or x.at(coord) != value:
+    if coord not in support or x.at(coord) != value or value < 0:
         return False
-    entries = _get(cert, "duals")
-    if not isinstance(entries, list):
-        raise CertificateFormat("dual bounds must be a list")
-    seen = {}
-    for entry in entries:
-        c = _coord_from_json(_get(entry, "coord"))
-        seen[c] = (_parse_rats(_get(entry, "weights")), _parse_rat(_get(entry, "value")))
-    for c in support:
-        if c not in seen:
+    # A martingale pmf q bounds the ratio program at c by 1/q(c) - 1, so
+    # a cover charging every coordinate with 1/(1 + c*) bounds c*.
+    cover = _get(cert, "cover")
+    if not isinstance(cover, list):
+        raise CertificateFormat("the pmf cover must be a list")
+    pmfs = [_parse_rats(q) for q in cover]
+    for q in pmfs:
+        if len(q) != len(support) or any(w < 0 for w in q) or sum(q) != 1:
             return False
-        weights, stated = seen[c]
-        if stated > value:
-            return False
-        if dual_objective(ratio_bound_lp(m, ls, c), weights) != stated:
-            return False
-    return True
+        for g in ls.basis:
+            if sum((w * g.at(c) for w, c in zip(q, support)), ZERO) != 0:
+                return False
+    floor = 1 / (1 + value)
+    return all(any(q[i] >= floor for q in pmfs) for i in range(len(support)))
 
 
 def _validate_weighted_ratio(

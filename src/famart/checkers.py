@@ -338,15 +338,31 @@ def compute_cstar(m: Model, ls: LinSpace) -> Fraction | None:
 
 
 def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
-    """Condition (5) as a verdict: holds iff a finite ratio bound exists."""
+    """Condition (5) as a verdict: holds iff a finite ratio bound exists.
+
+    A martingale pmf is a set of nonnegative support weights summing to
+    one that kill every generator.  By duality the ratio program at a
+    coordinate has value ``1/q_max - 1``, where ``q_max`` is the largest
+    mass a martingale pmf puts there, so ``c* = 1/min q_max - 1``.  Each
+    solve reads an optimal pmf off its dual, and every pmf bounds
+    ``q_max`` from below at every coordinate.  The sweep solves the
+    coordinate with the least such bound (ties in support order) and
+    stops once no unsolved coordinate can have a smaller ``q_max`` than
+    the least solved one.  A coordinate no pmf charges yet is always
+    solved, so the first unbounded coordinate in support order is found.
+    """
     ls.check_conforms(m)
     support = m.support()
     best: Fraction = ZERO
     attaining = None
-    duals: dict[int, tuple[tuple[Fraction, ...], Fraction]] = {}
+    cover: list[tuple[Fraction, ...]] = []
+    lower = [ZERO] * len(support)
     # With no gains there is no program to solve, and c* = 0.
-    for coord in support if ls.basis else ():
-        out = solve(ratio_bound_lp(m, ls, coord))
+    unsolved = list(range(len(support))) if ls.basis else []
+    while unsolved:
+        i = min(unsolved, key=lambda j: lower[j])
+        unsolved.remove(i)
+        out = solve(ratio_bound_lp(m, ls, support[i]))
         if isinstance(out, Unbounded):
             ray_gain = ls.combine(out.ray)
             total = sum((ray_gain.at(c) for c in support), ZERO)
@@ -364,20 +380,28 @@ def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
             )
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
-        duals[coord] = (out.dual, out.value)
+        # The dual weights sit on ">=" rows, so they are <= 0.
+        pmf = tuple(
+            (int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual)
+        )
+        cover.append(pmf)
+        lower = [max(a, b) for a, b in zip(lower, pmf)]
         if attaining is None or out.value > best:
             best = out.value
             attaining = {
                 "coefficients": out.primal,
                 "x": ls.combine(out.primal),
-                "coord": coord,
+                "coord": support[i],
             }
+        least_qmax = 1 / (1 + best)
+        if all(lower[j] >= least_qmax for j in unsolved):
+            break
     return Verdict(
         "(5)",
         True,
-        certs.cstar_bound(best, attaining=attaining, duals=duals),
-        f"finite ratio bound c* = {best} (attained; per-coordinate dual "
-        "bounds attached).",
+        certs.cstar_bound(best, attaining=attaining, cover=cover),
+        f"finite ratio bound c* = {best} (attained; a cover of martingale "
+        "pmfs bounds every coordinate).",
     )
 
 

@@ -8,11 +8,9 @@ contract between the two sides:
   give the same program: the same rows in the same order over the same
   variables.  Bland's rule is deterministic too, so the same program
   also gives the same pivots and the same certificate.
-- A certificate names its program by id (the ``lp`` field of a Farkas
-  witness; a ratio-bound certificate implies :func:`ratio_bound_lp` for
-  each of its coordinates).  The validator rebuilds that program from
-  the model and checks the stored weights against it by exact
-  arithmetic.
+- A Farkas witness names its program by id (its ``lp`` field).  The
+  validator rebuilds that program from the model and checks the stored
+  weights against it by exact arithmetic.
 """
 
 from __future__ import annotations

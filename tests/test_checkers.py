@@ -1,6 +1,7 @@
 """Condition checkers: worked examples, error paths, cross-properties."""
 
 import random
+from itertools import combinations
 from fractions import Fraction as F
 
 import pytest
@@ -237,6 +238,93 @@ def test_cstar_verdict_certificate_validates():
     v = checkers.cstar_verdict(m, ls)
     assert v.holds
     assert validate_verdict(m, ls, v.to_dict())
+
+
+@pytest.mark.parametrize(
+    "example, most_solves",
+    [(lambda: _bp(40, 38)[:2], 3), (lambda: _dmw(F(1, 3), 5), 1)],
+    ids=["bp-40-38", "dmw-5"],
+)
+def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
+    # One ratio program per support coordinate took 41 solves on bp and 32
+    # on dmw; the sweep stops once its pmfs cover every coordinate.
+    m, ls = example()
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(checkers, "solve", counting)
+    v = checkers.cstar_verdict(m, ls)
+    assert v.holds
+    assert 1 <= len(calls) <= most_solves
+    assert len(v.certificate["cover"]) == len(calls)
+    assert validate_verdict(m, ls, v.to_dict())
+
+
+def _unique_solution(rows, rhs):
+    """The unique solution of a linear system by exact Gauss-Jordan
+    elimination, or None when it has none or more than one."""
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    n = len(rows[0])
+    for col in range(n):
+        pivot = next((i for i in range(col, len(aug)) if aug[i][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for i, row in enumerate(aug):
+            if i != col and row[col]:
+                aug[i] = [a - row[col] * b for a, b in zip(row, aug[col])]
+    if any(row[-1] for row in aug[n:]):
+        return None
+    return [row[-1] for row in aug[:n]]
+
+
+def _qmax_oracle(m, ls):
+    """``q_max`` per support coordinate, by enumerating the vertices of
+    the martingale polytope {q >= 0, sum q = 1, E_q(X) = 0 for every
+    generator}: a vertex is the unique solution of the equalities on its
+    own support.  None at every coordinate when the polytope is empty."""
+    support = m.support()
+    vertices = []
+    for size in range(1, len(support) + 1):
+        for subset in combinations(range(len(support)), size):
+            rows = [[F(1)] * size]
+            rows += [[x.at(support[i]) for i in subset] for x in ls.basis]
+            sol = _unique_solution(rows, [F(1)] + [F(0)] * len(ls.basis))
+            if sol is not None and min(sol) >= 0:
+                q = [F(0)] * len(support)
+                for i, w in zip(subset, sol):
+                    q[i] = w
+                vertices.append(q)
+    return [max((q[i] for q in vertices), default=None) for i in range(len(support))]
+
+
+def _small_models():
+    for seed in range(200):
+        m, ls = random_finite_model(seed)
+        if len(m.support()) <= 5:
+            yield m, ls
+    yield example_harmonic(4)
+
+
+def test_cstar_matches_brute_force_qmax():
+    seen = {"finite": 0, "empty": 0, "zero": 0}
+    for m, ls in _small_models():
+        qmax = _qmax_oracle(m, ls)
+        cstar = checkers.compute_cstar(m, ls)
+        if None in qmax:
+            seen["empty"] += 1
+            assert cstar is None
+        elif min(qmax) == 0:
+            seen["zero"] += 1
+            assert cstar is None
+        else:
+            seen["finite"] += 1
+            assert cstar == 1 / min(qmax) - 1
+    assert min(seen.values()) >= 5, seen
 
 
 # -- weighted ratio bound (5*) and reweighting ---------------------------------

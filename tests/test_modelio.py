@@ -194,8 +194,8 @@ def test_report_builds_the_arbitrage_program_once(monkeypatch):
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
-    # Each ratio program and the min-mass program is solved once; solving
-    # (5*) afresh took 24 solves on this model.
+    # The (5) sweep solves one ratio program, and the min-mass program is
+    # solved once; solving (5*) afresh took 24 solves on this model.
     calls = []
 
     def counting(lp):
@@ -206,7 +206,7 @@ def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
     monkeypatch.setattr(checkers, "solve", counting)
     m, f, s = example_dmw(F(1, 3), 3)
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
-    assert len(calls) == 15
+    assert len(calls) == 8
 
 
 def _unit_weight_models():
@@ -303,7 +303,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "e096686d06c3d75150c36c6a88fcd47df7c41cde5e6eca3ea413d41f0dea89f7"
+REPORT_DIGEST = "0a9cdc7b863d35abd7d1987b069d394b92d55c78f8ae26cdca1134ca24642f3b"
 
 
 def _cstar_of(row):
