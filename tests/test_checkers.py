@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famart import checkers, programs
+from famart import certificates, checkers, programs
 from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
 from famart.fap import Fap, from_p0, is_equivalent
@@ -238,6 +238,32 @@ def test_cstar_verdict_certificate_validates():
     v = checkers.cstar_verdict(m, ls)
     assert v.holds
     assert validate_verdict(m, ls, v.to_dict())
+
+
+def test_cstar_cover_checks_each_pmf_and_the_bound():
+    m, ls, _ = _bp(5, 2)
+    verdict = checkers.cstar_verdict(m, ls).to_dict()
+    cert = verdict["certificate"]
+    cover = [[F(w) for w in q] for q in cert["cover"]]
+    q1 = cover[0]
+    q2 = next(q for q in cover if q != q1)
+    # Each extra vector fails exactly one check: nonnegativity, total
+    # mass one, or killing every generator.
+    extras = [
+        [a + 10 * (a - b) for a, b in zip(q1, q2)],
+        [2 * a for a in q1],
+        [F(int(i == 0)) for i in range(len(q1))],
+    ]
+    assert min(extras[0]) < 0
+    for extra in extras:
+        bad = dict(cert, cover=cert["cover"] + [[str(w) for w in extra]])
+        assert not validate_verdict(m, ls, dict(verdict, certificate=bad))
+    # The zero gain with the genuine cover understates c*.
+    zeros = (F(0),) * len(ls.basis)
+    attaining = {"coefficients": zeros, "x": ls.combine(zeros), "coord": 0}
+    low = certificates.cstar_bound(F(0), attaining, cover)
+    assert not validate_verdict(m, ls, dict(verdict, certificate=low))
+    assert validate_verdict(m, ls, verdict)
 
 
 @pytest.mark.parametrize(
