@@ -329,3 +329,19 @@ def test_verdict_digest_is_pinned():
 
 
 VERDICT_DIGEST = "218d90652dc52aa6cb4e37f70f89b7fab3cf9934cd82291c1917625f93b14207"
+
+
+def test_dominance_and_coherence_rows_are_pinned():
+    # The full (7) and coherence rows, certificates included: (7) tries
+    # its representation program first and coherence may share it, yet
+    # both rows must come out byte for byte as when each was solved alone.
+    digest = hashlib.sha256()
+    for doc in _pinned_model_files():
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        for row in report["verdicts"]:
+            if row["condition"] in ("(7)", "coherence"):
+                digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == DOMINANCE_COHERENCE_DIGEST
+
+
+DOMINANCE_COHERENCE_DIGEST = "1f0604106171c7ce3354c046fdbbe78db9ace70d6ebace70b36ce72b41cc7f66"
