@@ -6,6 +6,7 @@ from .core import (
     InvalidInput,
     LinSpace,
     Model,
+    OversizedOutput,
     RandVar,
     constant,
     ess_sup,
@@ -29,6 +30,7 @@ from .lp import (
 __all__ = [
     "TAIL",
     "InvalidInput",
+    "OversizedOutput",
     "LinSpace",
     "Model",
     "RandVar",

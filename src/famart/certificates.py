@@ -366,7 +366,8 @@ def _validate_farkas(
     raise CertificateFormat(f"unknown farkas claim {claim!r}")
 
 
-def _support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
+def support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
+    """The weight a functional puts on each essential support coordinate."""
     weights = {
         i: (1 - p.alpha) * p.ca_mass[i] for i in m.charged_states()
     }
@@ -404,7 +405,7 @@ def _validate_separating(
     for x in ls.basis:
         if expect(p, x) != 0:
             return False
-    weights = _support_weights(m, p)
+    weights = support_weights(m, p)
     minimum = _parse_rat(_get(cert, "minimum_weight"))
     return bool(weights) and min(weights.values()) == minimum and minimum > 0
 

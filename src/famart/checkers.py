@@ -25,6 +25,11 @@ Checked conditions, by their report labels:
          verdict is the (6) verdict relabelled.
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
+
+The ``*_from`` functions build a verdict from another one with no solve:
+(4) and (6) from a holding (3) (its functional certifies both), (10)
+from (6), (5*) from (5) and (3), and coherence from a holding (7) whose
+representation program is the coherence program.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from .core import (
     sup_norm,
 )
 from .fap import Fap, from_p0, is_equivalent
-from .lp import Infeasible, Optimal, Unbounded, solve
+from .lp import Infeasible, LinearProgram, Optimal, Unbounded, solve
 from .programs import (
     arbitrage_lp,
     check_weight,
@@ -136,13 +141,38 @@ def check_no_arbitrage(m: Model, ls: LinSpace) -> Verdict:
         )
     if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
+    return _no_arbitrage(lp, out.farkas)
+
+
+def _no_arbitrage(lp: LinearProgram, farkas: Sequence[Fraction]) -> Verdict:
     return Verdict(
         "(6)",
         True,
-        certs.farkas_witness(lp, "arbitrage", out.farkas, claim="infeasible"),
+        certs.farkas_witness(lp, "arbitrage", farkas, claim="infeasible"),
         "no-arbitrage: the search for a nonnegative gain with "
         "positive essential supremum is infeasible (Farkas witness).",
     )
+
+
+def _functional_of(emfap: Verdict) -> Fap:
+    """The equivalent martingale functional of a holding (3) verdict."""
+    if emfap.certificate["kind"] != "separating_functional":
+        raise InvalidInput("only a holding (3) verdict carries a functional")
+    return certs.fap_from_payload(emfap.certificate["fap"])
+
+
+def no_arbitrage_from(m: Model, ls: LinSpace, emfap: Verdict) -> Verdict:
+    """Condition (6) read off a holding (3) verdict, with no solve.
+
+    The functional's support weights ``q >= t* > 0`` kill every
+    generator.  Weight ``q_c - t*`` on each support row of the arbitrage
+    program and ``t*`` on its total row combine the rows to zero with
+    bound ``-t* < 0``: a Farkas vector proving the program infeasible.
+    """
+    q = certs.support_weights(m, _functional_of(emfap))
+    t_star = rat(emfap.certificate["minimum_weight"])
+    farkas = [q[c] - t_star for c in m.support()] + [t_star]
+    return _no_arbitrage(arbitrage_lp(m, ls), farkas)
 
 
 def norm_closure_from(no_arbitrage: Verdict) -> Verdict:
@@ -204,9 +234,11 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     relaxed_out = solve(relaxed)
     if not isinstance(relaxed_out, Optimal):  # pragma: no cover - duality
         raise AssertionError("mass program must be feasible when (4) holds")
-    support = m.support()
-    weights = dict(zip(support, relaxed_out.primal))
-    fap = _fap_from_weights(m, weights)
+    weights = dict(zip(m.support(), relaxed_out.primal))
+    return _acmfap(m, _fap_from_weights(m, weights))
+
+
+def _acmfap(m: Model, fap: Fap) -> Verdict:
     return Verdict(
         "(4)",
         True,
@@ -214,6 +246,13 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
         "every gain has nonnegative essential supremum; the attached "
         "absolutely continuous functional kills every generator.",
     )
+
+
+def acmfap_from(m: Model, emfap: Verdict) -> Verdict:
+    """Condition (4) read off a holding (3) verdict, with no solve: an
+    equivalent martingale functional is absolutely continuous, so it is
+    the (4) certificate as it stands."""
+    return _acmfap(m, _functional_of(emfap))
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -384,7 +423,8 @@ def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
         pmf = tuple(
             (int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual)
         )
-        cover.append(pmf)
+        if pmf not in cover:
+            cover.append(pmf)
         lower = [max(a, b) for a, b in zip(lower, pmf)]
         if attaining is None or out.value > best:
             best = out.value
@@ -521,14 +561,7 @@ def check_coherence(
     coords = coherence_coords(m)
     out = solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Optimal):
-        return Verdict(
-            "coherence",
-            True,
-            certs.representing_fap(
-                _representing_fap(m, coords, out.primal), previsions
-            ),
-            "coherent: the attached probability reproduces every prevision.",
-        )
+        return _coherent(m, coords, out.primal, previsions)
     if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
     stakes = tuple(out.farkas[1:])
@@ -548,6 +581,48 @@ def check_coherence(
     )
 
 
+def _coherent(
+    m: Model,
+    coords: Sequence[int],
+    weights: Sequence[Fraction],
+    previsions: Sequence[Fraction],
+) -> Verdict:
+    return Verdict(
+        "coherence",
+        True,
+        certs.representing_fap(_representing_fap(m, coords, weights), previsions),
+        "coherent: the attached probability reproduces every prevision.",
+    )
+
+
+def coherence_from(
+    m: Model,
+    gambles: Sequence[RandVar],
+    previsions: Sequence[RationalLike],
+    dominance: Verdict,
+) -> Verdict | None:
+    """Coherence read off a holding (7) verdict on the same gambles and
+    previsions, when the program that found its representation on the
+    least event is the coherence program; None otherwise.
+
+    Equal programs have the same optimal weights, so the (7) weights on
+    the least event, in order, are the coherence weights on the
+    coherence coordinates, whichever coordinates those are.
+    """
+    if not dominance.holds:
+        return None
+    previsions = tuple(rat(e) for e in previsions)
+    least = sorted(certs.event_from_payload(dominance.certificate["event"]))
+    coords = coherence_coords(m)
+    if coherence_lp(least, gambles, previsions) != coherence_lp(
+        coords, gambles, previsions
+    ):
+        return None
+    p = certs.fap_from_payload(dominance.certificate["fap"])
+    weights = [p.ca_tail if c == TAIL else p.ca_mass[c] for c in least]
+    return _coherent(m, coords, weights, previsions)
+
+
 def check_event_dominance(
     d: LinSpace,
     previsions: Sequence[RationalLike],
@@ -557,10 +632,12 @@ def check_event_dominance(
     """Event-wise dominance (7): ``sup_A X >= E(X)`` for every gain and
     every event of an intersection-closed family.
 
-    When it holds, the family's least event (the intersection of all of
-    them, present by closure) carries a representing probability with
-    total mass on that event, which certifies the condition for the whole
-    family.
+    It holds exactly when the family's least event (the intersection of
+    all of them, present by closure) carries a representing probability
+    with total mass on that event: every event contains the least one,
+    so ``sup_A X >= sup_least X >= E(X)``.  That program is solved first
+    and certifies the condition for the whole family; only when it is
+    infeasible are the events searched for a violation.
     """
     previsions = tuple(rat(e) for e in previsions)
     d.check_conforms(m)
@@ -585,6 +662,20 @@ def check_event_dominance(
                     "events are not closed under intersection: "
                     f"{sorted(a)} and {sorted(b)}"
                 )
+    least = frozenset.intersection(*family)
+    coords = sorted(least)
+    rep_out = solve(coherence_lp(coords, d.basis, previsions))
+    if isinstance(rep_out, Optimal):
+        return Verdict(
+            "(7)",
+            True,
+            certs.representing_fap(
+                _representing_fap(m, coords, rep_out.primal), previsions, event=least
+            ),
+            "dominance holds for every event; the attached probability sits "
+            "on the least event, reproduces the previsions, and gives every "
+            "event total mass.",
+        )
     for a in family:
         lp = event_dominance_lp(m, d, previsions, a)
         out = solve(lp)
@@ -627,23 +718,8 @@ def check_event_dominance(
                 f"a unit-ball gain has supremum over {sorted(a)} below its "
                 "prevision.",
             )
-    # Closure puts the intersection of the whole family in it.
-    least = frozenset.intersection(*family)
-    coords = sorted(least)
-    rep_out = solve(coherence_lp(coords, d.basis, previsions))
-    if not isinstance(rep_out, Optimal):  # pragma: no cover - exact duality
-        raise AssertionError(
-            "dominance on the least event implies a representation on it"
-        )
-    return Verdict(
-        "(7)",
-        True,
-        certs.representing_fap(
-            _representing_fap(m, coords, rep_out.primal), previsions, event=least
-        ),
-        "dominance holds for every event; the attached probability sits "
-        "on the least event, reproduces the previsions, and gives every "
-        "event total mass.",
+    raise AssertionError(  # pragma: no cover - exact duality
+        "dominance on the least event implies a representation on it"
     )
 
 

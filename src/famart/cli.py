@@ -3,7 +3,9 @@
 Exit codes are a stable contract: 0 when the checked condition holds (or
 the certificate re-validates), 1 when it fails, 2 on invalid input.  The
 report command additionally exits 3 if its internal cross-condition
-audit fires, which no valid input should trigger.
+audit fires, which no valid input should trigger.  Any command exits 4
+when its result holds a rational too long to write (see
+:class:`famart.core.OversizedOutput`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Any
 
 from . import checkers
 from .certificates import CertificateFormat, fap_from_payload, validate_verdict
-from .core import InvalidInput, constant, rat
+from .core import InvalidInput, OversizedOutput, constant, rat
 from .fap import from_p0
 from .modelio import (
     AuditError,
@@ -211,6 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    except OversizedOutput as exc:
+        print(f"output too large: {exc}", file=sys.stderr)
+        return 4
     except (KeyError, TypeError, ValueError) as exc:
         print(f"invalid input: {exc!r}", file=sys.stderr)
         return 2

@@ -37,6 +37,12 @@ class InvalidInput(ValueError):
     """An argument violates a documented precondition or invariant."""
 
 
+class OversizedOutput(Exception):
+    """A result holds a rational too long to write: a numerator or
+    denominator of more than :data:`MAX_DIGITS` digits, which :func:`rat`
+    would refuse to read back."""
+
+
 def rat(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction.
 
@@ -73,7 +79,12 @@ def _digit_bound(s: str) -> int:
 def rat_str(q: RationalLike) -> str:
     """Canonical ``"num/den"`` rendering; the denominator is always explicit."""
     q = rat(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError as exc:  # CPython's limit on printing an int
+        raise OversizedOutput(
+            f"a result holds a rational of more than {MAX_DIGITS} digits"
+        ) from exc
 
 
 def _rat_tuple(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:

@@ -278,7 +278,13 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     extras = doc.extras()
     verdicts: dict[str, Verdict] = {}
     verdicts["(3)"] = checkers.find_emfap(m, ls)
-    verdicts["(4)"] = checkers.check_acmfap(m, ls)
+    if verdicts["(3)"].holds:
+        # (3) implies (4) and (6): its functional certifies both unsolved.
+        verdicts["(4)"] = checkers.acmfap_from(m, verdicts["(3)"])
+        verdicts["(6)"] = checkers.no_arbitrage_from(m, ls, verdicts["(3)"])
+    else:
+        verdicts["(4)"] = checkers.check_acmfap(m, ls)
+        verdicts["(6)"] = checkers.check_no_arbitrage(m, ls)
     verdicts["(5)"] = checkers.cstar_verdict(m, ls)
     if not m.has_tail:
         # The unit weight leaves the family as it is: (5*) is (5) and (3).
@@ -287,7 +293,6 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         verdicts["(5*)"] = checkers.weighted_ratio_from(
             m, weight, verdicts["(5)"], verdicts["(3)"]
         )
-    verdicts["(6)"] = checkers.check_no_arbitrage(m, ls)
     verdicts["(7)"] = checkers.check_event_dominance(
         ls, doc.previsions, doc.events, m
     )
@@ -296,9 +301,12 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     # The cone of (10) is polyhedral here, hence closed: (10) is (6).
     verdicts["(10)"] = checkers.norm_closure_from(verdicts["(6)"])
     if ls.basis:
-        verdicts["coherence"] = checkers.check_coherence(
-            ls.basis, doc.previsions, m
+        coherence = checkers.coherence_from(
+            m, ls.basis, doc.previsions, verdicts["(7)"]
         )
+        if coherence is None:
+            coherence = checkers.check_coherence(ls.basis, doc.previsions, m)
+        verdicts["coherence"] = coherence
 
     emfap, na, acm = verdicts["(3)"], verdicts["(6)"], verdicts["(4)"]
     if emfap.holds and not na.holds:

@@ -273,7 +273,9 @@ def test_cstar_cover_checks_each_pmf_and_the_bound():
 )
 def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
     # One ratio program per support coordinate took 41 solves on bp and 32
-    # on dmw; the sweep stops once its pmfs cover every coordinate.
+    # on dmw; the sweep stops once its pmfs cover every coordinate.  A
+    # solve may find a pmf the cover already holds (on bp the third solve
+    # repeats an earlier one); the cover stores it once.
     m, ls = example()
     calls = []
 
@@ -285,8 +287,19 @@ def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
     v = checkers.cstar_verdict(m, ls)
     assert v.holds
     assert 1 <= len(calls) <= most_solves
-    assert len(v.certificate["cover"]) == len(calls)
+    cover = v.certificate["cover"]
+    assert len({tuple(q) for q in cover}) == len(cover) <= len(calls)
     assert validate_verdict(m, ls, v.to_dict())
+
+
+def test_cstar_cover_holds_no_repeated_pmf():
+    # bp N=5 k=2 re-solves a coordinate whose pmf is already in the cover.
+    models = [_bp(5, 2)[:2]] + [random_finite_model(seed) for seed in range(200)]
+    for m, ls in models:
+        v = checkers.cstar_verdict(m, ls)
+        if v.holds:
+            cover = v.certificate["cover"]
+            assert len({tuple(q) for q in cover}) == len(cover)
 
 
 def _unique_solution(rows, rhs):
@@ -534,6 +547,60 @@ def test_event_dominance_violated_on_small_event():
     assert validate_verdict(
         m, ls, v.to_dict(), {"previsions": [F(1)], "events": [(1,)]}
     )
+
+
+def test_event_dominance_solves_the_representation_first(monkeypatch):
+    # A representation on the least event certifies (7) in one solve.
+    # Only when it is infeasible are the events searched, and the first
+    # violation ends the search.
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(checkers, "solve", counting)
+    m = Model((F(1, 2), F(1, 4), F(1, 4)))
+    ls = _span((F(1), F(0), F(0)))
+    events = [(0, 1, 2), (0, 1)]
+    assert checkers.check_event_dominance(ls, [F(1, 3)], events, m).holds
+    assert len(calls) == 1
+    calls.clear()
+    v = checkers.check_event_dominance(ls, [F(2)], events, m)
+    assert not v.holds
+    assert v.certificate["event"] == [0, 1, 2]
+    assert len(calls) == 2
+    assert validate_verdict(
+        m, ls, v.to_dict(), {"previsions": [F(2)], "events": events}
+    )
+
+
+def test_coherence_from_moves_shared_weights_onto_coherence_coords():
+    # The least event {0, 2} is not the coherence coordinates (0, 1), but
+    # the generator agrees at states 1 and 2, so the two programs are
+    # equal and the (7) weights carry over coordinate by coordinate.
+    m = Model((F(1, 2), F(1, 2), F(0)))
+    ls = _span((F(1), F(-1), F(-1)))
+    dominance = checkers.check_event_dominance(ls, [F(0)], [(0, 2)], m)
+    shared = checkers.coherence_from(m, ls.basis, [F(0)], dominance)
+    assert shared == checkers.check_coherence(ls.basis, [F(0)], m)
+    assert shared.certificate["fap"] != dominance.certificate["fap"]
+    assert validate_verdict(m, ls, shared.to_dict(), {"previsions": [F(0)]})
+
+
+def test_coherence_from_declines_a_different_or_failing_program():
+    # On a tail model the least event lists the tail first and the
+    # coherence coordinates list it last: different programs.
+    m, ls, _ = _bp()
+    previsions = [F(0)] * len(ls.basis)
+    dominance = checkers.check_event_dominance(ls, previsions, [m.support()], m)
+    assert dominance.holds
+    assert checkers.coherence_from(m, ls.basis, previsions, dominance) is None
+    m = _two_state()
+    ls = _span((F(1), F(0)))
+    failing = checkers.check_event_dominance(ls, [F(1)], [(1,)], m)
+    assert not failing.holds
+    assert checkers.coherence_from(m, ls.basis, [F(1)], failing) is None
 
 
 def test_event_dominance_representation_on_least_event():

@@ -11,7 +11,7 @@ import pytest
 from famart import checkers
 from famart.certificates import validate_verdict
 from famart.cli import main
-from famart.core import RandVar, rat
+from famart.core import RandVar, rat, rat_str
 from famart.modelio import load_model_file
 from famart.programs import weighted_space
 
@@ -225,6 +225,20 @@ def test_certify_rejects_a_5star_verdict_with_inadmissible_weight(
     cert_path.write_text(json.dumps(verdict))
     assert main(["certify", dmw_file, str(cert_path)]) == 1
     assert json.loads(capsys.readouterr().out) == {"valid": False}
+
+
+def test_oversized_output_is_exit_four(dmw_file, monkeypatch, capsys):
+    # A valid model whose result would hold a 4401-digit rational: that
+    # is not invalid input (exit 2) but output that cannot be written.
+    def oversized(m, ls):
+        return rat_str(F(10**4400))
+
+    monkeypatch.setattr(checkers, "check_no_arbitrage", oversized)
+    assert main(["check", dmw_file, "--condition", "6"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("output too large: ")
+    assert "invalid input" not in captured.err
 
 
 def test_certify_against_wrong_model(bp_file, harmonic_file, tmp_path, capsys):

@@ -10,6 +10,7 @@ from famart.core import (
     MAX_DIGITS,
     TAIL,
     InvalidInput,
+    OversizedOutput,
     LinSpace,
     Model,
     RandVar,
@@ -50,6 +51,15 @@ def test_rat_caps_the_digits_a_string_asks_for():
     assert rat_str(rat(widest)) == widest
     with pytest.raises(InvalidInput, match="digits"):
         rat("9" * (MAX_DIGITS + 1) + "/1")
+
+
+def test_rat_str_refuses_a_value_rat_cannot_read_back():
+    # 10**4400 has 4401 digits, past MAX_DIGITS: rat would reject the
+    # string, so writing it fails with its own error, not invalid input.
+    for big in (F(10**4400), F(-1, 10**4400)):
+        with pytest.raises(OversizedOutput, match=f"more than {MAX_DIGITS} digits"):
+            rat_str(big)
+    assert not issubclass(OversizedOutput, ValueError)
 
 
 def test_rat_str_is_canonical():

@@ -194,8 +194,11 @@ def test_report_builds_the_arbitrage_program_once(monkeypatch):
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
-    # The (5) sweep solves one ratio program, and the min-mass program is
-    # solved once; solving (5*) afresh took 24 solves on this model.
+    # Three solves: the min-mass program of (3), one ratio program of the
+    # (5) sweep, and the (7) representation on the least event, which is
+    # the support here and so also the coherence program.  (5*) is read
+    # off (5) and (3), and (4), (6) and (10) off the (3) functional.
+    # Solving (5*) afresh took 24 solves on this model.
     calls = []
 
     def counting(lp):
@@ -206,7 +209,60 @@ def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
     monkeypatch.setattr(checkers, "solve", counting)
     m, f, s = example_dmw(F(1, 3), 3)
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
-    assert len(calls) == 8
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize(
+    "example, solves",
+    [
+        # (3), three ratio solves, the (7) representation, coherence.
+        (lambda: example_bp(40, 38)[:3], 6),
+        # (3), one ratio solve, the (7) representation shared with coherence.
+        (lambda: example_dmw(F(1, 3), 5), 3),
+    ],
+    ids=["bp-40-38", "dmw-5"],
+)
+def test_report_solves_per_model(monkeypatch, example, solves):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    solve = checkers.solve
+    monkeypatch.setattr(checkers, "solve", counting)
+    m, f, s = example()
+    build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
+    assert len(calls) == solves
+
+
+def _derivation_models():
+    for seed in range(200):
+        yield random_finite_model(seed)
+    for doc in _pinned_model_files():
+        parsed = parse_model(doc)
+        yield parsed.model, parsed.lin_space
+
+
+def test_4_and_6_read_off_3_agree_with_fresh_checks():
+    holding = 0
+    for m, ls in _derivation_models():
+        emfap = checkers.find_emfap(m, ls)
+        if not emfap.holds:
+            with pytest.raises(InvalidInput, match="holding \\(3\\)"):
+                checkers.acmfap_from(m, emfap)
+            continue
+        holding += 1
+        for derived, fresh in (
+            (checkers.acmfap_from(m, emfap), checkers.check_acmfap(m, ls)),
+            (checkers.no_arbitrage_from(m, ls, emfap), checkers.check_no_arbitrage(m, ls)),
+        ):
+            assert derived.condition == fresh.condition
+            assert derived.holds == fresh.holds
+            assert validate_verdict(m, ls, derived.to_dict())
+        relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, ls, emfap))
+        assert validate_verdict(m, ls, relabelled.to_dict())
+    assert holding > 50
 
 
 def _unit_weight_models():
@@ -303,7 +359,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "0a9cdc7b863d35abd7d1987b069d394b92d55c78f8ae26cdca1134ca24642f3b"
+REPORT_DIGEST = "b0b46e729dd83b7ee38b030dbf602f8e584f172a7b5bfba42395b60925df2d64"
 
 
 def _cstar_of(row):
