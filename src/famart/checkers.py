@@ -611,7 +611,6 @@ def coherence_from(
     """
     if not dominance.holds:
         return None
-    previsions = tuple(rat(e) for e in previsions)
     least = sorted(certs.event_from_payload(dominance.certificate["event"]))
     coords = coherence_coords(m)
     if coherence_lp(least, gambles, previsions) != coherence_lp(
