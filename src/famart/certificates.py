@@ -654,6 +654,8 @@ def validate_verdict(
             return condition == "(3)" and holds and _validate_separating(cert, m, ls)
         if kind == "witness":
             claim = _get(cert, "claim")
+            if not isinstance(claim, str):
+                raise CertificateFormat(f"bad witness claim {claim!r}")
             expected = {
                 "negative_ess_sup": "(4)",
                 "expectation_bound_violated": "(3)",

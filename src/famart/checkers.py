@@ -26,10 +26,13 @@ Checked conditions, by their report labels:
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
 
+(4) and (7) are each decided by one feasibility program; where it is
+infeasible, the failing gain is read off its Farkas vector.
+
 The ``*_from`` functions build a verdict from another one with no solve:
 (4) and (6) from a holding (3) (its functional certifies both), (10)
-from (6), (5*) from (5) and (3), and coherence from a holding (7) whose
-representation program is the coherence program.
+from (6), (5*) from (5) and (3), and coherence from a holding or failing
+(7) whose representation program is the coherence program.
 """
 
 from __future__ import annotations
@@ -59,13 +62,13 @@ from .programs import (
     check_weight,
     coherence_coords,
     coherence_lp,
-    event_dominance_lp,
     expectation_bound_lp,
     martingale_mass_lp,
-    negative_gain_lp,
     ratio_bound_lp,
     weighted_space,
 )
+# Unused here; bench/spans.py traces these builders as checkers attributes.
+from .programs import event_dominance_lp, negative_gain_lp  # noqa: F401
 from .spaces import binomial_pmf
 
 @dataclass(frozen=True)
@@ -205,36 +208,31 @@ def check_norm_closure(m: Model, ls: LinSpace) -> Verdict:
 def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     """Condition (4): every gain has nonnegative essential supremum.
 
-    When it holds, an absolutely continuous martingale functional is
-    constructed outright (nonnegative weights on the support killing all
-    generators; such weights exist by exact duality against the searched
-    negative gain).
+    Nonnegative support weights summing to one that kill every generator
+    are an absolutely continuous martingale functional.  Farkas weights
+    ``y`` proving there are none give ``sum_d y_d X_d >= -y_0 > 0`` on
+    the support: the gain ``-sum_d y_d X_d`` has ``ess sup <= y_0 < 0``.
     """
     ls.check_conforms(m)
-    lp = negative_gain_lp(m, ls)
-    out = solve(lp)
-    if isinstance(out, Optimal):
-        x = ls.combine(out.primal)
-        value = ess_sup(x, m)
+    out = solve(martingale_mass_lp(m, ls, strict=False))
+    if isinstance(out, Infeasible):
+        coeffs = tuple(-y for y in out.farkas[1:])
+        x = ls.combine(coeffs)
         return Verdict(
             "(4)",
             False,
             certs.witness(
-                coefficients=out.primal,
+                coefficients=coeffs,
                 x=x,
                 claim="negative_ess_sup",
-                amount=value,
+                amount=ess_sup(x, m),
             ),
             "a gain with strictly negative essential supremum exists; "
             "no absolutely continuous martingale functional can price it.",
         )
-    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
+    if not isinstance(out, Optimal):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
-    relaxed = martingale_mass_lp(m, ls, strict=False)
-    relaxed_out = solve(relaxed)
-    if not isinstance(relaxed_out, Optimal):  # pragma: no cover - duality
-        raise AssertionError("mass program must be feasible when (4) holds")
-    weights = dict(zip(m.support(), relaxed_out.primal))
+    weights = dict(zip(m.support(), out.primal))
     return _acmfap(m, _fap_from_weights(m, weights))
 
 
@@ -564,7 +562,19 @@ def check_coherence(
         return _coherent(m, coords, out.primal, previsions)
     if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
-    stakes = tuple(out.farkas[1:])
+    return _incoherent(*_sure_loss(coords, gambles, previsions, out.farkas), previsions)
+
+
+def _sure_loss(
+    coords: Sequence[int],
+    gambles: Sequence[RandVar],
+    previsions: Sequence[Fraction],
+    farkas: Sequence[Fraction],
+) -> tuple[tuple[Fraction, ...], Fraction]:
+    """The stakes (the Farkas weights on the prevision rows of an
+    infeasible representation program over ``coords``) and their least
+    win ``min sum c_d (X_d - E_d)`` over ``coords``, which is positive."""
+    stakes = tuple(farkas[1:])
     win = min(
         sum(
             (c * (x.at(coord) - e) for c, x, e in zip(stakes, gambles, previsions)),
@@ -572,6 +582,12 @@ def check_coherence(
         )
         for coord in coords
     )
+    return stakes, win
+
+
+def _incoherent(
+    stakes: Sequence[Fraction], win: Fraction, previsions: Sequence[Fraction]
+) -> Verdict:
     return Verdict(
         "coherence",
         False,
@@ -601,23 +617,25 @@ def coherence_from(
     previsions: Sequence[RationalLike],
     dominance: Verdict,
 ) -> Verdict | None:
-    """Coherence read off a holding (7) verdict on the same gambles and
-    previsions, when the program that found its representation on the
+    """Coherence read off a (7) verdict on the same gambles and
+    previsions, when the representation program that decided it on the
     least event is the coherence program; None otherwise.
 
-    Equal programs have the same optimal weights, so the (7) weights on
-    the least event, in order, are the coherence weights on the
-    coherence coordinates, whichever coordinates those are.
+    Equal programs have the same outcome.  A holding (7) puts the
+    coherence weights, in order, on the least event; a failing one has
+    the stakes negated as its gain and the win negated as its amount.
     """
-    if not dominance.holds:
-        return None
-    least = sorted(certs.event_from_payload(dominance.certificate["event"]))
+    cert = dominance.certificate
+    least = sorted(certs.event_from_payload(cert["event"]))
     coords = coherence_coords(m)
     if coherence_lp(least, gambles, previsions) != coherence_lp(
         coords, gambles, previsions
     ):
         return None
-    p = certs.fap_from_payload(dominance.certificate["fap"])
+    if not dominance.holds:
+        stakes = tuple(-rat(c) for c in cert["coefficients"])
+        return _incoherent(stakes, -rat(cert["amount"]), previsions)
+    p = certs.fap_from_payload(cert["fap"])
     weights = [p.ca_tail if c == TAIL else p.ca_mass[c] for c in least]
     return _coherent(m, coords, weights, previsions)
 
@@ -634,9 +652,9 @@ def check_event_dominance(
     It holds exactly when the family's least event (the intersection of
     all of them, present by closure) carries a representing probability
     with total mass on that event: every event contains the least one,
-    so ``sup_A X >= sup_least X >= E(X)``.  That program is solved first
-    and certifies the condition for the whole family; only when it is
-    infeasible are the events searched for a violation.
+    so ``sup_A X >= sup_least X >= E(X)``.  When there is none, the
+    Farkas stakes win at every least-event coordinate, so the gain with
+    the stakes negated violates dominance on the least event.
     """
     previsions = tuple(rat(e) for e in previsions)
     d.check_conforms(m)
@@ -663,62 +681,35 @@ def check_event_dominance(
                 )
     least = frozenset.intersection(*family)
     coords = sorted(least)
-    rep_out = solve(coherence_lp(coords, d.basis, previsions))
-    if isinstance(rep_out, Optimal):
+    out = solve(coherence_lp(coords, d.basis, previsions))
+    if isinstance(out, Optimal):
         return Verdict(
             "(7)",
             True,
             certs.representing_fap(
-                _representing_fap(m, coords, rep_out.primal), previsions, event=least
+                _representing_fap(m, coords, out.primal), previsions, event=least
             ),
             "dominance holds for every event; the attached probability sits "
             "on the least event, reproduces the previsions, and gives every "
             "event total mass.",
         )
-    for a in family:
-        lp = event_dominance_lp(m, d, previsions, a)
-        out = solve(lp)
-        if isinstance(out, Unbounded):
-            coeffs = tuple(out.ray[: len(d.basis)])
-            x = d.combine(coeffs) if d.basis else None
-            amount = (max(x.at(c) for c in sorted(a)) if x else ZERO) - sum(
-                (b * e for b, e in zip(coeffs, previsions)), ZERO
-            )
-            return Verdict(
-                "(7)",
-                False,
-                certs.witness(
-                    coefficients=coeffs,
-                    x=x,
-                    claim="event_dominance_violated",
-                    amount=amount,
-                    event=a,
-                    extras={"previsions": certs.rat_strs(previsions)},
-                ),
-                "dominance fails along an unbounded direction on event "
-                f"{sorted(a)}.",
-            )
-        if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
-            raise AssertionError("the dominance program is feasible at the zero gain")
-        if out.value < 0:
-            coeffs = tuple(out.primal[: len(d.basis)])
-            x = d.combine(coeffs)
-            return Verdict(
-                "(7)",
-                False,
-                certs.witness(
-                    coefficients=coeffs,
-                    x=x,
-                    claim="event_dominance_violated",
-                    amount=out.value,
-                    event=a,
-                    extras={"previsions": certs.rat_strs(previsions)},
-                ),
-                f"a unit-ball gain has supremum over {sorted(a)} below its "
-                "prevision.",
-            )
-    raise AssertionError(  # pragma: no cover - exact duality
-        "dominance on the least event implies a representation on it"
+    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
+        raise AssertionError("a feasibility program is never unbounded")
+    stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
+    coeffs = tuple(-c for c in stakes)
+    return Verdict(
+        "(7)",
+        False,
+        certs.witness(
+            coefficients=coeffs,
+            x=d.combine(coeffs),
+            claim="event_dominance_violated",
+            amount=-win,
+            event=least,
+            extras={"previsions": certs.rat_strs(previsions)},
+        ),
+        f"the attached gain has supremum over the least event {coords} "
+        f"below its prevision by {win}.",
     )
 
 

@@ -216,9 +216,6 @@ def main(argv: list[str] | None = None) -> int:
     except OversizedOutput as exc:
         print(f"output too large: {exc}", file=sys.stderr)
         return 4
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"invalid input: {exc!r}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -550,9 +550,9 @@ def test_event_dominance_violated_on_small_event():
 
 
 def test_event_dominance_solves_the_representation_first(monkeypatch):
-    # A representation on the least event certifies (7) in one solve.
-    # Only when it is infeasible are the events searched, and the first
-    # violation ends the search.
+    # One representation program on the least event decides (7) either
+    # way.  Where it is infeasible, its Farkas vector gives a violation
+    # on the least event [0, 1] with no further solve.
     calls = []
 
     def counting(lp):
@@ -568,8 +568,8 @@ def test_event_dominance_solves_the_representation_first(monkeypatch):
     calls.clear()
     v = checkers.check_event_dominance(ls, [F(2)], events, m)
     assert not v.holds
-    assert v.certificate["event"] == [0, 1, 2]
-    assert len(calls) == 2
+    assert v.certificate["event"] == [0, 1]
+    assert len(calls) == 1
     assert validate_verdict(
         m, ls, v.to_dict(), {"previsions": [F(2)], "events": events}
     )
@@ -596,11 +596,31 @@ def test_coherence_from_declines_a_different_or_failing_program():
     dominance = checkers.check_event_dominance(ls, previsions, [m.support()], m)
     assert dominance.holds
     assert checkers.coherence_from(m, ls.basis, previsions, dominance) is None
+    # A failing (7) on the least event {1} solved a program over one
+    # coordinate; coherence weights two.
     m = _two_state()
     ls = _span((F(1), F(0)))
     failing = checkers.check_event_dominance(ls, [F(1)], [(1,)], m)
     assert not failing.holds
     assert checkers.coherence_from(m, ls.basis, [F(1)], failing) is None
+
+
+def test_coherence_from_relabels_a_failing_dominance_on_the_same_program():
+    # The least event is the coherence coordinates, so the infeasible
+    # representation program is the coherence program: the sure-loss
+    # stakes are the (7) gain's coefficients negated, the win its amount.
+    m = Model((F(1, 2), F(1, 4), F(1, 4)))
+    ls = _span((F(1), F(0), F(-1)), (F(0), F(1), F(1)))
+    previsions = [F(2), F(-1)]
+    failing = checkers.check_event_dominance(ls, previsions, [(0, 1, 2)], m)
+    assert not failing.holds
+    shared = checkers.coherence_from(m, ls.basis, previsions, failing)
+    assert shared == checkers.check_coherence(ls.basis, previsions, m)
+    assert [F(c) for c in shared.certificate["stakes"]] == [
+        -F(c) for c in failing.certificate["coefficients"]
+    ]
+    assert F(shared.certificate["guaranteed_win"]) == -F(failing.certificate["amount"])
+    assert validate_verdict(m, ls, shared.to_dict(), {"previsions": previsions})
 
 
 def test_event_dominance_representation_on_least_event():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from famart import checkers
-from famart.certificates import validate_verdict
+from famart.certificates import CertificateFormat, validate_verdict
 from famart.cli import main
 from famart.core import RandVar, rat, rat_str
 from famart.modelio import load_model_file
@@ -257,6 +257,22 @@ def test_certify_malformed_certificate(bp_file, tmp_path, capsys):
     cert_path.write_text("not json at all")
     assert main(["certify", bp_file, str(cert_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("claim", [[], {"x": 1}])
+def test_certify_unhashable_witness_claim_is_malformed(bp_file, tmp_path, capsys, claim):
+    verdict = {
+        "condition": "(4)",
+        "holds": False,
+        "certificate": {"kind": "witness", "claim": claim},
+    }
+    doc = load_model_file(bp_file)
+    with pytest.raises(CertificateFormat, match="bad witness claim"):
+        validate_verdict(doc.model, doc.lin_space, verdict)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(verdict))
+    assert main(["certify", bp_file, str(cert_path)]) == 2
+    assert "malformed certificate: bad witness claim" in capsys.readouterr().err
 
 
 def test_console_script_subprocess(tmp_path):

@@ -2,14 +2,16 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from famart import checkers
-from famart.certificates import validate_verdict
+from famart import checkers, programs
+from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
+from famart.lp import Infeasible, Unbounded, solve
 from famart.modelio import (
     CONDITION_ORDER,
     build_report,
@@ -236,17 +238,18 @@ def test_report_solves_per_model(monkeypatch, example, solves):
     assert len(calls) == solves
 
 
-def _derivation_models():
+def _model_docs():
     for seed in range(200):
-        yield random_finite_model(seed)
+        m, ls = random_finite_model(seed)
+        yield _roundtrip(serialize_model(m, lin_space=ls))
     for doc in _pinned_model_files():
-        parsed = parse_model(doc)
-        yield parsed.model, parsed.lin_space
+        yield parse_model(doc)
 
 
 def test_4_and_6_read_off_3_agree_with_fresh_checks():
     holding = 0
-    for m, ls in _derivation_models():
+    for doc in _model_docs():
+        m, ls = doc.model, doc.lin_space
         emfap = checkers.find_emfap(m, ls)
         if not emfap.holds:
             with pytest.raises(InvalidInput, match="holding \\(3\\)"):
@@ -263,6 +266,78 @@ def test_4_and_6_read_off_3_agree_with_fresh_checks():
         relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, ls, emfap))
         assert validate_verdict(m, ls, relabelled.to_dict())
     assert holding > 50
+
+
+def test_4_and_7_agree_with_the_programs_they_replaced():
+    # (4) and (7) are each decided by one program and fail with a gain
+    # read off its Farkas vector.  The reference: (4) fails exactly when
+    # a gain at most -1 on the support exists, and (7) fails exactly when
+    # some event's unit-ball dominance program is unbounded or negative.
+    failing = {"(4)": 0, "(7)": 0}
+    for doc in _model_docs():
+        m, ls, extras = doc.model, doc.lin_space, doc.extras()
+        acm = checkers.check_acmfap(m, ls)
+        negative = solve(programs.negative_gain_lp(m, ls))
+        assert acm.holds == isinstance(negative, Infeasible)
+        dominance = checkers.check_event_dominance(ls, doc.previsions, doc.events, m)
+        violated = False
+        for event in doc.events:
+            out = solve(programs.event_dominance_lp(m, ls, doc.previsions, event))
+            violated = violated or isinstance(out, Unbounded) or out.value < 0
+        assert dominance.holds != violated
+        for v in (acm, dominance):
+            assert validate_verdict(m, ls, v.to_dict(), extras)
+            failing[v.condition] += not v.holds
+        if not dominance.holds:
+            least = frozenset.intersection(*doc.events)
+            assert event_from_payload(dominance.certificate["event"]) == least
+    assert failing["(4)"] > 50 and failing["(7)"] > 50
+
+
+def _transformed(doc, perm, dup):
+    """``doc`` with explicit state i moved to ``perm[i]`` (its mass, its
+    generator values and its place in every event with it) and
+    generator ``dup`` listed twice, with its prevision."""
+
+    def moved(values):
+        out = [None] * len(values)
+        for i, v in zip(perm, values):
+            out[i] = v
+        return tuple(out)
+
+    m, ls = doc.model, doc.lin_space
+    basis = tuple(RandVar(moved(x.values), x.tail_value) for x in ls.basis)
+    events = [frozenset(c if c == TAIL else perm[c] for c in e) for e in doc.events]
+    return _roundtrip(
+        serialize_model(
+            Model(moved(m.p0_mass), m.p0_tail),
+            lin_space=LinSpace(basis + basis[dup : dup + 1]),
+            previsions=doc.previsions + doc.previsions[dup : dup + 1],
+            events=events,
+        )
+    )
+
+
+def test_report_is_invariant_under_state_order_and_duplicate_generators():
+    # The (4) and (7) witnesses depend on the order of the coordinates
+    # and of the generators; the verdicts and c* must not, and every
+    # certificate must stay valid.
+    rng = random.Random(2024)
+    docs = list(_model_docs())
+    for doc in rng.sample(docs[:200], 40) + docs[200:]:
+        if not doc.lin_space.basis:
+            continue
+        perm = list(range(doc.model.n_states))
+        rng.shuffle(perm)
+        dup = rng.randrange(len(doc.lin_space.basis))
+        new = _transformed(doc, perm, dup)
+        facts = []
+        for d in (doc, new):
+            rows = build_report(d)["verdicts"]
+            for row in rows:
+                assert validate_verdict(d.model, d.lin_space, row, d.extras())
+            facts.append([(r["condition"], r["holds"], _cstar_of(r)) for r in rows])
+        assert facts[0] == facts[1]
 
 
 def _unit_weight_models():
@@ -359,7 +434,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "b0b46e729dd83b7ee38b030dbf602f8e584f172a7b5bfba42395b60925df2d64"
+REPORT_DIGEST = "604e5473fa419200acba2d7fcf379dc58097a3da8067d36406f06b02112a74cc"
 
 
 def _cstar_of(row):
@@ -388,9 +463,9 @@ VERDICT_DIGEST = "218d90652dc52aa6cb4e37f70f89b7fab3cf9934cd82291c1917625f93b142
 
 
 def test_dominance_and_coherence_rows_are_pinned():
-    # The full (7) and coherence rows, certificates included: (7) tries
-    # its representation program first and coherence may share it, yet
-    # both rows must come out byte for byte as when each was solved alone.
+    # The full (7) and coherence rows, certificates included: (7) is
+    # decided by its representation program, and coherence shares it,
+    # holding or failing, whenever the two programs are equal.
     digest = hashlib.sha256()
     for doc in _pinned_model_files():
         report = build_report(parse_model(json.loads(json.dumps(doc))))
@@ -400,4 +475,23 @@ def test_dominance_and_coherence_rows_are_pinned():
     assert digest.hexdigest() == DOMINANCE_COHERENCE_DIGEST
 
 
-DOMINANCE_COHERENCE_DIGEST = "1f0604106171c7ce3354c046fdbbe78db9ace70d6ebace70b36ce72b41cc7f66"
+DOMINANCE_COHERENCE_DIGEST = "644ccf6e5f8a8f9aa70372daba891bf75b9478ca974ae0b853c37289c638ac30"
+
+
+def test_holding_4_and_7_and_coherence_rows_are_pinned():
+    # The full holding (4) and (7) rows and every coherence row,
+    # certificates included.  A failing (4) or (7) carries a witness read
+    # off whichever program decided it; a holding one and coherence do
+    # not depend on how the failures are searched.
+    digest = hashlib.sha256()
+    for doc in _pinned_model_files():
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        for row in report["verdicts"]:
+            if row["condition"] == "coherence" or (
+                row["condition"] in ("(4)", "(7)") and row["holds"]
+            ):
+                digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == HOLDING_AND_COHERENCE_DIGEST
+
+
+HOLDING_AND_COHERENCE_DIGEST = "a50352cb9e21d5642fe98f0bade7e4594b7aea1ddbbb5a00d67ccc8d64cfc893"
