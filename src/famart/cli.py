@@ -134,8 +134,11 @@ def _cmd_examples(args: argparse.Namespace) -> int:
         raise InvalidInput(f"unknown example {name!r}")
     blob = json.dumps(doc, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(blob + "\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {args.out}: {exc}") from exc
     else:
         print(blob)
     return 0

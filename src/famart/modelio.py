@@ -75,7 +75,9 @@ class ModelDoc:
 
 def read_json(path: str) -> Any:
     """The JSON document in a file; an unreadable file or invalid JSON is
-    invalid input."""
+    invalid input.  So is JSON that ``json.load`` cannot turn into Python:
+    an integer literal past CPython's digit limit, or nesting past the
+    recursion limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -83,6 +85,8 @@ def read_json(path: str) -> Any:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise InvalidInput(f"{path} holds JSON too large to read: {exc}") from exc
 
 
 def _block_to_json(block: frozenset[int]) -> list[Any]:

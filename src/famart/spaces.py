@@ -278,6 +278,8 @@ def random_finite_model(
     is touched by some generator; the fully degenerate shapes (empty
     basis, zero generators) have their own dedicated tests.
     """
+    if max_states < 1 or max_basis < 1:
+        raise InvalidInput("a random model needs max_states >= 1 and max_basis >= 1")
     rng = random.Random(seed)
     n = rng.randint(1, max_states)
     weights = [rng.randint(0, 6) for _ in range(n)]

@@ -171,9 +171,37 @@ def test_examples_finite_random_is_reproducible(capsys):
     assert out1 != out3
 
 
-def test_examples_bad_params_exit_two(capsys):
+def test_examples_bad_params_exit_two(tmp_path, capsys):
     assert main(["examples", "dmw", "--p", "1/2", "--n", "2"]) == 2
     assert main(["examples", "bp", "--N", "3", "--k", "3"]) == 2
+    for flag in ("--max-states", "--max-basis"):
+        for bad in ("0", "-3"):
+            assert main(["examples", "finite-random", flag, bad]) == 2
+    out = tmp_path / "missing" / "dmw.json"
+    assert main(["examples", "dmw", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "max_states >= 1 and max_basis >= 1" in err
+    assert f"cannot write {out}" in err
+
+
+def test_json_python_cannot_read_is_exit_two(dmw_file, tmp_path, capsys):
+    # Valid JSON that json.load still rejects: an integer literal past
+    # CPython's 4300-digit limit, and nesting past the recursion limit.
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"masses": [' + "1" * 5000 + "]}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for side in (str(long_int), str(deep)):
+        assert main(["report", side]) == 2
+        assert main(["check", side, "--condition", "4"]) == 2
+        assert main(["certify", dmw_file, side]) == 2
+        assert main(["check", dmw_file, "--condition", "3", "--q", side]) == 2
+        assert main(["check", dmw_file, "--condition", "5*", "--weight", side]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"{long_int} holds JSON too large to read" in err
+    assert f"{deep} holds JSON too large to read" in err
 
 
 def test_report_runs_everything(bp_file, capsys):
