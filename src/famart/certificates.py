@@ -24,6 +24,7 @@ from .core import (
     LinSpace,
     Model,
     RandVar,
+    dot,
     ess_sup,
     expect,
     rat,
@@ -465,7 +466,7 @@ def _validate_witness(
         if len(previsions) != len(coeffs) or not event:
             return False
         sup_a = max(x.at(c) for c in sorted(event))
-        e_val = sum((b * e for b, e in zip(coeffs, previsions)), ZERO)
+        e_val = dot(coeffs, previsions)
         return sup_a - e_val == amount and amount < 0
     raise CertificateFormat(f"unknown witness claim {claim!r}")
 
@@ -574,7 +575,7 @@ def _validate_cstar(
         if len(q) != len(support) or any(w < 0 for w in q) or sum(q) != 1:
             return False
         for g in ls.basis:
-            if sum((w * g.at(c) for w, c in zip(q, support)), ZERO) != 0:
+            if dot(q, [g.at(c) for c in support]) != 0:
                 return False
     floor = 1 / (1 + value)
     return all(any(q[i] >= floor for q in pmfs) for i in range(len(support)))

@@ -12,8 +12,10 @@ reference measure charges it (``p0_tail > 0``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -32,6 +34,10 @@ TAIL = -1
 #: CPython's int-to-str limit, so every value read can be printed again.
 MAX_DIGITS = 4300
 
+#: The form :func:`rat_str` writes: an optional minus, ASCII digits, a slash
+#: and ASCII digits, each part short enough that ``int`` can read it.
+_CANONICAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})")
+
 
 class InvalidInput(ValueError):
     """An argument violates a documented precondition or invariant."""
@@ -46,9 +52,15 @@ class OversizedOutput(Exception):
 def rat(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction.
 
+    A string in the canonical form of :func:`rat_str` is read by ``int``
+    directly; any other string goes through ``Fraction``'s own parser.
     Floats are rejected: they would smuggle rounding into an exact pipeline.
     """
-    if isinstance(x, Fraction):
+    if isinstance(x, str):
+        canonical = _CANONICAL.fullmatch(x)
+        if canonical and canonical[2].strip("0"):
+            return Fraction(int(canonical[1]), int(canonical[2]))
+    elif isinstance(x, Fraction):
         return x
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise InvalidInput(f"not an exact rational: {x!r}")
@@ -85,6 +97,27 @@ def rat_str(q: RationalLike) -> str:
         raise OversizedOutput(
             f"a result holds a rational of more than {MAX_DIGITS} digits"
         ) from exc
+
+
+def dot(a: Iterable[Fraction], b: Iterable[Fraction]) -> Fraction:
+    """Exact ``sum(x * y for x, y in zip(a, b))`` over ints and Fractions.
+
+    Zero terms are skipped; the others accumulate as one integer numerator
+    over the running lcm of their denominators, reduced once at the end.
+    """
+    num, den = 0, 1
+    for x, y in zip(a, b):
+        xn = x.numerator
+        if xn:
+            yn = y.numerator
+            if yn:
+                d = x.denominator * y.denominator
+                if den % d:
+                    grown = lcm(den, d)
+                    num *= grown // den
+                    den = grown
+                num += xn * yn * (den // d)
+    return Fraction(num, den)
 
 
 def _rat_tuple(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
@@ -204,16 +237,8 @@ class RandVar:
             tuple(a + b for a, b in zip(self.values, other.values)), tail
         )
 
-    def minus(self, other: "RandVar") -> "RandVar":
-        return self.plus(other.scaled(-1))
-
     def negated(self) -> "RandVar":
         return self.scaled(-1)
-
-    def is_zero(self) -> bool:
-        if any(v != 0 for v in self.values):
-            return False
-        return self.tail_value is None or self.tail_value == 0
 
 
 def constant(c: RationalLike, m: Model) -> RandVar:
@@ -252,18 +277,12 @@ class LinSpace:
             )
         if not self.basis:
             raise InvalidInput("cannot combine over an empty basis without a model")
-        n = len(self.basis[0].values)
-        values = [ZERO] * n
-        tail = ZERO if self.basis[0].tail_value is not None else None
-        for b, x in zip(coeffs, self.basis):
-            if b == 0:
-                continue
-            for i, v in enumerate(x.values):
-                if v:
-                    values[i] += b * v
-            if tail is not None and x.tail_value:
-                tail += b * x.tail_value
-        return RandVar(tuple(values), tail)
+        columns = zip(*(x.values for x in self.basis))
+        values = tuple(dot(coeffs, column) for column in columns)
+        tail = None
+        if self.basis[0].tail_value is not None:
+            tail = dot(coeffs, [x.tail_value for x in self.basis])
+        return RandVar(values, tail)
 
 
 def ess_sup(x: RandVar, m: Model) -> Fraction:
@@ -307,11 +326,8 @@ def expect(p: "Fap", x: RandVar) -> Fraction:
         if x.tail_value is None:
             raise InvalidInput("random variable lacks a tail value on a tail model")
         raise InvalidInput("random variable has a tail value on a tail-less model")
-    ca = ZERO
-    for q, v in zip(p.ca_mass, x.values):
-        if q and v:
-            ca += q * v
-    if p.ca_tail is not None and p.ca_tail and x.tail_value:
+    ca = dot(p.ca_mass, x.values)
+    if p.ca_tail:
         ca += p.ca_tail * x.tail_value
     if p.alpha == 0:
         return ca

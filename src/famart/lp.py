@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .core import ZERO, InvalidInput, _rat_tuple, rat
+from .core import ZERO, InvalidInput, _rat_tuple, dot, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -490,19 +490,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
 # --------------------------------------------------------------------------
 
 
-def _row_value(coeffs: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    total = ZERO
-    for a, v in zip(coeffs, x):
-        if a and v:
-            total += a * v
-    return total
-
-
 def _primal_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
     if len(x) != lp.n_vars:
         return False
     for con in lp.constraints:
-        lhs = _row_value(con.coeffs, x)
+        lhs = dot(con.coeffs, x)
         if con.relation == LE and lhs > con.rhs:
             return False
         if con.relation == GE and lhs < con.rhs:
@@ -519,6 +511,26 @@ def _primal_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
 
 def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
     return lp.objective if lp.maximize else tuple(-c for c in lp.objective)
+
+
+def _column_sums(lp: LinearProgram, weights: Sequence[Fraction]) -> list[Fraction]:
+    """``sum_i weights[i] * a_ij`` for every variable ``j``."""
+    live = [(w, con.coeffs) for w, con in zip(weights, lp.constraints) if w]
+    if not live:
+        return [ZERO] * lp.n_vars
+    ws = [w for w, _ in live]
+    return [dot(ws, column) for column in zip(*(a for _, a in live))]
+
+
+def _box_max(lp: LinearProgram, costs: Sequence[Fraction]) -> Fraction | None:
+    """``max costs . x`` over the variable-bounds box, or None if unbounded."""
+    corner = []
+    for c, lo, hi in zip(costs, lp.lower, lp.upper):
+        bound = hi if c > 0 else lo if c < 0 else ZERO
+        if bound is None:
+            return None
+        corner.append(bound)
+    return dot(costs, corner)
 
 
 def dual_objective(
@@ -538,25 +550,10 @@ def dual_objective(
             return None
         if con.relation == GE and y > 0:
             return None
-    cmax = _max_objective(lp)
-    value = ZERO
-    for y, con in zip(dual, lp.constraints):
-        if y:
-            value += y * con.rhs
-    for j in range(lp.n_vars):
-        r = cmax[j]
-        for y, con in zip(dual, lp.constraints):
-            if y and con.coeffs[j]:
-                r -= y * con.coeffs[j]
-        if r > 0:
-            if lp.upper[j] is None:
-                return None
-            value += lp.upper[j] * r
-        elif r < 0:
-            if lp.lower[j] is None:
-                return None
-            value += lp.lower[j] * r
-    return value
+    slack = _box_max(lp, reduced_costs(lp, dual))
+    if slack is None:
+        return None
+    return dot(dual, [con.rhs for con in lp.constraints]) + slack
 
 
 def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
@@ -566,7 +563,7 @@ def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
         return False
     cmax = _max_objective(lp)
     vmax = out.value if lp.maximize else -out.value
-    if _row_value(cmax, out.primal) != vmax:
+    if dot(cmax, out.primal) != vmax:
         return False
     return dual_objective(lp, out.dual) == vmax
 
@@ -582,19 +579,13 @@ def farkas_combination(
     """
     if len(weights) != lp.n_rows:
         return None
-    bound = ZERO
-    combined = [ZERO] * lp.n_vars
+    signed = []
     for f, con in zip(weights, lp.constraints):
         if con.relation != EQ and f < 0:
             return None
-        if f == 0:
-            continue
-        w = -f if con.relation == GE else f
-        bound += w * con.rhs
-        for j, a in enumerate(con.coeffs):
-            if a:
-                combined[j] += w * a
-    return tuple(combined), bound
+        signed.append(-f if con.relation == GE else f)
+    bound = dot(signed, [con.rhs for con in lp.constraints])
+    return tuple(_column_sums(lp, signed)), bound
 
 
 def _verify_infeasible(lp: LinearProgram, out: Infeasible) -> bool:
@@ -602,17 +593,10 @@ def _verify_infeasible(lp: LinearProgram, out: Infeasible) -> bool:
     if combo is None:
         return False
     combined, bound = combo
-    box_min = ZERO
-    for g, lo, hi in zip(combined, lp.lower, lp.upper):
-        if g > 0:
-            if lo is None:
-                return False
-            box_min += g * lo
-        elif g < 0:
-            if hi is None:
-                return False
-            box_min += g * hi
-    return box_min > bound
+    # The combined row's minimum over the box, which is minus the maximum
+    # of its negation, must exceed the bound.
+    top = _box_max(lp, [-g for g in combined])
+    return top is not None and -top > bound
 
 
 def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
@@ -621,7 +605,7 @@ def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
     if not _primal_feasible(lp, out.point):
         return False
     for con in lp.constraints:
-        d = _row_value(con.coeffs, out.ray)
+        d = dot(con.coeffs, out.ray)
         if con.relation == LE and d > 0:
             return False
         if con.relation == GE and d < 0:
@@ -634,7 +618,7 @@ def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
         if hi is not None and d > 0:
             return False
     cmax = _max_objective(lp)
-    return _row_value(cmax, out.ray) > 0
+    return dot(cmax, out.ray) > 0
 
 
 def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
@@ -649,8 +633,8 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
             return _verify_infeasible(lp, out)
         if isinstance(out, Unbounded):
             return _verify_unbounded(lp, out)
-    except (InvalidInput, TypeError, ZeroDivisionError):
-        return False
+    except (AttributeError, InvalidInput, TypeError, ZeroDivisionError):
+        return False  # AttributeError: an entry that is not a rational
     return False
 
 
@@ -660,12 +644,5 @@ def reduced_costs(
     """Per-variable reduced costs ``c - A^T y`` of the maximization form."""
     if len(dual) != lp.n_rows:
         return None
-    cmax = _max_objective(lp)
-    out = []
-    for j in range(lp.n_vars):
-        r = cmax[j]
-        for y, con in zip(dual, lp.constraints):
-            if y and con.coeffs[j]:
-                r -= y * con.coeffs[j]
-        out.append(r)
-    return tuple(out)
+    sums = _column_sums(lp, dual)
+    return tuple(c - s for c, s in zip(_max_objective(lp), sums))

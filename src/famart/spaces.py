@@ -118,17 +118,19 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
     s.check_adapted(f, m)
     basis: list[RandVar] = []
     for t in range(f.horizon):
-        inc = s.steps[t + 1].minus(s.steps[t])
+        now, then = s.steps[t], s.steps[t + 1]
+        tail_inc = then.tail_value - now.tail_value if m.has_tail else None
+        inc = RandVar(tuple(b - a for a, b in zip(now.values, then.values)), tail_inc)
         for block in f.partitions[t]:
+            if not any(inc.at(c) for c in block):
+                continue
             values = tuple(
                 inc.values[i] if i in block else ZERO for i in range(m.n_states)
             )
             tail = None
             if m.has_tail:
-                tail = inc.tail_value if TAIL in block else ZERO
-            x = RandVar(values, tail)
-            if not x.is_zero():
-                basis.append(x)
+                tail = tail_inc if TAIL in block else ZERO
+            basis.append(RandVar(values, tail))
     return LinSpace(tuple(basis))
 
 

@@ -15,6 +15,7 @@ from famart.core import (
     Model,
     RandVar,
     constant,
+    dot,
     ess_sup,
     expect,
     rat,
@@ -66,6 +67,34 @@ def test_rat_str_is_canonical():
     assert rat_str(F(1, 3)) == "1/3"
     assert rat_str(-5) == "-5/1"
     assert rat_str("2/4") == "1/2"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (" 1/2", F(1, 2)),
+        ("+1/2", F(1, 2)),
+        ("1_0/3", F(10, 3)),
+        ("\u0661/2", F(1, 2)),
+        ("1.5", F(3, 2)),
+        ("-0/5", F(0)),
+        ("1/0", "not an exact rational"),
+        ("0/0", "not an exact rational"),
+        ("1/00", "not an exact rational"),
+        ("-/2", "not an exact rational"),
+        ("\u00b2/3", "not an exact rational"),
+        ("9" * (MAX_DIGITS + 1) + "/1", f"more than {MAX_DIGITS} digits"),
+        ("1/" + "9" * (MAX_DIGITS + 1), f"more than {MAX_DIGITS} digits"),
+    ],
+)
+def test_rat_reads_other_strings_through_fraction(text, value):
+    # Near misses of the canonical form keep Fraction's reading and the
+    # same errors: whitespace, a plus sign, underscores, non-ASCII digits.
+    if isinstance(value, F):
+        assert rat(text) == value
+    else:
+        with pytest.raises(InvalidInput, match=value):
+            rat(text)
 
 
 def test_model_invariants():
@@ -169,6 +198,40 @@ def test_linspace_combine():
 _small_rat = st.fractions(
     min_value=F(-5), max_value=F(5), max_denominator=6
 )
+
+
+_WIDE = 2**64
+_wide_rat = st.builds(
+    F,
+    st.integers(min_value=-_WIDE, max_value=_WIDE),
+    st.integers(min_value=1, max_value=_WIDE),
+)
+_term = st.one_of(
+    st.just(F(0)), st.integers(min_value=-3, max_value=3), _small_rat, _wide_rat
+)
+
+
+@given(st.lists(st.tuples(_term, _term), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_dot_equals_the_fraction_sum(pairs):
+    a, b = [x for x, _ in pairs], [y for _, y in pairs]
+    value = dot(a, b)
+    assert value == sum(x * y for x, y in zip(a, b))
+    assert type(value) is F
+
+
+@given(
+    st.integers(min_value=-_WIDE, max_value=_WIDE),
+    st.integers(min_value=1, max_value=_WIDE),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_rat_reads_canonical_strings_as_fraction_does(num, den, zeros):
+    # Canonical here is the form -?[0-9]+/[0-9]+, reduced or not, with
+    # leading zeros allowed in either part.
+    pad = "0" * zeros
+    for text in (f"{num}/{den}", f"{pad}{abs(num)}/{pad}{den}"):
+        assert rat(text) == F(text)
 
 
 @st.composite

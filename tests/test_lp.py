@@ -1,5 +1,6 @@
 """The exact simplex engine and its certificates."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -101,6 +102,8 @@ def test_verify_rejects_malformed():
     lp = LinearProgram(objective=(F(1),), constraints=[((F(1),), "<=", F(3))])
     assert not verify_outcome(lp, Optimal(F(3), (F(3), F(0)), (F(1),)))
     assert not verify_outcome(lp, Infeasible((F(1),)))
+    assert not verify_outcome(lp, Optimal(F(3), ("3",), (F(1),)))
+    assert not verify_outcome(lp, Infeasible((None,)))
     assert not verify_outcome(lp, "nonsense")
 
 
@@ -229,17 +232,20 @@ def _small_rat(rng: random.Random) -> F:
     return F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6)))
 
 
-def _oracle_lp(rng: random.Random) -> LinearProgram:
+def _oracle_lp(
+    rng: random.Random, max_vars: int = 6, max_rows: int = 7
+) -> LinearProgram:
     """A seeded program mixing every row relation and every variable form.
 
     Variables are shifted (lower bound), reflected (upper bound only),
     split (free) or boxed (both bounds).  Some right-hand sides are 0 and
     some equalities are rational combinations of earlier ones, so the
-    set holds degenerate vertices and linearly dependent rows.
+    set holds degenerate vertices and linearly dependent rows.  The
+    combination adds one row to at most ``max_rows``.
     """
-    n = rng.randint(0, 6)
+    n = rng.randint(0, max_vars)
     rows = []
-    for _ in range(rng.randint(0, 7)):
+    for _ in range(rng.randint(0, max_rows)):
         coeffs = tuple(_small_rat(rng) if rng.random() < 0.75 else F(0) for _ in range(n))
         rhs = F(0) if rng.random() < 0.25 else _small_rat(rng)
         rows.append((coeffs, rng.choice(("<=", "=", ">=")), rhs))
@@ -294,3 +300,106 @@ def test_outcome_digest_is_pinned():
         digest.update(repr(out).encode() + b"\n")
     assert kinds == {Optimal, Infeasible, Unbounded}
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+# --------------------------------------------------------------------------
+# Brute-force oracle: enumeration of bases, no code shared with famart.lp
+# --------------------------------------------------------------------------
+
+
+def _rref(matrix: list[list[F]]) -> tuple[list[list[F]], list[int]]:
+    """Reduced row echelon form of ``matrix`` and its pivot columns."""
+    rows = [list(r) for r in matrix]
+    pivots: list[int] = []
+    for j in range(len(rows[0]) if rows else 0):
+        i = len(pivots)
+        k = next((k for k in range(i, len(rows)) if rows[k][j]), None)
+        if k is None:
+            continue
+        rows[i], rows[k] = rows[k], rows[i]
+        rows[i] = [a / rows[i][j] for a in rows[i]]
+        for k in range(len(rows)):
+            if k != i and rows[k][j]:
+                f = rows[k][j]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+        pivots.append(j)
+    return rows, pivots
+
+
+def _brute_force(lp: LinearProgram) -> tuple[str, F | None]:
+    """Outcome kind and optimal value of ``lp``, by enumerating bases.
+
+    The program becomes ``max c.x`` subject to ``G x <= h``, with every
+    relation and bound as rows of ``G``.  With ``r`` the rank of ``G``,
+    every minimal face of a nonempty feasible set is the solution set of
+    ``r`` independent rows of ``G`` held at equality, so the program is
+    infeasible when no such basic solution is feasible.  The maximum is
+    finite exactly when ``c`` is a nonnegative combination of independent
+    rows of ``G`` (Carathéodory), and then ``c.x`` is constant on every
+    minimal face and its largest value there is the optimum.
+    """
+    n = lp.n_vars
+    c = lp.objective if lp.maximize else tuple(-v for v in lp.objective)
+    G: list[tuple[F, ...]] = []
+    h: list[F] = []
+    for con in lp.constraints:
+        if con.relation in ("<=", "="):
+            G.append(con.coeffs)
+            h.append(con.rhs)
+        if con.relation in (">=", "="):
+            G.append(tuple(-a for a in con.coeffs))
+            h.append(-con.rhs)
+    for j in range(n):
+        unit = tuple(F(int(i == j)) for i in range(n))
+        if lp.upper[j] is not None:
+            G.append(unit)
+            h.append(lp.upper[j])
+        if lp.lower[j] is not None:
+            G.append(tuple(-a for a in unit))
+            h.append(-lp.lower[j])
+
+    def rank(rows: list[tuple[F, ...]]) -> int:
+        return len(_rref([list(r) for r in rows])[1]) if rows and n else 0
+
+    r = rank(G)
+    points = []
+    for basis in itertools.combinations(range(len(G)), r):
+        rows, pivots = _rref([[*G[i], h[i]] for i in basis])
+        if len(pivots) != r or n in pivots:
+            continue  # dependent rows, or no solution
+        x = [F(0)] * n
+        for row, j in zip(rows, pivots):
+            x[j] = row[-1]
+        if all(sum(a * v for a, v in zip(g, x)) <= b for g, b in zip(G, h)):
+            points.append(x)
+    if not points:
+        return "infeasible", None
+    for size in range(min(r, len(G)) + 1):
+        for basis in itertools.combinations(range(len(G)), size):
+            if rank([G[i] for i in basis]) != size:
+                continue
+            system = [[*(G[i][j] for i in basis), c[j]] for j in range(n)]
+            rows, pivots = _rref(system)
+            if size in pivots:
+                continue  # c is not in the span of these rows
+            if all(row[-1] >= 0 for row in rows[:size]):
+                best = max(sum(a * v for a, v in zip(c, x)) for x in points)
+                return "optimal", best if lp.maximize else -best
+    return "unbounded", None
+
+
+def test_brute_force_oracle_agrees_with_solve():
+    outcome_type = {"optimal": Optimal, "infeasible": Infeasible, "unbounded": Unbounded}
+    kinds = dict.fromkeys(outcome_type, 0)
+    rng = random.Random(4242)
+    for _ in range(200):
+        lp = _oracle_lp(rng, max_vars=4, max_rows=5)
+        assert lp.n_vars <= 4 and lp.n_rows <= 6
+        out = solve(lp)
+        assert verify_outcome(lp, out)
+        kind, value = _brute_force(lp)
+        kinds[kind] += 1
+        assert isinstance(out, outcome_type[kind]), (lp, out, kind)
+        if kind == "optimal":
+            assert out.value == value
+    assert all(kinds.values()), kinds

@@ -294,10 +294,11 @@ def test_4_and_7_agree_with_the_programs_they_replaced():
     assert failing["(4)"] > 50 and failing["(7)"] > 50
 
 
-def _transformed(doc, perm, dup):
-    """``doc`` with explicit state i moved to ``perm[i]`` (its mass, its
-    generator values and its place in every event with it) and
-    generator ``dup`` listed twice, with its prevision."""
+def _rebuilt(doc, basis, previsions, perm=None):
+    """``doc`` with a new generating list and previsions, and explicit
+    state i moved to ``perm[i]``: its mass, its generator values and its
+    place in every event with it."""
+    perm = perm or list(range(doc.model.n_states))
 
     def moved(values):
         out = [None] * len(values)
@@ -305,39 +306,70 @@ def _transformed(doc, perm, dup):
             out[i] = v
         return tuple(out)
 
-    m, ls = doc.model, doc.lin_space
-    basis = tuple(RandVar(moved(x.values), x.tail_value) for x in ls.basis)
+    m = doc.model
+    basis = tuple(RandVar(moved(x.values), x.tail_value) for x in basis)
     events = [frozenset(c if c == TAIL else perm[c] for c in e) for e in doc.events]
     return _roundtrip(
         serialize_model(
             Model(moved(m.p0_mass), m.p0_tail),
-            lin_space=LinSpace(basis + basis[dup : dup + 1]),
-            previsions=doc.previsions + doc.previsions[dup : dup + 1],
+            lin_space=LinSpace(basis),
+            previsions=previsions,
             events=events,
         )
     )
 
 
+def _permute_states_and_duplicate_a_generator(doc, rng):
+    perm = list(range(doc.model.n_states))
+    rng.shuffle(perm)
+    basis, e = doc.lin_space.basis, doc.previsions
+    dup = rng.randrange(len(basis))
+    return _rebuilt(doc, basis + basis[dup : dup + 1], e + e[dup : dup + 1], perm)
+
+
+def _scale_a_generator(doc, rng):
+    basis, e = list(doc.lin_space.basis), list(doc.previsions)
+    k = rng.randrange(len(basis))
+    a = F(rng.randint(1, 9), rng.randint(1, 9))
+    basis[k], e[k] = basis[k].scaled(a), a * e[k]
+    return _rebuilt(doc, tuple(basis), tuple(e))
+
+
+def _append_a_combination_of_generators(doc, rng):
+    basis, e = doc.lin_space.basis, doc.previsions
+    coeffs = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in basis]
+    combo = basis[0].scaled(coeffs[0])
+    for b, x in zip(coeffs[1:], basis[1:]):
+        combo = combo.plus(x.scaled(b))
+    prevision = sum((b * v for b, v in zip(coeffs, e)), F(0))
+    return _rebuilt(doc, basis + (combo,), e + (prevision,))
+
+
 def test_report_is_invariant_under_state_order_and_duplicate_generators():
-    # The (4) and (7) witnesses depend on the order of the coordinates
-    # and of the generators; the verdicts and c* must not, and every
+    # Verdicts depend on the span and the law, and (7) and coherence on
+    # the previsions as a functional on the span, so transforming the
+    # previsions with the generators must leave them as they are.  The
+    # (4) and (7) witnesses depend on the order of the coordinates and
+    # of the generators; the verdicts and c* must not, and every
     # certificate must stay valid.
-    rng = random.Random(2024)
     docs = list(_model_docs())
-    for doc in rng.sample(docs[:200], 40) + docs[200:]:
-        if not doc.lin_space.basis:
-            continue
-        perm = list(range(doc.model.n_states))
-        rng.shuffle(perm)
-        dup = rng.randrange(len(doc.lin_space.basis))
-        new = _transformed(doc, perm, dup)
-        facts = []
-        for d in (doc, new):
-            rows = build_report(d)["verdicts"]
-            for row in rows:
-                assert validate_verdict(d.model, d.lin_space, row, d.extras())
-            facts.append([(r["condition"], r["holds"], _cstar_of(r)) for r in rows])
-        assert facts[0] == facts[1]
+    for transform in (
+        _permute_states_and_duplicate_a_generator,
+        _scale_a_generator,
+        _append_a_combination_of_generators,
+    ):
+        rng = random.Random(2024)
+        for doc in rng.sample(docs[:200], 40) + docs[200:]:
+            if not doc.lin_space.basis:
+                continue
+            new = transform(doc, rng)
+            facts = []
+            for d in (doc, new):
+                rows = build_report(d)["verdicts"]
+                for row in rows:
+                    assert validate_verdict(d.model, d.lin_space, row, d.extras())
+                facts.append([(r["condition"], r["holds"], _cstar_of(r)) for r in rows])
+            assert facts[0] == facts[1], transform.__name__
 
 
 def _unit_weight_models():
