@@ -37,7 +37,6 @@ from (6), (5*) from (5) and (3), and coherence from a holding or failing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -50,6 +49,7 @@ from .core import (
     Model,
     RandVar,
     RationalLike,
+    Record,
     ess_sup,
     expect,
     rat,
@@ -71,12 +71,18 @@ from .programs import (
 from .programs import event_dominance_lp, negative_gain_lp  # noqa: F401
 from .spaces import binomial_pmf
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
+    __slots__ = ("condition", "holds", "certificate", "narrative")
     condition: str
     holds: bool
     certificate: certs.Certificate
     narrative: str
+
+    def __init__(self, condition, holds, certificate, narrative) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "narrative", narrative)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -713,12 +719,22 @@ def check_event_dominance(
     )
 
 
-@dataclass(frozen=True)
-class DivergenceRow:
+class DivergenceRow(Record):
+    __slots__ = (
+        "horizon", "tv_distance", "min_likelihood_ratio", "max_likelihood_ratio"
+    )
     horizon: int
     tv_distance: Fraction
     min_likelihood_ratio: Fraction
     max_likelihood_ratio: Fraction
+
+    def __init__(
+        self, horizon, tv_distance, min_likelihood_ratio, max_likelihood_ratio
+    ) -> None:
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "tv_distance", tv_distance)
+        object.__setattr__(self, "min_likelihood_ratio", min_likelihood_ratio)
+        object.__setattr__(self, "max_likelihood_ratio", max_likelihood_ratio)
 
 
 def divergence_study(

@@ -13,7 +13,6 @@ reference measure charges it (``p0_tail > 0``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
@@ -121,11 +120,49 @@ def dot(a: Iterable[Fraction], b: Iterable[Fraction]) -> Fraction:
 
 
 def _rat_tuple(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in xs)
+    return tuple(x if type(x) is Fraction else rat(x) for x in xs)
 
 
-@dataclass(frozen=True)
-class Model:
+class Record:
+    """Immutable record whose fields are its class's ``__slots__``.
+
+    Each subclass lists its fields in ``__slots__`` and sets each one once
+    in ``__init__``, whose parameters are the fields in that order, with
+    ``object.__setattr__``.  Records compare and hash by class and fields,
+    print as ``Name(field=value, ...)`` and pickle and copy by calling the
+    class with their fields.  A plain class, not a dataclass: decorating
+    generates and compiles code at import, and every ``famart`` process
+    imports these classes.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot set {name!r}: records are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: records are immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class Model(Record):
     """Truncated sample space with an exact reference probability.
 
     ``p0_mass[i]`` is the reference mass of explicit state ``i``;
@@ -135,13 +172,13 @@ class Model:
     legal; they are needed to express non-equivalent measures.
     """
 
+    __slots__ = ("p0_mass", "p0_tail")
     p0_mass: tuple[Fraction, ...]
-    p0_tail: Fraction | None = None
+    p0_tail: Fraction | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p0_mass", _rat_tuple(self.p0_mass))
-        if self.p0_tail is not None:
-            object.__setattr__(self, "p0_tail", rat(self.p0_tail))
+    def __init__(self, p0_mass, p0_tail=None) -> None:
+        object.__setattr__(self, "p0_mass", _rat_tuple(p0_mass))
+        object.__setattr__(self, "p0_tail", None if p0_tail is None else rat(p0_tail))
         if not self.p0_mass:
             raise InvalidInput("a model needs at least one explicit state")
         if any(x < 0 for x in self.p0_mass):
@@ -164,10 +201,10 @@ class Model:
 
     @property
     def tail_charged(self) -> bool:
-        return self.p0_tail is not None and self.p0_tail > 0
+        return bool(self.p0_tail)  # masses are nonnegative
 
     def charged_states(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.p0_mass) if x > 0)
+        return tuple(i for i, x in enumerate(self.p0_mass) if x)
 
     def support(self) -> tuple[int, ...]:
         """Essential support coordinates: charged states, then TAIL if charged."""
@@ -184,8 +221,7 @@ class Model:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class RandVar:
+class RandVar(Record):
     """Bounded, eventually constant random variable on a truncated space.
 
     ``values[i]`` is the value at explicit state ``i``; ``tail_value`` is
@@ -193,13 +229,15 @@ class RandVar:
     exactly when the model has a tail state.
     """
 
+    __slots__ = ("values", "tail_value")
     values: tuple[Fraction, ...]
-    tail_value: Fraction | None = None
+    tail_value: Fraction | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _rat_tuple(self.values))
-        if self.tail_value is not None:
-            object.__setattr__(self, "tail_value", rat(self.tail_value))
+    def __init__(self, values, tail_value=None) -> None:
+        object.__setattr__(self, "values", _rat_tuple(values))
+        if tail_value is not None:
+            tail_value = rat(tail_value)
+        object.__setattr__(self, "tail_value", tail_value)
 
     def check_conforms(self, m: Model) -> None:
         if len(self.values) != m.n_states:
@@ -247,8 +285,7 @@ def constant(c: RationalLike, m: Model) -> RandVar:
     return RandVar((c,) * m.n_states, c if m.has_tail else None)
 
 
-@dataclass(frozen=True)
-class LinSpace:
+class LinSpace(Record):
     """Trading space given by a finite generating list of random variables.
 
     The basis may be empty (the space is then {0}) and need not be
@@ -256,10 +293,11 @@ class LinSpace:
     and tail flag; that is validated against a model on use.
     """
 
+    __slots__ = ("basis",)
     basis: tuple[RandVar, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(self.basis))
+    def __init__(self, basis) -> None:
+        object.__setattr__(self, "basis", tuple(basis))
 
     def check_conforms(self, m: Model) -> None:
         for k, x in enumerate(self.basis):

@@ -10,14 +10,12 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import TAIL, ZERO, InvalidInput, Model, _rat_tuple, rat
+from .core import TAIL, ZERO, InvalidInput, Model, Record, _rat_tuple, rat
 
 
-@dataclass(frozen=True)
-class Fap:
+class Fap(Record):
     """Finitely additive probability: ``alpha`` weights the pure tail part.
 
     Invariants: ``0 <= alpha <= 1``; the countably additive part
@@ -25,15 +23,15 @@ class Fap:
     a strictly positive ``alpha`` requires a tail state.
     """
 
+    __slots__ = ("alpha", "ca_mass", "ca_tail")
     alpha: Fraction
     ca_mass: tuple[Fraction, ...]
-    ca_tail: Fraction | None = None
+    ca_tail: Fraction | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", rat(self.alpha))
-        object.__setattr__(self, "ca_mass", _rat_tuple(self.ca_mass))
-        if self.ca_tail is not None:
-            object.__setattr__(self, "ca_tail", rat(self.ca_tail))
+    def __init__(self, alpha, ca_mass, ca_tail=None) -> None:
+        object.__setattr__(self, "alpha", rat(alpha))
+        object.__setattr__(self, "ca_mass", _rat_tuple(ca_mass))
+        object.__setattr__(self, "ca_tail", None if ca_tail is None else rat(ca_tail))
         if not (0 <= self.alpha <= 1):
             raise InvalidInput(f"alpha must lie in [0,1], got {self.alpha}")
         if any(q < 0 for q in self.ca_mass):

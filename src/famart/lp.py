@@ -38,48 +38,50 @@ weighted right-hand side over the whole variable-bounds box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
 
-from .core import ZERO, InvalidInput, _rat_tuple, dot, rat
+from .core import ZERO, InvalidInput, Record, _rat_tuple, dot, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
+    __slots__ = ("coeffs", "relation", "rhs")
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", _rat_tuple(self.coeffs))
-        object.__setattr__(self, "rhs", rat(self.rhs))
-        if self.relation not in _RELATIONS:
-            raise InvalidInput(f"unknown relation {self.relation!r}")
+    def __init__(self, coeffs, relation, rhs) -> None:
+        object.__setattr__(self, "coeffs", _rat_tuple(coeffs))
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rat(rhs))
+        if relation not in _RELATIONS:
+            raise InvalidInput(f"unknown relation {relation!r}")
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """``max/min objective . x`` subject to rows and optional variable bounds.
 
     Bounds default to free variables; zero-variable and zero-constraint
     programs are legal (objective 0, empty solutions).
     """
 
+    __slots__ = ("objective", "maximize", "constraints", "lower", "upper")
     objective: tuple[Fraction, ...]
-    maximize: bool = True
-    constraints: tuple[Constraint, ...] = ()
-    lower: tuple[Fraction | None, ...] | None = None
-    upper: tuple[Fraction | None, ...] | None = None
+    maximize: bool
+    constraints: tuple[Constraint, ...]
+    lower: tuple[Fraction | None, ...]
+    upper: tuple[Fraction | None, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", _rat_tuple(self.objective))
+    def __init__(
+        self, objective, maximize=True, constraints=(), lower=None, upper=None
+    ) -> None:
+        object.__setattr__(self, "objective", _rat_tuple(objective))
         rows = []
-        for c in self.constraints:
+        for c in constraints:
             if not isinstance(c, Constraint):
                 coeffs, relation, rhs = c
                 c = Constraint(tuple(coeffs), relation, rhs)
@@ -89,9 +91,10 @@ class LinearProgram:
                     f"program has {self.n_vars} variables"
                 )
             rows.append(c)
+        object.__setattr__(self, "maximize", maximize)
         object.__setattr__(self, "constraints", tuple(rows))
-        object.__setattr__(self, "lower", self._bound_tuple(self.lower))
-        object.__setattr__(self, "upper", self._bound_tuple(self.upper))
+        object.__setattr__(self, "lower", self._bound_tuple(lower))
+        object.__setattr__(self, "upper", self._bound_tuple(upper))
         for lo, hi in zip(self.lower, self.upper):
             if lo is not None and hi is not None and lo > hi:
                 raise InvalidInput(f"empty bound interval [{lo}, {hi}]")
@@ -113,22 +116,34 @@ class LinearProgram:
         return len(self.constraints)
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(Record):
+    __slots__ = ("value", "primal", "dual")
     value: Fraction
     primal: tuple[Fraction, ...]
     dual: tuple[Fraction, ...]
 
+    def __init__(self, value, primal, dual) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "primal", primal)
+        object.__setattr__(self, "dual", dual)
 
-@dataclass(frozen=True)
-class Infeasible:
+
+class Infeasible(Record):
+    __slots__ = ("farkas",)
     farkas: tuple[Fraction, ...]
 
+    def __init__(self, farkas) -> None:
+        object.__setattr__(self, "farkas", farkas)
 
-@dataclass(frozen=True)
-class Unbounded:
+
+class Unbounded(Record):
+    __slots__ = ("point", "ray")
     point: tuple[Fraction, ...]
     ray: tuple[Fraction, ...]
+
+    def __init__(self, point, ray) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "ray", ray)
 
 
 LpOutcome = Union[Optimal, Infeasible, Unbounded]

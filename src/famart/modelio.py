@@ -26,9 +26,7 @@ event-dominance checks.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
@@ -47,6 +45,7 @@ from .core import (
     LinSpace,
     Model,
     RandVar,
+    Record,
     constant,
     rat,
     rat_str,
@@ -58,16 +57,26 @@ from .spaces import AdaptedProcess, Filtration, trading_space
 CONDITION_ORDER = ("(3)", "(4)", "(5)", "(5*)", "(6)", "(7)", "(8)", "(10)", "coherence")
 
 
-@dataclass(frozen=True)
-class ModelDoc:
+class ModelDoc(Record):
     """A parsed model file: the model, its trading space, and check inputs."""
 
+    __slots__ = ("model", "lin_space", "previsions", "events", "filtration", "process")
     model: Model
     lin_space: LinSpace
     previsions: tuple[Fraction, ...]
     events: tuple[frozenset[int], ...]
-    filtration: Filtration | None = None
-    process: AdaptedProcess | None = None
+    filtration: Filtration | None
+    process: AdaptedProcess | None
+
+    def __init__(
+        self, model, lin_space, previsions, events, filtration=None, process=None
+    ) -> None:
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "lin_space", lin_space)
+        object.__setattr__(self, "previsions", previsions)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "filtration", filtration)
+        object.__setattr__(self, "process", process)
 
     def extras(self) -> dict[str, Any]:
         return {"previsions": self.previsions, "events": self.events}
@@ -267,6 +276,8 @@ def model_digest(model: Model, lin_space: LinSpace) -> str:
         "p0_tail": rat_str(model.p0_tail) if model.has_tail else None,
         "basis": [randvar_payload(x) for x in lin_space.basis],
     }
+    import hashlib  # here, not at the top: most processes never take a digest
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -24,6 +23,7 @@ from .core import (
     Model,
     RandVar,
     RationalLike,
+    Record,
     rat,
 )
 from .fap import Fap
@@ -31,8 +31,7 @@ from .fap import Fap
 Block = frozenset  # of state indices; TAIL marks the tail state
 
 
-@dataclass(frozen=True)
-class Filtration:
+class Filtration(Record):
     """Per time index, a partition of the model's coordinates.
 
     ``partitions[t]`` is a tuple of blocks (frozensets of coordinate ids).
@@ -40,13 +39,14 @@ class Filtration:
     refine its predecessor.
     """
 
+    __slots__ = ("partitions",)
     partitions: tuple[tuple[Block, ...], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, partitions) -> None:
         object.__setattr__(
             self,
             "partitions",
-            tuple(tuple(frozenset(b) for b in part) for part in self.partitions),
+            tuple(tuple(frozenset(b) for b in part) for part in partitions),
         )
         if not self.partitions:
             raise InvalidInput("a filtration needs at least one time index")
@@ -82,14 +82,14 @@ class Filtration:
         return len(self.partitions) - 1
 
 
-@dataclass(frozen=True)
-class AdaptedProcess:
+class AdaptedProcess(Record):
     """One random variable per time index, constant on that time's blocks."""
 
+    __slots__ = ("steps",)
     steps: tuple[RandVar, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    def __init__(self, steps) -> None:
+        object.__setattr__(self, "steps", tuple(steps))
 
     def check_adapted(self, f: Filtration, m: Model) -> None:
         if len(self.steps) != len(f.partitions):

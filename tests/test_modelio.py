@@ -345,18 +345,49 @@ def _append_a_combination_of_generators(doc, rng):
     return _rebuilt(doc, basis + (combo,), e + (prevision,))
 
 
+def _permute_generators(doc, rng):
+    order = list(range(len(doc.lin_space.basis)))
+    rng.shuffle(order)
+    basis, e = doc.lin_space.basis, doc.previsions
+    return _rebuilt(doc, tuple(basis[k] for k in order), tuple(e[k] for k in order))
+
+
+def _split_a_charged_state(doc, rng):
+    """``doc`` with a new last state: a copy of a charged state, with its
+    generator values, a share of its mass and a place in each of its events."""
+    m = doc.model
+    i, new = rng.choice(m.charged_states()), m.n_states
+    share = m.p0_mass[i] * F(rng.randint(1, 4), 5)
+    masses = list(m.p0_mass) + [share]
+    masses[i] -= share
+    basis = [RandVar(x.values + (x.values[i],), x.tail_value) for x in doc.lin_space.basis]
+    events = [e | {new} if i in e else e for e in doc.events]
+    return _roundtrip(
+        serialize_model(
+            Model(masses, m.p0_tail),
+            lin_space=LinSpace(basis),
+            previsions=doc.previsions,
+            events=events,
+        )
+    )
+
+
 def test_report_is_invariant_under_state_order_and_duplicate_generators():
     # Verdicts depend on the span and the law, and (7) and coherence on
     # the previsions as a functional on the span, so transforming the
     # previsions with the generators must leave them as they are.  The
     # (4) and (7) witnesses depend on the order of the coordinates and
     # of the generators; the verdicts and c* must not, and every
-    # certificate must stay valid.
+    # certificate must stay valid.  Splitting a charged state into two
+    # copies with its values changes neither the span's values on the
+    # support nor the largest mass a martingale pmf can put on a value.
     docs = list(_model_docs())
     for transform in (
         _permute_states_and_duplicate_a_generator,
         _scale_a_generator,
         _append_a_combination_of_generators,
+        _permute_generators,
+        _split_a_charged_state,
     ):
         rng = random.Random(2024)
         for doc in rng.sample(docs[:200], 40) + docs[200:]:
