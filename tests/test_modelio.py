@@ -525,6 +525,22 @@ def test_verdict_digest_is_pinned():
 VERDICT_DIGEST = "218d90652dc52aa6cb4e37f70f89b7fab3cf9934cd82291c1917625f93b14207"
 
 
+def test_verdicts_and_cstar_digest_is_pinned():
+    # Verdicts and c* only, with no certificate: whichever programs a
+    # report solves and whichever certificates it reads off them, these
+    # facts about the model stay the same.
+    digest = hashlib.sha256()
+    for doc in _pinned_model_files():
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        for row in report["verdicts"]:
+            fact = [row["condition"], row["holds"], _cstar_of(row)]
+            digest.update(json.dumps(fact).encode() + b"\n")
+    assert digest.hexdigest() == VERDICTS_AND_CSTAR_DIGEST
+
+
+VERDICTS_AND_CSTAR_DIGEST = "5ea1053a922830f8b41988d25786bd7415dc18ed548395e948a20865de085362"
+
+
 def test_dominance_and_coherence_rows_are_pinned():
     # The full (7) and coherence rows, certificates included: (7) is
     # decided by its representation program, and coherence shares it,
