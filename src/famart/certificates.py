@@ -321,7 +321,7 @@ def _lp_for(cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str
     if builder == "arbitrage":
         return builder, arbitrage_lp(m, ls)
     if builder == "min-mass":
-        return builder, martingale_mass_lp(m, ls, strict=True)
+        return builder, martingale_mass_lp(m, ls)
     if builder == "expectation-bound":
         params = _bound_params(cert, m, extras)
         if params is None or params[1] <= 0:
@@ -519,13 +519,8 @@ def _validate_sure_loss(
     coords = coherence_coords(m)
     if not coords:
         return False
-    recomputed = min(
-        sum(
-            (c * (x.at(coord) - e) for c, x, e in zip(stakes, ls.basis, previsions)),
-            ZERO,
-        )
-        for coord in coords
-    )
+    recomputed = min(dot(stakes, [x.at(coord) for x in ls.basis]) for coord in coords)
+    recomputed -= dot(stakes, previsions)
     return recomputed == win and win > 0
 
 

@@ -26,19 +26,27 @@ Checked conditions, by their report labels:
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
 
-(4) and (7) are each decided by one feasibility program; where it is
-infeasible, the failing gain is read off its Farkas vector.
+One (3) solve decides what it can.  Where (3) fails, the weights of its
+certificate combine the generators into a gain that is nonnegative on
+the support and not zero there: the (6) arbitrage, the (5) direction
+and, where it is positive everywhere on the support, the (4) violation.
+Where (3) holds, its functional certifies (4) and (6), and it and its
+dual gain start the (5) sweep, which often needs no ratio solve at all.
+(7) and coherence are read off the (4) verdict wherever their
+representation program is the (4) program; otherwise each is decided by
+one feasibility program whose Farkas vector gives the failure.
 
 The ``*_from`` functions build a verdict from another one with no solve:
-(4) and (6) from a holding (3) (its functional certifies both), (10)
-from (6), (5*) from (5) and (3), and coherence from a holding or failing
-(7) whose representation program is the coherence program.
+(4) and (6) from (3), (10) from (6), and (5*) from (5) and (3).  Inside
+:func:`solving_once`, each distinct program is solved at most once.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from . import certificates as certs
 from .core import (
@@ -50,13 +58,14 @@ from .core import (
     RandVar,
     RationalLike,
     Record,
+    dot,
     ess_sup,
     expect,
     rat,
     sup_norm,
 )
 from .fap import Fap, from_p0, is_equivalent
-from .lp import Infeasible, LinearProgram, Optimal, Unbounded, solve
+from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded, solve
 from .programs import (
     arbitrage_lp,
     check_weight,
@@ -70,6 +79,34 @@ from .programs import (
 # Unused here; bench/spans.py traces these builders as checkers attributes.
 from .programs import event_dominance_lp, negative_gain_lp  # noqa: F401
 from .spaces import binomial_pmf
+
+# The outcome of every program solved so far inside ``solving_once``.
+_SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
+    "famart_solved", default=None
+)
+
+
+@contextmanager
+def solving_once() -> Iterator[None]:
+    """Within the block, each distinct program is solved at most once:
+    an equal program reuses the first outcome, which is the same outcome,
+    since solving is deterministic."""
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
+def _solve(lp: LinearProgram) -> LpOutcome:
+    solved = _SOLVED.get()
+    if solved is None:
+        return solve(lp)
+    out = solved.get(lp)
+    if out is None:
+        out = solved[lp] = solve(lp)
+    return out
+
 
 class Verdict(Record):
     __slots__ = ("condition", "holds", "certificate", "narrative")
@@ -132,56 +169,39 @@ def _representing_fap(
 
 
 def check_no_arbitrage(m: Model, ls: LinSpace) -> Verdict:
-    """Condition (6): no gain is nonnegative with strictly positive mass."""
-    ls.check_conforms(m)
-    lp = arbitrage_lp(m, ls)
-    out = solve(lp)
-    if isinstance(out, Optimal):
-        x = ls.combine(out.primal)
-        norm = sup_norm(x, m)
-        coeffs = tuple(b / norm for b in out.primal)
-        x = ls.combine(coeffs)
+    """Condition (6): no gain is nonnegative with strictly positive mass;
+    decided by the (3) solve (see :func:`no_arbitrage_from`)."""
+    return no_arbitrage_from(m, ls, min_mass(m, ls))
+
+
+def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
+    """Condition (6) read off the (3) solve, with no solve of its own.
+
+    By Stiemke's lemma (6) and (3) agree on these atomic models.  Where
+    (3) fails, its arbitrage is the (6) certificate.  Where it holds, the
+    functional's support weights ``q >= t* > 0`` kill every generator.
+    Weight ``q_c - t*`` on each support row of the arbitrage program and
+    ``t*`` on its total row combine the rows to zero with bound
+    ``-t* < 0``: a Farkas vector proving the program infeasible.
+    """
+    if not mm.verdict.holds:
         return Verdict(
             "(6)",
             False,
-            certs.arbitrage_vector(coeffs, x),
+            certs.arbitrage_vector(mm.coefficients, mm.gain),
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
-    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
-    return _no_arbitrage(lp, out.farkas)
-
-
-def _no_arbitrage(lp: LinearProgram, farkas: Sequence[Fraction]) -> Verdict:
+    q = certs.support_weights(m, mm.fap)
+    t_star = min(q.values())
+    farkas = [q[c] - t_star for c in m.support()] + [t_star]
     return Verdict(
         "(6)",
         True,
-        certs.farkas_witness(lp, "arbitrage", farkas, claim="infeasible"),
+        certs.farkas_witness(arbitrage_lp(m, ls), "arbitrage", farkas, "infeasible"),
         "no-arbitrage: the search for a nonnegative gain with "
         "positive essential supremum is infeasible (Farkas witness).",
     )
-
-
-def _functional_of(emfap: Verdict) -> Fap:
-    """The equivalent martingale functional of a holding (3) verdict."""
-    if emfap.certificate["kind"] != "separating_functional":
-        raise InvalidInput("only a holding (3) verdict carries a functional")
-    return certs.fap_from_payload(emfap.certificate["fap"])
-
-
-def no_arbitrage_from(m: Model, ls: LinSpace, emfap: Verdict) -> Verdict:
-    """Condition (6) read off a holding (3) verdict, with no solve.
-
-    The functional's support weights ``q >= t* > 0`` kill every
-    generator.  Weight ``q_c - t*`` on each support row of the arbitrage
-    program and ``t*`` on its total row combine the rows to zero with
-    bound ``-t* < 0``: a Farkas vector proving the program infeasible.
-    """
-    q = certs.support_weights(m, _functional_of(emfap))
-    t_star = rat(emfap.certificate["minimum_weight"])
-    farkas = [q[c] - t_star for c in m.support()] + [t_star]
-    return _no_arbitrage(arbitrage_lp(m, ls), farkas)
 
 
 def norm_closure_from(no_arbitrage: Verdict) -> Verdict:
@@ -215,31 +235,35 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     """Condition (4): every gain has nonnegative essential supremum.
 
     Nonnegative support weights summing to one that kill every generator
-    are an absolutely continuous martingale functional.  Farkas weights
-    ``y`` proving there are none give ``sum_d y_d X_d >= -y_0 > 0`` on
-    the support: the gain ``-sum_d y_d X_d`` has ``ess sup <= y_0 < 0``.
+    are an absolutely continuous martingale functional: a solution of the
+    coherence program over the support with zero previsions.  Farkas
+    weights ``y`` proving there are none give ``sum_d y_d X_d >= -y_0 > 0``
+    on the support: the gain ``-sum_d y_d X_d`` has ``ess sup <= y_0 < 0``.
     """
     ls.check_conforms(m)
-    out = solve(martingale_mass_lp(m, ls, strict=False))
+    support = m.support()
+    out = _solve(coherence_lp(support, ls.basis, (ZERO,) * len(ls.basis)))
     if isinstance(out, Infeasible):
         coeffs = tuple(-y for y in out.farkas[1:])
-        x = ls.combine(coeffs)
-        return Verdict(
-            "(4)",
-            False,
-            certs.witness(
-                coefficients=coeffs,
-                x=x,
-                claim="negative_ess_sup",
-                amount=ess_sup(x, m),
-            ),
-            "a gain with strictly negative essential supremum exists; "
-            "no absolutely continuous martingale functional can price it.",
-        )
+        return _negative_ess_sup(m, coeffs, ls.combine(coeffs))
     if not isinstance(out, Optimal):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
-    weights = dict(zip(m.support(), out.primal))
-    return _acmfap(m, _fap_from_weights(m, weights))
+    return _acmfap(m, _fap_from_weights(m, dict(zip(support, out.primal))))
+
+
+def _negative_ess_sup(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
+    return Verdict(
+        "(4)",
+        False,
+        certs.witness(
+            coefficients=coeffs,
+            x=x,
+            claim="negative_ess_sup",
+            amount=ess_sup(x, m),
+        ),
+        "a gain with strictly negative essential supremum exists; "
+        "no absolutely continuous martingale functional can price it.",
+    )
 
 
 def _acmfap(m: Model, fap: Fap) -> Verdict:
@@ -252,11 +276,51 @@ def _acmfap(m: Model, fap: Fap) -> Verdict:
     )
 
 
-def acmfap_from(m: Model, emfap: Verdict) -> Verdict:
-    """Condition (4) read off a holding (3) verdict, with no solve: an
-    equivalent martingale functional is absolutely continuous, so it is
-    the (4) certificate as it stands."""
-    return _acmfap(m, _functional_of(emfap))
+def acmfap_from(m: Model, mm: MinMass) -> Verdict:
+    """Condition (4) read off the (3) solve, with no solve of its own.
+
+    Nonnegative weights killing every generator are the (4) functional:
+    the (3) functional itself, or the (3) optimum when its least weight
+    is zero.  Otherwise the (3) arbitrage is positive on the support (see
+    :class:`MinMass`), so its negation has negative essential supremum.
+    """
+    if mm.fap is not None:
+        return _acmfap(m, mm.fap)
+    return _negative_ess_sup(
+        m, tuple(-b for b in mm.coefficients), mm.gain.negated()
+    )
+
+
+class MinMass(Record):
+    """The (3) solve, and what it decides of (4), (5) and (6).
+
+    ``fap`` kills every generator with nonnegative weights: the (3)
+    functional where (3) holds, the (3) optimum where its least weight
+    ``t*`` is zero, and None where ``t* < 0`` or the program is
+    infeasible.  ``gain`` is ``sum_d coefficients[d] X_d``, read off the
+    weights ``y`` of the (3) program's rows: a mass row, then one row per
+    generator, over support weights ``s_c >= 0`` and a free floor ``t``.
+
+    Where (3) fails, the Farkas weights, or the dual bounding ``t`` by
+    ``y_0 = t* <= 0``, make ``G = sum_d y_d X_d >= -y_0 >= 0`` on the
+    support, positive unless ``t* = 0``, and the column of ``t`` keeps
+    ``G`` from vanishing there: ``gain`` is this arbitrage, scaled to sup
+    norm one.  Where (3) holds, the dual makes ``G >= -t*`` on the
+    support, and ``gain`` is ``G / t*``, a feasible point of every ratio
+    program of (5).  With no generators, ``gain`` is None.
+    """
+
+    __slots__ = ("verdict", "fap", "coefficients", "gain")
+    verdict: Verdict
+    fap: Fap | None
+    coefficients: tuple[Fraction, ...] | None
+    gain: RandVar | None
+
+    def __init__(self, verdict, fap, coefficients, gain) -> None:
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "fap", fap)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "gain", gain)
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -268,32 +332,43 @@ def find_emfap(m: Model, ls: LinSpace) -> Verdict:
     tail part and the countably additive residual, and induces the open
     convex separation witness ``{X : E_P(X) > 0}``.
     """
+    return min_mass(m, ls).verdict
+
+
+def min_mass(m: Model, ls: LinSpace) -> MinMass:
+    """Condition (3) as :func:`find_emfap` decides it, with what the same
+    solve decides of the other conditions (see :class:`MinMass`)."""
     ls.check_conforms(m)
     if not ls.basis:
         fap = from_p0(m)
         weights = {c: (m.p0_tail if c == TAIL else m.p0_mass[c]) for c in m.support()}
-        return Verdict(
+        verdict = Verdict(
             "(3)",
             True,
             certs.separating_functional(m, fap, min(weights.values())),
             "the space of gains is trivial; the reference measure itself "
             "is an equivalent martingale functional.",
         )
-    lp = martingale_mass_lp(m, ls, strict=True)
+        return MinMass(verdict, fap, None, None)
+    lp = martingale_mass_lp(m, ls)
+    # Not through the memo: a report builds this program once, and hashing
+    # it costs more than the memo could save.
     out = solve(lp)
     if isinstance(out, Infeasible):
-        return Verdict(
+        verdict = Verdict(
             "(3)",
             False,
             certs.farkas_witness(lp, "min-mass", out.farkas, claim="infeasible"),
             "no signed weighting kills every generator; the scaled "
             "expectation bound fails for every representable (Q, c).",
         )
+        return _with_arbitrage(m, ls, verdict, None, out.farkas)
     if not isinstance(out, Optimal):  # pragma: no cover - mass one caps t
         raise AssertionError("the common floor is at most one over the support size")
     t_star = out.value
+    weights = {c: s + t_star for c, s in zip(m.support(), out.primal)}
     if t_star <= 0:
-        return Verdict(
+        verdict = Verdict(
             "(3)",
             False,
             certs.farkas_witness(
@@ -304,11 +379,10 @@ def find_emfap(m: Model, ls: LinSpace) -> Verdict:
             "zero); the scaled expectation bound fails for every "
             "representable (Q, c).",
         )
-    support = m.support()
-    slacks = out.primal[: len(support)]
-    weights = {c: s + t_star for c, s in zip(support, slacks)}
+        fap = _fap_from_weights(m, weights) if t_star == 0 else None
+        return _with_arbitrage(m, ls, verdict, fap, out.dual)
     fap = _fap_from_weights(m, weights)
-    return Verdict(
+    verdict = Verdict(
         "(3)",
         True,
         certs.separating_functional(m, fap, t_star),
@@ -316,6 +390,17 @@ def find_emfap(m: Model, ls: LinSpace) -> Verdict:
         "dominated-gain cone via the open convex set of bounded functions "
         "with strictly positive expectation.",
     )
+    coeffs = tuple(y / t_star for y in out.dual[1:])
+    return MinMass(verdict, fap, coeffs, ls.combine(coeffs))
+
+
+def _with_arbitrage(
+    m: Model, ls: LinSpace, verdict: Verdict, fap: Fap | None, y: Sequence[Fraction]
+) -> MinMass:
+    """A failing (3) and the arbitrage its weights ``y`` give."""
+    x = ls.combine(y[1:])
+    norm = sup_norm(x, m)
+    return MinMass(verdict, fap, tuple(b / norm for b in y[1:]), x.scaled(1 / norm))
 
 
 def verify_condition3(
@@ -380,47 +465,92 @@ def compute_cstar(m: Model, ls: LinSpace) -> Fraction | None:
     return rat(v.certificate["value"]) if v.holds else None
 
 
-def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
-    """Condition (5) as a verdict: holds iff a finite ratio bound exists.
+def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass | None = None) -> Verdict:
+    """Condition (5) as a verdict: holds iff a finite ratio bound exists
+    (see :func:`_ratio_sweep`).
+
+    Given the (3) solve ``mm`` on the same model and space, (5) is read
+    off it where it can be.  Where (3) fails, its arbitrage is a nonzero
+    nonnegative gain, so (5) fails with it as the direction.  Where (3)
+    holds, the sweep starts from the functional's support weights, a
+    martingale pmf, and from the dual gain, which is at least -1 on the
+    support and often attains c* already, so that no ratio program is
+    solved.  Without ``mm``, the ratio programs alone decide (5).
+    """
+    ls.check_conforms(m)
+    if mm is None or mm.gain is None:
+        return _ratio_sweep(m, ls, [], [])
+    if not mm.verdict.holds:
+        return _unbounded_ratio(m, mm.coefficients, mm.gain)
+    q = certs.support_weights(m, mm.fap)
+    return _ratio_sweep(
+        m, ls, [tuple(q[c] for c in m.support())], [(mm.coefficients, mm.gain)]
+    )
+
+
+def _unbounded_ratio(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
+    return Verdict(
+        "(5)",
+        False,
+        certs.witness(
+            coefficients=coeffs,
+            x=x,
+            claim="nonnegative_direction",
+            amount=sum((x.at(c) for c in m.support()), ZERO),
+        ),
+        "no finite ratio bound: the attached direction is a nonzero "
+        "nonnegative gain.",
+    )
+
+
+def _ratio_sweep(
+    m: Model,
+    ls: LinSpace,
+    cover: list[tuple[Fraction, ...]],
+    gains: Sequence[tuple[Sequence[Fraction], RandVar]],
+) -> Verdict:
+    """Condition (5) from martingale pmfs and feasible gains.
 
     A martingale pmf is a set of nonnegative support weights summing to
     one that kill every generator.  By duality the ratio program at a
     coordinate has value ``1/q_max - 1``, where ``q_max`` is the largest
-    mass a martingale pmf puts there, so ``c* = 1/min q_max - 1``.  Each
-    solve reads an optimal pmf off its dual, and every pmf bounds
-    ``q_max`` from below at every coordinate.  The sweep solves the
-    coordinate with the least such bound (ties in support order) and
-    stops once no unsolved coordinate can have a smaller ``q_max`` than
-    the least solved one.  A coordinate no pmf charges yet is always
-    solved, so the first unbounded coordinate in support order is found.
+    mass a martingale pmf puts there, so ``c* = 1/min q_max - 1``.  Every
+    pmf in ``cover`` bounds ``q_max`` from below at every coordinate, so
+    c* is at most ``1/min lower - 1``.  Every gain at least -1 on the
+    support (the coefficients in ``gains``, then each ratio solve's
+    optimum) bounds c* from below by its largest value there.  The sweep
+    stops when the bounds meet.  Until then it solves the coordinate with
+    the least lower bound (ties in support order): its pmf raises that
+    bound to ``q_max``, and its optimum attains ``1/q_max - 1``, so a
+    coordinate is never solved twice.  A coordinate no pmf charges yet is
+    always solved first, so the first unbounded coordinate in support
+    order is found.
     """
-    ls.check_conforms(m)
     support = m.support()
+    lower = [max(col) for col in zip(*cover)] if cover else [ZERO] * len(support)
     best: Fraction = ZERO
     attaining = None
-    cover: list[tuple[Fraction, ...]] = []
-    lower = [ZERO] * len(support)
-    # With no gains there is no program to solve, and c* = 0.
-    unsolved = list(range(len(support))) if ls.basis else []
-    while unsolved:
-        i = min(unsolved, key=lambda j: lower[j])
-        unsolved.remove(i)
-        out = solve(ratio_bound_lp(m, ls, support[i]))
+
+    def attain(coeffs: Sequence[Fraction], x: RandVar) -> None:
+        nonlocal best, attaining
+        values = [x.at(c) for c in support]
+        top = max(values)
+        if attaining is None or top > best:
+            best = top
+            attaining = {
+                "coefficients": coeffs,
+                "x": x,
+                "coord": support[values.index(top)],
+            }
+
+    for coeffs, x in gains:
+        attain(coeffs, x)
+    # With no generators there is no program to solve, and c* = 0.
+    while ls.basis and (attaining is None or (1 + best) * min(lower) < 1):
+        i = min(range(len(support)), key=lower.__getitem__)
+        out = _solve(ratio_bound_lp(m, ls, support[i]))
         if isinstance(out, Unbounded):
-            ray_gain = ls.combine(out.ray)
-            total = sum((ray_gain.at(c) for c in support), ZERO)
-            return Verdict(
-                "(5)",
-                False,
-                certs.witness(
-                    coefficients=out.ray,
-                    x=ray_gain,
-                    claim="nonnegative_direction",
-                    amount=total,
-                ),
-                "no finite ratio bound: the attached direction is a nonzero "
-                "nonnegative gain.",
-            )
+            return _unbounded_ratio(m, out.ray, ls.combine(out.ray))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
         # The dual weights sit on ">=" rows, so they are <= 0.
@@ -430,16 +560,7 @@ def cstar_verdict(m: Model, ls: LinSpace) -> Verdict:
         if pmf not in cover:
             cover.append(pmf)
         lower = [max(a, b) for a, b in zip(lower, pmf)]
-        if attaining is None or out.value > best:
-            best = out.value
-            attaining = {
-                "coefficients": out.primal,
-                "x": ls.combine(out.primal),
-                "coord": support[i],
-            }
-        least_qmax = 1 / (1 + best)
-        if all(lower[j] >= least_qmax for j in unsolved):
-            break
+        attain(out.primal, ls.combine(out.primal))
     return Verdict(
         "(5)",
         True,
@@ -515,9 +636,8 @@ def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
     ls.check_conforms(m)
     check_weight(m, y)
     weighted = weighted_space(m, ls, y)
-    cstar = cstar_verdict(m, weighted)
-    emfap = find_emfap(m, weighted) if cstar.holds else None
-    return weighted_ratio_from(m, y, cstar, emfap)
+    mm = min_mass(m, weighted)
+    return weighted_ratio_from(m, y, cstar_verdict(m, weighted, mm), mm.verdict)
 
 
 def check_condition8(m: Model, ls: LinSpace) -> Verdict:
@@ -542,10 +662,43 @@ def check_condition8(m: Model, ls: LinSpace) -> Verdict:
     return Verdict("(8)", holds, certs.tail_values(tails), narrative)
 
 
+def _representation(
+    m: Model,
+    coords: Sequence[int],
+    gambles: Sequence[RandVar],
+    previsions: Sequence[Fraction],
+    acmfap: Verdict | None,
+) -> Optimal | Infeasible:
+    """The outcome of ``coherence_lp(coords, gambles, previsions)``.
+
+    ``acmfap`` is a (4) verdict whose generators are ``gambles``.  Where
+    the program is the (4) program (the support in support order, zero
+    previsions), the outcome is read off that verdict with no solve.  A
+    holding (4) gives a feasible point.  A failing (4) gain ``x`` with
+    coefficients ``b`` and ``ess sup x = a < 0`` gives the Farkas weights
+    ``(a, -b)``: they combine the rows to ``a - x >= 0`` on the support,
+    against the bound ``a < 0``.
+    """
+    if acmfap is not None and tuple(coords) == m.support() and not any(previsions):
+        cert = acmfap.certificate
+        if acmfap.holds:
+            weights = certs.support_weights(m, certs.fap_from_payload(cert["fap"]))
+            zeros = (ZERO,) * (1 + len(gambles))
+            return Optimal(ZERO, tuple(weights[c] for c in coords), zeros)
+        return Infeasible(
+            (rat(cert["amount"]),) + tuple(-rat(c) for c in cert["coefficients"])
+        )
+    out = _solve(coherence_lp(coords, gambles, previsions))
+    if isinstance(out, Unbounded):  # pragma: no cover - zero objective
+        raise AssertionError("a feasibility program is never unbounded")
+    return out
+
+
 def check_coherence(
     gambles: Sequence[RandVar],
     previsions: Sequence[RationalLike],
     m: Model,
+    acmfap: Verdict | None = None,
 ) -> Verdict:
     """de Finetti coherence of previsions on a finite list of gambles.
 
@@ -553,6 +706,8 @@ def check_coherence(
     coherence coordinates reproduces every prevision.  Incoherent means a
     sure-loss bet exists: stakes under which the bettor's gain
     ``sum c_d (X_d - E_d)`` is strictly positive at every coordinate.
+    A (4) verdict on the gambles as generators decides it where the two
+    programs are equal (see :func:`_representation`).
     """
     gambles = tuple(gambles)
     previsions = tuple(rat(e) for e in previsions)
@@ -563,12 +718,21 @@ def check_coherence(
     for x in gambles:
         x.check_conforms(m)
     coords = coherence_coords(m)
-    out = solve(coherence_lp(coords, gambles, previsions))
+    out = _representation(m, coords, gambles, previsions, acmfap)
     if isinstance(out, Optimal):
-        return _coherent(m, coords, out.primal, previsions)
-    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
-    return _incoherent(*_sure_loss(coords, gambles, previsions, out.farkas), previsions)
+        return Verdict(
+            "coherence",
+            True,
+            certs.representing_fap(_representing_fap(m, coords, out.primal), previsions),
+            "coherent: the attached probability reproduces every prevision.",
+        )
+    stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
+    return Verdict(
+        "coherence",
+        False,
+        certs.sure_loss_bet(stakes, win, previsions),
+        f"incoherent: the attached stakes win at least {win} at every coordinate.",
+    )
 
 
 def _sure_loss(
@@ -581,69 +745,8 @@ def _sure_loss(
     infeasible representation program over ``coords``) and their least
     win ``min sum c_d (X_d - E_d)`` over ``coords``, which is positive."""
     stakes = tuple(farkas[1:])
-    win = min(
-        sum(
-            (c * (x.at(coord) - e) for c, x, e in zip(stakes, gambles, previsions)),
-            ZERO,
-        )
-        for coord in coords
-    )
-    return stakes, win
-
-
-def _incoherent(
-    stakes: Sequence[Fraction], win: Fraction, previsions: Sequence[Fraction]
-) -> Verdict:
-    return Verdict(
-        "coherence",
-        False,
-        certs.sure_loss_bet(stakes, win, previsions),
-        "incoherent: the attached stakes win at least "
-        f"{win} at every coordinate.",
-    )
-
-
-def _coherent(
-    m: Model,
-    coords: Sequence[int],
-    weights: Sequence[Fraction],
-    previsions: Sequence[Fraction],
-) -> Verdict:
-    return Verdict(
-        "coherence",
-        True,
-        certs.representing_fap(_representing_fap(m, coords, weights), previsions),
-        "coherent: the attached probability reproduces every prevision.",
-    )
-
-
-def coherence_from(
-    m: Model,
-    gambles: Sequence[RandVar],
-    previsions: Sequence[RationalLike],
-    dominance: Verdict,
-) -> Verdict | None:
-    """Coherence read off a (7) verdict on the same gambles and
-    previsions, when the representation program that decided it on the
-    least event is the coherence program; None otherwise.
-
-    Equal programs have the same outcome.  A holding (7) puts the
-    coherence weights, in order, on the least event; a failing one has
-    the stakes negated as its gain and the win negated as its amount.
-    """
-    cert = dominance.certificate
-    least = sorted(certs.event_from_payload(cert["event"]))
-    coords = coherence_coords(m)
-    if coherence_lp(least, gambles, previsions) != coherence_lp(
-        coords, gambles, previsions
-    ):
-        return None
-    if not dominance.holds:
-        stakes = tuple(-rat(c) for c in cert["coefficients"])
-        return _incoherent(stakes, -rat(cert["amount"]), previsions)
-    p = certs.fap_from_payload(cert["fap"])
-    weights = [p.ca_tail if c == TAIL else p.ca_mass[c] for c in least]
-    return _coherent(m, coords, weights, previsions)
+    win = min(dot(stakes, [x.at(coord) for x in gambles]) for coord in coords)
+    return stakes, win - dot(stakes, previsions)
 
 
 def check_event_dominance(
@@ -651,6 +754,7 @@ def check_event_dominance(
     previsions: Sequence[RationalLike],
     events: Sequence[Sequence[int]],
     m: Model,
+    acmfap: Verdict | None = None,
 ) -> Verdict:
     """Event-wise dominance (7): ``sup_A X >= E(X)`` for every gain and
     every event of an intersection-closed family.
@@ -660,7 +764,10 @@ def check_event_dominance(
     with total mass on that event: every event contains the least one,
     so ``sup_A X >= sup_least X >= E(X)``.  When there is none, the
     Farkas stakes win at every least-event coordinate, so the gain with
-    the stakes negated violates dominance on the least event.
+    the stakes negated violates dominance on the least event.  The least
+    event is weighted in support order, the tail last, so that on default
+    inputs the program is the (4) program and a (4) verdict on ``d``
+    decides it (see :func:`_representation`).
     """
     previsions = tuple(rat(e) for e in previsions)
     d.check_conforms(m)
@@ -686,8 +793,8 @@ def check_event_dominance(
                     f"{sorted(a)} and {sorted(b)}"
                 )
     least = frozenset.intersection(*family)
-    coords = sorted(least)
-    out = solve(coherence_lp(coords, d.basis, previsions))
+    coords = sorted(least, key=lambda c: (c == TAIL, c))
+    out = _representation(m, coords, d.basis, previsions, acmfap)
     if isinstance(out, Optimal):
         return Verdict(
             "(7)",
@@ -699,8 +806,6 @@ def check_event_dominance(
             "on the least event, reproduces the previsions, and gives every "
             "event total mass.",
         )
-    if not isinstance(out, Infeasible):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
     stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
     coeffs = tuple(-c for c in stakes)
     return Verdict(

@@ -292,41 +292,41 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     m, ls = doc.model, doc.lin_space
     extras = doc.extras()
     verdicts: dict[str, Verdict] = {}
-    verdicts["(3)"] = checkers.find_emfap(m, ls)
-    if verdicts["(3)"].holds:
-        # (3) implies (4) and (6): its functional certifies both unsolved.
-        verdicts["(4)"] = checkers.acmfap_from(m, verdicts["(3)"])
-        verdicts["(6)"] = checkers.no_arbitrage_from(m, ls, verdicts["(3)"])
-    else:
-        verdicts["(4)"] = checkers.check_acmfap(m, ls)
-        verdicts["(6)"] = checkers.check_no_arbitrage(m, ls)
-    verdicts["(5)"] = checkers.cstar_verdict(m, ls)
-    if not m.has_tail:
-        # The unit weight leaves the family as it is: (5*) is (5) and (3).
-        extras["weight"] = weight = constant(1, m)
-        check_weight(m, weight)
-        verdicts["(5*)"] = checkers.weighted_ratio_from(
-            m, weight, verdicts["(5)"], verdicts["(3)"]
+    with checkers.solving_once():
+        # One (3) solve decides (3), (4), (6) and (10); where (3) fails it
+        # decides (5) too, and where it holds it starts the (5) sweep.
+        mm = checkers.min_mass(m, ls)
+        verdicts["(3)"] = emfap = mm.verdict
+        verdicts["(4)"] = acm = checkers.acmfap_from(m, mm)
+        verdicts["(5)"] = checkers.cstar_verdict(m, ls, mm)
+        verdicts["(6)"] = checkers.no_arbitrage_from(m, ls, mm)
+        if not m.has_tail:
+            # The unit weight leaves the family as it is: (5*) is (5) and (3).
+            extras["weight"] = weight = constant(1, m)
+            check_weight(m, weight)
+            verdicts["(5*)"] = checkers.weighted_ratio_from(
+                m, weight, verdicts["(5)"], emfap
+            )
+        # On default inputs (7) and coherence are read off (4).
+        verdicts["(7)"] = checkers.check_event_dominance(
+            ls, doc.previsions, doc.events, m, acm
         )
-    verdicts["(7)"] = checkers.check_event_dominance(
-        ls, doc.previsions, doc.events, m
-    )
-    if m.has_tail:
-        verdicts["(8)"] = checkers.check_condition8(m, ls)
-    # The cone of (10) is polyhedral here, hence closed: (10) is (6).
-    verdicts["(10)"] = checkers.norm_closure_from(verdicts["(6)"])
-    if ls.basis:
-        coherence = checkers.coherence_from(
-            m, ls.basis, doc.previsions, verdicts["(7)"]
-        )
-        if coherence is None:
-            coherence = checkers.check_coherence(ls.basis, doc.previsions, m)
-        verdicts["coherence"] = coherence
+        if m.has_tail:
+            verdicts["(8)"] = checkers.check_condition8(m, ls)
+        # The cone of (10) is polyhedral here, hence closed: (10) is (6).
+        verdicts["(10)"] = checkers.norm_closure_from(verdicts["(6)"])
+        if ls.basis:
+            verdicts["coherence"] = checkers.check_coherence(
+                ls.basis, doc.previsions, m, acm
+            )
 
-    emfap, na, acm = verdicts["(3)"], verdicts["(6)"], verdicts["(4)"]
+    na = verdicts["(6)"]
     if emfap.holds and not na.holds:
         raise AuditError("implication audit failed: equivalent martingale "
                          "functional without no-arbitrage")
+    if na.holds and not emfap.holds:
+        raise AuditError("implication audit failed: no-arbitrage without an "
+                         "equivalent martingale functional")
     if na.holds and not acm.holds:
         raise AuditError("implication audit failed: no-arbitrage without a "
                          "nonnegative-essential-supremum verdict")

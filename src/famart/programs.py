@@ -89,38 +89,32 @@ def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
     return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
 
 
-def martingale_mass_lp(m: Model, ls: LinSpace, strict: bool) -> LinearProgram:
-    """Weights on the essential support that kill every generator.
+def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """Weights on the essential support that kill every generator, with
+    the least weight maximized.
 
-    Strict form: weights ``w_c = s_c + t`` with slack variables
-    ``s_c >= 0`` and the common floor ``t`` maximized, so the optimum is
-    the largest attainable minimum weight; it is positive exactly when a
-    strictly positive (equivalent) solution exists.  Relaxed form: plain
-    nonnegative weights, feasibility only.
+    Weights ``w_c = s_c + t`` with slack variables ``s_c >= 0`` and the
+    common floor ``t`` maximized, so the optimum is the largest
+    attainable minimum weight; it is positive exactly when a strictly
+    positive (equivalent) solution exists.  (Plain nonnegative weights,
+    with no floor, are :func:`coherence_lp` over the support with zero
+    previsions.)
 
     Variables are ordered support-first (charged states, then the tail
-    when charged), with ``t`` last in the strict form.
+    when charged), with ``t`` last.
     """
     support = m.support()
     ns = len(support)
-    nvars = ns + (1 if strict else 0)
-    lower: list[Fraction | None] = [ZERO] * ns + ([None] if strict else [])
-    rows = []
-    # Total mass one.
-    coeffs = [Fraction(1)] * ns + ([Fraction(ns)] if strict else [])
-    rows.append((tuple(coeffs), EQ, Fraction(1)))
-    # Zero expectation per generator.
-    for x in ls.basis:
+    rows = [((Fraction(1),) * ns + (Fraction(ns),), EQ, Fraction(1))]  # mass one
+    for x in ls.basis:  # zero expectation per generator
         vals = [x.at(c) for c in support]
-        coeffs = vals + ([sum(vals, ZERO)] if strict else [])
-        rows.append((tuple(coeffs), EQ, ZERO))
-    objective = [ZERO] * ns + ([Fraction(1)] if strict else [])
+        rows.append((tuple(vals + [sum(vals, ZERO)]), EQ, ZERO))
     return LinearProgram(
-        objective=tuple(objective),
+        objective=(ZERO,) * ns + (Fraction(1),),
         maximize=True,
         constraints=rows,
-        lower=tuple(lower),
-        upper=(None,) * nvars,
+        lower=(ZERO,) * ns + (None,),
+        upper=(None,) * (ns + 1),
     )
 
 
@@ -195,8 +189,9 @@ def coherence_lp(
     """Feasibility: a probability weighting over ``coords``, one variable
     per coordinate in the given order, reproducing every prevision.
 
-    Coherence weights the :func:`coherence_coords`; the representation
-    behind (7) weights the least event of the family.
+    Coherence weights the :func:`coherence_coords`, the representation
+    behind (7) weights the least event of the family, and (4) weights the
+    support with zero previsions.
     """
     n = len(coords)
     rows = [((Fraction(1),) * n, EQ, Fraction(1))]

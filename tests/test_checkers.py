@@ -12,7 +12,7 @@ from famart import certificates, checkers, programs
 from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
 from famart.fap import Fap, from_p0, is_equivalent
-from famart.lp import Infeasible, solve
+from famart.lp import Infeasible, Unbounded, solve, verify_outcome
 from famart.spaces import (
     example_bp,
     example_dmw,
@@ -302,6 +302,66 @@ def test_cstar_cover_holds_no_repeated_pmf():
             assert len({tuple(q) for q in cover}) == len(cover)
 
 
+def _sweep_steps(monkeypatch, m, ls, seeded):
+    """The (5) verdict and, per ratio solve in order, whether its pmf was
+    already in the cover and its value."""
+    solved = []
+    ratio_lps = {}
+    build = checkers.ratio_bound_lp
+
+    def building(m_, ls_, coord):
+        lp = build(m_, ls_, coord)
+        ratio_lps[id(lp)] = (lp, m_.support().index(coord))  # keeps the id live
+        return lp
+
+    def solving(lp):
+        out = solve(lp)
+        if id(lp) in ratio_lps and not isinstance(out, Unbounded):
+            i = ratio_lps[id(lp)][1]
+            pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
+            solved.append((pmf, out.value))
+        return out
+
+    monkeypatch.setattr(checkers, "ratio_bound_lp", building)
+    monkeypatch.setattr(checkers, "solve", solving)
+    if seeded:
+        v = checkers.cstar_verdict(m, ls, checkers.min_mass(m, ls))
+    else:
+        v = checkers.cstar_verdict(m, ls)
+    monkeypatch.undo()
+    cover = []
+    if seeded and v.holds and ls.basis:  # the (3) pmf starts the cover
+        cover.append(tuple(v.certificate["cover"][0]))
+    steps = []
+    for pmf, value in solved:
+        known = tuple(certificates.rat_str(w) for w in pmf) in cover
+        steps.append((known, value))
+        cover.append(tuple(certificates.rat_str(w) for w in pmf))
+    return v, steps
+
+
+@pytest.mark.parametrize("seeded", [True, False], ids=["seeded", "unseeded"])
+def test_cstar_sweep_solves_a_known_pmf_only_to_attain_cstar(monkeypatch, seeded):
+    # A ratio solve whose pmf the cover already holds adds no lower bound;
+    # the sweep makes one only when the coordinate's bound is already
+    # exact but no gain yet attains it.  That solve attains c*, so it is
+    # the last.  On bp N=5 k=2 the unseeded sweep's 4th solve repeats its
+    # 1st pmf; started from the (3) solve, no bp or dmw model solves a
+    # ratio program at all.
+    models = [_bp(5, 2)[:2], _bp(8, 4)[:2], _bp(40, 38)[:2], _dmw(F(1, 3), 3), _dmw(F(1, 3), 5)]
+    models += [random_finite_model(seed) for seed in range(200)]
+    repeats = 0
+    for n, (m, ls) in enumerate(models):
+        v, steps = _sweep_steps(monkeypatch, m, ls, seeded)
+        if seeded and n < 5:
+            assert steps == []
+        for k, (known, value) in enumerate(steps):
+            if known:
+                repeats += 1
+                assert k == len(steps) - 1 and value == F(v.certificate["value"])
+    assert repeats > 0
+
+
 def _unique_solution(rows, rhs):
     """The unique solution of a linear system by exact Gauss-Jordan
     elimination, or None when it has none or more than one."""
@@ -575,52 +635,113 @@ def test_event_dominance_solves_the_representation_first(monkeypatch):
     )
 
 
-def test_coherence_from_moves_shared_weights_onto_coherence_coords():
+def _counting_solves(monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(checkers, "solve", counting)
+    return calls
+
+
+def test_equal_dominance_and_coherence_programs_are_solved_once(monkeypatch):
     # The least event {0, 2} is not the coherence coordinates (0, 1), but
     # the generator agrees at states 1 and 2, so the two programs are
     # equal and the (7) weights carry over coordinate by coordinate.
     m = Model((F(1, 2), F(1, 2), F(0)))
     ls = _span((F(1), F(-1), F(-1)))
-    dominance = checkers.check_event_dominance(ls, [F(0)], [(0, 2)], m)
-    shared = checkers.coherence_from(m, ls.basis, [F(0)], dominance)
-    assert shared == checkers.check_coherence(ls.basis, [F(0)], m)
+    fresh = checkers.check_coherence(ls.basis, [F(0)], m)
+    calls = _counting_solves(monkeypatch)
+    with checkers.solving_once():
+        dominance = checkers.check_event_dominance(ls, [F(0)], [(0, 2)], m)
+        shared = checkers.check_coherence(ls.basis, [F(0)], m)
+    assert len(calls) == 1
+    assert shared == fresh
     assert shared.certificate["fap"] != dominance.certificate["fap"]
     assert validate_verdict(m, ls, shared.to_dict(), {"previsions": [F(0)]})
 
 
-def test_coherence_from_declines_a_different_or_failing_program():
-    # On a tail model the least event lists the tail first and the
-    # coherence coordinates list it last: different programs.
-    m, ls, _ = _bp()
-    previsions = [F(0)] * len(ls.basis)
-    dominance = checkers.check_event_dominance(ls, previsions, [m.support()], m)
-    assert dominance.holds
-    assert checkers.coherence_from(m, ls.basis, previsions, dominance) is None
-    # A failing (7) on the least event {1} solved a program over one
+def test_different_dominance_and_coherence_programs_are_each_solved(monkeypatch):
+    # A failing (7) on the least event {1} solves a program over one
     # coordinate; coherence weights two.
     m = _two_state()
     ls = _span((F(1), F(0)))
-    failing = checkers.check_event_dominance(ls, [F(1)], [(1,)], m)
-    assert not failing.holds
-    assert checkers.coherence_from(m, ls.basis, [F(1)], failing) is None
+    calls = _counting_solves(monkeypatch)
+    with checkers.solving_once():
+        failing = checkers.check_event_dominance(ls, [F(1)], [(1,)], m)
+        coherence = checkers.check_coherence(ls.basis, [F(1)], m)
+    assert not failing.holds and coherence.holds
+    assert len(calls) == 2
+    # On a tail model the least event is weighted in support order, the
+    # tail last, as the coherence coordinates are: one program.
+    m, ls, _ = _bp()
+    previsions = [F(0)] * len(ls.basis)
+    calls.clear()
+    with checkers.solving_once():
+        dominance = checkers.check_event_dominance(ls, previsions, [m.support()], m)
+        coherence = checkers.check_coherence(ls.basis, previsions, m)
+    assert dominance.holds and coherence.holds
+    assert len(calls) == 1
 
 
-def test_coherence_from_relabels_a_failing_dominance_on_the_same_program():
+def test_a_failing_dominance_program_shared_with_coherence_is_solved_once(monkeypatch):
     # The least event is the coherence coordinates, so the infeasible
     # representation program is the coherence program: the sure-loss
     # stakes are the (7) gain's coefficients negated, the win its amount.
     m = Model((F(1, 2), F(1, 4), F(1, 4)))
     ls = _span((F(1), F(0), F(-1)), (F(0), F(1), F(1)))
     previsions = [F(2), F(-1)]
-    failing = checkers.check_event_dominance(ls, previsions, [(0, 1, 2)], m)
+    calls = _counting_solves(monkeypatch)
+    with checkers.solving_once():
+        failing = checkers.check_event_dominance(ls, previsions, [(0, 1, 2)], m)
+        shared = checkers.check_coherence(ls.basis, previsions, m)
     assert not failing.holds
-    shared = checkers.coherence_from(m, ls.basis, previsions, failing)
+    assert len(calls) == 1
     assert shared == checkers.check_coherence(ls.basis, previsions, m)
     assert [F(c) for c in shared.certificate["stakes"]] == [
         -F(c) for c in failing.certificate["coefficients"]
     ]
     assert F(shared.certificate["guaranteed_win"]) == -F(failing.certificate["amount"])
     assert validate_verdict(m, ls, shared.to_dict(), {"previsions": previsions})
+
+
+@pytest.mark.parametrize(
+    "example", [lambda: _bp()[:2], lambda: _dmw(F(1, 3), 3), lambda: _span_model()],
+    ids=["bp-holding", "dmw-holding", "failing"],
+)
+def test_dominance_and_coherence_read_off_4_on_default_inputs(monkeypatch, example):
+    # With zero previsions and the support as the least event, the (7)
+    # and coherence programs are the (4) program: a (4) verdict decides
+    # both, holding or failing, with no solve.
+    m, ls = example()
+    zeros = [F(0)] * len(ls.basis)
+    acm = checkers.check_acmfap(m, ls)
+    fresh = (
+        checkers.check_event_dominance(ls, zeros, [m.support()], m),
+        checkers.check_coherence(ls.basis, zeros, m),
+    )
+    calls = _counting_solves(monkeypatch)
+    derived = (
+        checkers.check_event_dominance(ls, zeros, [m.support()], m, acm),
+        checkers.check_coherence(ls.basis, zeros, m, acm),
+    )
+    assert calls == []
+    # The outcome read off (4) is a valid outcome of the (4) program.
+    program = programs.coherence_lp(m.support(), ls.basis, zeros)
+    read_off = checkers._representation(m, m.support(), ls.basis, zeros, acm)
+    assert verify_outcome(program, read_off)
+    extras = {"previsions": zeros, "events": [m.support()]}
+    for d, f in zip(derived, fresh):
+        assert d.holds == f.holds == acm.holds
+        assert validate_verdict(m, ls, d.to_dict(), extras)
+
+
+def _span_model():
+    # A gain positive on the support: (4) fails.
+    m = Model((F(1, 2), F(1, 4), F(1, 4)))
+    return m, _span((F(1), F(2), F(1)), (F(1), F(-1), F(0)))
 
 
 def test_event_dominance_representation_on_least_event():

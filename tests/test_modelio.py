@@ -11,9 +11,10 @@ from famart import checkers, programs
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
-from famart.lp import Infeasible, Unbounded, solve
+from famart.lp import Infeasible, Optimal, Unbounded, solve
 from famart.modelio import (
     CONDITION_ORDER,
+    AuditError,
     build_report,
     model_digest,
     parse_model,
@@ -177,6 +178,38 @@ def test_report_audit_never_fires_on_fuzz_corpus():
         assert all(report["implications"].values())
 
 
+def _harmonic_doc(n):
+    m, ls = example_harmonic(n)
+    return serialize_model(m, lin_space=ls)
+
+
+def _dmw_doc(n):
+    m, f, s = example_dmw(F(1, 3), n)
+    return serialize_model(m, filtration=f, process=s)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # (3) fails on the harmonic model: a holding (6) contradicts it.
+        (_harmonic_doc(4), "no-arbitrage without an equivalent"),
+        # (3) holds on dmw: a failing (6) contradicts it.
+        (_dmw_doc(2), "functional without no-arbitrage"),
+    ],
+    ids=["6-without-3", "3-without-6"],
+)
+def test_report_audit_fires_on_contradicting_verdicts(monkeypatch, doc, message):
+    no_arbitrage_from = checkers.no_arbitrage_from
+
+    def flipped(m, ls, mm):
+        v = no_arbitrage_from(m, ls, mm)
+        return checkers.Verdict(v.condition, not v.holds, v.certificate, v.narrative)
+
+    monkeypatch.setattr(checkers, "no_arbitrage_from", flipped)
+    with pytest.raises(AuditError, match=message):
+        build_report(_roundtrip(doc))
+
+
 def test_report_builds_the_arbitrage_program_once(monkeypatch):
     builds = []
 
@@ -196,11 +229,11 @@ def test_report_builds_the_arbitrage_program_once(monkeypatch):
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
-    # Three solves: the min-mass program of (3), one ratio program of the
-    # (5) sweep, and the (7) representation on the least event, which is
-    # the support here and so also the coherence program.  (5*) is read
-    # off (5) and (3), and (4), (6) and (10) off the (3) functional.
-    # Solving (5*) afresh took 24 solves on this model.
+    # One solve: the min-mass program of (3).  Its functional certifies
+    # (4) and (6), and through (4) also (7) and coherence, whose program
+    # on the least event (the support here) is the (4) program.  Its dual
+    # gain attains c*, so the (5) sweep solves no ratio program, and (5*)
+    # is read off (5) and (3).  Solving (5*) afresh took 24 solves here.
     calls = []
 
     def counting(lp):
@@ -211,16 +244,16 @@ def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
     monkeypatch.setattr(checkers, "solve", counting)
     m, f, s = example_dmw(F(1, 3), 3)
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     "example, solves",
     [
-        # (3), three ratio solves, the (7) representation, coherence.
-        (lambda: example_bp(40, 38)[:3], 6),
-        # (3), one ratio solve, the (7) representation shared with coherence.
-        (lambda: example_dmw(F(1, 3), 5), 3),
+        # (3) only: its dual gain attains c* (three ratio solves before),
+        # and (7) and coherence are read off the (4) that (3) certifies.
+        (lambda: example_bp(40, 38)[:3], 1),
+        (lambda: example_dmw(F(1, 3), 5), 1),
     ],
     ids=["bp-40-38", "dmw-5"],
 )
@@ -238,6 +271,95 @@ def test_report_solves_per_model(monkeypatch, example, solves):
     assert len(calls) == solves
 
 
+def _counted_reports(monkeypatch, docs):
+    """Each doc with its report and the programs the report solved."""
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    solve = checkers.solve
+    monkeypatch.setattr(checkers, "solve", counting)
+    for doc in docs:
+        calls.clear()
+        report = build_report(doc)
+        yield doc, report, list(calls)
+
+
+def test_reports_on_finite_random_models_solve_few_programs(monkeypatch):
+    # Seeds 0-287 took 1450 solves while (4), (5), (6), (7) and coherence
+    # each solved a program of their own; 454 now.
+    docs = [_roundtrip(serialize_model(*random_finite_model(seed))) for seed in range(288)]
+    total = sum(len(calls) for _, _, calls in _counted_reports(monkeypatch, docs))
+    assert total == 454
+
+
+def _duplicate_rows_doc():
+    # States 0 and 1 carry the same generator values, so their ratio
+    # programs are one program; the previsions are not zero and the
+    # events default to the support, so the (7) program on the least
+    # event is the coherence program but not the (4) program.
+    m = Model((F(1, 4), F(1, 4), F(1, 4), F(1, 4)))
+    ls = LinSpace((RandVar((F(1), F(1), F(-1), F(0))), RandVar((F(0), F(0), F(1), F(-2)))))
+    return _roundtrip(serialize_model(m, lin_space=ls, previsions=(F(0), F(-1, 4))))
+
+
+def test_no_report_solves_a_program_twice(monkeypatch):
+    docs = [parse_model(doc) for doc in _pinned_model_files()]
+    docs.append(_duplicate_rows_doc())
+    for doc, report, calls in _counted_reports(monkeypatch, docs):
+        assert len(set(calls)) == len(calls)
+    # The last doc: (3), then the sweep at states 0, 1 and 3, where state
+    # 1 reuses the program of state 0, then the program (7) and coherence
+    # share.
+    rows = {v["condition"]: v for v in report["verdicts"]}
+    assert rows["(7)"]["holds"] and rows["coherence"]["holds"]
+    assert len(rows["(5)"]["certificate"]["cover"]) == 3 and len(calls) == 4
+
+
+def _differential_docs():
+    for seed in range(400):
+        m, ls = random_finite_model(seed)
+        yield _roundtrip(serialize_model(m, lin_space=ls))
+    for n, k in ((5, 2), (8, 4), (40, 38)):
+        m, f, s, _q = example_bp(n, k)
+        yield _roundtrip(serialize_model(m, filtration=f, process=s))
+    for n in (3, 5):
+        m, f, s = example_dmw(F(1, 3), n)
+        yield _roundtrip(serialize_model(m, filtration=f, process=s))
+    m, ls = example_harmonic(5)
+    yield _roundtrip(serialize_model(m, lin_space=ls))
+
+
+def test_report_verdicts_match_the_per_condition_programs():
+    # The report reads (4), (5), (6), (7), (10) and coherence off the (3)
+    # solve.  Each verdict, and c*, must match the program that decides
+    # the condition on its own: check_acmfap's representation program,
+    # the ratio sweep started from nothing, and the arbitrage program.
+    seen = set()
+    for doc in _differential_docs():
+        m, ls = doc.model, doc.lin_space
+        rows = {v["condition"]: v for v in build_report(doc)["verdicts"]}
+        fresh_5 = checkers.cstar_verdict(m, ls)
+        arbitrage = ls.basis and isinstance(solve(programs.arbitrage_lp(m, ls)), Optimal)
+        expected = {
+            "(4)": checkers.check_acmfap(m, ls).holds,
+            "(5)": fresh_5.holds,
+            "(6)": not arbitrage,
+            "(10)": not arbitrage,
+            "(7)": checkers.check_event_dominance(ls, doc.previsions, doc.events, m).holds,
+        }
+        if ls.basis:
+            expected["coherence"] = checkers.check_coherence(ls.basis, doc.previsions, m).holds
+        for cond, holds in expected.items():
+            assert rows[cond]["holds"] == holds, cond
+        assert rows["(3)"]["holds"] == rows["(6)"]["holds"]
+        assert _cstar_of(rows["(5)"]) == _cstar_of(fresh_5.to_dict())
+        seen.update((cond, row["holds"]) for cond, row in rows.items())
+    assert {(c, h) for c in ("(3)", "(4)", "(5)", "(7)") for h in (True, False)} <= seen
+
+
 def _model_docs():
     for seed in range(200):
         m, ls = random_finite_model(seed)
@@ -247,25 +369,22 @@ def _model_docs():
 
 
 def test_4_and_6_read_off_3_agree_with_fresh_checks():
-    holding = 0
+    outcomes = set()
     for doc in _model_docs():
         m, ls = doc.model, doc.lin_space
-        emfap = checkers.find_emfap(m, ls)
-        if not emfap.holds:
-            with pytest.raises(InvalidInput, match="holding \\(3\\)"):
-                checkers.acmfap_from(m, emfap)
-            continue
-        holding += 1
+        mm = checkers.min_mass(m, ls)
         for derived, fresh in (
-            (checkers.acmfap_from(m, emfap), checkers.check_acmfap(m, ls)),
-            (checkers.no_arbitrage_from(m, ls, emfap), checkers.check_no_arbitrage(m, ls)),
+            (checkers.acmfap_from(m, mm), checkers.check_acmfap(m, ls)),
+            (checkers.no_arbitrage_from(m, ls, mm), checkers.check_no_arbitrage(m, ls)),
         ):
             assert derived.condition == fresh.condition
             assert derived.holds == fresh.holds
             assert validate_verdict(m, ls, derived.to_dict())
-        relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, ls, emfap))
+        relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, ls, mm))
         assert validate_verdict(m, ls, relabelled.to_dict())
-    assert holding > 50
+        outcomes.add((mm.verdict.holds, checkers.acmfap_from(m, mm).holds))
+    # (3) holds; (3) fails where (4) holds (least weight zero); both fail.
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_4_and_7_agree_with_the_programs_they_replaced():
@@ -497,7 +616,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "604e5473fa419200acba2d7fcf379dc58097a3da8067d36406f06b02112a74cc"
+REPORT_DIGEST = "19d3794f886c1177012f86c406d66af690c87dbc2527d4af4cf053d7e07ba3db"
 
 
 def _cstar_of(row):
@@ -509,8 +628,9 @@ def _cstar_of(row):
 
 def test_verdict_digest_is_pinned():
     # Verdicts and c* only, plus the full certificate of every failing
-    # (5) and (5*) row: these do not depend on which ratio programs the
-    # (5) sweep solves or on the pmfs that certify c*.
+    # (5) and (5*) row, which carries the arbitrage of the (3) solve:
+    # these do not depend on which ratio programs the (5) sweep solves or
+    # on the pmfs that certify c*.
     digest = hashlib.sha256()
     for doc in _pinned_model_files():
         report = build_report(parse_model(json.loads(json.dumps(doc))))
@@ -522,7 +642,7 @@ def test_verdict_digest_is_pinned():
     assert digest.hexdigest() == VERDICT_DIGEST
 
 
-VERDICT_DIGEST = "218d90652dc52aa6cb4e37f70f89b7fab3cf9934cd82291c1917625f93b14207"
+VERDICT_DIGEST = "f85528275ae505e23fff0a3fa95b3b4bfd37e6cf7744808c8b93d90a5666e945"
 
 
 def test_verdicts_and_cstar_digest_is_pinned():
@@ -542,9 +662,10 @@ VERDICTS_AND_CSTAR_DIGEST = "5ea1053a922830f8b41988d25786bd7415dc18ed548395e948a
 
 
 def test_dominance_and_coherence_rows_are_pinned():
-    # The full (7) and coherence rows, certificates included: (7) is
-    # decided by its representation program, and coherence shares it,
-    # holding or failing, whenever the two programs are equal.
+    # The full (7) and coherence rows, certificates included: each is
+    # read off (4) where its program is the (4) program, and otherwise
+    # decided by its representation program, solved once when the two
+    # programs are equal.
     digest = hashlib.sha256()
     for doc in _pinned_model_files():
         report = build_report(parse_model(json.loads(json.dumps(doc))))
@@ -554,7 +675,7 @@ def test_dominance_and_coherence_rows_are_pinned():
     assert digest.hexdigest() == DOMINANCE_COHERENCE_DIGEST
 
 
-DOMINANCE_COHERENCE_DIGEST = "644ccf6e5f8a8f9aa70372daba891bf75b9478ca974ae0b853c37289c638ac30"
+DOMINANCE_COHERENCE_DIGEST = "b0247a14417ea7c41a262315eb8cf692df0587ce835b72c7c37347bada306e42"
 
 
 def test_holding_4_and_7_and_coherence_rows_are_pinned():
@@ -573,4 +694,4 @@ def test_holding_4_and_7_and_coherence_rows_are_pinned():
     assert digest.hexdigest() == HOLDING_AND_COHERENCE_DIGEST
 
 
-HOLDING_AND_COHERENCE_DIGEST = "a50352cb9e21d5642fe98f0bade7e4594b7aea1ddbbb5a00d67ccc8d64cfc893"
+HOLDING_AND_COHERENCE_DIGEST = "4f903017282a33064033bc970763a3671c932abbb1479ad7d223af672e7f6b08"

@@ -42,6 +42,7 @@ def _records():
         doc,
         f,
         s,
+        checkers.min_mass(m, ls),
     ]
 
 
@@ -52,7 +53,7 @@ IDS = [type(r).__name__ for r in RECORDS]
 def test_every_record_class_is_covered():
     assert set(IDS) == {
         "Model", "RandVar", "LinSpace", "Fap", "Constraint", "LinearProgram",
-        "Optimal", "Infeasible", "Unbounded", "Verdict", "DivergenceRow",
+        "Optimal", "Infeasible", "Unbounded", "Verdict", "MinMass", "DivergenceRow",
         "ModelDoc", "Filtration", "AdaptedProcess",
     }
     assert all(isinstance(r, Record) for r in RECORDS)
