@@ -15,30 +15,28 @@ hold) just report False.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Any, Mapping, Sequence
 
 from .core import (
     TAIL,
-    ZERO,
     InvalidInput,
     LinSpace,
     Model,
     RandVar,
-    dot,
-    ess_sup,
-    expect,
+    int_row,
     rat,
+    rat_pair,
     rat_str,
-    sup_norm,
 )
 from .fap import Fap, is_abs_continuous, is_equivalent
 from .lp import (
-    Infeasible,
     LinearProgram,
-    dual_objective,
+    dual_rows,
     farkas_combination,
-    reduced_costs,
-    verify_outcome,
+    farkas_rows,
+    proves_infeasible,
 )
 from .programs import (
     arbitrage_lp,
@@ -46,7 +44,6 @@ from .programs import (
     coherence_coords,
     expectation_bound_lp,
     martingale_mass_lp,
-    weighted_space,
 )
 
 Certificate = dict[str, Any]
@@ -75,17 +72,21 @@ def _get(d: Mapping[str, Any], key: str) -> Any:
         raise CertificateFormat(f"certificate lacks field {key!r}") from exc
 
 
-def _parse_rat(x: Any) -> Fraction:
+def _parse_rat(x: Any) -> tuple[int, int]:
     try:
-        return rat(x)
+        return rat_pair(x)
     except InvalidInput as exc:
         raise CertificateFormat(str(exc)) from exc
 
 
-def _parse_rats(xs: Any) -> tuple[Fraction, ...]:
+def _parse_vec(xs: Any, *more: Any) -> tuple[list[int], int]:
+    """A list of rationals, then any further leaves, as integer numerators
+    over one positive denominator: the form every check below computes in."""
     if not isinstance(xs, (list, tuple)):
         raise CertificateFormat(f"expected a list of rationals, got {xs!r}")
-    return tuple(_parse_rat(x) for x in xs)
+    pairs = [_parse_rat(x) for x in (*xs, *more)]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def rat_strs(xs: Sequence[Any]) -> list[str]:
@@ -100,8 +101,9 @@ def randvar_payload(x: RandVar) -> dict[str, Any]:
 
 
 def randvar_from_payload(d: Mapping[str, Any]) -> RandVar:
-    values = _parse_rats(_get(d, "values"))
-    tail = _parse_rat(d["tail"]) if "tail" in d else None
+    nums, den = _parse_vec(_get(d, "values"))
+    values = [Fraction(n, den) for n in nums]
+    tail = Fraction(*_parse_rat(d["tail"])) if "tail" in d else None
     return RandVar(values, tail)
 
 
@@ -113,9 +115,10 @@ def fap_payload(p: Fap) -> dict[str, Any]:
 
 
 def fap_from_payload(d: Mapping[str, Any]) -> Fap:
-    alpha = _parse_rat(_get(d, "alpha"))
-    mass = _parse_rats(_get(d, "mass"))
-    tail = _parse_rat(d["tail"]) if "tail" in d else None
+    alpha = Fraction(*_parse_rat(_get(d, "alpha")))
+    nums, den = _parse_vec(_get(d, "mass"))
+    mass = [Fraction(n, den) for n in nums]
+    tail = Fraction(*_parse_rat(d["tail"])) if "tail" in d else None
     return Fap(alpha, mass, tail)
 
 
@@ -192,16 +195,16 @@ def farkas_witness(
         "weights": rat_strs(weights),
     }
     if claim == "infeasible":
-        combined, bound = farkas_combination(lp, tuple(weights))
+        combined, bound = farkas_combination(lp, weights)
         out["combined"] = rat_strs(combined)
         out["bound"] = rat_str(bound)
     elif claim in ("max_at_most", "min_at_least"):
-        value = dual_objective(lp, tuple(weights))
+        reduced, value, den = dual_rows(lp, *int_row(weights))
         if value is None:
             raise InvalidInput("weights are not dual feasible")
-        out["dual_value"] = rat_str(value)
+        out["dual_value"] = rat_str(Fraction(value, den))
         out["bound_value"] = rat_str(bound_value)
-        out["reduced"] = rat_strs(reduced_costs(lp, tuple(weights)))
+        out["reduced"] = [rat_str(Fraction(r, den)) for r in reduced]
     else:
         raise InvalidInput(f"unknown farkas claim {claim!r}")
     if extras:
@@ -285,20 +288,70 @@ def cstar_bound(
 # --------------------------------------------------------------------------
 
 
+# Validation computes with integers.  Every coordinate vector, a parsed
+# gain as much as a row of the basis, lists the values at the model's
+# explicit states and then at the tail, when there is one, so ``v[c]``
+# reads coordinate ``c`` for ``TAIL == -1`` too.  ``Rows`` is the basis:
+# one such vector per generator, over one positive denominator.
+Rows = tuple[list[list[int]], int]
+
+
+def _rows(m: Model, ls: LinSpace) -> Rows:
+    ls.check_conforms(m)
+    width = m.n_states + m.has_tail
+    flat, den = int_row([v for x in ls.basis for v in (*x.values, x.tail_value)[:width]])
+    return [flat[k : k + width] for k in range(0, len(flat), width)], den
+
+
+def _parse_gain(d: Any, m: Model) -> tuple[list[int], int]:
+    values = _get(d, "values")
+    out = _parse_vec(values, *([d["tail"]] if "tail" in d else []))
+    if len(values) != m.n_states or ("tail" in d) != m.has_tail:
+        raise InvalidInput("the random variable does not fit the model")
+    return out
+
+
+def _fap_weights(p: Fap) -> tuple[list[int], int]:
+    """The weight the functional ``p`` puts on every coordinate."""
+    a, den = p.alpha.as_integer_ratio()
+    mass, mden = int_row([*p.ca_mass, p.ca_tail] if p.ca_tail is not None else p.ca_mass)
+    weights = [(den - a) * q for q in mass]
+    weights[TAIL] += a * mden  # alpha > 0 only on models with a tail
+    return weights, den * mden
+
+
+def _kills(weights: Sequence[int], rows: Rows) -> bool:
+    return not any(sum(map(mul, weights, row)) for row in rows[0])
+
+
+def _same(a: Sequence[int], aden: int, b: Sequence[int], bden: int) -> bool:
+    return len(a) == len(b) and all(x * bden == y * aden for x, y in zip(a, b))
+
+
+def _equals(num: int, den: int, leaf: Any) -> bool:
+    n, d = _parse_rat(leaf)
+    return num * d == n * den
+
+
+def _matches(a: Sequence[int], aden: int, values: Sequence[Any]) -> bool:
+    """Whether a parsed vector equals context values, compared by value."""
+    return _same(a, aden, *int_row([rat(v) for v in values]))
+
+
 def _validate_combination(
-    ls: LinSpace, coeff_payload: Any, gain_payload: Any, m: Model
-) -> tuple[tuple[Fraction, ...], RandVar] | None:
+    rows: Rows, coeff_payload: Any, gain_payload: Any, m: Model
+) -> tuple[tuple[list[int], int], tuple[list[int], int]] | None:
     """Parse coefficients and gain; confirm the gain is exactly the stated
     combination of the basis (span membership made checkable)."""
-    coeffs = _parse_rats(coeff_payload)
-    x = randvar_from_payload(gain_payload)
-    if len(coeffs) != len(ls.basis):
+    coeffs, cden = _parse_vec(coeff_payload)
+    gain, gden = _parse_gain(gain_payload, m)
+    basis, bden = rows
+    if len(coeffs) != len(basis) or not basis:
         return None
-    x.check_conforms(m)
-    recomputed = ls.combine(coeffs) if ls.basis else None
-    if recomputed is None or recomputed != x:
-        return None
-    return coeffs, x
+    for column, g in zip(zip(*basis), gain):
+        if sum(map(mul, coeffs, column)) * gden != g * cden * bden:
+            return None
+    return (coeffs, cden), (gain, gden)
 
 
 def _bound_params(
@@ -307,8 +360,8 @@ def _bound_params(
     """The pmf Q and constant c of an explicit expectation-bound check, or
     None when they differ from the ones the check was asked about."""
     q = fap_from_payload(_get(cert, "q"))
-    c = _parse_rat(_get(cert, "c"))
-    if "q" in extras and fap_payload(extras["q"]) != _get(cert, "q"):
+    c = Fraction(*_parse_rat(_get(cert, "c")))
+    if "q" in extras and extras["q"] != q:
         return None
     if "c" in extras and rat(extras["c"]) != c:
         return None
@@ -338,32 +391,34 @@ def _validate_farkas(
     builder, lp = _lp_for(cert, m, ls, extras)
     if lp is None:
         return None
-    weights = _parse_rats(_get(cert, "weights"))
+    weights = _parse_vec(_get(cert, "weights"))
     claim = _get(cert, "claim")
     if claim == "infeasible":
-        combo = farkas_combination(lp, weights)
+        combo = farkas_rows(lp, *weights)
         if combo is None:
             return None
-        combined, bound = combo
-        if combined != _parse_rats(_get(cert, "combined")):
+        combined, den = combo
+        if not _same(combined[:-1], den, *_parse_vec(_get(cert, "combined"))):
             return None
-        if bound != _parse_rat(_get(cert, "bound")):
+        if not _equals(combined[-1], den, _get(cert, "bound")):
             return None
-        return (builder, claim) if verify_outcome(lp, Infeasible(weights)) else None
+        return (builder, claim) if proves_infeasible(lp, combined) else None
     if claim in ("max_at_most", "min_at_least"):
-        value = dual_objective(lp, weights)
-        if value is None or value != _parse_rat(_get(cert, "dual_value")):
+        dual = dual_rows(lp, *weights)
+        if dual is None or dual[1] is None:
             return None
-        if reduced_costs(lp, weights) != _parse_rats(_get(cert, "reduced")):
+        reduced, value, den = dual
+        if not _equals(value, den, _get(cert, "dual_value")):
             return None
-        bound = _parse_rat(_get(cert, "bound_value"))
+        if not _same(reduced, den, *_parse_vec(_get(cert, "reduced"))):
+            return None
         # The stored bound must be tight: these certificates state the
-        # exact optimum, not just some valid bound.
-        if claim == "max_at_most":
-            return (builder, claim) if value == bound else None
-        # For a minimization the engine certifies the negated objective:
-        # its maximum equals -bound exactly when the minimum equals bound.
-        return (builder, claim) if value == -bound else None
+        # exact optimum, not just some valid bound.  For a minimization
+        # the engine certifies the negated objective: its maximum equals
+        # -bound exactly when the minimum equals bound.
+        bound = _get(cert, "bound_value")
+        tight = _equals(value if claim == "max_at_most" else -value, den, bound)
+        return (builder, claim) if tight else None
     raise CertificateFormat(f"unknown farkas claim {claim!r}")
 
 
@@ -383,13 +438,10 @@ def _conforming_fap(cert: Mapping[str, Any], m: Model) -> Fap:
     return p
 
 
-def _validate_martingale_fap(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace
-) -> bool:
+def _validate_martingale_fap(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     p = _conforming_fap(cert, m)
-    for x in ls.basis:
-        if expect(p, x) != 0:
-            return False
+    if not _kills(_fap_weights(p)[0], rows):
+        return False
     if bool(_get(cert, "equivalent")) != is_equivalent(p, m):
         return False
     if bool(_get(cert, "abs_continuous")) != is_abs_continuous(p, m):
@@ -397,66 +449,64 @@ def _validate_martingale_fap(
     return True
 
 
-def _validate_separating(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace
-) -> bool:
+def _validate_separating(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     p = _conforming_fap(cert, m)
     if not is_equivalent(p, m) or p.alpha >= 1:
         return False
-    for x in ls.basis:
-        if expect(p, x) != 0:
-            return False
-    weights = support_weights(m, p)
-    minimum = _parse_rat(_get(cert, "minimum_weight"))
-    return bool(weights) and min(weights.values()) == minimum and minimum > 0
+    weights, den = _fap_weights(p)
+    if not _kills(weights, rows):
+        return False
+    minimum, mden = _parse_rat(_get(cert, "minimum_weight"))
+    low = min(weights[c] for c in m.support())
+    return low * mden == minimum * den and minimum > 0
 
 
-def _validate_arbitrage_vector(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace
-) -> bool:
+def _validate_arbitrage_vector(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     combo = _validate_combination(
-        ls, _get(cert, "coefficients"), _get(cert, "gain"), m
+        rows, _get(cert, "coefficients"), _get(cert, "gain"), m
     )
     if combo is None:
         return False
-    _, x = combo
-    for c in m.support():
-        if x.at(c) < 0:
-            return False
-    return ess_sup(x, m) > 0 and sup_norm(x, m) == 1
+    gain, den = combo[1]
+    values = [gain[c] for c in m.support()]
+    # Nonnegative on the support, so ess sup = sup norm = 1 > 0.
+    return min(values) >= 0 and max(values) == den
 
 
 def _validate_witness(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
+    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
     claim = _get(cert, "claim")
-    amount = _parse_rat(_get(cert, "amount"))
+    amount, aden = _parse_rat(_get(cert, "amount"))
     combo = _validate_combination(
-        ls, _get(cert, "coefficients"), _get(cert, "gain"), m
+        rows, _get(cert, "coefficients"), _get(cert, "gain"), m
     )
     if combo is None:
         return False
-    coeffs, x = combo
+    (coeffs, cden), (gain, gden) = combo
+    values = [gain[c] for c in m.support()]
     if claim == "negative_ess_sup":
-        return ess_sup(x, m) == amount and amount < 0
+        return max(values) * aden == amount * gden and amount < 0
     if claim == "nonnegative_direction":
-        support = m.support()
-        if any(x.at(c) < 0 for c in support):
+        if min(values) < 0:
             return False
-        total = sum((x.at(c) for c in support), ZERO)
-        return total == amount and amount > 0
+        return sum(values) * aden == amount * gden and amount > 0
     if claim == "expectation_bound_violated":
         params = _bound_params(cert, m, extras)
-        if params is None or sup_norm(x, m) > 1:
+        if params is None or max(map(abs, values)) > gden:  # sup norm > 1
             return False
         q, c = params
-        value = ess_sup(x.negated(), m) - c * expect(q, x)
-        return value == amount and amount < 0
+        weights, qden = _fap_weights(q)
+        # ess sup(-X) - c E_Q(X), over den
+        den = gden * qden * c.denominator
+        value = -min(values) * qden * c.denominator
+        value -= c.numerator * sum(map(mul, weights, gain))
+        return value * aden == amount * den and amount < 0
     if claim == "event_dominance_violated":
         event = event_from_payload(_get(cert, "event"))
-        previsions = _parse_rats(_get(cert, "previsions"))
-        if "previsions" in extras and rat_strs(extras["previsions"]) != _get(
-            cert, "previsions"
+        previsions, pden = _parse_vec(_get(cert, "previsions"))
+        if "previsions" in extras and not _matches(
+            previsions, pden, extras["previsions"]
         ):
             return False
         if "events" in extras and event not in {
@@ -465,63 +515,64 @@ def _validate_witness(
             return False
         if len(previsions) != len(coeffs) or not event:
             return False
-        sup_a = max(x.at(c) for c in sorted(event))
-        e_val = dot(coeffs, previsions)
-        return sup_a - e_val == amount and amount < 0
+        if not event <= set(m.all_coords()):
+            return False
+        # sup_A X - E(X), over den
+        den = gden * cden * pden
+        value = max(gain[c] for c in event) * cden * pden
+        value -= sum(map(mul, coeffs, previsions)) * gden
+        return value * aden == amount * den and amount < 0
     raise CertificateFormat(f"unknown witness claim {claim!r}")
 
 
 def _validate_representing(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
+    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
     p = _conforming_fap(cert, m)
-    previsions = _parse_rats(_get(cert, "previsions"))
-    if "previsions" in extras and tuple(rat(e) for e in extras["previsions"]) != previsions:
+    previsions, pden = _parse_vec(_get(cert, "previsions"))
+    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
         return False
-    if len(previsions) != len(ls.basis):
+    basis, bden = rows
+    if len(previsions) != len(basis) or p.alpha != 0:
         return False
-    if p.alpha != 0:
+    weights, wden = _fap_weights(p)
+    expected = [sum(map(mul, weights, row)) for row in basis]
+    if not _same(expected, wden * bden, previsions, pden):
         return False
-    for x, e in zip(ls.basis, previsions):
-        if expect(p, x) != e:
-            return False
     if "event" in cert:
         event = event_from_payload(cert["event"])
         if "events" in extras and event != frozenset.intersection(
             *map(frozenset, extras["events"])
         ):
             return False
-        for i in range(m.n_states):
-            if i not in event and p.ca_mass[i] != 0:
-                return False
-        if TAIL not in event and p.tail_charge() != 0:
-            return False
+        allowed = event
     else:
         allowed = set(coherence_coords(m))
-        for i in range(m.n_states):
-            if i not in allowed and p.ca_mass[i] != 0:
-                return False
-        if TAIL not in allowed and p.tail_charge() != 0:
+    for i in range(m.n_states):
+        if i not in allowed and p.ca_mass[i] != 0:
             return False
-    return True
+    return TAIL in allowed or p.tail_charge() == 0
 
 
 def _validate_sure_loss(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
+    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
-    stakes = _parse_rats(_get(cert, "stakes"))
-    win = _parse_rat(_get(cert, "guaranteed_win"))
-    previsions = _parse_rats(_get(cert, "previsions"))
-    if "previsions" in extras and tuple(rat(e) for e in extras["previsions"]) != previsions:
+    stakes, sden = _parse_vec(_get(cert, "stakes"))
+    win, wden = _parse_rat(_get(cert, "guaranteed_win"))
+    previsions, pden = _parse_vec(_get(cert, "previsions"))
+    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
         return False
-    if len(stakes) != len(ls.basis) or len(previsions) != len(ls.basis):
+    basis, bden = rows
+    if len(stakes) != len(basis) or len(previsions) != len(basis):
         return False
     coords = coherence_coords(m)
     if not coords:
         return False
-    recomputed = min(dot(stakes, [x.at(coord) for x in ls.basis]) for coord in coords)
-    recomputed -= dot(stakes, previsions)
-    return recomputed == win and win > 0
+    columns = list(zip(*basis))
+    # The least staked gain over coords minus the staked previsions.
+    value = min(sum(map(mul, stakes, columns[c])) for c in coords) * pden
+    value -= sum(map(mul, stakes, previsions)) * bden
+    return value * wden == win * sden * bden * pden and win > 0
 
 
 def _validate_tail_values(
@@ -529,61 +580,61 @@ def _validate_tail_values(
 ) -> bool:
     if not m.has_tail:
         return False
-    stored = _parse_rats(_get(cert, "values"))
-    if len(stored) != len(ls.basis):
+    ls.check_conforms(m)
+    stored, den = _parse_vec(_get(cert, "values"))
+    if not _same(stored, den, *int_row([x.tail_value for x in ls.basis])):
         return False
-    for s, x in zip(stored, ls.basis):
-        if x.tail_value != s:
-            return False
-    return holds == all(s == 0 for s in stored)
+    return holds == (not any(stored))
 
 
-def _validate_cstar(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace
-) -> bool:
+def _validate_cstar(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     raw = _get(cert, "value")
     support = m.support()
     if raw == "infinite":
         return False  # the infinite case is certified by a witness kind
-    value = _parse_rat(raw)
-    if not ls.basis:
+    value, vden = _parse_rat(raw)
+    if not rows[0]:
         return value == 0
     attaining = _get(cert, "attaining")
     combo = _validate_combination(
-        ls, _get(attaining, "coefficients"), _get(attaining, "gain"), m
+        rows, _get(attaining, "coefficients"), _get(attaining, "gain"), m
     )
     if combo is None:
         return False
-    _, x = combo
-    if any(x.at(c) < -1 for c in support):
+    gain, gden = combo[1]
+    if any(gain[c] < -gden for c in support):
         return False
     coord = _coord_from_json(_get(attaining, "coord"))
-    if coord not in support or x.at(coord) != value or value < 0:
+    if coord not in support or gain[coord] * vden != value * gden or value < 0:
         return False
     # A martingale pmf q bounds the ratio program at c by 1/q(c) - 1, so
     # a cover charging every coordinate with 1/(1 + c*) bounds c*.
     cover = _get(cert, "cover")
     if not isinstance(cover, list):
         raise CertificateFormat("the pmf cover must be a list")
-    pmfs = [_parse_rats(q) for q in cover]
-    for q in pmfs:
-        if len(q) != len(support) or any(w < 0 for w in q) or sum(q) != 1:
+    pmfs = [_parse_vec(q) for q in cover]
+    on_support = [[row[c] for c in support] for row in rows[0]], rows[1]
+    for q, qden in pmfs:
+        if len(q) != len(support) or min(q) < 0 or sum(q) != qden:
             return False
-        for g in ls.basis:
-            if dot(q, [g.at(c) for c in support]) != 0:
-                return False
-    floor = 1 / (1 + value)
-    return all(any(q[i] >= floor for q in pmfs) for i in range(len(support)))
+        if not _kills(q, on_support):
+            return False
+    # q_i / qden >= 1 / (1 + value / vden)
+    return all(
+        any(q[i] * (vden + value) >= vden * qden for q, qden in pmfs)
+        for i in range(len(support))
+    )
 
 
 def _validate_weighted_ratio(
-    cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
+    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
     y = randvar_from_payload(_get(cert, "weight"))
     check_weight(m, y)
-    if "weight" in extras and randvar_payload(extras["weight"]) != _get(cert, "weight"):
+    if "weight" in extras and extras["weight"] != y:
         return False
-    weighted = weighted_space(m, ls, y)
+    ys, yden = int_row((*y.values, y.tail_value)[: m.n_states + m.has_tail])
+    weighted = [list(map(mul, row, ys)) for row in rows[0]], rows[1] * yden
     inner = _get(cert, "cstar")
     kind = _get(inner, "kind")
     if kind == "witness":
@@ -594,7 +645,7 @@ def _validate_weighted_ratio(
         raise CertificateFormat(f"unexpected inner kind {kind!r}")
     if not _validate_cstar(inner, m, weighted):
         return False
-    return _validate_martingale_fap(_get(cert, "qstar"), m, ls)
+    return _validate_martingale_fap(_get(cert, "qstar"), m, rows)
 
 
 def validate_verdict(
@@ -607,9 +658,11 @@ def validate_verdict(
 
     ``extras`` carries condition context that is not part of the model
     file: the pmf and constant of an explicit expectation-bound check,
-    previsions, an event family, or a weight function.  Validation never
-    re-runs the solver; it rebuilds the deterministic programs and checks
-    the stored facts by exact arithmetic.
+    previsions, an event family, or a weight function; each is compared
+    with the certificate by value.  Validation never re-runs the solver:
+    it reads each certificate vector once into integers over a common
+    denominator, rebuilds the deterministic programs, and checks every
+    stored fact by integer arithmetic.
     """
     extras = dict(extras or {})
     condition = _get(verdict, "condition")
@@ -628,26 +681,26 @@ def validate_verdict(
                 if builder == "min-mass" and claim == "infeasible":
                     return not holds
                 if builder == "min-mass" and claim == "max_at_most":
-                    return (
-                        not holds
-                        and _parse_rat(_get(cert, "bound_value")) <= 0
-                    )
+                    return not holds and _parse_rat(_get(cert, "bound_value"))[0] <= 0
                 if builder == "expectation-bound" and claim == "min_at_least":
-                    return holds and _parse_rat(_get(cert, "bound_value")) >= 0
+                    return holds and _parse_rat(_get(cert, "bound_value"))[0] >= 0
                 return False
             return False
+        if kind == "tail_values":
+            return condition == "(8)" and _validate_tail_values(cert, m, ls, holds)
+        rows = _rows(m, ls)
         if kind == "arbitrage_vector":
             return (
                 condition in ("(6)", "(10)")
                 and not holds
-                and _validate_arbitrage_vector(cert, m, ls)
+                and _validate_arbitrage_vector(cert, m, rows)
             )
         if kind == "martingale_fap":
             if condition == "(4)":
-                return holds and _validate_martingale_fap(cert, m, ls)
+                return holds and _validate_martingale_fap(cert, m, rows)
             return False
         if kind == "separating_functional":
-            return condition == "(3)" and holds and _validate_separating(cert, m, ls)
+            return condition == "(3)" and holds and _validate_separating(cert, m, rows)
         if kind == "witness":
             claim = _get(cert, "claim")
             if not isinstance(claim, str):
@@ -662,30 +715,28 @@ def validate_verdict(
                 raise CertificateFormat(f"unknown witness claim {claim!r}")
             if condition != expected or holds:
                 return False
-            return _validate_witness(cert, m, ls, extras)
+            return _validate_witness(cert, m, rows, extras)
         if kind == "representing_fap":
             if condition == "coherence" and holds and "event" not in cert:
-                return _validate_representing(cert, m, ls, extras)
+                return _validate_representing(cert, m, rows, extras)
             if condition == "(7)" and holds and "event" in cert:
-                return _validate_representing(cert, m, ls, extras)
+                return _validate_representing(cert, m, rows, extras)
             return False
         if kind == "sure_loss_bet":
             return (
                 condition == "coherence"
                 and not holds
-                and _validate_sure_loss(cert, m, ls, extras)
+                and _validate_sure_loss(cert, m, rows, extras)
             )
-        if kind == "tail_values":
-            return condition == "(8)" and _validate_tail_values(cert, m, ls, holds)
         if kind == "cstar_bound":
-            return condition == "(5)" and holds and _validate_cstar(cert, m, ls)
+            return condition == "(5)" and holds and _validate_cstar(cert, m, rows)
         if kind == "weighted_ratio_bound":
             if condition != "(5*)":
                 return False
             inner_kind = _get(_get(cert, "cstar"), "kind")
             if holds != (inner_kind == "cstar_bound"):
                 return False
-            return _validate_weighted_ratio(cert, m, ls, extras)
+            return _validate_weighted_ratio(cert, m, rows, extras)
     except CertificateFormat:
         raise
     except InvalidInput:

@@ -21,8 +21,10 @@ from .core import InvalidInput, OversizedOutput, constant, rat
 from .fap import from_p0
 from .modelio import (
     AuditError,
+    ModelDoc,
     build_report,
     load_model_file,
+    model_digest,
     randvar_from_json,
     read_json,
     serialize_model,
@@ -146,10 +148,29 @@ def _cmd_examples(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     doc = load_model_file(args.path)
-    verdict = read_json(args.certificate)
-    ok = validate_verdict(doc.model, doc.lin_space, verdict, doc.extras())
+    payload = read_json(args.certificate)
+    if isinstance(payload, dict) and "verdicts" in payload:
+        failed = _first_failure(doc, payload)
+        if failed is not None:
+            print(f"not valid: {failed}", file=sys.stderr)
+        ok = failed is None
+    else:
+        ok = validate_verdict(doc.model, doc.lin_space, payload, doc.extras())
     print(json.dumps({"valid": ok}))
     return 0 if ok else 1
+
+
+def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
+    """The first row of a report that fails, or ``model_digest``."""
+    if report.get("model_digest") != model_digest(doc.model, doc.lin_space):
+        return "model_digest"
+    verdicts = report["verdicts"]
+    if not isinstance(verdicts, list):
+        raise CertificateFormat("a report's 'verdicts' must be a list")
+    for v in verdicts:
+        if not validate_verdict(doc.model, doc.lin_space, v, doc.extras()):
+            return v["condition"]
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.set_defaults(func=_cmd_examples)
 
     p_cert = sub.add_parser(
-        "certify", help="re-validate a serialized verdict against a model"
+        "certify", help="re-validate a serialized verdict or report against a model"
     )
     p_cert.add_argument("path")
     p_cert.add_argument("certificate")

@@ -49,7 +49,13 @@ class OversizedOutput(Exception):
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction.
+    """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction."""
+    return x if type(x) is Fraction else Fraction(*rat_pair(x))
+
+
+def rat_pair(x: RationalLike) -> tuple[int, int]:
+    """The numerator and positive denominator of ``rat(x)``, not always in
+    lowest terms.
 
     A string in the canonical form of :func:`rat_str` is read by ``int``
     directly; any other string goes through ``Fraction``'s own parser.
@@ -58,17 +64,20 @@ def rat(x: RationalLike) -> Fraction:
     if isinstance(x, str):
         canonical = _CANONICAL.fullmatch(x)
         if canonical and canonical[2].strip("0"):
-            return Fraction(int(canonical[1]), int(canonical[2]))
+            return int(canonical[1]), int(canonical[2])
+        if _digit_bound(x) > MAX_DIGITS:
+            raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
+    elif type(x) is int:  # ints first: isinstance on Fraction, an ABC, is slow
+        return x, 1
     elif isinstance(x, Fraction):
-        return x
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        return x.as_integer_ratio()
+    elif isinstance(x, bool) or not isinstance(x, int):
         raise InvalidInput(f"not an exact rational: {x!r}")
-    if isinstance(x, str) and _digit_bound(x) > MAX_DIGITS:
-        raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not an exact rational: {x!r}") from exc
+    return q.numerator, q.denominator
 
 
 def _digit_bound(s: str) -> int:
@@ -117,6 +126,16 @@ def dot(a: Iterable[Fraction], b: Iterable[Fraction]) -> Fraction:
                     den = grown
                 num += xn * yn * (den // d)
     return Fraction(num, den)
+
+
+def int_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Ints and Fractions as integer numerators over their least common denominator."""
+    # Star-args from a list, not a generator: CPython builds a generator's
+    # argument tuple by resizing, which moves tuples between its per-size
+    # free lists and leaves them holding memory for the life of the process.
+    pairs = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
 
 
 def _rat_tuple(xs: Iterable[RationalLike]) -> tuple[Fraction, ...]:

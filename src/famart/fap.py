@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import TAIL, ZERO, InvalidInput, Model, Record, _rat_tuple, rat
+from .core import TAIL, ZERO, InvalidInput, Model, Record, _rat_tuple, int_row, rat
 
 
 class Fap(Record):
@@ -38,13 +38,11 @@ class Fap(Record):
             raise InvalidInput("countably additive masses must be nonnegative")
         if self.ca_tail is not None and self.ca_tail < 0:
             raise InvalidInput("countably additive tail residual must be nonnegative")
-        total = sum(self.ca_mass, ZERO)
-        if self.ca_tail is not None:
-            total += self.ca_tail
-        if total != 1:
-            raise InvalidInput(
-                f"countably additive part must sum to 1, got {total}"
-            )
+        tail = () if self.ca_tail is None else (self.ca_tail,)
+        masses, den = int_row([*self.ca_mass, *tail])
+        if sum(masses) != den:
+            total = Fraction(sum(masses), den)
+            raise InvalidInput(f"countably additive part must sum to 1, got {total}")
         if self.alpha > 0 and self.ca_tail is None:
             raise InvalidInput("a pure part requires a tail state")
 

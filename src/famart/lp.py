@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence, Union
 
-from .core import ZERO, InvalidInput, Record, _rat_tuple, dot, rat
+from .core import ZERO, InvalidInput, Record, _rat_tuple, dot, int_row, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -284,7 +285,7 @@ class _Tableau:
         The last entry, the right-hand side's column, is minus the
         objective value of the basic solution (offset excluded).
         """
-        self.rc, self.rc_den = _integer_row([*costs, ZERO])
+        self.rc, self.rc_den = int_row([*costs, ZERO])
         for r, b in enumerate(self.basis):
             if self.rc[b]:
                 pivot = [(j, q) for j, q in enumerate(self.rows[r]) if q]
@@ -421,15 +422,6 @@ class _Tableau:
         self.banned |= self.artificial
 
 
-def _integer_row(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    # Star-args from a list, not a generator: CPython builds a generator's
-    # argument tuple by resizing, which moves tuples between its per-size
-    # free lists and leaves them holding memory for the life of the process.
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _eliminate(
     row: list[int], den: int, col: int, pivot: list[tuple[int, int]], p: int
 ) -> tuple[list[int], int]:
@@ -528,47 +520,89 @@ def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
     return lp.objective if lp.maximize else tuple(-c for c in lp.objective)
 
 
-def _column_sums(lp: LinearProgram, weights: Sequence[Fraction]) -> list[Fraction]:
-    """``sum_i weights[i] * a_ij`` for every variable ``j``."""
-    live = [(w, con.coeffs) for w, con in zip(weights, lp.constraints) if w]
-    if not live:
-        return [ZERO] * lp.n_vars
-    ws = [w for w, _ in live]
-    return [dot(ws, column) for column in zip(*(a for _, a in live))]
+# The integer kernel, which validation calls directly: weights and results
+# are integer numerators over a positive denominator.
 
 
-def _box_max(lp: LinearProgram, costs: Sequence[Fraction]) -> Fraction | None:
-    """``max costs . x`` over the variable-bounds box, or None if unbounded."""
+def _combine_rows(
+    lp: LinearProgram, weights: Sequence[int], den: int
+) -> tuple[list[int], int]:
+    """``sum_i w_i (a_i, b_i)`` for ``w_i = weights[i] / den``: the combined
+    coefficients with the combined right-hand side last."""
+    live = [(w, (*con.coeffs, con.rhs)) for w, con in zip(weights, lp.constraints) if w]
+    common = lcm(*[a.denominator for _, row in live for a in row])
+    sums = [0] * (lp.n_vars + 1)
+    for w, row in live:
+        for j, a in enumerate(row):
+            n, d = a.as_integer_ratio()
+            if n:
+                sums[j] += w * n * (common // d)
+    return sums, den * common
+
+
+def _box_max(lp: LinearProgram, costs: Sequence[int]) -> tuple[int, int] | None:
+    """``max costs . x`` over the variable-bounds box, in the units of
+    ``costs``, as a numerator and a denominator; None if unbounded."""
     corner = []
     for c, lo, hi in zip(costs, lp.lower, lp.upper):
         bound = hi if c > 0 else lo if c < 0 else ZERO
         if bound is None:
             return None
         corner.append(bound)
-    return dot(costs, corner)
+    nums, den = int_row(corner)
+    return sum(map(mul, costs, nums)), den
 
 
-def dual_objective(
-    lp: LinearProgram, dual: Sequence[Fraction]
-) -> Fraction | None:
-    """Exact dual objective of the maximization form, or None if ``dual``
-    is not dual-feasible (wrong signs, or reduced costs pointing past a
-    missing bound).
+def farkas_rows(
+    lp: LinearProgram, weights: Sequence[int], den: int
+) -> tuple[list[int], int] | None:
+    """Combined row of Farkas weights acting on rows normalized to ``<=``
+    form (see :func:`_combine_rows`); None when a sign is wrong."""
+    if len(weights) != lp.n_rows:
+        return None
+    signed = []
+    for w, con in zip(weights, lp.constraints):
+        if con.relation != EQ and w < 0:
+            return None
+        signed.append(-w if con.relation == GE else w)
+    return _combine_rows(lp, signed, den)
 
-    Any feasible value is, by weak duality, an upper bound on the maximum;
-    matching it against a primal value certifies optimality.
+
+def proves_infeasible(lp: LinearProgram, combined: Sequence[int]) -> bool:
+    """Whether a combined row's minimum over the box, which is minus the
+    maximum of its negation, exceeds its right-hand side."""
+    top = _box_max(lp, [-g for g in combined[:-1]])
+    return top is not None and -top[0] > combined[-1] * top[1]
+
+
+def dual_rows(
+    lp: LinearProgram, dual: Sequence[int], den: int
+) -> tuple[list[int], int | None, int] | None:
+    """Reduced costs ``c - A^T y`` of the maximization form and the dual
+    objective, for multipliers ``y_i = dual[i] / den``.  The value is None
+    if ``y`` is not dual-feasible (wrong signs, or reduced costs pointing
+    past a missing bound); any feasible value bounds the maximum above.
     """
     if len(dual) != lp.n_rows:
         return None
-    for y, con in zip(dual, lp.constraints):
-        if con.relation == LE and y < 0:
-            return None
-        if con.relation == GE and y > 0:
-            return None
-    slack = _box_max(lp, reduced_costs(lp, dual))
-    if slack is None:
-        return None
-    return dot(dual, [con.rhs for con in lp.constraints]) + slack
+    sums, d = _combine_rows(lp, dual, den)
+    costs, cd = int_row(_max_objective(lp))
+    reduced = [c * d - s * cd for c, s in zip(costs, sums)]
+    slack = _box_max(lp, reduced)
+    if slack is None or any(
+        y < 0 if con.relation == LE else y > 0 and con.relation == GE
+        for y, con in zip(dual, lp.constraints)
+    ):
+        return reduced, None, d * cd
+    t = slack[1]
+    return [r * t for r in reduced], sums[-1] * cd * t + slack[0], d * cd * t
+
+
+def dual_objective(lp: LinearProgram, dual: Sequence[Fraction]) -> Fraction | None:
+    """Exact dual objective of the maximization form, or None if ``dual``
+    is not dual-feasible; see :func:`dual_rows`."""
+    out = dual_rows(lp, *int_row(dual))
+    return None if out is None or out[1] is None else Fraction(out[1], out[2])
 
 
 def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
@@ -586,32 +620,13 @@ def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
 def farkas_combination(
     lp: LinearProgram, weights: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """Combined coefficient row and bound of a Farkas vector.
-
-    Weights act on rows normalized to ``<=`` form.  Returns None when a
-    sign condition is violated; otherwise the pair ``(g, bound)`` with
-    ``g = sum w_i a_i`` and ``bound = sum w_i b_i``.
-    """
-    if len(weights) != lp.n_rows:
-        return None
-    signed = []
-    for f, con in zip(weights, lp.constraints):
-        if con.relation != EQ and f < 0:
-            return None
-        signed.append(-f if con.relation == GE else f)
-    bound = dot(signed, [con.rhs for con in lp.constraints])
-    return tuple(_column_sums(lp, signed)), bound
-
-
-def _verify_infeasible(lp: LinearProgram, out: Infeasible) -> bool:
-    combo = farkas_combination(lp, out.farkas)
+    """Combined coefficient row ``sum w_i a_i`` and bound ``sum w_i b_i``
+    of a Farkas vector; see :func:`farkas_rows`."""
+    combo = farkas_rows(lp, *int_row(weights))
     if combo is None:
-        return False
-    combined, bound = combo
-    # The combined row's minimum over the box, which is minus the maximum
-    # of its negation, must exceed the bound.
-    top = _box_max(lp, [-g for g in combined])
-    return top is not None and -top > bound
+        return None
+    sums, den = combo
+    return tuple(Fraction(g, den) for g in sums[:-1]), Fraction(sums[-1], den)
 
 
 def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
@@ -645,7 +660,8 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
         if isinstance(out, Optimal):
             return _verify_optimal(lp, out)
         if isinstance(out, Infeasible):
-            return _verify_infeasible(lp, out)
+            combo = farkas_rows(lp, *int_row(out.farkas))
+            return combo is not None and proves_infeasible(lp, combo[0])
         if isinstance(out, Unbounded):
             return _verify_unbounded(lp, out)
     except (AttributeError, InvalidInput, TypeError, ZeroDivisionError):
@@ -657,7 +673,5 @@ def reduced_costs(
     lp: LinearProgram, dual: Sequence[Fraction]
 ) -> tuple[Fraction, ...] | None:
     """Per-variable reduced costs ``c - A^T y`` of the maximization form."""
-    if len(dual) != lp.n_rows:
-        return None
-    sums = _column_sums(lp, dual)
-    return tuple(c - s for c, s in zip(_max_objective(lp), sums))
+    out = dual_rows(lp, *int_row(dual))
+    return None if out is None else tuple(Fraction(r, out[2]) for r in out[0])

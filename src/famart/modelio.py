@@ -331,16 +331,12 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         raise AuditError("implication audit failed: no-arbitrage without a "
                          "nonnegative-essential-supremum verdict")
 
-    rows = []
-    for cond in CONDITION_ORDER:
-        if cond not in verdicts:
-            continue
-        v = verdicts[cond]
-        if not validate_verdict(m, ls, v.to_dict(), extras):
+    rows = [verdicts[cond].to_dict() for cond in CONDITION_ORDER if cond in verdicts]
+    for row in rows:
+        if not validate_verdict(m, ls, row, extras):
             raise AuditError(
-                f"certificate for condition {cond} failed re-validation"
+                f"certificate for condition {row['condition']} failed re-validation"
             )
-        rows.append(v.to_dict())
 
     return {
         "model_digest": model_digest(m, ls),

@@ -255,6 +255,37 @@ def test_certify_rejects_a_5star_verdict_with_inadmissible_weight(
     assert json.loads(capsys.readouterr().out) == {"valid": False}
 
 
+def test_certify_checks_every_verdict_of_a_report(bp_file, dmw_file, tmp_path, capsys):
+    code, out = run_cli(["report", bp_file], capsys)
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run_cli(["certify", bp_file, str(path)], capsys) == (0, '{"valid": true}\n')
+
+    # A report of another model fails on its digest.
+    assert main(["certify", dmw_file, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"valid": False}
+    assert captured.err == "not valid: model_digest\n"
+
+    # A changed coordinate fails its row, which stderr names.
+    report = json.loads(out)
+    row = report["verdicts"][2]
+    assert row["condition"] == "(5)" and row["certificate"]["kind"] == "cstar_bound"
+    row["certificate"]["value"] = rat_str(rat(row["certificate"]["value"]) + 1)
+    path.write_text(json.dumps(report))
+    assert main(["certify", bp_file, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"valid": False}
+    assert captured.err == "not valid: (5)\n"
+
+    # A malformed leaf is a malformed certificate.
+    row["certificate"]["value"] = "1/0"
+    path.write_text(json.dumps(report))
+    assert main(["certify", bp_file, str(path)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
+
+
 def test_oversized_output_is_exit_four(dmw_file, monkeypatch, capsys):
     # A valid model whose result would hold a 4401-digit rational: that
     # is not invalid input (exit 2) but output that cannot be written.

@@ -19,6 +19,7 @@ from famart.core import (
     ess_sup,
     expect,
     rat,
+    rat_pair,
     rat_str,
     sup_norm,
 )
@@ -321,3 +322,17 @@ def test_operations_are_bit_exact_on_repeat():
     second = (ess_sup(x, m), sup_norm(x, m))
     assert first == second
     assert all(isinstance(v, F) for v in first)
+
+
+@given(st.text(alphabet="0123456789-+/._ ²٣", max_size=16))
+@settings(max_examples=400, deadline=None)
+def test_rat_pair_reads_strings_as_fraction_does(text):
+    # No exponent in the alphabet: Fraction would build any power of ten.
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InvalidInput):
+            rat_pair(text)
+        return
+    num, den = rat_pair(text)
+    assert den > 0 and F(num, den) == expected == rat(text)
