@@ -30,7 +30,7 @@ from .core import (
     rat_pair,
     rat_str,
 )
-from .fap import Fap, is_abs_continuous, is_equivalent
+from .fap import Fap, is_abs_continuous
 from .lp import (
     LinearProgram,
     dual_rows,
@@ -84,7 +84,10 @@ def _parse_vec(xs: Any, *more: Any) -> tuple[list[int], int]:
     over one positive denominator: the form every check below computes in."""
     if not isinstance(xs, (list, tuple)):
         raise CertificateFormat(f"expected a list of rationals, got {xs!r}")
-    pairs = [_parse_rat(x) for x in (*xs, *more)]
+    try:
+        pairs = [rat_pair(x) for x in (*xs, *more)]
+    except InvalidInput as exc:
+        raise CertificateFormat(str(exc)) from exc
     den = lcm(*[d for _, d in pairs])
     return [n * (den // d) for n, d in pairs], den
 
@@ -293,14 +296,12 @@ def cstar_bound(
 # explicit states and then at the tail, when there is one, so ``v[c]``
 # reads coordinate ``c`` for ``TAIL == -1`` too.  ``Rows`` is the basis:
 # one such vector per generator, over one positive denominator.
-Rows = tuple[list[list[int]], int]
+Rows = tuple[Sequence[Sequence[int]], int]
 
 
 def _rows(m: Model, ls: LinSpace) -> Rows:
     ls.check_conforms(m)
-    width = m.n_states + m.has_tail
-    flat, den = int_row([v for x in ls.basis for v in (*x.values, x.tail_value)[:width]])
-    return [flat[k : k + width] for k in range(0, len(flat), width)], den
+    return ls.int_rows()
 
 
 def _parse_gain(d: Any, m: Model) -> tuple[list[int], int]:
@@ -311,13 +312,32 @@ def _parse_gain(d: Any, m: Model) -> tuple[list[int], int]:
     return out
 
 
-def _fap_weights(p: Fap) -> tuple[list[int], int]:
-    """The weight the functional ``p`` puts on every coordinate."""
-    a, den = p.alpha.as_integer_ratio()
-    mass, mden = int_row([*p.ca_mass, p.ca_tail] if p.ca_tail is not None else p.ca_mass)
-    weights = [(den - a) * q for q in mass]
-    weights[TAIL] += a * mden  # alpha > 0 only on models with a tail
-    return weights, den * mden
+def _functional(d: Any, m: Model) -> tuple[list[int], int, int, bool, bool]:
+    """A functional's payload read straight into integers: the weight it
+    puts on every coordinate, over one positive denominator; the
+    numerator of its alpha; and whether it is equivalent to, and
+    absolutely continuous with respect to, the reference measure.  A
+    payload that ``fap_from_payload`` or ``Fap.check_conforms`` refuses
+    raises the same kind of error, in the same order: ``CertificateFormat``
+    for a malformed field, then ``InvalidInput``."""
+    a, aden = _parse_rat(_get(d, "alpha"))
+    mass, tail = _get(d, "mass"), "tail" in d
+    q, qden = _parse_vec(mass, *([d["tail"]] if tail else []))
+    if not 0 <= a <= aden or min(q, default=0) < 0 or sum(q) != qden:
+        raise InvalidInput("not a finitely additive probability")
+    if a and not tail:
+        raise InvalidInput("a pure part requires a tail state")
+    if len(mass) != m.n_states or tail != m.has_tail:
+        raise InvalidInput("probability and model do not fit")
+    weights = [(aden - a) * x for x in q]
+    if a:
+        weights[TAIL] += a * qden
+    # Masses are nonnegative: equal sums leave no mass on a null state.
+    charged = [q[i] for i in m.charged_states()]
+    on_tail = tail and weights[TAIL] > 0  # compared as bools: False < True
+    continuous = sum(q[: m.n_states]) == sum(charged) and on_tail <= m.tail_charged
+    equivalent = continuous and a < aden and all(charged) and on_tail == m.tail_charged
+    return weights, aden * qden, a, equivalent, continuous
 
 
 def _kills(weights: Sequence[int], rows: Rows) -> bool:
@@ -432,29 +452,18 @@ def support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
     return weights
 
 
-def _conforming_fap(cert: Mapping[str, Any], m: Model) -> Fap:
-    p = fap_from_payload(_get(cert, "fap"))
-    p.check_conforms(m)
-    return p
-
-
 def _validate_martingale_fap(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
-    p = _conforming_fap(cert, m)
-    if not _kills(_fap_weights(p)[0], rows):
+    weights, _, _, equivalent, continuous = _functional(_get(cert, "fap"), m)
+    if not _kills(weights, rows):
         return False
-    if bool(_get(cert, "equivalent")) != is_equivalent(p, m):
+    if bool(_get(cert, "equivalent")) != equivalent:
         return False
-    if bool(_get(cert, "abs_continuous")) != is_abs_continuous(p, m):
-        return False
-    return True
+    return bool(_get(cert, "abs_continuous")) == continuous
 
 
 def _validate_separating(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
-    p = _conforming_fap(cert, m)
-    if not is_equivalent(p, m) or p.alpha >= 1:
-        return False
-    weights, den = _fap_weights(p)
-    if not _kills(weights, rows):
+    weights, den, _, equivalent, _ = _functional(_get(cert, "fap"), m)
+    if not equivalent or not _kills(weights, rows):
         return False
     minimum, mden = _parse_rat(_get(cert, "minimum_weight"))
     low = min(weights[c] for c in m.support())
@@ -495,8 +504,8 @@ def _validate_witness(
         params = _bound_params(cert, m, extras)
         if params is None or max(map(abs, values)) > gden:  # sup norm > 1
             return False
-        q, c = params
-        weights, qden = _fap_weights(q)
+        c = params[1]
+        weights, qden = _functional(cert["q"], m)[:2]
         # ess sup(-X) - c E_Q(X), over den
         den = gden * qden * c.denominator
         value = -min(values) * qden * c.denominator
@@ -528,14 +537,13 @@ def _validate_witness(
 def _validate_representing(
     cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
-    p = _conforming_fap(cert, m)
+    weights, wden, alpha, _, _ = _functional(_get(cert, "fap"), m)
     previsions, pden = _parse_vec(_get(cert, "previsions"))
     if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
         return False
     basis, bden = rows
-    if len(previsions) != len(basis) or p.alpha != 0:
+    if len(previsions) != len(basis) or alpha:
         return False
-    weights, wden = _fap_weights(p)
     expected = [sum(map(mul, weights, row)) for row in basis]
     if not _same(expected, wden * bden, previsions, pden):
         return False
@@ -548,10 +556,10 @@ def _validate_representing(
         allowed = event
     else:
         allowed = set(coherence_coords(m))
-    for i in range(m.n_states):
-        if i not in allowed and p.ca_mass[i] != 0:
-            return False
-    return TAIL in allowed or p.tail_charge() == 0
+    # alpha is 0, so each weight is a positive multiple of the mass.
+    if any(weights[i] for i in range(m.n_states) if i not in allowed):
+        return False
+    return TAIL in allowed or not m.has_tail or weights[TAIL] == 0
 
 
 def _validate_sure_loss(
@@ -580,9 +588,9 @@ def _validate_tail_values(
 ) -> bool:
     if not m.has_tail:
         return False
-    ls.check_conforms(m)
+    basis, bden = _rows(m, ls)
     stored, den = _parse_vec(_get(cert, "values"))
-    if not _same(stored, den, *int_row([x.tail_value for x in ls.basis])):
+    if not _same(stored, den, [row[TAIL] for row in basis], bden):
         return False
     return holds == (not any(stored))
 

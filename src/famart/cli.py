@@ -23,10 +23,12 @@ from .modelio import (
     AuditError,
     ModelDoc,
     build_report,
+    implications,
     load_model_file,
     model_digest,
     randvar_from_json,
     read_json,
+    report_conditions,
     serialize_model,
 )
 from .spaces import (
@@ -161,15 +163,24 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
-    """The first row of a report that fails, or ``model_digest``."""
-    if report.get("model_digest") != model_digest(doc.model, doc.lin_space):
+    """The first part of a report that fails: ``model_digest``, a row's
+    condition, ``verdicts`` when the rows are not the ones ``build_report``
+    emits for the model, each once and in order, or ``implications``."""
+    m, ls = doc.model, doc.lin_space
+    if report.get("model_digest") != model_digest(m, ls):
         return "model_digest"
     verdicts = report["verdicts"]
     if not isinstance(verdicts, list):
         raise CertificateFormat("a report's 'verdicts' must be a list")
     for v in verdicts:
-        if not validate_verdict(doc.model, doc.lin_space, v, doc.extras()):
+        if not validate_verdict(m, ls, v, doc.extras()):
             return v["condition"]
+    if [v["condition"] for v in verdicts] != report_conditions(m, ls):
+        return "verdicts"
+    if report.get("implications") != implications(
+        {v["condition"]: bool(v["holds"]) for v in verdicts}
+    ):
+        return "implications"
     return None
 
 

@@ -12,8 +12,8 @@ reference measure charges it (``p0_tail > 0``).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
@@ -32,10 +32,6 @@ TAIL = -1
 #: Most digits a string may ask ``rat`` for in a numerator or denominator:
 #: CPython's int-to-str limit, so every value read can be printed again.
 MAX_DIGITS = 4300
-
-#: The form :func:`rat_str` writes: an optional minus, ASCII digits, a slash
-#: and ASCII digits, each part short enough that ``int`` can read it.
-_CANONICAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})")
 
 
 class InvalidInput(ValueError):
@@ -62,9 +58,18 @@ def rat_pair(x: RationalLike) -> tuple[int, int]:
     Floats are rejected: they would smuggle rounding into an exact pipeline.
     """
     if isinstance(x, str):
-        canonical = _CANONICAL.fullmatch(x)
-        if canonical and canonical[2].strip("0"):
-            return int(canonical[1]), int(canonical[2])
+        num, _, den = x.partition("/")
+        digits = num.removeprefix("-")
+        if (
+            x.isascii()
+            and digits.isdigit()
+            and den.isdigit()
+            and len(digits) <= MAX_DIGITS
+            and len(den) <= MAX_DIGITS
+        ):
+            d = int(den)
+            if d:  # "n/0" goes on to Fraction, which refuses it
+                return int(num), d
         if _digit_bound(x) > MAX_DIGITS:
             raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
     elif type(x) is int:  # ints first: isinstance on Fraction, an ABC, is slow
@@ -181,7 +186,15 @@ class Record:
         return self.__class__, self._values()
 
 
-class Model(Record):
+class _Kept(Record):
+    """Slots for what a record reads off its fields and keeps: a model its
+    coordinates, a trading space its integer rows.  A base class's slots
+    are not fields, so equality, hashing, printing and pickling ignore them."""
+
+    __slots__ = ("_charged", "_support", "_coords", "_rows")
+
+
+class Model(_Kept):
     """Truncated sample space with an exact reference probability.
 
     ``p0_mass[i]`` is the reference mass of explicit state ``i``;
@@ -209,6 +222,11 @@ class Model(Record):
             total += self.p0_tail
         if total != 1:
             raise InvalidInput(f"reference masses must sum to 1, got {total}")
+        charged = tuple(i for i, x in enumerate(self.p0_mass) if x)
+        tail = () if self.p0_tail is None else (TAIL,)
+        object.__setattr__(self, "_charged", charged)
+        object.__setattr__(self, "_support", charged + tail if self.p0_tail else charged)
+        object.__setattr__(self, "_coords", tuple(range(len(self.p0_mass))) + tail)
 
     @property
     def n_states(self) -> int:
@@ -223,21 +241,15 @@ class Model(Record):
         return bool(self.p0_tail)  # masses are nonnegative
 
     def charged_states(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.p0_mass) if x)
+        return self._charged
 
     def support(self) -> tuple[int, ...]:
         """Essential support coordinates: charged states, then TAIL if charged."""
-        coords = list(self.charged_states())
-        if self.tail_charged:
-            coords.append(TAIL)
-        return tuple(coords)
+        return self._support
 
     def all_coords(self) -> tuple[int, ...]:
         """Every coordinate of the model: explicit states, then TAIL if present."""
-        coords = list(range(self.n_states))
-        if self.has_tail:
-            coords.append(TAIL)
-        return tuple(coords)
+        return self._coords
 
 
 class RandVar(Record):
@@ -304,7 +316,7 @@ def constant(c: RationalLike, m: Model) -> RandVar:
     return RandVar((c,) * m.n_states, c if m.has_tail else None)
 
 
-class LinSpace(Record):
+class LinSpace(_Kept):
     """Trading space given by a finite generating list of random variables.
 
     The basis may be empty (the space is then {0}) and need not be
@@ -317,6 +329,20 @@ class LinSpace(Record):
 
     def __init__(self, basis) -> None:
         object.__setattr__(self, "basis", tuple(basis))
+
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Each generator's values, then its tail value when it has one, as
+        integer numerators over one positive denominator; read on first use."""
+        if not hasattr(self, "_rows"):
+            vectors = [
+                x.values if x.tail_value is None else (*x.values, x.tail_value)
+                for x in self.basis
+            ]
+            flat, den = int_row([v for vec in vectors for v in vec])
+            entries = iter(flat)
+            rows = tuple(tuple(islice(entries, len(vec))) for vec in vectors)
+            object.__setattr__(self, "_rows", (rows, den))
+        return self._rows
 
     def check_conforms(self, m: Model) -> None:
         for k, x in enumerate(self.basis):

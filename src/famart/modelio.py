@@ -286,6 +286,24 @@ class AuditError(RuntimeError):
     """The cross-condition self-audit of a report failed."""
 
 
+def report_conditions(m: Model, ls: LinSpace) -> list[str]:
+    """The conditions of a report's rows, in order: (5*) only without a
+    tail, (8) only with one, coherence only with a nonempty basis."""
+    skip = {"(5*)"} if m.has_tail else {"(8)"}
+    if not ls.basis:
+        skip.add("coherence")
+    return [cond for cond in CONDITION_ORDER if cond not in skip]
+
+
+def implications(holds: Mapping[str, bool]) -> dict[str, bool]:
+    """A report's implication flags, read off whether each condition holds."""
+    return {
+        "emfap_implies_no_arbitrage": not holds["(3)"] or holds["(6)"],
+        "no_arbitrage_implies_acmfap": not holds["(6)"] or holds["(4)"],
+        "norm_closure_equals_no_arbitrage": holds["(10)"] == holds["(6)"],
+    }
+
+
 def build_report(doc: ModelDoc) -> dict[str, Any]:
     """Run every applicable checker, self-audit the implication chain, and
     re-validate each certificate before assembly."""
@@ -331,7 +349,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         raise AuditError("implication audit failed: no-arbitrage without a "
                          "nonnegative-essential-supremum verdict")
 
-    rows = [verdicts[cond].to_dict() for cond in CONDITION_ORDER if cond in verdicts]
+    rows = [verdicts[cond].to_dict() for cond in report_conditions(m, ls)]
     for row in rows:
         if not validate_verdict(m, ls, row, extras):
             raise AuditError(
@@ -341,9 +359,5 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     return {
         "model_digest": model_digest(m, ls),
         "verdicts": rows,
-        "implications": {
-            "emfap_implies_no_arbitrage": (not emfap.holds) or na.holds,
-            "no_arbitrage_implies_acmfap": (not na.holds) or acm.holds,
-            "norm_closure_equals_no_arbitrage": verdicts["(10)"].holds == na.holds,
-        },
+        "implications": implications({c: v.holds for c, v in verdicts.items()}),
     }

@@ -10,11 +10,18 @@ import json
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from famart.certificates import CertificateFormat, _parse_vec, validate_verdict
-from famart.core import InvalidInput, rat
+from famart.certificates import (
+    CertificateFormat,
+    _functional,
+    _parse_vec,
+    fap_from_payload,
+    validate_verdict,
+)
+from famart.core import TAIL, InvalidInput, Model, rat
+from famart.fap import is_abs_continuous, is_equivalent
 from famart.modelio import build_report, parse_model
 from test_acceptance import _emitted_certificates
 from test_modelio import _pinned_model_files
@@ -154,3 +161,73 @@ def test_integer_parse_agrees_with_rat(leaves):
     nums, den = _parse_vec(leaves)
     assert den > 0
     assert [F(n, den) for n in nums] == expected
+
+
+# A functional's payload is read straight into integers by one helper;
+# these pin it to the Fraction reading of the same payload.
+_ALPHAS = ["0/1", "1/1", "1/2", "1/3", "2/4", "-0/3", "2/2", "-1/2", "3/2", "0", "1", "x", 0.5]
+_BAD_LEAVES = ["x", "1/0", 0.5, None, True, "-1/4", "3/1"]
+
+
+@st.composite
+def _models_and_functionals(draw):
+    n = draw(st.integers(1, 4))
+    tail = draw(st.booleans())
+    ref = draw(st.lists(st.integers(0, 2), min_size=n + tail, max_size=n + tail).filter(any))
+    m = Model([F(w, sum(ref)) for w in ref[:n]], F(ref[n], sum(ref)) if tail else None)
+    # Mostly well-formed masses over a common total, written canonically
+    # or not; sometimes of the wrong length, the wrong tail, or a bad leaf.
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    has_tail = tail if draw(st.integers(0, 4)) else not tail
+    ws = draw(st.lists(st.integers(0, 3), min_size=length + has_tail, max_size=length + has_tail))
+    total = max(sum(ws), 1) + draw(st.sampled_from([0, 0, 0, 1]))
+    scale = draw(st.sampled_from([1, 1, 2]))
+    leaves = [f"{scale * w}/{scale * total}" for w in ws]
+    if leaves and draw(st.integers(0, 5)) == 0:
+        leaves[draw(st.integers(0, len(leaves) - 1))] = draw(st.sampled_from(_BAD_LEAVES))
+    d = {"alpha": draw(st.sampled_from(_ALPHAS)), "mass": leaves[:length]}
+    if has_tail:
+        d["tail"] = leaves[length]
+    return m, d
+
+
+def _fraction_reading(m, d):
+    try:
+        p = fap_from_payload(d)
+        p.check_conforms(m)
+    except CertificateFormat:
+        return "malformed"
+    except InvalidInput:
+        return "false"
+    weights = [(1 - p.alpha) * q for q in (*p.ca_mass, *([p.ca_tail] if m.has_tail else []))]
+    if m.has_tail:
+        weights[TAIL] += p.alpha
+    return weights, p.alpha == 0, is_equivalent(p, m), is_abs_continuous(p, m)
+
+
+def _integer_reading(m, d):
+    try:
+        weights, den, alpha, equivalent, continuous = _functional(d, m)
+    except CertificateFormat:
+        return "malformed"
+    except InvalidInput:
+        return "false"
+    return [F(w, den) for w in weights], alpha == 0, equivalent, continuous
+
+
+_half_null = Model([F(1, 2), F(0)], F(1, 2))
+
+
+@given(_models_and_functionals())
+@settings(max_examples=600, deadline=None)
+@example((_half_null, {"alpha": "1/1", "mass": ["0/1", "1/1"], "tail": "0/1"}))  # alpha 1, null mass
+@example((_half_null, {"alpha": "1/2", "mass": ["1/2", "0/1"]}))  # no tail on a tail model
+@example((Model([1]), {"alpha": "0/1", "mass": ["1/1"], "tail": "0/1"}))  # a tail on a tail-less one
+@example((_half_null, {"alpha": "0/1", "mass": ["3/2", "-1/2"], "tail": "0/1"}))  # negative mass
+@example((_half_null, {"alpha": "0/1", "mass": ["1/2", "0/1"], "tail": "1/4"}))  # sum 3/4
+@example((_half_null, {"alpha": "2/4", "mass": ["2/4", "-0/3"], "tail": "1/2"}))  # non-canonical
+@example((_half_null, {"alpha": "1/2", "mass": ["1/2", "1/2"], "tail": "0/1"}))  # mass on a null state
+@example((_half_null, {"alpha": "1/1", "mass": ["1/1", "0/1"], "tail": "0/1"}))  # pure: not equivalent
+def test_integer_functional_reading_agrees_with_fap(case):
+    m, d = case
+    assert _integer_reading(m, d) == _fraction_reading(m, d)

@@ -286,6 +286,63 @@ def test_certify_checks_every_verdict_of_a_report(bp_file, dmw_file, tmp_path, c
     assert "malformed certificate" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def dmw5_report(tmp_path, capsys):
+    """A dmw n=5 model file and its report, which certifies."""
+    model = tmp_path / "dmw5.json"
+    assert main(["examples", "dmw", "--n", "5", "--out", str(model)]) == 0
+    code, out = run_cli(["report", str(model)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert run_cli(["certify", str(model), str(path)], capsys) == (0, '{"valid": true}\n')
+    return str(model), path, report
+
+
+def _certify_fails_on(model, path, report, capsys):
+    path.write_text(json.dumps(report))
+    assert main(["certify", model, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"valid": False}
+    return captured.err
+
+
+def test_certify_rejects_a_report_without_rows(dmw5_report, capsys):
+    model, path, report = dmw5_report
+    report["verdicts"] = []
+    assert _certify_fails_on(model, path, report, capsys) == "not valid: verdicts\n"
+    report["verdicts"] = json.loads(path.read_text())["verdicts"]
+    for k in range(len(report["verdicts"])):
+        # Dropping any one row, the last included, fails the same way.
+        cut = dict(report, verdicts=report["verdicts"][:k] + report["verdicts"][k + 1 :])
+        assert _certify_fails_on(model, path, cut, capsys) == "not valid: verdicts\n"
+
+
+def test_certify_rejects_a_report_with_a_repeated_row(dmw5_report, capsys):
+    model, path, report = dmw5_report
+    rows = report["verdicts"]
+    assert [v["condition"] for v in rows] == [
+        "(3)", "(4)", "(5)", "(5*)", "(6)", "(7)", "(10)", "coherence"
+    ]
+    report["verdicts"] = [rows[0]] * 3
+    assert _certify_fails_on(model, path, report, capsys) == "not valid: verdicts\n"
+    # A repeat beside every row, or two rows swapped, fails too.
+    for wrong in (rows + rows[-1:], rows[1:2] + rows[:1] + rows[2:]):
+        report["verdicts"] = wrong
+        assert _certify_fails_on(model, path, report, capsys) == "not valid: verdicts\n"
+
+
+def test_certify_rejects_a_report_with_false_implications(dmw5_report, capsys):
+    model, path, report = dmw5_report
+    assert all(report["implications"].values())
+    for key in report["implications"]:
+        wrong = dict(report, implications=dict(report["implications"], **{key: False}))
+        assert _certify_fails_on(model, path, wrong, capsys) == "not valid: implications\n"
+    report.pop("implications")
+    assert _certify_fails_on(model, path, report, capsys) == "not valid: implications\n"
+
+
 def test_oversized_output_is_exit_four(dmw_file, monkeypatch, capsys):
     # A valid model whose result would hold a 4401-digit rational: that
     # is not invalid input (exit 2) but output that cannot be written.

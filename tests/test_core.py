@@ -1,5 +1,6 @@
 """Exact scalar, model, and random-variable primitives."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -336,3 +337,83 @@ def test_rat_pair_reads_strings_as_fraction_does(text):
         return
     num, den = rat_pair(text)
     assert den > 0 and F(num, den) == expected == rat(text)
+
+
+# The string rule ``rat_pair`` followed when it read canonical strings
+# with a regular expression, kept whole as the oracle for the reading
+# that replaced it.
+_ORACLE_CANONICAL = re.compile(rf"(-?[0-9]{{1,{MAX_DIGITS}}})/([0-9]{{1,{MAX_DIGITS}}})")
+
+
+def _oracle_rat_pair(x: str) -> tuple[int, int]:
+    canonical = _ORACLE_CANONICAL.fullmatch(x)
+    if canonical and canonical[2].strip("0"):
+        return int(canonical[1]), int(canonical[2])
+    if _oracle_digit_bound(x) > MAX_DIGITS:
+        raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
+    try:
+        q = F(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"not an exact rational: {x!r}") from exc
+    return q.numerator, q.denominator
+
+
+def _oracle_digit_bound(s: str) -> int:
+    body, e, exponent = s.lower().partition("e")
+    if not e and len(s) <= MAX_DIGITS:
+        return len(s)
+    widest = max(sum(map(str.isdecimal, part)) for part in body.split("/"))
+    if not e and "." not in body:
+        return widest
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if len(exponent) > len(str(MAX_DIGITS)):
+        return MAX_DIGITS + 1
+    return widest + (int(exponent) if exponent.isdecimal() else 0) + 1
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except InvalidInput:
+        return "refused"
+
+
+_ALPHABET = "0123456789-/+_.e²٣ "
+# Parts of 4299 to 4301 digits straddle the digit limit from both sides.
+_long_part = st.builds(
+    lambda lead, n, digit: lead + digit * (n - len(lead)),
+    st.sampled_from(["", "-", "0", "1", "9", "٣", "²", " "]),
+    st.integers(MAX_DIGITS - 1, MAX_DIGITS + 1),
+    st.sampled_from("0179"),
+)
+_short_part = st.text(alphabet=_ALPHABET, max_size=6)
+_strings = st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=24),
+    st.builds(
+        lambda a, sep, b: a + sep + b,
+        st.one_of(_short_part, _long_part),
+        st.sampled_from(["/", "", "e", "/-", "//"]),
+        st.one_of(_short_part, _long_part),
+    ),
+)
+
+
+@given(_strings)
+@settings(max_examples=500, deadline=None)
+def test_rat_pair_accepts_and_refuses_what_the_regex_rule_did(text):
+    assert _outcome(rat_pair, text) == _outcome(_oracle_rat_pair, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1/2", "-1/2", "-0/3", "2/4", "00/01", "1/0", "-1/00", "/1", "1/", "-/1",
+        "--1/2", "+1/2", "1 /2", "1/2 ", "1_0/2", "1/2/3", "²/3", "1/²", "٣/4",
+        "1" * MAX_DIGITS + "/1", "-" + "1" * MAX_DIGITS + "/1",
+        "1" * (MAX_DIGITS + 1) + "/1", "1/" + "1" * MAX_DIGITS,
+        "1/" + "0" * MAX_DIGITS, "1/" + "0" * (MAX_DIGITS - 1) + "1",
+        "1/" + "1" * (MAX_DIGITS + 1), "1" * MAX_DIGITS, "1" * (MAX_DIGITS + 1),
+    ],
+)
+def test_rat_pair_agrees_with_the_regex_rule_at_the_edges(text):
+    assert _outcome(rat_pair, text) == _outcome(_oracle_rat_pair, text)

@@ -131,6 +131,30 @@ def test_pickle_and_copy_round_trip(r):
         assert repr(again) == repr(r)
 
 
+def test_stored_model_and_space_data_are_not_fields():
+    # A model reads its coordinates when it is built, and a space its
+    # integer rows on first use; neither shows in equality, hashing,
+    # printing, pickling or copying.
+    m, ls = RECORDS[0], RECORDS[2]
+    rows = ls.int_rows()
+    assert ls.int_rows() is rows and rows[0] and rows[1] > 0
+    assert m.support() is m.support() and m.all_coords() is m.all_coords()
+    fresh_m, fresh_ls = Model(*_fields(m).values()), LinSpace(*_fields(ls).values())
+    for r, fresh in ((m, fresh_m), (ls, fresh_ls)):
+        assert r == fresh and fresh == r and hash(r) == hash(fresh)
+        assert repr(r) == repr(fresh)
+        assert pickle.dumps(r) == pickle.dumps(fresh)
+        for again in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert again == fresh and hash(again) == hash(fresh)
+            assert repr(again) == repr(fresh)
+    assert copy.deepcopy(ls).int_rows() == rows == fresh_ls.int_rows()
+    assert copy.deepcopy(m).support() == m.support() == fresh_m.support()
+    for name in ("_charged", "_support", "_coords", "_rows"):
+        r = ls if name == "_rows" else m
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+
+
 def test_repr_reads_like_a_constructor_call():
     assert repr(Optimal(F(1, 2), (F(0),), ())) == (
         "Optimal(value=Fraction(1, 2), primal=(Fraction(0, 1),), dual=())"
