@@ -32,6 +32,7 @@ from .core import (
 )
 from .fap import Fap, is_abs_continuous
 from .lp import (
+    IntProgram,
     LinearProgram,
     dual_rows,
     farkas_combination,
@@ -39,11 +40,10 @@ from .lp import (
     proves_infeasible,
 )
 from .programs import (
-    arbitrage_lp,
-    check_weight,
+    arbitrage_rows,
     coherence_coords,
     expectation_bound_lp,
-    martingale_mass_lp,
+    martingale_mass_rows,
 )
 
 Certificate = dict[str, Any]
@@ -184,7 +184,7 @@ def separating_functional(
 
 
 def farkas_witness(
-    lp: LinearProgram,
+    lp: LinearProgram | IntProgram,
     builder: str,
     weights: Sequence[Fraction],
     claim: str,
@@ -389,12 +389,14 @@ def _bound_params(
     return q, c
 
 
-def _lp_for(cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]):
+def _program_for(
+    cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
+) -> tuple[str, LinearProgram | IntProgram | None]:
     builder = _get(cert, "lp")
     if builder == "arbitrage":
-        return builder, arbitrage_lp(m, ls)
+        return builder, arbitrage_rows(m, ls)
     if builder == "min-mass":
-        return builder, martingale_mass_lp(m, ls)
+        return builder, martingale_mass_rows(m, ls)
     if builder == "expectation-bound":
         params = _bound_params(cert, m, extras)
         if params is None or params[1] <= 0:
@@ -408,7 +410,7 @@ def _validate_farkas(
 ) -> tuple[str, str] | None:
     """Check a Farkas/dual-bound certificate; on success return its
     (program id, claim) pair so the caller can bind them to the condition."""
-    builder, lp = _lp_for(cert, m, ls, extras)
+    builder, lp = _program_for(cert, m, ls, extras)
     if lp is None:
         return None
     weights = _parse_vec(_get(cert, "weights"))
@@ -634,14 +636,35 @@ def _validate_cstar(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     )
 
 
+def _weight(d: Any, m: Model, extras: Mapping[str, Any]) -> tuple[list[int], int] | None:
+    """A (5*) weight read straight into integers, values then tail, over
+    one positive denominator; None where ``programs.check_weight`` refuses
+    it or it differs from ``extras["weight"]``.  A malformed field raises
+    ``CertificateFormat`` and a weight that does not fit the model
+    ``InvalidInput``, as ``randvar_from_payload`` and ``check_weight`` do."""
+    ys, yden = _parse_gain(d, m)
+    charged = m.charged_states()
+    if not charged or min(ys[i] for i in charged) <= 0:
+        return None
+    if m.has_tail and ys[TAIL]:
+        return None
+    if "weight" in extras:
+        w = extras["weight"]
+        if type(w) is not RandVar or (w.tail_value is None) == m.has_tail:
+            return None
+        values = (*w.values, w.tail_value) if m.has_tail else w.values
+        if not _matches(ys, yden, values):
+            return None
+    return ys, yden
+
+
 def _validate_weighted_ratio(
     cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
 ) -> bool:
-    y = randvar_from_payload(_get(cert, "weight"))
-    check_weight(m, y)
-    if "weight" in extras and extras["weight"] != y:
+    weight = _weight(_get(cert, "weight"), m, extras)
+    if weight is None:
         return False
-    ys, yden = int_row((*y.values, y.tail_value)[: m.n_states + m.has_tail])
+    ys, yden = weight
     weighted = [list(map(mul, row, ys)) for row in rows[0]], rows[1] * yden
     inner = _get(cert, "cstar")
     kind = _get(inner, "kind")
@@ -669,8 +692,10 @@ def validate_verdict(
     previsions, an event family, or a weight function; each is compared
     with the certificate by value.  Validation never re-runs the solver:
     it reads each certificate vector once into integers over a common
-    denominator, rebuilds the deterministic programs, and checks every
-    stored fact by integer arithmetic.
+    denominator, reads the ``arbitrage`` and ``min-mass`` programs as
+    integer rows off the space's kept basis rows (it builds no
+    ``LinearProgram`` for them), and checks every stored fact by integer
+    arithmetic.
     """
     extras = dict(extras or {})
     condition = _get(verdict, "condition")

@@ -3,7 +3,7 @@
 Every checker returns a :class:`Verdict` whose certificate re-validates
 against the model by plain arithmetic (see :mod:`famart.certificates`),
 never by re-running the solver.  The checkers solve the programs that
-:mod:`famart.programs` builds; certificate validation rebuilds the same
+:mod:`famart.programs` builds; certificate validation reads the same
 programs from there.
 
 Checked conditions, by their report labels:
@@ -67,7 +67,7 @@ from .core import (
 from .fap import Fap, from_p0, is_equivalent
 from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded, solve
 from .programs import (
-    arbitrage_lp,
+    arbitrage_rows,
     check_weight,
     coherence_coords,
     coherence_lp,
@@ -77,7 +77,7 @@ from .programs import (
     weighted_space,
 )
 # Unused here; bench/spans.py traces these builders as checkers attributes.
-from .programs import event_dominance_lp, negative_gain_lp  # noqa: F401
+from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
 from .spaces import binomial_pmf
 
 # The outcome of every program solved so far inside ``solving_once``.
@@ -198,7 +198,7 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     return Verdict(
         "(6)",
         True,
-        certs.farkas_witness(arbitrage_lp(m, ls), "arbitrage", farkas, "infeasible"),
+        certs.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, "infeasible"),
         "no-arbitrage: the search for a nonnegative gain with "
         "positive essential supremum is infeasible (Farkas witness).",
     )

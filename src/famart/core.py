@@ -188,10 +188,11 @@ class Record:
 
 class _Kept(Record):
     """Slots for what a record reads off its fields and keeps: a model its
-    coordinates, a trading space its integer rows.  A base class's slots
+    coordinates, a trading space its integer rows and the model shape it
+    was found to fit, a program its integer form.  A base class's slots
     are not fields, so equality, hashing, printing and pickling ignore them."""
 
-    __slots__ = ("_charged", "_support", "_coords", "_rows")
+    __slots__ = ("_charged", "_support", "_coords", "_rows", "_shape")
 
 
 class Model(_Kept):
@@ -345,11 +346,18 @@ class LinSpace(_Kept):
         return self._rows
 
     def check_conforms(self, m: Model) -> None:
+        """Every generator fits the model.  Fitting depends only on the
+        model's number of states and whether it has a tail, so the shape
+        that passed is kept and only another shape is checked again."""
+        shape = (m.n_states, m.has_tail)
+        if getattr(self, "_shape", None) == shape:
+            return
         for k, x in enumerate(self.basis):
             try:
                 x.check_conforms(m)
             except InvalidInput as exc:
                 raise InvalidInput(f"basis element {k}: {exc}") from exc
+        object.__setattr__(self, "_shape", shape)
 
     def combine(self, coefficients: Sequence[RationalLike]) -> RandVar:
         """The element with the given coordinates in the generating list."""

@@ -39,11 +39,11 @@ weighted right-hand side over the whole variable-bounds box.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence, Union
 
-from .core import ZERO, InvalidInput, Record, _rat_tuple, dot, int_row, rat
+from .core import ZERO, InvalidInput, Record, _Kept, _rat_tuple, dot, int_row, rat
 
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
@@ -63,7 +63,7 @@ class Constraint(Record):
             raise InvalidInput(f"unknown relation {relation!r}")
 
 
-class LinearProgram(Record):
+class LinearProgram(_Kept):
     """``max/min objective . x`` subject to rows and optional variable bounds.
 
     Bounds default to free variables; zero-variable and zero-constraint
@@ -115,6 +115,80 @@ class LinearProgram(Record):
     @property
     def n_rows(self) -> int:
         return len(self.constraints)
+
+    def int_form(self) -> "IntProgram":
+        """The program in integers, for the verification kernel; read on
+        first use and kept."""
+        if not hasattr(self, "_rows"):
+            bounds = self.lower + self.upper
+            entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
+            for con in self.constraints:
+                entries += con.coeffs
+                entries.append(con.rhs)
+            flat, den = int_row(entries)
+            nums = iter(flat)
+            costs = tuple(islice(nums, self.n_vars))
+            bounds = tuple(b if b is None else next(nums) for b in bounds)
+            rows = [tuple(islice(nums, self.n_vars + 1)) for _ in self.constraints]
+            relations = [con.relation for con in self.constraints]
+            program = IntProgram(
+                rows, relations, costs, bounds[: self.n_vars], bounds[self.n_vars :], den
+            )
+            object.__setattr__(self, "_rows", program)
+        return self._rows
+
+
+class IntProgram(Record):
+    """A program in integers, the form the verification kernel reads.
+
+    Every entry is an integer numerator over the one positive denominator
+    ``den``.  Each of ``rows`` lists a constraint's coefficients, then its
+    right-hand side; ``relations`` holds their relations.  ``costs`` is
+    the objective of the maximization form, and ``lower`` and ``upper``
+    are the variable bounds, None where a variable has none.
+    """
+
+    __slots__ = ("rows", "relations", "costs", "lower", "upper", "den")
+    rows: tuple[tuple[int, ...], ...]
+    relations: tuple[str, ...]
+    costs: tuple[int, ...]
+    lower: tuple[int | None, ...]
+    upper: tuple[int | None, ...]
+    den: int
+
+    def __init__(self, rows, relations, costs, lower, upper, den) -> None:
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "relations", tuple(relations))
+        object.__setattr__(self, "costs", tuple(costs))
+        object.__setattr__(self, "lower", tuple(lower))
+        object.__setattr__(self, "upper", tuple(upper))
+        object.__setattr__(self, "den", den)
+
+    def linear_program(self) -> LinearProgram:
+        """The maximization program these rows define, whose integer form
+        is kept as this record.  Equal numerators share one ``Fraction``."""
+        den, cache = self.den, {}
+
+        def q(n: int | None) -> Fraction | None:
+            if n is None:
+                return None
+            f = cache.get(n)
+            if f is None:
+                f = cache[n] = Fraction(n, den)
+            return f
+
+        lp = LinearProgram(
+            tuple(map(q, self.costs)),
+            True,
+            [
+                Constraint(tuple(map(q, row[:-1])), relation, q(row[-1]))
+                for row, relation in zip(self.rows, self.relations)
+            ],
+            tuple(map(q, self.lower)),
+            tuple(map(q, self.upper)),
+        )
+        object.__setattr__(lp, "_rows", self)
+        return lp
 
 
 class Optimal(Record):
@@ -521,81 +595,83 @@ def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
 
 
 # The integer kernel, which validation calls directly: weights and results
-# are integer numerators over a positive denominator.
+# are integer numerators over a positive denominator.  It reads a program
+# in integers: an ``IntProgram``, or a ``LinearProgram``'s kept integer form.
+
+
+def _program(lp: LinearProgram | IntProgram) -> IntProgram:
+    return lp if type(lp) is IntProgram else lp.int_form()
 
 
 def _combine_rows(
-    lp: LinearProgram, weights: Sequence[int], den: int
+    p: IntProgram, weights: Sequence[int], den: int
 ) -> tuple[list[int], int]:
     """``sum_i w_i (a_i, b_i)`` for ``w_i = weights[i] / den``: the combined
     coefficients with the combined right-hand side last."""
-    live = [(w, (*con.coeffs, con.rhs)) for w, con in zip(weights, lp.constraints) if w]
-    common = lcm(*[a.denominator for _, row in live for a in row])
-    sums = [0] * (lp.n_vars + 1)
-    for w, row in live:
-        for j, a in enumerate(row):
-            n, d = a.as_integer_ratio()
-            if n:
-                sums[j] += w * n * (common // d)
-    return sums, den * common
+    sums = [0] * (len(p.costs) + 1)
+    for w, row in zip(weights, p.rows):
+        if w:
+            sums = [s + w * a for s, a in zip(sums, row)]
+    return sums, den * p.den
 
 
-def _box_max(lp: LinearProgram, costs: Sequence[int]) -> tuple[int, int] | None:
+def _box_max(p: IntProgram, costs: Sequence[int]) -> tuple[int, int] | None:
     """``max costs . x`` over the variable-bounds box, in the units of
     ``costs``, as a numerator and a denominator; None if unbounded."""
-    corner = []
-    for c, lo, hi in zip(costs, lp.lower, lp.upper):
-        bound = hi if c > 0 else lo if c < 0 else ZERO
-        if bound is None:
-            return None
-        corner.append(bound)
-    nums, den = int_row(corner)
-    return sum(map(mul, costs, nums)), den
+    top = 0
+    for c, lo, hi in zip(costs, p.lower, p.upper):
+        if c:
+            bound = hi if c > 0 else lo
+            if bound is None:
+                return None
+            top += c * bound
+    return top, p.den
 
 
 def farkas_rows(
-    lp: LinearProgram, weights: Sequence[int], den: int
+    lp: LinearProgram | IntProgram, weights: Sequence[int], den: int
 ) -> tuple[list[int], int] | None:
     """Combined row of Farkas weights acting on rows normalized to ``<=``
     form (see :func:`_combine_rows`); None when a sign is wrong."""
-    if len(weights) != lp.n_rows:
+    p = _program(lp)
+    if len(weights) != len(p.rows):
         return None
     signed = []
-    for w, con in zip(weights, lp.constraints):
-        if con.relation != EQ and w < 0:
+    for w, relation in zip(weights, p.relations):
+        if relation != EQ and w < 0:
             return None
-        signed.append(-w if con.relation == GE else w)
-    return _combine_rows(lp, signed, den)
+        signed.append(-w if relation == GE else w)
+    return _combine_rows(p, signed, den)
 
 
-def proves_infeasible(lp: LinearProgram, combined: Sequence[int]) -> bool:
+def proves_infeasible(lp: LinearProgram | IntProgram, combined: Sequence[int]) -> bool:
     """Whether a combined row's minimum over the box, which is minus the
     maximum of its negation, exceeds its right-hand side."""
-    top = _box_max(lp, [-g for g in combined[:-1]])
+    top = _box_max(_program(lp), [-g for g in combined[:-1]])
     return top is not None and -top[0] > combined[-1] * top[1]
 
 
 def dual_rows(
-    lp: LinearProgram, dual: Sequence[int], den: int
+    lp: LinearProgram | IntProgram, dual: Sequence[int], den: int
 ) -> tuple[list[int], int | None, int] | None:
     """Reduced costs ``c - A^T y`` of the maximization form and the dual
     objective, for multipliers ``y_i = dual[i] / den``.  The value is None
     if ``y`` is not dual-feasible (wrong signs, or reduced costs pointing
     past a missing bound); any feasible value bounds the maximum above.
     """
-    if len(dual) != lp.n_rows:
+    p = _program(lp)
+    if len(dual) != len(p.rows):
         return None
-    sums, d = _combine_rows(lp, dual, den)
-    costs, cd = int_row(_max_objective(lp))
-    reduced = [c * d - s * cd for c, s in zip(costs, sums)]
-    slack = _box_max(lp, reduced)
+    sums, d = _combine_rows(p, dual, den)
+    reduced = [c * den - s for c, s in zip(p.costs, sums)]
+    slack = _box_max(p, reduced)
     if slack is None or any(
-        y < 0 if con.relation == LE else y > 0 and con.relation == GE
-        for y, con in zip(dual, lp.constraints)
+        y < 0 if relation == LE else y > 0 and relation == GE
+        for y, relation in zip(dual, p.relations)
     ):
-        return reduced, None, d * cd
+        return reduced, None, d
     t = slack[1]
-    return [r * t for r in reduced], sums[-1] * cd * t + slack[0], d * cd * t
+    return [r * t for r in reduced], sums[-1] * t + slack[0], d * t
 
 
 def dual_objective(lp: LinearProgram, dual: Sequence[Fraction]) -> Fraction | None:
@@ -618,7 +694,7 @@ def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
 
 
 def farkas_combination(
-    lp: LinearProgram, weights: Sequence[Fraction]
+    lp: LinearProgram | IntProgram, weights: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...], Fraction] | None:
     """Combined coefficient row ``sum w_i a_i`` and bound ``sum w_i b_i``
     of a Farkas vector; see :func:`farkas_rows`."""

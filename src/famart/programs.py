@@ -9,8 +9,13 @@ contract between the two sides:
   variables.  Bland's rule is deterministic too, so the same program
   also gives the same pivots and the same certificate.
 - A Farkas witness names its program by id (its ``lp`` field).  The
-  validator rebuilds that program from the model and checks the stored
-  weights against it by exact arithmetic.
+  validator reads that program off the model and checks the stored
+  weights against it by integer arithmetic.  The two programs such a
+  witness names, ``arbitrage`` and ``min-mass``, are defined here once,
+  as integer rows read off the space's kept integer basis rows
+  (:func:`arbitrage_rows`, :func:`martingale_mass_rows`); the validator
+  reads those rows, and ``arbitrage_lp`` and ``martingale_mass_lp`` only
+  turn them into a ``LinearProgram`` for the solver.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Sequence
 
 from .core import TAIL, ZERO, InvalidInput, LinSpace, Model, RandVar, expect
 from .fap import Fap
-from .lp import EQ, GE, LE, LinearProgram
+from .lp import EQ, GE, LE, IntProgram, LinearProgram
 
 
 def _combo_row(basis: Sequence[RandVar], coord: int) -> tuple[Fraction, ...]:
@@ -63,21 +68,26 @@ def check_weight(m: Model, y: RandVar) -> None:
         )
 
 
-def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:
+def arbitrage_rows(m: Model, ls: LinSpace) -> IntProgram:
     """Feasibility: a combination nonnegative on the essential support whose
     support values sum to at least one.
 
     By positive homogeneity this is feasible exactly when some nonzero
-    nonnegative gain exists, i.e. when there is arbitrage.
+    nonnegative gain exists, i.e. when there is arbitrage.  One ``>= 0``
+    row per support coordinate, then the total row ``>= 1``.
     """
+    ls.check_conforms(m)
+    basis, den = ls.int_rows()
     support = m.support()
-    k = len(ls.basis)
-    rows = [(_combo_row(ls.basis, c), GE, ZERO) for c in support]
-    total = tuple(
-        sum((x.at(c) for c in support), ZERO) for x in ls.basis
-    )
-    rows.append((total, GE, Fraction(1)))
-    return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
+    k = len(basis)
+    rows = [(*(row[c] for row in basis), 0) for c in support]
+    rows.append((*(sum(row[c] for c in support) for row in basis), den))
+    return IntProgram(rows, (GE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
+
+
+def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """:func:`arbitrage_rows` as a ``LinearProgram``."""
+    return arbitrage_rows(m, ls).linear_program()
 
 
 def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
@@ -89,7 +99,7 @@ def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
     return LinearProgram(objective=(ZERO,) * k, maximize=True, constraints=rows)
 
 
-def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:
+def martingale_mass_rows(m: Model, ls: LinSpace) -> IntProgram:
     """Weights on the essential support that kill every generator, with
     the least weight maximized.
 
@@ -101,21 +111,30 @@ def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:
     previsions.)
 
     Variables are ordered support-first (charged states, then the tail
-    when charged), with ``t`` last.
+    when charged), with ``t`` last.  The mass row comes first, then one
+    zero-expectation row per generator.
     """
+    ls.check_conforms(m)
+    basis, den = ls.int_rows()
     support = m.support()
     ns = len(support)
-    rows = [((Fraction(1),) * ns + (Fraction(ns),), EQ, Fraction(1))]  # mass one
-    for x in ls.basis:  # zero expectation per generator
-        vals = [x.at(c) for c in support]
-        rows.append((tuple(vals + [sum(vals, ZERO)]), EQ, ZERO))
-    return LinearProgram(
-        objective=(ZERO,) * ns + (Fraction(1),),
-        maximize=True,
-        constraints=rows,
-        lower=(ZERO,) * ns + (None,),
-        upper=(None,) * (ns + 1),
+    rows = [(den,) * ns + (ns * den, den)]  # mass one
+    for row in basis:  # zero expectation per generator
+        values = [row[c] for c in support]
+        rows.append((*values, sum(values), 0))
+    return IntProgram(
+        rows,
+        (EQ,) * len(rows),
+        (0,) * ns + (den,),
+        (0,) * ns + (None,),
+        (None,) * (ns + 1),
+        den,
     )
+
+
+def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """:func:`martingale_mass_rows` as a ``LinearProgram``."""
+    return martingale_mass_rows(m, ls).linear_program()
 
 
 def expectation_bound_lp(

@@ -17,12 +17,15 @@ from famart.certificates import (
     CertificateFormat,
     _functional,
     _parse_vec,
+    _weight,
     fap_from_payload,
+    randvar_from_payload,
     validate_verdict,
 )
-from famart.core import TAIL, InvalidInput, Model, rat
+from famart.core import TAIL, InvalidInput, Model, RandVar, rat
 from famart.fap import is_abs_continuous, is_equivalent
 from famart.modelio import build_report, parse_model
+from famart.programs import check_weight
 from test_acceptance import _emitted_certificates
 from test_modelio import _pinned_model_files
 
@@ -231,3 +234,100 @@ _half_null = Model([F(1, 2), F(0)], F(1, 2))
 def test_integer_functional_reading_agrees_with_fap(case):
     m, d = case
     assert _integer_reading(m, d) == _fraction_reading(m, d)
+
+
+# A (5*) weight is read straight into integers too; these pin it to the
+# Fraction reading: randvar_from_payload, check_weight, and a RandVar
+# comparison with the weight the check was asked about.
+_WEIGHT_LEAVES = ["1/2", "2/4", "3/1", "3", 2, "5/7", "0/1", "-0/5", "-1/3", 0, "0.5"]
+_BAD_WEIGHT_LEAVES = ["x", "1/0", 0.5, None, True, "²/3"]
+
+
+@st.composite
+def _models_and_weights(draw):
+    n = draw(st.integers(1, 4))
+    tail = draw(st.booleans())
+    ref = draw(st.lists(st.integers(0, 2), min_size=n + tail, max_size=n + tail).filter(any))
+    m = Model([F(w, sum(ref)) for w in ref[:n]], F(ref[n], sum(ref)) if tail else None)
+    # Mostly of the right shape with a zero tail; sometimes of the wrong
+    # length, the wrong tail, a nonzero tail, or a malformed leaf.
+    length = draw(st.sampled_from([n, n, n, n - 1, n + 1]))
+    has_tail = tail if draw(st.integers(0, 4)) else not tail
+    leaves = draw(st.lists(st.sampled_from(_WEIGHT_LEAVES), min_size=length, max_size=length))
+    d = {"values": leaves}
+    if has_tail:
+        d["tail"] = draw(st.sampled_from(["0/1", "0/1", "0", "-0/2", "1/2", "-1/4"]))
+    if draw(st.integers(0, 5)) == 0:
+        bad = draw(st.sampled_from(_BAD_WEIGHT_LEAVES))
+        if leaves and draw(st.booleans()):
+            leaves[draw(st.integers(0, len(leaves) - 1))] = bad
+        elif has_tail:
+            d["tail"] = bad
+        else:
+            d = draw(st.sampled_from([{"value": leaves}, {"values": "1/2"}, ["values"], "values"]))
+    extras = {}
+    kind = draw(st.sampled_from(["none", "same", "same", "other", "flipped", "foreign"]))
+    try:
+        y = randvar_from_payload(d)
+    except (CertificateFormat, InvalidInput):
+        y = RandVar([1] * n, 0 if tail else None)
+    if kind == "same":
+        extras["weight"] = y
+    elif kind == "other":
+        values = list(y.values) or [0]
+        values[-1] += 1
+        extras["weight"] = RandVar(values, y.tail_value)
+    elif kind == "flipped":
+        extras["weight"] = RandVar(y.values, None if y.tail_value is not None else 0)
+    elif kind == "foreign":
+        extras["weight"] = [str(v) for v in y.values]
+    return m, d, extras
+
+
+def _fraction_weight(m, d, extras):
+    try:
+        y = randvar_from_payload(d)
+        check_weight(m, y)
+    except CertificateFormat:
+        return "malformed"
+    except InvalidInput:
+        return "refused"
+    if "weight" in extras and extras["weight"] != y:
+        return "refused"
+    return [*y.values, *([y.tail_value] if m.has_tail else [])]
+
+
+def _integer_weight(m, d, extras):
+    try:
+        out = _weight(d, m, extras)
+    except CertificateFormat:
+        return "malformed"
+    except InvalidInput:
+        return "refused"
+    if out is None:
+        return "refused"
+    ys, den = out
+    assert den > 0
+    return [F(y, den) for y in ys]
+
+
+_tail_model = Model([F(1, 2), F(0)], F(1, 2))
+
+
+@given(_models_and_weights())
+@settings(max_examples=600, deadline=None)
+@example((_tail_model, {"values": ["1/2", "2/4"], "tail": "0/1"}, {}))  # a null state may be 0 too
+@example((_tail_model, {"values": ["1/2", "-1/2"], "tail": "0/1"}, {}))  # negative only off the support
+@example((_tail_model, {"values": ["0/1", "1/1"], "tail": "0/1"}, {}))  # zero on a charged state
+@example((_tail_model, {"values": ["1/1", "1/1"], "tail": "1/2"}, {}))  # a nonzero tail
+@example((_tail_model, {"values": ["1/1", "1/1"]}, {}))  # a missing tail
+@example((Model([1]), {"values": ["1/1"], "tail": "0/1"}, {}))  # an extra tail
+@example((Model([F(1, 2), F(1, 2)]), {"values": ["1/1"]}, {}))  # too short
+@example((Model([1]), {"values": ["2/4"]}, {"weight": RandVar([F(1, 2)])}))  # equal by value
+@example((Model([1]), {"values": ["1/2"]}, {"weight": RandVar([F(1, 3)])}))  # differs
+@example((Model([1]), {"values": ["1/2"]}, {"weight": RandVar([F(1, 2)], 0)}))  # differs at the tail
+@example((Model([1]), {"values": ["1/x"]}, {"weight": RandVar([F(1, 3)])}))  # malformed first
+@example((Model([0], 1), {"values": ["1/1"], "tail": "0/1"}, {}))  # no charged explicit state
+def test_integer_weight_reading_agrees_with_check_weight(case):
+    m, d, extras = case
+    assert _integer_weight(m, d, extras) == _fraction_weight(m, d, extras)

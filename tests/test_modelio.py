@@ -210,15 +210,15 @@ def test_report_audit_fires_on_contradicting_verdicts(monkeypatch, doc, message)
         build_report(_roundtrip(doc))
 
 
-def test_report_builds_the_arbitrage_program_once(monkeypatch):
+def test_report_builds_the_arbitrage_rows_once(monkeypatch):
     builds = []
 
     def counting(m, ls):
         builds.append(m)
-        return arbitrage_lp(m, ls)
+        return arbitrage_rows(m, ls)
 
-    arbitrage_lp = checkers.arbitrage_lp
-    monkeypatch.setattr(checkers, "arbitrage_lp", counting)
+    arbitrage_rows = checkers.arbitrage_rows
+    monkeypatch.setattr(checkers, "arbitrage_rows", counting)
     m, f, s = example_dmw(F(1, 3), 2)
     report = build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
     assert len(builds) == 1

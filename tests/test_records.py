@@ -43,6 +43,7 @@ def _records():
         f,
         s,
         checkers.min_mass(m, ls),
+        lp.int_form(),
     ]
 
 
@@ -53,7 +54,7 @@ IDS = [type(r).__name__ for r in RECORDS]
 def test_every_record_class_is_covered():
     assert set(IDS) == {
         "Model", "RandVar", "LinSpace", "Fap", "Constraint", "LinearProgram",
-        "Optimal", "Infeasible", "Unbounded", "Verdict", "MinMass", "DivergenceRow",
+        "IntProgram", "Optimal", "Infeasible", "Unbounded", "Verdict", "MinMass", "DivergenceRow",
         "ModelDoc", "Filtration", "AdaptedProcess",
     }
     assert all(isinstance(r, Record) for r in RECORDS)
