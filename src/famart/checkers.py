@@ -39,6 +39,10 @@ one feasibility program whose Farkas vector gives the failure.
 The ``*_from`` functions build a verdict from another one with no solve:
 (4) and (6) from (3), (10) from (6), and (5*) from (5) and (3).  Inside
 :func:`solving_once`, each distinct program is solved at most once.
+This chain, from :func:`min_mass`, is the one decision path for every
+report row, and ``famart check`` prints the report's row.
+:func:`find_emfap`, :func:`check_acmfap`, :func:`check_no_arbitrage` and
+:func:`check_norm_closure` decide one condition through the same chain.
 """
 
 from __future__ import annotations
@@ -232,23 +236,9 @@ def check_norm_closure(m: Model, ls: LinSpace) -> Verdict:
 
 
 def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
-    """Condition (4): every gain has nonnegative essential supremum.
-
-    Nonnegative support weights summing to one that kill every generator
-    are an absolutely continuous martingale functional: a solution of the
-    coherence program over the support with zero previsions.  Farkas
-    weights ``y`` proving there are none give ``sum_d y_d X_d >= -y_0 > 0``
-    on the support: the gain ``-sum_d y_d X_d`` has ``ess sup <= y_0 < 0``.
-    """
-    ls.check_conforms(m)
-    support = m.support()
-    out = _solve(coherence_lp(support, ls.basis, (ZERO,) * len(ls.basis)))
-    if isinstance(out, Infeasible):
-        coeffs = tuple(-y for y in out.farkas[1:])
-        return _negative_ess_sup(m, coeffs, ls.combine(coeffs))
-    if not isinstance(out, Optimal):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
-    return _acmfap(m, _fap_from_weights(m, dict(zip(support, out.primal))))
+    """Condition (4): every gain has nonnegative essential supremum;
+    decided by the (3) solve (see :func:`acmfap_from`)."""
+    return acmfap_from(m, min_mass(m, ls))
 
 
 def _negative_ess_sup(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
@@ -457,28 +447,20 @@ def verify_condition3(
     )
 
 
-def compute_cstar(m: Model, ls: LinSpace) -> Fraction | None:
-    """Least uniform ratio bound ``ess sup(X) <= c* ess sup(-X)`` on the
-    unit sphere; None when no finite bound exists (equivalently, the
-    space contains a nonzero nonnegative gain)."""
-    v = cstar_verdict(m, ls)
-    return rat(v.certificate["value"]) if v.holds else None
-
-
-def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass | None = None) -> Verdict:
+def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     """Condition (5) as a verdict: holds iff a finite ratio bound exists
     (see :func:`_ratio_sweep`).
 
-    Given the (3) solve ``mm`` on the same model and space, (5) is read
+    ``mm`` is the (3) solve on the same model and space, and (5) is read
     off it where it can be.  Where (3) fails, its arbitrage is a nonzero
     nonnegative gain, so (5) fails with it as the direction.  Where (3)
     holds, the sweep starts from the functional's support weights, a
     martingale pmf, and from the dual gain, which is at least -1 on the
     support and often attains c* already, so that no ratio program is
-    solved.  Without ``mm``, the ratio programs alone decide (5).
+    solved.
     """
     ls.check_conforms(m)
-    if mm is None or mm.gain is None:
+    if mm.gain is None:  # no generators: c* = 0
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
         return _unbounded_ratio(m, mm.coefficients, mm.gain)

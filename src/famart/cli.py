@@ -1,10 +1,15 @@
 """Command line interface: check, report, examples, certify.
 
+``check`` prints one row of the model's report, as ``report`` builds it;
+only the explicit bound against a given pmf (``--q``) and the (5*) bound
+for a given weight (``--weight``), which are not report rows, are decided
+on their own.
+
 Exit codes are a stable contract: 0 when the checked condition holds (or
-the certificate re-validates), 1 when it fails, 2 on invalid input.  The
-report command additionally exits 3 if its internal cross-condition
-audit fires, which no valid input should trigger.  Any command exits 4
-when its result holds a rational too long to write (see
+the certificate re-validates), 1 when it fails, 2 on invalid input.
+``check`` and ``report`` exit 3 if the report's cross-condition audit
+fires, which no valid input should trigger.  Any command exits 4 when
+its result holds a rational too long to write (see
 :class:`famart.core.OversizedOutput`).
 """
 
@@ -17,7 +22,7 @@ from typing import Any
 
 from . import checkers
 from .certificates import CertificateFormat, fap_from_payload, validate_verdict
-from .core import InvalidInput, OversizedOutput, constant, rat
+from .core import InvalidInput, OversizedOutput, rat
 from .fap import from_p0
 from .modelio import (
     AuditError,
@@ -38,9 +43,6 @@ from .spaces import (
     random_finite_model,
 )
 
-_CONDITIONS = ("3", "4", "5", "5*", "6", "7", "8", "10", "coherence")
-
-
 def _emit(payload: Any, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=False))
@@ -58,63 +60,44 @@ def _emit(payload: Any, fmt: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    cond = args.condition.strip("()")
+    if cond != "3" and (args.q is not None or args.c is not None):
+        raise InvalidInput("--q and --c apply to condition 3 only")
+    if args.c is not None and args.q is None:
+        raise InvalidInput("--c is the constant of the bound against --q; give --q too")
+    if cond != "5*" and args.weight is not None:
+        raise InvalidInput("--weight applies to condition 5* only")
     doc = load_model_file(args.path)
     m, ls = doc.model, doc.lin_space
-    cond = args.condition.strip("()")
-    if cond not in _CONDITIONS:
-        raise InvalidInput(
-            f"unknown condition {args.condition!r}; pick one of {_CONDITIONS}"
-        )
-    if cond == "3":
-        if args.q is not None:
-            if args.q == "p0":
-                q = from_p0(m)
-            else:
-                try:
-                    q = fap_from_payload(read_json(args.q))
-                except CertificateFormat as exc:
-                    msg = f"--q file {args.q} is not a pmf {{alpha, mass, tail}}"
-                    raise InvalidInput(msg) from exc
-            verdict = checkers.verify_condition3(m, ls, q, rat(args.c))
+    if args.q is not None:
+        if args.q == "p0":
+            q = from_p0(m)
         else:
-            verdict = checkers.find_emfap(m, ls)
-    elif cond == "4":
-        verdict = checkers.check_acmfap(m, ls)
-    elif cond == "5":
-        verdict = checkers.cstar_verdict(m, ls)
-    elif cond == "5*":
-        if args.weight is not None:
-            weight = randvar_from_json(read_json(args.weight), m, "weight")
-        elif not m.has_tail:
-            weight = constant(1, m)
-        else:
-            raise InvalidInput(
-                "condition 5* on a tail model needs --weight (a positive "
-                "function vanishing at the tail)"
-            )
-        verdict = checkers.verify_condition5star(m, ls, weight)
-    elif cond == "6":
-        verdict = checkers.check_no_arbitrage(m, ls)
-    elif cond == "7":
-        verdict = checkers.check_event_dominance(ls, doc.previsions, doc.events, m)
-    elif cond == "8":
-        verdict = checkers.check_condition8(m, ls)
-    elif cond == "10":
-        verdict = checkers.check_norm_closure(m, ls)
+            try:
+                q = fap_from_payload(read_json(args.q))
+            except CertificateFormat as exc:
+                msg = f"--q file {args.q} is not a pmf {{alpha, mass, tail}}"
+                raise InvalidInput(msg) from exc
+        c = 1 if args.c is None else args.c
+        row = checkers.verify_condition3(m, ls, q, c).to_dict()
+    elif args.weight is not None:
+        weight = randvar_from_json(read_json(args.weight), m, "weight")
+        row = checkers.verify_condition5star(m, ls, weight).to_dict()
     else:
-        verdict = checkers.check_coherence(ls.basis, doc.previsions, m)
-    _emit(verdict.to_dict(), args.format)
-    return 0 if verdict.holds else 1
+        # Every other check prints its row of the report, so the two agree.
+        names = [label.strip("()") for label in report_conditions(m, ls)]
+        if cond not in names:
+            raise InvalidInput(
+                f"condition {args.condition!r} is not a row of this model's "
+                f"report; its rows are {', '.join(names)}"
+            )
+        row = build_report(doc)["verdicts"][names.index(cond)]
+    _emit(row, args.format)
+    return 0 if row["holds"] else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    doc = load_model_file(args.path)
-    try:
-        report = build_report(doc)
-    except AuditError as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return 3
-    _emit(report, args.format)
+    _emit(build_report(load_model_file(args.path)), args.format)
     return 0
 
 
@@ -203,7 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="for condition 3: 'p0' or a path to a pmf JSON "
         "({alpha, mass, tail}); switches to the explicit expectation bound",
     )
-    p_check.add_argument("--c", default="1", help="constant for the explicit bound")
+    p_check.add_argument(
+        "--c", default=None, help="with --q: the constant of the bound (default 1)"
+    )
     p_check.add_argument(
         "--weight", default=None, help="for condition 5*: path to a weight JSON"
     )
@@ -251,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except OversizedOutput as exc:
         print(f"output too large: {exc}", file=sys.stderr)
         return 4
+    except AuditError as exc:
+        print(f"audit failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,6 +35,8 @@ from famart.spaces import (
     trading_space,
 )
 
+from references import acmfap_holds, cstar_of, no_arbitrage_holds, ratio_sweep
+
 FUZZ_SEEDS = tuple(range(200))
 
 
@@ -110,11 +112,9 @@ def test_criterion_2_bp_negative_facts():
         # each next state then forces b_{j} >= 0, and the surviving-set
         # value -(sum b_j / 2^(j+1)) >= 0 forces them all to zero.  Hence
         # every ratio program is bounded and the least bound is finite.
-        cstar = checkers.compute_cstar(m, ls)
-        assert cstar is not None, "no finite ratio bound on a fixed truncation"
-        v5 = checkers.cstar_verdict(m, ls)
-        assert v5.holds
-        assert F(v5.certificate["value"]) == cstar
+        v5 = ratio_sweep(m, ls)
+        assert v5.holds, "no finite ratio bound on a fixed truncation"
+        cstar = F(v5.certificate["value"])
         assert validate_verdict(m, ls, v5.to_dict())
         assert cstar >= _last_generator_ratio(m, ls, 4)
 
@@ -127,7 +127,7 @@ def test_criterion_2_bp_negative_facts():
             m, ls, _ = _bp(n_states, k)
             ratio = _last_generator_ratio(m, ls, k)
             assert ratio == (k + 1) * (k + 3)
-            cstar = checkers.compute_cstar(m, ls)
+            cstar = cstar_of(m, ls)
             assert cstar is not None and cstar >= ratio, (k, cstar, ratio)
             assert previous is None or cstar > previous, (k, previous, cstar)
             previous = cstar
@@ -213,9 +213,9 @@ def test_criterion_3_dmw_finite_horizon():
 def test_criterion_4_harmonic_counterexample():
     with criterion(4, "harmonic span separates the two existence conditions"):
         m, ls = example_harmonic(8)
-        assert checkers.check_acmfap(m, ls).holds
+        assert acmfap_holds(m, ls) and checkers.check_acmfap(m, ls).holds
         v6 = checkers.check_no_arbitrage(m, ls)
-        assert not v6.holds
+        assert not no_arbitrage_holds(m, ls) and not v6.holds
         gain = v6.certificate["gain"]
         assert gain["values"] == [rat_str(F(1, w)) for w in range(1, 9)]
         assert gain["tail"] == "0/1"
@@ -225,10 +225,12 @@ def test_criterion_5_finite_ftap_fuzz():
     with criterion(5, "finite fundamental theorem equivalences over 200 models"):
         for seed in FUZZ_SEEDS:
             m, ls = random_finite_model(seed)
+            # (6) and (4) by their own programs: the checkers read both
+            # off the (3) solve, so only these make the implications a test.
             emfap = checkers.find_emfap(m, ls).holds
-            na = checkers.check_no_arbitrage(m, ls).holds
+            na = no_arbitrage_holds(m, ls)
             nc = checkers.check_norm_closure(m, ls).holds
-            acm = checkers.check_acmfap(m, ls).holds
+            acm = acmfap_holds(m, ls)
             assert emfap == na, f"seed {seed}: equivalence broke"
             assert nc == na, f"seed {seed}: closure mirror broke"
             assert (not emfap) or na
@@ -242,7 +244,7 @@ def test_criterion_6_bridge_from_ratio_bound():
             m, ls = random_finite_model(seed)
             if any(x == 0 for x in m.p0_mass):
                 continue
-            cstar = checkers.compute_cstar(m, ls)
+            cstar = cstar_of(m, ls)
             if cstar is None:
                 continue
             assert cstar > 0
@@ -297,7 +299,7 @@ def _emitted_certificates():
     yield m, ls, checkers.find_emfap(m, ls).to_dict(), {}, {}
     yield m, ls, checkers.verify_condition3(m, ls, q, 1).to_dict(), {"q": q, "c": 1}, {}
     yield m, ls, checkers.check_condition8(m, ls).to_dict(), {}, {}
-    yield m, ls, checkers.cstar_verdict(m, ls).to_dict(), {}, {}
+    yield m, ls, ratio_sweep(m, ls).to_dict(), {}, {}
     yield m, ls, checkers.check_no_arbitrage(m, ls).to_dict(), {}, {}
 
     for n in (2, 3):
@@ -323,10 +325,10 @@ def _emitted_certificates():
         m, ls = random_finite_model(seed)
         if any(x == 0 for x in m.p0_mass):
             continue
-        cstar = checkers.compute_cstar(m, ls)
+        cstar = cstar_of(m, ls)
         if cstar is None:
             continue
-        yield m, ls, checkers.cstar_verdict(m, ls).to_dict(), {}, {}
+        yield m, ls, ratio_sweep(m, ls).to_dict(), {}, {}
         v = checkers.verify_condition3(m, ls, from_p0(m), 1 / cstar)
         yield m, ls, v.to_dict(), {"q": from_p0(m), "c": 1 / cstar}, {}
         bridged += 1

@@ -21,6 +21,8 @@ from famart.spaces import (
     trading_space,
 )
 
+from references import acmfap_holds, cstar_of, no_arbitrage_holds, ratio_sweep
+
 
 def _two_state(masses=(F(1, 2), F(1, 2))):
     return Model(masses)
@@ -38,6 +40,11 @@ def _bp(n_states=8, k=4):
 def _dmw(p, n):
     m, f, s = example_dmw(p, n)
     return m, trading_space(f, s, m)
+
+
+def _seeded_cstar_verdict(m, ls):
+    """The (5) verdict as a report decides it, started from the (3) solve."""
+    return checkers.cstar_verdict(m, ls, checkers.min_mass(m, ls))
 
 
 # -- no-arbitrage (6) --------------------------------------------------------
@@ -200,13 +207,13 @@ def test_condition3_input_validation():
 
 def test_cstar_symmetric_pair_is_one():
     m = _two_state()
-    assert checkers.compute_cstar(m, _span((F(1), F(-1)))) == 1
+    assert cstar_of(m, _span((F(1), F(-1)))) == 1
 
 
 def test_cstar_infinite_on_arbitrage_direction():
     m = _two_state()
-    assert checkers.compute_cstar(m, _span((F(1), F(0)))) is None
-    v = checkers.cstar_verdict(m, _span((F(1), F(0))))
+    assert cstar_of(m, _span((F(1), F(0)))) is None
+    v = ratio_sweep(m, _span((F(1), F(0))))
     assert not v.holds
     assert v.certificate["claim"] == "nonnegative_direction"
     assert validate_verdict(m, _span((F(1), F(0))), v.to_dict())
@@ -214,7 +221,7 @@ def test_cstar_infinite_on_arbitrage_direction():
 
 def test_cstar_trivial_space_is_zero():
     m = _two_state()
-    assert checkers.compute_cstar(m, LinSpace(())) == 0
+    assert cstar_of(m, LinSpace(())) == 0
 
 
 def test_cstar_on_bp_truncations_is_finite_and_grows():
@@ -223,11 +230,11 @@ def test_cstar_on_bp_truncations_is_finite_and_grows():
     # diverges along the truncation scale instead.  The n_states=3, k=1
     # value is frozen from a by-hand optimum of the two ratio programs.
     m, ls, _ = _bp(3, 1)
-    assert checkers.compute_cstar(m, ls) == 11
+    assert cstar_of(m, ls) == 11
     values = []
     for n_states, k in ((4, 1), (5, 2), (6, 3)):
         m, ls, _ = _bp(n_states, k)
-        c = checkers.compute_cstar(m, ls)
+        c = cstar_of(m, ls)
         assert c is not None
         values.append(c)
     assert values[0] < values[1] < values[2]
@@ -235,14 +242,14 @@ def test_cstar_on_bp_truncations_is_finite_and_grows():
 
 def test_cstar_verdict_certificate_validates():
     m, ls, _ = _bp(5, 2)
-    v = checkers.cstar_verdict(m, ls)
-    assert v.holds
-    assert validate_verdict(m, ls, v.to_dict())
+    for v in (_seeded_cstar_verdict(m, ls), ratio_sweep(m, ls)):
+        assert v.holds
+        assert validate_verdict(m, ls, v.to_dict())
 
 
 def test_cstar_cover_checks_each_pmf_and_the_bound():
     m, ls, _ = _bp(5, 2)
-    verdict = checkers.cstar_verdict(m, ls).to_dict()
+    verdict = ratio_sweep(m, ls).to_dict()
     cert = verdict["certificate"]
     cover = [[F(w) for w in q] for q in cert["cover"]]
     q1 = cover[0]
@@ -284,7 +291,7 @@ def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
         return solve(lp)
 
     monkeypatch.setattr(checkers, "solve", counting)
-    v = checkers.cstar_verdict(m, ls)
+    v = ratio_sweep(m, ls)
     assert v.holds
     assert 1 <= len(calls) <= most_solves
     cover = v.certificate["cover"]
@@ -296,7 +303,7 @@ def test_cstar_cover_holds_no_repeated_pmf():
     # bp N=5 k=2 re-solves a coordinate whose pmf is already in the cover.
     models = [_bp(5, 2)[:2]] + [random_finite_model(seed) for seed in range(200)]
     for m, ls in models:
-        v = checkers.cstar_verdict(m, ls)
+        v = ratio_sweep(m, ls)
         if v.holds:
             cover = v.certificate["cover"]
             assert len({tuple(q) for q in cover}) == len(cover)
@@ -324,10 +331,7 @@ def _sweep_steps(monkeypatch, m, ls, seeded):
 
     monkeypatch.setattr(checkers, "ratio_bound_lp", building)
     monkeypatch.setattr(checkers, "solve", solving)
-    if seeded:
-        v = checkers.cstar_verdict(m, ls, checkers.min_mass(m, ls))
-    else:
-        v = checkers.cstar_verdict(m, ls)
+    v = _seeded_cstar_verdict(m, ls) if seeded else ratio_sweep(m, ls)
     monkeypatch.undo()
     cover = []
     if seeded and v.holds and ls.basis:  # the (3) pmf starts the cover
@@ -413,7 +417,9 @@ def test_cstar_matches_brute_force_qmax():
     seen = {"finite": 0, "empty": 0, "zero": 0}
     for m, ls in _small_models():
         qmax = _qmax_oracle(m, ls)
-        cstar = checkers.compute_cstar(m, ls)
+        seeded = _seeded_cstar_verdict(m, ls)
+        cstar = cstar_of(m, ls)
+        assert cstar == (F(seeded.certificate["value"]) if seeded.holds else None)
         if None in qmax:
             seen["empty"] += 1
             assert cstar is None
@@ -434,7 +440,7 @@ def test_condition5star_identity_weight_reduces_to_cstar():
     ls = _span((F(1), F(-1)))
     v = checkers.verify_condition5star(m, ls, constant(1, m))
     assert v.holds
-    assert F(v.certificate["cstar"]["value"]) == checkers.compute_cstar(m, ls)
+    assert F(v.certificate["cstar"]["value"]) == cstar_of(m, ls)
 
 
 def test_condition5star_weighted_bp():
@@ -818,17 +824,18 @@ def test_implication_chain_on_fuzz_models():
     rng = random.Random(2718)
     for seed in rng.sample(range(100_000), 40):
         m, ls = random_finite_model(seed)
+        # (6) and (4) by their own programs, not read off the (3) solve.
         emfap = checkers.find_emfap(m, ls).holds
-        na = checkers.check_no_arbitrage(m, ls).holds
-        acm = checkers.check_acmfap(m, ls).holds
+        na = no_arbitrage_holds(m, ls)
+        acm = acmfap_holds(m, ls)
         assert (not emfap) or na
         assert (not na) or acm
 
 
 def test_harmonic_separates_na_from_acm():
     m, ls = example_harmonic(4)
-    assert not checkers.check_no_arbitrage(m, ls).holds
-    assert checkers.check_acmfap(m, ls).holds
+    assert not no_arbitrage_holds(m, ls) and not checkers.check_no_arbitrage(m, ls).holds
+    assert acmfap_holds(m, ls) and checkers.check_acmfap(m, ls).holds
 
 
 def test_emfap_measure_satisfies_unit_expectation_bound():

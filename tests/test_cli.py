@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from famart import checkers
+from famart import checkers, lp
 from famart.certificates import CertificateFormat, validate_verdict
 from famart.cli import main
 from famart.core import RandVar, rat, rat_str
-from famart.modelio import load_model_file
+from famart.modelio import CONDITION_ORDER, load_model_file
 from famart.programs import weighted_space
 
 
@@ -63,6 +63,107 @@ def test_check_unknown_condition_is_invalid(dmw_file, capsys):
     assert main(["check", dmw_file, "--condition", "9"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["6", "--weight", "missing.json"], "--weight applies to condition 5* only"),
+        (["3", "--c", "1/2"], "--c is the constant of the bound against --q"),
+        (["4", "--q", "p0"], "--q and --c apply to condition 3 only"),
+        (["5", "--c", "1/2"], "--q and --c apply to condition 3 only"),
+    ],
+)
+def test_check_rejects_flags_that_do_not_apply(dmw_file, capsys, args, message):
+    assert main(["check", dmw_file, "--condition", *args]) == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+def test_check_rejects_a_condition_that_is_not_a_report_row(
+    dmw_file, bp_file, tmp_path, capsys
+):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"states": 2, "tail": false, "p0": ["1/2", "1/2"], "basis": []}')
+    for path, cond in ((dmw_file, "8"), (bp_file, "5*"), (str(empty), "coherence")):
+        assert main(["check", path, "--condition", cond]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "invalid input: condition '8' is not a row of this model's report; "
+        "its rows are 3, 4, 5, 5*, 6, 7, 10, coherence",
+        "invalid input: condition '5*' is not a row of this model's report; "
+        "its rows are 3, 4, 5, 6, 7, 8, 10, coherence",
+        "invalid input: condition 'coherence' is not a row of this model's "
+        "report; its rows are 3, 4, 5, 5*, 6, 7, 10",
+    ]
+
+
+def test_check_rejects_events_not_closed_under_intersection(tmp_path, capsys):
+    # check builds the whole report, whose (7) row needs an
+    # intersection-closed family: every condition exits 2 on such a file,
+    # as report does.
+    path = tmp_path / "open_events.json"
+    path.write_text(
+        '{"states": 3, "tail": false, "p0": ["1/3", "1/3", "1/3"],'
+        ' "basis": [{"values": ["1", "0", "-1"]}], "events": [[0, 1], [1, 2]]}'
+    )
+    for cond in ("3", "6", "7"):
+        assert main(["check", str(path), "--condition", cond]) == 2
+    assert main(["report", str(path)]) == 2
+    message = "invalid input: events are not closed under intersection: [0, 1] and [1, 2]"
+    assert capsys.readouterr().err.splitlines() == [message] * 4
+
+
+def _row_models(tmp_path):
+    """Model files: finite-random seeds 0-199, bp N=5 and 8, dmw n=3 and
+    5, and harmonic N=5."""
+    examples = [["finite-random", "--seed", str(seed)] for seed in range(200)]
+    examples += [["bp", "--N", "5", "--k", "2"], ["bp", "--N", "8", "--k", "4"]]
+    examples += [["dmw", "--n", "3"], ["dmw", "--n", "5"], ["harmonic", "--N", "5"]]
+    for k, example in enumerate(examples):
+        path = str(tmp_path / f"model_{k}.json")
+        assert main(["examples", *example, "--out", path]) == 0
+        yield path
+
+
+def test_check_prints_the_report_row(tmp_path, monkeypatch, capsys):
+    # check --condition C prints the report's row C byte for byte, and
+    # exits with its verdict.  A condition that is not a row exits 2
+    # before any program is solved.
+    def no_solve(lp):
+        raise AssertionError("a condition that is not a row was solved")
+
+    checked = 0
+    for path in _row_models(tmp_path):
+        code, out = run_cli(["report", path], capsys)
+        assert code == 0
+        rows = json.loads(out)["verdicts"]
+        for row in rows:
+            code, out = run_cli(["check", path, "--condition", row["condition"]], capsys)
+            assert out == json.dumps(row, indent=2) + "\n"
+            assert code == (0 if row["holds"] else 1)
+            checked += 1
+        labels = [row["condition"] for row in rows]
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "solve", no_solve)
+            patched.setattr(checkers, "solve", no_solve)
+            for cond in CONDITION_ORDER:
+                if cond not in labels:
+                    assert main(["check", path, "--condition", cond]) == 2
+    assert checked > 1600
+
+
+def test_check_exits_3_when_the_report_audit_fires(dmw_file, monkeypatch, capsys):
+    no_arbitrage_from = checkers.no_arbitrage_from
+
+    def flipped(m, ls, mm):
+        v = no_arbitrage_from(m, ls, mm)
+        return checkers.Verdict(v.condition, not v.holds, v.certificate, v.narrative)
+
+    monkeypatch.setattr(checkers, "no_arbitrage_from", flipped)
+    assert main(["check", dmw_file, "--condition", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("audit failure: implication audit failed")
+
+
 def test_check_invalid_file_is_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"states": 2, "tail": false, "p0": ["1/2", "1/3"], "basis": []}')
@@ -77,6 +178,10 @@ def test_check_condition3_with_explicit_q(dmw_file, capsys):
     )
     assert code == 0
     assert json.loads(out)["certificate"]["claim"] == "min_at_least"
+    assert json.loads(out)["certificate"]["c"] == "1/2"
+    code, out = run_cli(["check", dmw_file, "--condition", "3", "--q", "p0"], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"]["c"] == "1/1"
 
 
 def test_check_condition3_rejects_a_q_file_that_is_not_a_pmf(dmw_file, tmp_path, capsys):
@@ -244,7 +349,8 @@ def test_certify_rejects_a_5star_verdict_with_inadmissible_weight(
     doc = load_model_file(dmw_file)
     m, ls = doc.model, doc.lin_space
     y = RandVar((rat(first), F(1), F(1), F(1)))
-    inner = checkers.cstar_verdict(m, weighted_space(m, ls, y))
+    weighted = weighted_space(m, ls, y)
+    inner = checkers.cstar_verdict(m, weighted, checkers.min_mass(m, weighted))
     verdict = checkers.weighted_ratio_from(m, y, inner, None).to_dict()
     assert not verdict["holds"]
     assert not validate_verdict(m, ls, verdict, {"weight": y})
@@ -346,10 +452,10 @@ def test_certify_rejects_a_report_with_false_implications(dmw5_report, capsys):
 def test_oversized_output_is_exit_four(dmw_file, monkeypatch, capsys):
     # A valid model whose result would hold a 4401-digit rational: that
     # is not invalid input (exit 2) but output that cannot be written.
-    def oversized(m, ls):
+    def oversized(m, ls, mm):
         return rat_str(F(10**4400))
 
-    monkeypatch.setattr(checkers, "check_no_arbitrage", oversized)
+    monkeypatch.setattr(checkers, "no_arbitrage_from", oversized)
     assert main(["check", dmw_file, "--condition", "6"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
