@@ -35,7 +35,6 @@ from .lp import (
     IntProgram,
     LinearProgram,
     dual_rows,
-    farkas_combination,
     farkas_rows,
     proves_infeasible,
 )
@@ -198,9 +197,9 @@ def farkas_witness(
         "weights": rat_strs(weights),
     }
     if claim == "infeasible":
-        combined, bound = farkas_combination(lp, weights)
-        out["combined"] = rat_strs(combined)
-        out["bound"] = rat_str(bound)
+        sums, den = farkas_rows(lp, *int_row(weights))
+        out["combined"] = [rat_str(Fraction(g, den)) for g in sums[:-1]]
+        out["bound"] = rat_str(Fraction(sums[-1], den))
     elif claim in ("max_at_most", "min_at_least"):
         reduced, value, den = dual_rows(lp, *int_row(weights))
         if value is None:

@@ -570,11 +570,11 @@ def qstar_from_weight(m: Model, q: Fap, y: RandVar) -> Fap:
 
 
 def weighted_ratio_from(
-    m: Model, y: RandVar, cstar: Verdict, emfap: Verdict | None
+    m: Model, y: RandVar, cstar: Verdict, mm: MinMass | None
 ) -> Verdict:
     """Condition (5*) read off the (5) verdict of the weighted family
-    ``{X Y}`` and, when that holds, its (3) verdict, whose functional is
-    reweighted by ``y`` into Q*.  With the unit weight on a tail-less
+    ``{X Y}`` and, when that holds, its (3) solve ``mm``, whose functional
+    is reweighted by ``y`` into Q*.  With the unit weight on a tail-less
     model the weighted family is the family itself."""
     certificate = {
         "kind": "weighted_ratio_bound",
@@ -589,9 +589,9 @@ def weighted_ratio_from(
             "no finite weighted ratio bound: the attached direction is a "
             "nonzero nonnegative weighted gain.",
         )
-    if emfap is None or not emfap.holds:  # pragma: no cover - exact duality
+    if mm is None or not mm.verdict.holds:  # pragma: no cover - exact duality
         raise AssertionError("a finite weighted ratio bound implies (3)")
-    q = certs.fap_from_payload(emfap.certificate["fap"])
+    q = mm.fap
     qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
     certificate["qstar"] = certs.martingale_fap(
         m, qstar, equivalent=is_equivalent(qstar, m)
@@ -619,7 +619,7 @@ def verify_condition5star(m: Model, ls: LinSpace, y: RandVar) -> Verdict:
     check_weight(m, y)
     weighted = weighted_space(m, ls, y)
     mm = min_mass(m, weighted)
-    return weighted_ratio_from(m, y, cstar_verdict(m, weighted, mm), mm.verdict)
+    return weighted_ratio_from(m, y, cstar_verdict(m, weighted, mm), mm)
 
 
 def check_condition8(m: Model, ls: LinSpace) -> Verdict:
@@ -649,27 +649,25 @@ def _representation(
     coords: Sequence[int],
     gambles: Sequence[RandVar],
     previsions: Sequence[Fraction],
-    acmfap: Verdict | None,
+    mm: MinMass | None,
 ) -> Optimal | Infeasible:
     """The outcome of ``coherence_lp(coords, gambles, previsions)``.
 
-    ``acmfap`` is a (4) verdict whose generators are ``gambles``.  Where
-    the program is the (4) program (the support in support order, zero
-    previsions), the outcome is read off that verdict with no solve.  A
-    holding (4) gives a feasible point.  A failing (4) gain ``x`` with
-    coefficients ``b`` and ``ess sup x = a < 0`` gives the Farkas weights
-    ``(a, -b)``: they combine the rows to ``a - x >= 0`` on the support,
-    against the bound ``a < 0``.
+    ``mm`` is the (3) solve of a space whose generators are ``gambles``.
+    Where the program is the (4) program (the support in support order,
+    zero previsions), the outcome is read off ``mm`` with no solve, as
+    :func:`acmfap_from` reads (4).  Its functional gives a feasible point.
+    Without one, its gain ``sum_d b_d X_d`` is positive on the support, so
+    ``x = -gain`` has ``ess sup x = a < 0``, and the Farkas weights
+    ``(a, b)`` combine the rows to ``a - x >= 0`` on the support, against
+    the bound ``a < 0``.
     """
-    if acmfap is not None and tuple(coords) == m.support() and not any(previsions):
-        cert = acmfap.certificate
-        if acmfap.holds:
-            weights = certs.support_weights(m, certs.fap_from_payload(cert["fap"]))
+    if mm is not None and tuple(coords) == m.support() and not any(previsions):
+        if mm.fap is not None:
+            weights = certs.support_weights(m, mm.fap)
             zeros = (ZERO,) * (1 + len(gambles))
             return Optimal(ZERO, tuple(weights[c] for c in coords), zeros)
-        return Infeasible(
-            (rat(cert["amount"]),) + tuple(-rat(c) for c in cert["coefficients"])
-        )
+        return Infeasible((ess_sup(mm.gain.negated(), m), *mm.coefficients))
     out = _solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Unbounded):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
@@ -680,7 +678,7 @@ def check_coherence(
     gambles: Sequence[RandVar],
     previsions: Sequence[RationalLike],
     m: Model,
-    acmfap: Verdict | None = None,
+    mm: MinMass | None = None,
 ) -> Verdict:
     """de Finetti coherence of previsions on a finite list of gambles.
 
@@ -688,8 +686,9 @@ def check_coherence(
     coherence coordinates reproduces every prevision.  Incoherent means a
     sure-loss bet exists: stakes under which the bettor's gain
     ``sum c_d (X_d - E_d)`` is strictly positive at every coordinate.
-    A (4) verdict on the gambles as generators decides it where the two
-    programs are equal (see :func:`_representation`).
+    The (3) solve of the gambles as generators decides it where the
+    representation program is the (4) program (see
+    :func:`_representation`).
     """
     gambles = tuple(gambles)
     previsions = tuple(rat(e) for e in previsions)
@@ -700,7 +699,7 @@ def check_coherence(
     for x in gambles:
         x.check_conforms(m)
     coords = coherence_coords(m)
-    out = _representation(m, coords, gambles, previsions, acmfap)
+    out = _representation(m, coords, gambles, previsions, mm)
     if isinstance(out, Optimal):
         return Verdict(
             "coherence",
@@ -736,7 +735,7 @@ def check_event_dominance(
     previsions: Sequence[RationalLike],
     events: Sequence[Sequence[int]],
     m: Model,
-    acmfap: Verdict | None = None,
+    mm: MinMass | None = None,
 ) -> Verdict:
     """Event-wise dominance (7): ``sup_A X >= E(X)`` for every gain and
     every event of an intersection-closed family.
@@ -748,7 +747,7 @@ def check_event_dominance(
     Farkas stakes win at every least-event coordinate, so the gain with
     the stakes negated violates dominance on the least event.  The least
     event is weighted in support order, the tail last, so that on default
-    inputs the program is the (4) program and a (4) verdict on ``d``
+    inputs the program is the (4) program and the (3) solve of ``d``
     decides it (see :func:`_representation`).
     """
     previsions = tuple(rat(e) for e in previsions)
@@ -776,7 +775,7 @@ def check_event_dominance(
                 )
     least = frozenset.intersection(*family)
     coords = sorted(least, key=lambda c: (c == TAIL, c))
-    out = _representation(m, coords, d.basis, previsions, acmfap)
+    out = _representation(m, coords, d.basis, previsions, mm)
     if isinstance(out, Optimal):
         return Verdict(
             "(7)",

@@ -12,8 +12,9 @@ integer denominator, reduced by their gcd after every update, in the
 fraction-free style of Edmonds and Bareiss; every entry is therefore the
 same rational a `fractions.Fraction` tableau would hold, and the pivot
 rule reads only signs and cross products of numerators.  Programs and
-outcomes are `Fraction`-valued; the tableau converts once on the way in
-and once on the way out.
+outcomes are `Fraction`-valued; the tableau reads a program's kept
+integer form, the one the verification kernel reads too, and converts to
+`Fraction` once on the way out.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
@@ -40,7 +41,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
+from operator import mul
 from typing import Sequence, Union
 
 from .core import ZERO, InvalidInput, Record, _Kept, _rat_tuple, dot, int_row, rat
@@ -117,8 +119,8 @@ class LinearProgram(_Kept):
         return len(self.constraints)
 
     def int_form(self) -> "IntProgram":
-        """The program in integers, for the verification kernel; read on
-        first use and kept."""
+        """The program in integers, for the simplex and the verification
+        kernel; read on first use and kept."""
         if not hasattr(self, "_rows"):
             bounds = self.lower + self.upper
             entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
@@ -139,7 +141,8 @@ class LinearProgram(_Kept):
 
 
 class IntProgram(Record):
-    """A program in integers, the form the verification kernel reads.
+    """A program in integers, the form the simplex and the verification
+    kernel read.
 
     Every entry is an integer numerator over the one positive denominator
     ``den``.  Each of ``rows`` lists a constraint's coefficients, then its
@@ -228,147 +231,126 @@ LpOutcome = Union[Optimal, Infeasible, Unbounded]
 # Solver
 # --------------------------------------------------------------------------
 
-# Variable transforms to the internal all-nonnegative form.
-_SHIFT = "shift"      # x = lower + p
-_REFLECT = "reflect"  # x = upper - p
-_SPLIT = "split"      # x = p - q
-
 
 class _Tableau:
     """Dense simplex tableau in equality form with per-row probe columns.
 
-    Internal rows are the original constraints (variables substituted,
-    right-hand sides flipped nonnegative) followed by one ``p <= u - l``
-    row per doubly bounded variable.  Each row keeps a *probe* column --
-    its initial basic column, a slack or an artificial with entry +1 in
-    that row only -- from which dual multipliers are read back after any
-    phase.
+    It reads a program's kept integer form (:meth:`LinearProgram.int_form`)
+    and does no rational arithmetic.  Each variable becomes nonnegative
+    internal columns: ``x = l + p`` with a lower bound, ``x = u - p`` with
+    only an upper one, ``x = p - q`` when free.  Internal rows are the
+    original constraints (variables substituted, right-hand sides flipped
+    nonnegative) followed by one ``p <= u - l`` row per doubly bounded
+    variable.  Each row keeps a *probe* column -- its initial basic
+    column, a slack or an artificial with entry +1 in that row only --
+    from which dual multipliers are read back after any phase.
 
     Row ``i``, right-hand side last, is the list ``rows[i]`` of integer
     numerators over one positive integer denominator ``dens[i]``; the
-    reduced costs are kept the same way (``rc`` over ``rc_den``).  Each
-    update divides the changed row by the gcd of its denominator and
-    numerators, so every entry equals the reduced rational that exact
-    rational pivoting would hold, and a basic column ``b`` of row ``i``
-    reads ``rows[i][b] == dens[i]``.
+    reduced costs are kept the same way (``rc`` over ``rc_den``), and the
+    column costs and the objective offset over ``den`` and ``den**2``.
+    Each row is divided by the gcd of its denominator and numerators when
+    built and after every update, so every entry equals the reduced
+    rational that exact rational pivoting would hold, and a basic column
+    ``b`` of row ``i`` reads ``rows[i][b] == dens[i]``.
     """
 
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        cmax = lp.objective if lp.maximize else tuple(-c for c in lp.objective)
+    def __init__(self, p: IntProgram):
+        self.den = p.den
+        # ``x_j = shift[j] + sum sign * p_k`` over the internal columns
+        # ``k`` with ``col_var[k] == (j, sign)``; slacks and artificials
+        # follow them.
+        self.col_var: list[tuple[int, int]] = []
+        self.shift = [0] * len(p.costs)  # over den
+        boxes: list[tuple[int, int]] = []  # (column, u - l over den) box rows
+        for j, (lo, hi) in enumerate(zip(p.lower, p.upper)):
+            if lo is None and hi is None:
+                self.col_var += [(j, 1), (j, -1)]
+                continue
+            if lo is not None and hi is not None:
+                boxes.append((len(self.col_var), hi - lo))
+            self.shift[j] = hi if lo is None else lo
+            self.col_var.append((j, -1 if lo is None else 1))
+        self.costs = [sign * p.costs[j] for j, sign in self.col_var]  # over den
+        self.offset = sum(map(mul, p.costs, self.shift))  # over den**2
 
-        # Variable substitutions.
-        self.var_kind: list[str] = []
-        self.var_cols: list[tuple[int, ...]] = []  # internal column ids per var
-        shift = [ZERO] * lp.n_vars  # constant term of x_j in terms of columns
-        self.costs: list[Fraction] = []  # per internal column
-        self.offset = ZERO
-
-        extra_rows: list[tuple[int, Fraction]] = []  # (column, u - l) box rows
-
-        def new_col(cost: Fraction) -> int:
-            self.costs.append(cost)
-            return len(self.costs) - 1
-
-        for j in range(lp.n_vars):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo is not None:
-                p = new_col(cmax[j])
-                self.var_kind.append(_SHIFT)
-                self.var_cols.append((p,))
-                shift[j] = lo
-                self.offset += cmax[j] * lo
-                if hi is not None:
-                    extra_rows.append((p, hi - lo))
-            elif hi is not None:
-                p = new_col(-cmax[j])
-                self.var_kind.append(_REFLECT)
-                self.var_cols.append((p,))
-                shift[j] = hi
-                self.offset += cmax[j] * hi
-            else:
-                p = new_col(cmax[j])
-                q = new_col(-cmax[j])
-                self.var_kind.append(_SPLIT)
-                self.var_cols.append((p, q))
-
-        # Rows: original constraints first, then box rows.  Every internal
-        # column belongs to one variable, so no coefficient is summed.
-        raw_rows: list[tuple[dict[int, Fraction], str, Fraction]] = []
-        for con in lp.constraints:
-            coeffs: dict[int, Fraction] = {}
-            rhs = con.rhs
-            for j, a in enumerate(con.coeffs):
-                if a == 0:
-                    continue
-                if shift[j]:
-                    rhs -= a * shift[j]
-                kind = self.var_kind[j]
-                cols = self.var_cols[j]
-                coeffs[cols[0]] = -a if kind == _REFLECT else a
-                if kind == _SPLIT:
-                    coeffs[cols[1]] = -a
-            raw_rows.append((coeffs, con.relation, rhs))
-        for col, width in extra_rows:
-            raw_rows.append(({col: Fraction(1)}, LE, width))
-
-        self.n_orig_rows = lp.n_rows
-        self.row_origin = list(range(len(raw_rows)))
+        # A shift moves ``a_j shift_j`` to the right-hand side, over den**2;
+        # then every row is scaled by ``m = den``.  No famart builder shifts.
+        m, rhs = 1, [row[-1] for row in p.rows]
+        if any(self.shift):
+            m = p.den
+            rhs = [row[-1] * m - sum(map(mul, row, self.shift)) for row in p.rows]
+        rhs += [width * m for _col, width in boxes]
+        relations = [*p.relations, *[LE] * len(boxes)]
+        self.n_orig_rows = len(p.rows)
+        self.row_origin = list(range(len(rhs)))
 
         # Equality form with slack/surplus, flipped to nonnegative rhs.  The
         # initial basis and probes: the slack if it survives the flip with
         # coefficient +1, otherwise a fresh artificial column.
-        slacks = [None if rel == EQ else new_col(ZERO) for _c, rel, _r in raw_rows]
-        self.sigma = [-1 if rhs < 0 else 1 for _c, _rel, rhs in raw_rows]
+        self.ncols = len(self.col_var)
+
+        def new_col() -> int:
+            self.ncols += 1
+            return self.ncols - 1
+
+        slacks = [None if rel == EQ else new_col() for rel in relations]
+        self.sigma = [-1 if b < 0 else 1 for b in rhs]
         self.artificial: set[int] = set()
         self.basis: list[int] = []
-        for (_coeffs, relation, _rhs), s, sgn in zip(raw_rows, slacks, self.sigma):
+        for relation, s, sgn in zip(relations, slacks, self.sigma):
             if s is not None and sgn == (1 if relation == LE else -1):
                 self.basis.append(s)
             else:
-                self.basis.append(new_col(ZERO))
+                self.basis.append(new_col())
                 self.artificial.add(self.basis[-1])
         self.probe = list(self.basis)
-        self.ncols = len(self.costs)
+        pad = [0] * (self.ncols - len(self.col_var))
+        self.costs += pad
         self.banned: set[int] = set()
 
-        # The one conversion to integer rows over a common denominator.
+        # Integer rows over ``den * m``, each divided by its gcd.
+        scale = p.den * m
         self.rows: list[list[int]] = []
         self.dens: list[int] = []
-        for (coeffs, relation, rhs), s, sgn, b in zip(
-            raw_rows, slacks, self.sigma, self.basis
+        for i, (relation, b, s, sgn, basic) in enumerate(
+            zip(relations, rhs, slacks, self.sigma, self.basis)
         ):
-            den = lcm(rhs.denominator, *[a.denominator for a in coeffs.values()])
-            row = [0] * (self.ncols + 1)
-            for col, a in coeffs.items():
-                row[col] = sgn * a.numerator * (den // a.denominator)
+            if i < self.n_orig_rows:
+                coeffs, f = p.rows[i], sgn * m
+                row = [f * sign * coeffs[j] for j, sign in self.col_var] + pad
+            else:
+                row = [0] * self.ncols
+                row[boxes[i - self.n_orig_rows][0]] = sgn * scale
+            row.append(sgn * b)
             if s is not None:
-                row[s] = sgn * den if relation == LE else -sgn * den
-            row[b] = den
-            row[-1] = sgn * rhs.numerator * (den // rhs.denominator)
+                row[s] = sgn * scale if relation == LE else -sgn * scale
+            row[basic] = scale
+            g = gcd(*row)
+            if g != 1:
+                row = [a // g for a in row]
             self.rows.append(row)
-            self.dens.append(den)
+            self.dens.append(row[basic])
         self.rc: list[int] = []
         self.rc_den = 1
 
     # -- simplex machinery -------------------------------------------------
 
-    def _reduced_costs(self, costs: Sequence[Fraction]) -> None:
-        """Set ``rc`` to ``costs`` minus the basic cost of every row.
+    def _reduced_costs(self, costs: Sequence[int], den: int) -> None:
+        """Set ``rc`` to ``costs`` over ``den`` minus the basic cost of
+        every row.
 
         The last entry, the right-hand side's column, is minus the
         objective value of the basic solution (offset excluded).
         """
-        self.rc, self.rc_den = int_row([*costs, ZERO])
+        g = gcd(den, *costs)
+        self.rc, self.rc_den = [c // g for c in costs] + [0], den // g
         for r, b in enumerate(self.basis):
             if self.rc[b]:
                 pivot = [(j, q) for j, q in enumerate(self.rows[r]) if q]
                 self.rc, self.rc_den = _eliminate(
                     self.rc, self.rc_den, b, pivot, self.dens[r]
                 )
-
-    def _objective_value(self) -> Fraction:
-        return -Fraction(self.rc[-1], self.rc_den)
 
     def _pivot(self, r: int, col: int) -> None:
         prow = self.rows[r]
@@ -387,15 +369,16 @@ class _Tableau:
             self.rc, self.rc_den = _eliminate(self.rc, self.rc_den, col, pivot, p)
         self.basis[r] = col
 
-    def _run(self, costs: Sequence[Fraction]) -> tuple[str, int]:
-        """Bland-rule simplex to optimality or unboundedness.
+    def _run(self, costs: Sequence[int], den: int) -> tuple[str, int]:
+        """Bland-rule simplex to optimality or unboundedness for the column
+        costs ``costs`` over ``den``.
 
         Leaves the final reduced costs in ``rc`` and returns ("optimal",
         -1) or ("unbounded", entering column).  Signs of reduced costs
         and entries are those of their numerators; ratios ``rhs / entry``
         share their row's denominator, so they compare by cross products.
         """
-        self._reduced_costs(costs)
+        self._reduced_costs(costs, den)
         basic = set(self.basis)
         while True:
             enter = -1
@@ -432,45 +415,30 @@ class _Tableau:
 
     # -- outcome extraction -------------------------------------------------
 
-    def _duals(self, costs: Sequence[Fraction]) -> list[Fraction]:
-        """Multipliers of the original rows, read off the probe columns."""
+    def _duals(self, costs: Sequence[int], den: int) -> list[Fraction]:
+        """Multipliers of the original rows, read off the probe columns,
+        for the column costs ``costs`` over ``den``."""
         duals = [ZERO] * self.n_orig_rows
+        rc, rc_den = self.rc, self.rc_den
         for col, origin in zip(self.probe, self.row_origin):
             if origin < self.n_orig_rows:
-                rc = Fraction(self.rc[col], self.rc_den)
-                duals[origin] = self.sigma[origin] * (costs[col] - rc)
+                y = Fraction(costs[col] * rc_den - rc[col] * den, den * rc_den)
+                duals[origin] = self.sigma[origin] * y
         return duals
 
     def _primal(self) -> list[Fraction]:
         cols = [ZERO] * self.ncols
         for r, b in enumerate(self.basis):
             cols[b] = Fraction(self.rows[r][-1], self.dens[r])
-        return self._map_point(cols)
+        return self._map(cols, True)
 
-    def _map_point(self, cols: Sequence[Fraction]) -> list[Fraction]:
-        out = []
-        for j in range(self.lp.n_vars):
-            kind = self.var_kind[j]
-            ids = self.var_cols[j]
-            if kind == _SHIFT:
-                out.append(self.lp.lower[j] + cols[ids[0]])
-            elif kind == _REFLECT:
-                out.append(self.lp.upper[j] - cols[ids[0]])
-            else:
-                out.append(cols[ids[0]] - cols[ids[1]])
-        return out
-
-    def _map_ray(self, cols: Sequence[Fraction]) -> list[Fraction]:
-        out = []
-        for j in range(self.lp.n_vars):
-            kind = self.var_kind[j]
-            ids = self.var_cols[j]
-            if kind == _SHIFT:
-                out.append(cols[ids[0]])
-            elif kind == _REFLECT:
-                out.append(-cols[ids[0]])
-            else:
-                out.append(cols[ids[0]] - cols[ids[1]])
+    def _map(self, cols: Sequence[Fraction], point: bool) -> list[Fraction]:
+        """The original variables at internal column values ``cols``: a
+        point, or, with ``point`` False, a ray, which the shifts leave out."""
+        out = [Fraction(s, self.den) if point else ZERO for s in self.shift]
+        for (j, sign), v in zip(self.col_var, cols):
+            if v:
+                out[j] += v if sign > 0 else -v
         return out
 
     def drive_out_artificials(self) -> None:
@@ -527,27 +495,24 @@ def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly, returning an outcome with a verifiable certificate."""
     if not isinstance(lp, LinearProgram):
         raise InvalidInput("solve expects a LinearProgram")
-    tab = _Tableau(lp)
+    p = lp.int_form()
+    tab = _Tableau(p)
 
     # Phase 1: maximize minus the sum of artificial values.
-    phase1 = [ZERO] * tab.ncols
-    for a in tab.artificial:
-        phase1[a] = Fraction(-1)
-    status, _ = tab._run(phase1)
+    phase1 = [-1 if j in tab.artificial else 0 for j in range(tab.ncols)]
+    status, _ = tab._run(phase1, 1)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
         raise AssertionError("phase 1 reported an unbounded objective")
-    if tab._objective_value() < 0:
-        duals = tab._duals(phase1)
-        farkas = []
-        for i, con in enumerate(lp.constraints):
-            y = duals[i]
-            farkas.append(-y if con.relation == GE else y)
-        return Infeasible(tuple(farkas))
+    if tab.rc[-1] > 0:  # the phase-1 optimum, -rc[-1] / rc_den, is negative
+        duals = tab._duals(phase1, 1)
+        return Infeasible(
+            tuple(-y if rel == GE else y for y, rel in zip(duals, p.relations))
+        )
 
     tab.drive_out_artificials()
 
     # Phase 2: the real objective.
-    status, enter = tab._run(tab.costs)
+    status, enter = tab._run(tab.costs, p.den)
     if status == "unbounded":
         ray_cols = [ZERO] * tab.ncols
         ray_cols[enter] = Fraction(1)
@@ -555,13 +520,11 @@ def solve(lp: LinearProgram) -> LpOutcome:
             a = tab.rows[r][enter]
             if a:
                 ray_cols[b] = -Fraction(a, tab.dens[r])
-        point = tab._primal()
-        ray = tab._map_ray(ray_cols)
-        return Unbounded(tuple(point), tuple(ray))
+        return Unbounded(tuple(tab._primal()), tuple(tab._map(ray_cols, False)))
 
-    value_max = tab._objective_value() + tab.offset
+    value_max = Fraction(-tab.rc[-1], tab.rc_den) + Fraction(tab.offset, p.den**2)
     primal = tab._primal()
-    duals = tab._duals(tab.costs)
+    duals = tab._duals(tab.costs, p.den)
     value = value_max if lp.maximize else -value_max
     return Optimal(value, tuple(primal), tuple(duals))
 
@@ -730,19 +693,28 @@ def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
 def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
     """Exact, solver-independent check of an outcome's certificate.
 
-    Returns False on malformed certificates instead of raising.
+    Returns False on malformed certificates instead of raising, among
+    them any entry that is not an int or a ``Fraction``: a float would
+    bring rounding into an exact check.
     """
+    if not isinstance(out, (Optimal, Infeasible, Unbounded)):
+        return False
     try:
+        fields = [getattr(out, f) for f in out.__slots__]
+        if isinstance(out, Optimal):
+            fields[0] = (out.value,)
+        if not all(
+            type(x) is int or isinstance(x, Fraction) for v in fields for x in v
+        ):
+            return False
         if isinstance(out, Optimal):
             return _verify_optimal(lp, out)
         if isinstance(out, Infeasible):
             combo = farkas_rows(lp, *int_row(out.farkas))
             return combo is not None and proves_infeasible(lp, combo[0])
-        if isinstance(out, Unbounded):
-            return _verify_unbounded(lp, out)
-    except (AttributeError, InvalidInput, TypeError, ZeroDivisionError):
-        return False  # AttributeError: an entry that is not a rational
-    return False
+        return _verify_unbounded(lp, out)
+    except (InvalidInput, TypeError, ZeroDivisionError):
+        return False
 
 
 def reduced_costs(

@@ -323,11 +323,11 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
             extras["weight"] = weight = constant(1, m)
             check_weight(m, weight)
             verdicts["(5*)"] = checkers.weighted_ratio_from(
-                m, weight, verdicts["(5)"], emfap
+                m, weight, verdicts["(5)"], mm
             )
         # On default inputs (7) and coherence are read off (4).
         verdicts["(7)"] = checkers.check_event_dominance(
-            ls, doc.previsions, doc.events, m, acm
+            ls, doc.previsions, doc.events, m, mm
         )
         if m.has_tail:
             verdicts["(8)"] = checkers.check_condition8(m, ls)
@@ -335,7 +335,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         verdicts["(10)"] = checkers.norm_closure_from(verdicts["(6)"])
         if ls.basis:
             verdicts["coherence"] = checkers.check_coherence(
-                ls.basis, doc.previsions, m, acm
+                ls.basis, doc.previsions, m, mm
             )
 
     na = verdicts["(6)"]

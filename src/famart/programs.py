@@ -13,9 +13,10 @@ contract between the two sides:
   weights against it by integer arithmetic.  The two programs such a
   witness names, ``arbitrage`` and ``min-mass``, are defined here once,
   as integer rows read off the space's kept integer basis rows
-  (:func:`arbitrage_rows`, :func:`martingale_mass_rows`); the validator
-  reads those rows, and ``arbitrage_lp`` and ``martingale_mass_lp`` only
-  turn them into a ``LinearProgram`` for the solver.
+  (:func:`arbitrage_rows`, :func:`martingale_mass_rows`).  The validator
+  reads those rows, and so does the solver: ``arbitrage_lp`` and
+  ``martingale_mass_lp`` wrap them in a ``LinearProgram`` that keeps them
+  as its integer form, which the simplex reads.
 """
 
 from __future__ import annotations

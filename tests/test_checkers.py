@@ -719,24 +719,25 @@ def test_a_failing_dominance_program_shared_with_coherence_is_solved_once(monkey
 )
 def test_dominance_and_coherence_read_off_4_on_default_inputs(monkeypatch, example):
     # With zero previsions and the support as the least event, the (7)
-    # and coherence programs are the (4) program: a (4) verdict decides
-    # both, holding or failing, with no solve.
+    # and coherence programs are the (4) program: the (3) solve, which
+    # decides (4), decides both, holding or failing, with no solve.
     m, ls = example()
     zeros = [F(0)] * len(ls.basis)
-    acm = checkers.check_acmfap(m, ls)
+    mm = checkers.min_mass(m, ls)
+    acm = checkers.acmfap_from(m, mm)
     fresh = (
         checkers.check_event_dominance(ls, zeros, [m.support()], m),
         checkers.check_coherence(ls.basis, zeros, m),
     )
     calls = _counting_solves(monkeypatch)
     derived = (
-        checkers.check_event_dominance(ls, zeros, [m.support()], m, acm),
-        checkers.check_coherence(ls.basis, zeros, m, acm),
+        checkers.check_event_dominance(ls, zeros, [m.support()], m, mm),
+        checkers.check_coherence(ls.basis, zeros, m, mm),
     )
     assert calls == []
     # The outcome read off (4) is a valid outcome of the (4) program.
     program = programs.coherence_lp(m.support(), ls.basis, zeros)
-    read_off = checkers._representation(m, m.support(), ls.basis, zeros, acm)
+    read_off = checkers._representation(m, m.support(), ls.basis, zeros, mm)
     assert verify_outcome(program, read_off)
     extras = {"previsions": zeros, "events": [m.support()]}
     for d, f in zip(derived, fresh):

@@ -10,6 +10,7 @@ from famart.core import InvalidInput
 from famart.lp import (
     Constraint,
     Infeasible,
+    IntProgram,
     LinearProgram,
     Optimal,
     Unbounded,
@@ -17,6 +18,9 @@ from famart.lp import (
     solve,
     verify_outcome,
 )
+from famart.modelio import parse_model
+from famart.programs import arbitrage_lp, martingale_mass_lp
+from test_modelio import _pinned_model_files
 
 
 def test_optimal_with_dual():
@@ -105,6 +109,19 @@ def test_verify_rejects_malformed():
     assert not verify_outcome(lp, Optimal(F(3), ("3",), (F(1),)))
     assert not verify_outcome(lp, Infeasible((None,)))
     assert not verify_outcome(lp, "nonsense")
+    # Floats are not exact rationals, wherever they stand.
+    assert not verify_outcome(lp, Optimal(F(3), (F(3),), (1.0,)))
+    assert not verify_outcome(lp, Optimal(3.0, (F(3),), (F(1),)))
+    assert not verify_outcome(lp, Optimal(F(3), (3.0,), (F(1),)))
+    infeasible = LinearProgram(
+        objective=(F(0),), constraints=[((F(1),), ">=", F(1)), ((F(1),), "<=", F(0))]
+    )
+    assert verify_outcome(infeasible, Infeasible((F(1), 1)))
+    assert not verify_outcome(infeasible, Infeasible((1.0, 1.0)))
+    unbounded = LinearProgram(objective=(F(1),), constraints=[((F(1),), ">=", F(0))])
+    assert verify_outcome(unbounded, Unbounded((0,), (F(1),)))
+    assert not verify_outcome(unbounded, Unbounded((0.0,), (F(1),)))
+    assert not verify_outcome(unbounded, Unbounded((F(0),), (1.0,)))
 
 
 def test_constraint_validation():
@@ -300,6 +317,35 @@ def test_outcome_digest_is_pinned():
         digest.update(repr(out).encode() + b"\n")
     assert kinds == {Optimal, Infeasible, Unbounded}
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+def _scaled(p: IntProgram, k: int) -> IntProgram:
+    """``p`` with every integer entry and the denominator multiplied by ``k``."""
+
+    def times(xs):
+        return [None if x is None else k * x for x in xs]
+
+    rows = [times(row) for row in p.rows]
+    return IntProgram(rows, p.relations, times(p.costs), times(p.lower), times(p.upper), k * p.den)
+
+
+def test_solve_does_not_depend_on_how_a_program_is_written_in_integers():
+    # Scaling a program's integer form by k keeps every rational in it, so
+    # the tableau it is read into, and the outcome, must stay the same.
+    # The scaled form is a maximization, so a minimum comes back negated.
+    rng = random.Random(2718)
+    lps = [_oracle_lp(rng) for _ in range(200)]
+    for model_file in _pinned_model_files():
+        doc = parse_model(model_file)
+        m, ls = doc.model, doc.lin_space
+        if ls.basis:
+            lps += [martingale_mass_lp(m, ls), arbitrage_lp(m, ls)]
+    for lp in lps:
+        out = solve(lp)
+        if isinstance(out, Optimal) and not lp.maximize:
+            out = Optimal(-out.value, out.primal, out.dual)
+        for k in (6, 3 * 2**40):
+            assert solve(_scaled(lp.int_form(), k).linear_program()) == out
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``arbitrage_rows`` and ``martingale_mass_rows`` read the ``arbitrage``
 and ``min-mass`` programs off a space's kept integer basis rows;
-``arbitrage_lp`` and ``martingale_mass_lp`` only turn those rows into a
-``LinearProgram`` for the solver.  These tests pin both forms to the
+``arbitrage_lp`` and ``martingale_mass_lp`` wrap those rows in a
+``LinearProgram`` that keeps them as the integer form the solver reads.  These tests pin both forms to the
 ``Fraction`` definitions they replaced, and pin validation of these
 programs' Farkas and dual rows to the integer form alone.
 """
