@@ -38,7 +38,9 @@ one feasibility program whose Farkas vector gives the failure.
 
 The ``*_from`` functions build a verdict from another one with no solve:
 (4) and (6) from (3), (10) from (6), and (5*) from (5) and (3).  Inside
-:func:`solving_once`, each distinct program is solved at most once.
+:func:`solving_once`, each distinct (7) or coherence program is solved at
+most once.  The (5) sweep solves one ratio program and maximizes each
+later coordinate's objective over the same rows, on one tableau.
 This chain, from :func:`min_mass`, is the one decision path for every
 report row, and ``famart check`` prints the report's row.
 :func:`find_emfap`, :func:`check_acmfap`, :func:`check_no_arbitrage` and
@@ -69,7 +71,15 @@ from .core import (
     sup_norm,
 )
 from .fap import Fap, from_p0, is_equivalent
-from .lp import Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded, solve
+from .lp import (
+    Infeasible,
+    LinearProgram,
+    LpOutcome,
+    Optimal,
+    Unbounded,
+    reoptimizer,
+    solve,
+)
 from .programs import (
     arbitrage_rows,
     check_weight,
@@ -94,7 +104,8 @@ _SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
 def solving_once() -> Iterator[None]:
     """Within the block, each distinct program is solved at most once:
     an equal program reuses the first outcome, which is the same outcome,
-    since solving is deterministic."""
+    since solving is deterministic.  It serves (7) and coherence, whose
+    programs can be equal; the (5) sweep reuses its own outcomes."""
     token = _SOLVED.set({})
     try:
         yield
@@ -507,6 +518,12 @@ def _ratio_sweep(
     coordinate is never solved twice.  A coordinate no pmf charges yet is
     always solved first, so the first unbounded coordinate in support
     order is found.
+
+    Every ratio program has the same rows; only the objective, the gain
+    at the coordinate, changes.  So the sweep solves the first one and
+    maximizes each later coordinate's objective over its rows from the
+    last optimal basis (:func:`famart.lp.reoptimizer`).  A coordinate
+    whose objective was already maximized reuses that outcome.
     """
     support = m.support()
     lower = [max(col) for col in zip(*cover)] if cover else [ZERO] * len(support)
@@ -527,10 +544,18 @@ def _ratio_sweep(
 
     for coeffs, x in gains:
         attain(coeffs, x)
+    solved: dict[tuple[Fraction, ...], LpOutcome] = {}
     # With no generators there is no program to solve, and c* = 0.
     while ls.basis and (attaining is None or (1 + best) * min(lower) < 1):
         i = min(range(len(support)), key=lower.__getitem__)
-        out = _solve(ratio_bound_lp(m, ls, support[i]))
+        if not solved:
+            lp = ratio_bound_lp(m, ls, support[i])
+            solved[lp.objective], maximize = reoptimizer(lp)
+        # Row i is the gain at support[i], which is that coordinate's objective.
+        objective = lp.constraints[i].coeffs
+        out = solved.get(objective)
+        if out is None:
+            out = solved[objective] = maximize(objective)
         if isinstance(out, Unbounded):
             return _unbounded_ratio(m, out.ray, ls.combine(out.ray))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible

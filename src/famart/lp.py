@@ -5,7 +5,9 @@ follows Bland's smallest-index rule (entering column with the lowest
 index among improving reduced costs; leaving row by minimum ratio, ties
 broken by the smallest basic column index), so solving terminates without
 perturbation and is fully deterministic: identical programs yield
-identical outcomes.
+identical outcomes.  :func:`solve` runs phase 1 on a program's rows, then
+phase 2 for its objective; :func:`reoptimizer` goes on to maximize more
+objectives over the same rows, each from the last optimal basis.
 
 The dense tableau holds each row as integer numerators over one positive
 integer denominator, reduced by their gcd after every update, in the
@@ -43,7 +45,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd
 from operator import mul
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import ZERO, InvalidInput, Record, _Kept, _rat_tuple, dot, int_row, rat
 
@@ -247,8 +249,7 @@ class _Tableau:
 
     Row ``i``, right-hand side last, is the list ``rows[i]`` of integer
     numerators over one positive integer denominator ``dens[i]``; the
-    reduced costs are kept the same way (``rc`` over ``rc_den``), and the
-    column costs and the objective offset over ``den`` and ``den**2``.
+    reduced costs are kept the same way (``rc`` over ``rc_den``).
     Each row is divided by the gcd of its denominator and numerators when
     built and after every update, so every entry equals the reduced
     rational that exact rational pivoting would hold, and a basic column
@@ -271,8 +272,6 @@ class _Tableau:
                 boxes.append((len(self.col_var), hi - lo))
             self.shift[j] = hi if lo is None else lo
             self.col_var.append((j, -1 if lo is None else 1))
-        self.costs = [sign * p.costs[j] for j, sign in self.col_var]  # over den
-        self.offset = sum(map(mul, p.costs, self.shift))  # over den**2
 
         # A shift moves ``a_j shift_j`` to the right-hand side, over den**2;
         # then every row is scaled by ``m = den``.  No famart builder shifts.
@@ -306,7 +305,6 @@ class _Tableau:
                 self.artificial.add(self.basis[-1])
         self.probe = list(self.basis)
         pad = [0] * (self.ncols - len(self.col_var))
-        self.costs += pad
         self.banned: set[int] = set()
 
         # Integer rows over ``den * m``, each divided by its gcd.
@@ -441,6 +439,25 @@ class _Tableau:
                 out[j] += v if sign > 0 else -v
         return out
 
+    def maximize(self, costs: Sequence[int], den: int) -> Optimal | Unbounded:
+        """Phase 2: maximize ``costs`` over ``den``, one cost per original
+        variable, from the current basis, which is feasible; read back the
+        outcome."""
+        cols = [sign * costs[j] for j, sign in self.col_var]
+        cols += [0] * (self.ncols - len(cols))
+        status, enter = self._run(cols, den)
+        if status == "unbounded":
+            ray_cols = [ZERO] * self.ncols
+            ray_cols[enter] = Fraction(1)
+            for r, b in enumerate(self.basis):
+                a = self.rows[r][enter]
+                if a:
+                    ray_cols[b] = -Fraction(a, self.dens[r])
+            return Unbounded(tuple(self._primal()), tuple(self._map(ray_cols, False)))
+        offset = sum(map(mul, costs, self.shift))  # over den * self.den
+        value = Fraction(-self.rc[-1], self.rc_den) + Fraction(offset, den * self.den)
+        return Optimal(value, tuple(self._primal()), tuple(self._duals(cols, den)))
+
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued artificials out of the basis; drop redundant rows."""
         r = 0
@@ -493,6 +510,20 @@ def _eliminate(
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly, returning an outcome with a verifiable certificate."""
+    return reoptimizer(lp)[0]
+
+
+def reoptimizer(
+    lp: LinearProgram,
+) -> tuple[LpOutcome, Callable[[Sequence[Fraction]], LpOutcome]]:
+    """Solve ``lp``, and return the outcome with a function that maximizes
+    another objective over ``lp``'s rows and bounds.
+
+    Phase 1 runs once.  Each call runs phase 2 for its objective from the
+    basis the last phase 2 left optimal, and its outcome certifies the
+    maximization of that objective over the same rows and bounds.  On
+    infeasible rows every call returns the phase-1 outcome.
+    """
     if not isinstance(lp, LinearProgram):
         raise InvalidInput("solve expects a LinearProgram")
     p = lp.int_form()
@@ -503,30 +534,25 @@ def solve(lp: LinearProgram) -> LpOutcome:
     status, _ = tab._run(phase1, 1)
     if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
         raise AssertionError("phase 1 reported an unbounded objective")
+    infeasible = None
     if tab.rc[-1] > 0:  # the phase-1 optimum, -rc[-1] / rc_den, is negative
         duals = tab._duals(phase1, 1)
-        return Infeasible(
+        infeasible = Infeasible(
             tuple(-y if rel == GE else y for y, rel in zip(duals, p.relations))
         )
 
+    def maximize(objective: Sequence[Fraction]) -> LpOutcome:
+        if len(objective) != lp.n_vars:
+            raise InvalidInput("objective length does not match variable count")
+        return infeasible or tab.maximize(*int_row(objective))
+
+    if infeasible:
+        return infeasible, maximize
     tab.drive_out_artificials()
-
-    # Phase 2: the real objective.
-    status, enter = tab._run(tab.costs, p.den)
-    if status == "unbounded":
-        ray_cols = [ZERO] * tab.ncols
-        ray_cols[enter] = Fraction(1)
-        for r, b in enumerate(tab.basis):
-            a = tab.rows[r][enter]
-            if a:
-                ray_cols[b] = -Fraction(a, tab.dens[r])
-        return Unbounded(tuple(tab._primal()), tuple(tab._map(ray_cols, False)))
-
-    value_max = Fraction(-tab.rc[-1], tab.rc_den) + Fraction(tab.offset, p.den**2)
-    primal = tab._primal()
-    duals = tab._duals(tab.costs, p.den)
-    value = value_max if lp.maximize else -value_max
-    return Optimal(value, tuple(primal), tuple(duals))
+    out = tab.maximize(p.costs, p.den)
+    if isinstance(out, Optimal) and not lp.maximize:
+        out = Optimal(-out.value, out.primal, out.dual)
+    return out, maximize
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,13 @@ from famart.spaces import (
     trading_space,
 )
 
-from references import acmfap_holds, cstar_of, no_arbitrage_holds, ratio_sweep
+from references import (
+    acmfap_holds,
+    counting_solves,
+    cstar_of,
+    no_arbitrage_holds,
+    ratio_sweep,
+)
 
 
 def _two_state(masses=(F(1, 2), F(1, 2))):
@@ -284,13 +290,7 @@ def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
     # solve may find a pmf the cover already holds (on bp the third solve
     # repeats an earlier one); the cover stores it once.
     m, ls = example()
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(checkers, "solve", counting)
+    calls = counting_solves(monkeypatch)
     v = ratio_sweep(m, ls)
     assert v.holds
     assert 1 <= len(calls) <= most_solves
@@ -310,37 +310,57 @@ def test_cstar_cover_holds_no_repeated_pmf():
 
 
 def _sweep_steps(monkeypatch, m, ls, seeded):
-    """The (5) verdict and, per ratio solve in order, whether its pmf was
-    already in the cover and its value."""
-    solved = []
-    ratio_lps = {}
-    build = checkers.ratio_bound_lp
+    """The (5) verdict and, per objective the sweep maximized, in order,
+    whether its pmf was already in the cover and its value.
 
-    def building(m_, ls_, coord):
-        lp = build(m_, ls_, coord)
-        ratio_lps[id(lp)] = (lp, m_.support().index(coord))  # keeps the id live
-        return lp
+    The sweep is replayed from the outcomes it got: each step takes the
+    coordinate with the least lower bound, reusing the outcome of an
+    objective already maximized, and the replay checks that each
+    maximized objective is the one at the coordinate it takes.
+    """
+    maximized = []
+    reoptimizer = checkers.reoptimizer
 
-    def solving(lp):
-        out = solve(lp)
-        if id(lp) in ratio_lps and not isinstance(out, Unbounded):
-            i = ratio_lps[id(lp)][1]
-            pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
-            solved.append((pmf, out.value))
-        return out
+    def opening(lp):
+        out, maximize = reoptimizer(lp)
+        maximized.append((lp.objective, out))
 
-    monkeypatch.setattr(checkers, "ratio_bound_lp", building)
-    monkeypatch.setattr(checkers, "solve", solving)
+        def maximizing(objective):
+            maximized.append((objective, maximize(objective)))
+            return maximized[-1][1]
+
+        return out, maximizing
+
+    monkeypatch.setattr(checkers, "reoptimizer", opening)
     v = _seeded_cstar_verdict(m, ls) if seeded else ratio_sweep(m, ls)
     monkeypatch.undo()
+    support = m.support()
+    rows = [tuple(x.at(c) for x in ls.basis) for c in support]
     cover = []
     if seeded and v.holds and ls.basis:  # the (3) pmf starts the cover
-        cover.append(tuple(v.certificate["cover"][0]))
-    steps = []
-    for pmf, value in solved:
-        known = tuple(certificates.rat_str(w) for w in pmf) in cover
-        steps.append((known, value))
-        cover.append(tuple(certificates.rat_str(w) for w in pmf))
+        cover.append(tuple(F(w) for w in v.certificate["cover"][0]))
+    lower = [max(col) for col in zip(*cover)] if cover else [F(0)] * len(support)
+
+    def take(i, out):
+        """Add coordinate i's pmf to the cover; whether it was there."""
+        nonlocal lower
+        pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
+        known = pmf in cover
+        cover.append(pmf)
+        lower = [max(a, b) for a, b in zip(lower, pmf)]
+        return known
+
+    solved, steps = {}, []
+    for objective, out in maximized:
+        i = min(range(len(support)), key=lower.__getitem__)
+        while rows[i] in solved:
+            take(i, solved[rows[i]])
+            i = min(range(len(support)), key=lower.__getitem__)
+        assert rows[i] == objective
+        solved[objective] = out
+        if isinstance(out, Unbounded):
+            break
+        steps.append((take(i, out), out.value))
     return v, steps
 
 
@@ -619,13 +639,7 @@ def test_event_dominance_solves_the_representation_first(monkeypatch):
     # One representation program on the least event decides (7) either
     # way.  Where it is infeasible, its Farkas vector gives a violation
     # on the least event [0, 1] with no further solve.
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(checkers, "solve", counting)
+    calls = counting_solves(monkeypatch)
     m = Model((F(1, 2), F(1, 4), F(1, 4)))
     ls = _span((F(1), F(0), F(0)))
     events = [(0, 1, 2), (0, 1)]
@@ -641,17 +655,6 @@ def test_event_dominance_solves_the_representation_first(monkeypatch):
     )
 
 
-def _counting_solves(monkeypatch):
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    monkeypatch.setattr(checkers, "solve", counting)
-    return calls
-
-
 def test_equal_dominance_and_coherence_programs_are_solved_once(monkeypatch):
     # The least event {0, 2} is not the coherence coordinates (0, 1), but
     # the generator agrees at states 1 and 2, so the two programs are
@@ -659,7 +662,7 @@ def test_equal_dominance_and_coherence_programs_are_solved_once(monkeypatch):
     m = Model((F(1, 2), F(1, 2), F(0)))
     ls = _span((F(1), F(-1), F(-1)))
     fresh = checkers.check_coherence(ls.basis, [F(0)], m)
-    calls = _counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     with checkers.solving_once():
         dominance = checkers.check_event_dominance(ls, [F(0)], [(0, 2)], m)
         shared = checkers.check_coherence(ls.basis, [F(0)], m)
@@ -674,7 +677,7 @@ def test_different_dominance_and_coherence_programs_are_each_solved(monkeypatch)
     # coordinate; coherence weights two.
     m = _two_state()
     ls = _span((F(1), F(0)))
-    calls = _counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     with checkers.solving_once():
         failing = checkers.check_event_dominance(ls, [F(1)], [(1,)], m)
         coherence = checkers.check_coherence(ls.basis, [F(1)], m)
@@ -699,7 +702,7 @@ def test_a_failing_dominance_program_shared_with_coherence_is_solved_once(monkey
     m = Model((F(1, 2), F(1, 4), F(1, 4)))
     ls = _span((F(1), F(0), F(-1)), (F(0), F(1), F(1)))
     previsions = [F(2), F(-1)]
-    calls = _counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     with checkers.solving_once():
         failing = checkers.check_event_dominance(ls, previsions, [(0, 1, 2)], m)
         shared = checkers.check_coherence(ls.basis, previsions, m)
@@ -729,7 +732,7 @@ def test_dominance_and_coherence_read_off_4_on_default_inputs(monkeypatch, examp
         checkers.check_event_dominance(ls, zeros, [m.support()], m),
         checkers.check_coherence(ls.basis, zeros, m),
     )
-    calls = _counting_solves(monkeypatch)
+    calls = counting_solves(monkeypatch)
     derived = (
         checkers.check_event_dominance(ls, zeros, [m.support()], m, mm),
         checkers.check_coherence(ls.basis, zeros, m, mm),

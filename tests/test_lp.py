@@ -15,6 +15,7 @@ from famart.lp import (
     Optimal,
     Unbounded,
     dual_objective,
+    reoptimizer,
     solve,
     verify_outcome,
 )
@@ -346,6 +347,31 @@ def test_solve_does_not_depend_on_how_a_program_is_written_in_integers():
             out = Optimal(-out.value, out.primal, out.dual)
         for k in (6, 3 * 2**40):
             assert solve(_scaled(lp.int_form(), k).linear_program()) == out
+
+
+def test_reoptimizing_agrees_with_a_cold_solve_of_each_objective():
+    # Phase 2 from the basis the last objective left optimal must end where
+    # a cold solve of the same rows ends: the same kind of outcome with the
+    # same value, and a certificate of the program of that objective.  On
+    # infeasible rows each objective gets the phase-1 Farkas vector.
+    rng = random.Random(1618)
+    kinds = set()
+    for _ in range(180):
+        lp = _oracle_lp(rng)
+        first, maximize = reoptimizer(lp)
+        assert first == solve(lp)
+        for _ in range(3):
+            objective = tuple(_small_rat(rng) for _ in range(lp.n_vars))
+            program = LinearProgram(objective, True, lp.constraints, lp.lower, lp.upper)
+            warm, cold = maximize(objective), solve(program)
+            assert type(warm) is type(cold)
+            assert verify_outcome(program, warm)
+            if isinstance(cold, Optimal):
+                assert warm.value == cold.value
+            kinds.add(type(warm))
+        with pytest.raises(InvalidInput):
+            maximize((F(1),) * (lp.n_vars + 1))
+    assert kinds == {Optimal, Infeasible, Unbounded}
 
 
 # --------------------------------------------------------------------------

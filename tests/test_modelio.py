@@ -30,7 +30,7 @@ from famart.spaces import (
     trading_space,
 )
 
-from references import acmfap_holds, no_arbitrage_holds, ratio_sweep
+from references import acmfap_holds, counting_solves, no_arbitrage_holds, ratio_sweep
 
 
 def _roundtrip(doc):
@@ -238,14 +238,7 @@ def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
     # on the least event (the support here) is the (4) program.  Its dual
     # gain attains c*, so the (5) sweep solves no ratio program, and (5*)
     # is read off (5) and (3).  Solving (5*) afresh took 24 solves here.
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    solve = checkers.solve
-    monkeypatch.setattr(checkers, "solve", counting)
+    calls = counting_solves(monkeypatch)
     m, f, s = example_dmw(F(1, 3), 3)
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
     assert len(calls) == 1
@@ -262,14 +255,7 @@ def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
     ids=["bp-40-38", "dmw-5"],
 )
 def test_report_solves_per_model(monkeypatch, example, solves):
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    solve = checkers.solve
-    monkeypatch.setattr(checkers, "solve", counting)
+    calls = counting_solves(monkeypatch)
     m, f, s = example()
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
     assert len(calls) == solves
@@ -277,14 +263,7 @@ def test_report_solves_per_model(monkeypatch, example, solves):
 
 def _counted_reports(monkeypatch, docs):
     """Each doc with its report and the programs the report solved."""
-    calls = []
-
-    def counting(lp):
-        calls.append(lp)
-        return solve(lp)
-
-    solve = checkers.solve
-    monkeypatch.setattr(checkers, "solve", counting)
+    calls = counting_solves(monkeypatch)
     for doc in docs:
         calls.clear()
         report = build_report(doc)
@@ -301,7 +280,7 @@ def test_reports_on_finite_random_models_solve_few_programs(monkeypatch):
 
 def _duplicate_rows_doc():
     # States 0 and 1 carry the same generator values, so their ratio
-    # programs are one program; the previsions are not zero and the
+    # programs have one objective; the previsions are not zero and the
     # events default to the support, so the (7) program on the least
     # event is the coherence program but not the (4) program.
     m = Model((F(1, 4), F(1, 4), F(1, 4), F(1, 4)))
@@ -315,8 +294,8 @@ def test_no_report_solves_a_program_twice(monkeypatch):
     for doc, report, calls in _counted_reports(monkeypatch, docs):
         assert len(set(calls)) == len(calls)
     # The last doc: (3), then the sweep at states 0, 1 and 3, where state
-    # 1 reuses the program of state 0, then the program (7) and coherence
-    # share.
+    # 1 reuses the outcome of state 0's objective, then the program (7)
+    # and coherence share.
     rows = {v["condition"]: v for v in report["verdicts"]}
     assert rows["(7)"]["holds"] and rows["coherence"]["holds"]
     assert len(rows["(5)"]["certificate"]["cover"]) == 3 and len(calls) == 4
