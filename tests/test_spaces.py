@@ -1,10 +1,14 @@
 """Trading-space generation and the built-in model generators."""
 
+import copy
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from famart.core import InvalidInput, Model, RandVar, expect
+from famart.cli import main
+from famart.core import TAIL, InvalidInput, Model, RandVar, expect
+from famart.modelio import parse_model
 from famart.spaces import (
     AdaptedProcess,
     Filtration,
@@ -33,6 +37,108 @@ def test_filtration_validation():
         ).check_conforms(m)
     with pytest.raises(InvalidInput):  # does not cover
         Filtration(((frozenset({0}),),)).check_conforms(m)
+
+
+def _dynamics_file():
+    """Three states and a charged tail; time 1 splits state 0 off the rest."""
+    return {
+        "states": 3,
+        "tail": True,
+        "p0": ["1/2", "1/4", "1/8"],
+        "p0_tail": "1/8",
+        "filtration": [[[0, 1, 2, "tail"]], [[0], [1, 2, "tail"]]],
+        "process": [
+            {"values": ["0/1", "0/1", "0/1"], "tail": "0/1"},
+            {"values": ["1/1", "-1/1", "-1/1"], "tail": "-1/1"},
+        ],
+    }
+
+
+def _three_times(doc):
+    """Adds a time 2 whose block {0, 1} does not refine time 1."""
+    doc["filtration"].append([[0, 1], [2, "tail"]])
+    doc["process"].append(copy.deepcopy(doc["process"][1]))
+
+
+def _tail_less(doc):
+    doc.update(tail=False, p0=["1/2", "1/4", "1/4"])
+    del doc["p0_tail"]
+    for step in doc["process"]:
+        del step["tail"]
+
+
+# Every model-file error of the filtration loader, by the message it
+# gives.  The loader reads the filtration and the process in one pass over
+# the file; whichever way it does so, these messages are its contract.
+LOADER_ERRORS = [
+    ("empty block", lambda d: d["filtration"][1].insert(1, []),
+     r"^time 1: empty partition block$"),
+    ("blocks overlap", lambda d: d["filtration"][1][0].append(1),
+     r"^time 1: blocks overlap$"),
+    ("does not cover", lambda d: d["filtration"][1][1].remove("tail"),
+     r"^time 1: partition does not cover the model$"),
+    ("time 0 not trivial", lambda d: d["filtration"].__setitem__(0, [[0], [1, 2, "tail"]]),
+     r"^time 0 must carry the trivial partition$"),
+    ("does not refine", _three_times,
+     r"^time 2: block \[0, 1\] does not refine time 1$"),
+    ("not adapted", lambda d: d["process"][1]["values"].__setitem__(2, "1/1"),
+     r"^process not adapted: time 1, block \[-1, 1, 2\] takes values "
+     r"\[Fraction\(-1, 1\), Fraction\(1, 1\)\]$"),
+    ("not adapted at the tail", lambda d: d["process"][1].__setitem__("tail", "2/1"),
+     r"^process not adapted: time 1, block \[-1, 1, 2\] takes values "
+     r"\[Fraction\(-1, 1\), Fraction\(2, 1\)\]$"),
+    ("bad coordinate", lambda d: d["filtration"][1][1].append(7),
+     r"^bad coordinate 7$"),
+    ("true coordinate", lambda d: d["filtration"][1][0].append(True),
+     r"^bad coordinate True$"),
+    ("string coordinate", lambda d: d["filtration"][1][0].append("0"),
+     r"^bad coordinate '0'$"),
+    ("tail of a tail-less model", _tail_less,
+     r"^file references the tail state of a tail-less model$"),
+    ("no time index", lambda d: (d["filtration"].clear(), d["process"].clear()),
+     r"^a filtration needs at least one time index$"),
+    ("process too long", lambda d: d["process"].append(copy.deepcopy(d["process"][1])),
+     r"^process has 3 time points, filtration has 2$"),
+    ("partition not a list", lambda d: d["filtration"].__setitem__(1, {"0": 0}),
+     r"^'filtration' must be a list of partitions$"),
+    ("block not a list", lambda d: d["filtration"][1].__setitem__(0, 0),
+     r"^'filtration': a block must be a list, got 0$"),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, message", [case[1:] for case in LOADER_ERRORS], ids=[case[0] for case in LOADER_ERRORS]
+)
+def test_loader_errors_are_pinned(tmp_path, capsys, mutate, message):
+    doc = _dynamics_file()
+    parse_model(doc)
+    mutate(doc)
+    with pytest.raises(InvalidInput, match=message):
+        parse_model(json.loads(json.dumps(doc)))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "Traceback" not in err
+
+
+def test_filtration_errors_outside_a_file():
+    # A filtration built in code can name coordinates no file can.
+    m = Model((F(1, 2), F(1, 4)), F(1, 4))
+    whole = frozenset({0, 1, TAIL})
+    with pytest.raises(InvalidInput, match=r"^time 1: block \[-1, 5\] leaves the model$"):
+        Filtration(((whole,), (frozenset({0, 1}), frozenset({5, TAIL})))).check_conforms(m)
+    with pytest.raises(InvalidInput, match=r"^time 0: empty partition block$"):
+        Filtration(((whole, frozenset()),)).check_conforms(m)
+    with pytest.raises(InvalidInput, match=r"^a filtration needs at least one time index$"):
+        Filtration(())
+    f = Filtration(((whole,), (frozenset({0}), frozenset({1, TAIL}))))
+    s = AdaptedProcess((RandVar((F(0), F(0)), F(0)), RandVar((F(1), F(2)), F(2))))
+    with pytest.raises(InvalidInput, match=r"^process has 2 time points, filtration has 1$"):
+        s.check_adapted(Filtration(((whole,),)), m)
+    with pytest.raises(InvalidInput, match=r"^random variable lacks a tail value on a tail model$"):
+        AdaptedProcess((RandVar((F(0), F(0))), RandVar((F(1), F(2)), F(2)))).check_adapted(f, m)
+    s.check_adapted(f, m)
 
 
 def test_adaptedness_error_names_the_block():
