@@ -56,6 +56,7 @@ from typing import Any, Iterator, Sequence
 
 from . import certificates as certs
 from .core import (
+    ONE,
     TAIL,
     ZERO,
     InvalidInput,
@@ -72,6 +73,8 @@ from .core import (
 )
 from .fap import Fap, from_p0, is_equivalent
 from .lp import (
+    EQ,
+    GE,
     Infeasible,
     LinearProgram,
     LpOutcome,
@@ -92,7 +95,7 @@ from .programs import (
 )
 # Unused here; bench/spans.py traces these builders as checkers attributes.
 from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
-from .spaces import binomial_pmf
+from .spaces import AdaptedProcess, Filtration, binomial_pmf, one_step_tree
 
 # The outcome of every program solved so far inside ``solving_once``.
 _SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
@@ -336,10 +339,18 @@ def find_emfap(m: Model, ls: LinSpace) -> Verdict:
     return min_mass(m, ls).verdict
 
 
-def min_mass(m: Model, ls: LinSpace) -> MinMass:
+def min_mass(
+    m: Model, ls: LinSpace, f: Filtration | None = None, s: AdaptedProcess | None = None
+) -> MinMass:
     """Condition (3) as :func:`find_emfap` decides it, with what the same
-    solve decides of the other conditions (see :class:`MinMass`)."""
+    solve decides of the other conditions (see :class:`MinMass`).  Given
+    the filtration and process whose trading space is ``ls``, it is
+    decided node by node where it can be (see :func:`tree_min_mass`)."""
     ls.check_conforms(m)
+    if f is not None:
+        mm = tree_min_mass(m, ls, f, s)
+        if mm is not None:
+            return mm
     if not ls.basis:
         fap = from_p0(m)
         weights = {c: (m.p0_tail if c == TAIL else m.p0_mass[c]) for c in m.support()}
@@ -382,6 +393,16 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         )
         fap = _fap_from_weights(m, weights) if t_star == 0 else None
         return _with_arbitrage(m, ls, verdict, fap, out.dual)
+    coeffs = tuple(y / t_star for y in out.dual[1:])
+    return _emfap(m, weights, t_star, coeffs, ls.combine(coeffs))
+
+
+def _emfap(
+    m: Model, weights: dict[int, Fraction], t_star: Fraction,
+    coeffs: Sequence[Fraction], gain: RandVar,
+) -> MinMass:
+    """A holding (3): the functional of the support ``weights``, whose
+    least weight is ``t_star``, and a gain at least -1 on the support."""
     fap = _fap_from_weights(m, weights)
     verdict = Verdict(
         "(3)",
@@ -391,8 +412,135 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         "dominated-gain cone via the open convex set of bounded functions "
         "with strictly positive expectation.",
     )
-    coeffs = tuple(y / t_star for y in out.dual[1:])
-    return MinMass(verdict, fap, coeffs, ls.combine(coeffs))
+    return MinMass(verdict, fap, coeffs, gain)
+
+
+def tree_min_mass(
+    m: Model, ls: LinSpace, f: Filtration, s: AdaptedProcess
+) -> MinMass | None:
+    """:func:`min_mass` on the filtration tree of ``f``, whose trading space
+    for the process ``s`` is ``ls``, with no program over all paths.
+
+    A pmf kills every gain ``I_B (S_{t+1} - S_t)`` exactly when, at every
+    node of positive mass, its conditional pmf over the children is a
+    one-step martingale (Harrison-Pliska, Dalang-Morton-Willinger).  Only
+    live nodes and children, those holding a support coordinate, count.
+    So (3) holds unless a live node has a one-step arbitrage, and then
+    ``t* = V(root)``: a final block of k support coordinates has
+    ``V = 1/k``, any other live node ``V = max_p min_j p_j V(j)`` over its
+    local martingales ``p``.  The functional is the product of the
+    maximizing ``p`` along each path, each final block split evenly.
+
+    The gain is the doubling strategy along the path to a final block
+    with the least ``q_max``, the largest mass a martingale pmf can put
+    on one of its coordinates: the product along the path of the largest
+    local mass on the child taken.  At each node it stakes the wealth
+    over ``-e`` on the generator of the node, where ``e`` is the live
+    increment farthest on the other side of the path's, which multiplies
+    the wealth by ``1/q`` on the path's child, for ``q`` that child's
+    largest local mass, and keeps it nonnegative on the other live
+    children.  So the gain is at least -1 on the support and attains
+    ``1/q_max - 1``, which is c*, on the block.
+
+    None where the LP decides: with no generators, or where a live node
+    has a one-step arbitrage.
+    """
+    if not ls.basis:
+        return None
+    support = frozenset(m.support())
+    parts, tree = f.partitions, one_step_tree(f, s)
+    lives: list[list[list[tuple[int, Fraction]]]] = []
+    pmfs: list[list[dict[int, Fraction]]] = []
+    value = [Fraction(1, k) if k else None for k in (len(b & support) for b in parts[-1])]
+    for kids_of in reversed(tree):  # V per block, None on a dead one
+        lives.append([[(j, d) for j, d in kids if value[j] is not None] for kids in kids_of])
+        pmfs.append([])
+        below, value = value, []
+        for live in lives[-1]:
+            local = _local_max_min(live, below) if live else (None, {})
+            if local is None:
+                return None
+            value.append(local[0])
+            pmfs[-1].append(local[1])
+    lives.reverse()
+    pmfs.reverse()
+    mass, qmax, up = [ONE], [ONE], []
+    for t, live_of in enumerate(lives):  # down: masses, q_max and parents
+        size = len(parts[t + 1])
+        mass_t, qmax_t, up_t = [ZERO] * size, [None] * size, [None] * size
+        for i, live in enumerate(live_of):
+            for j, d in live:
+                p = pmfs[t][i][j]
+                mass_t[j] = mass[i] if p is ONE else mass[i] * p
+                qmax_t[j] = qmax[i] * (_farthest(d, live) / (_farthest(d, live) - d)) if d else qmax[i]
+                up_t[j] = i
+        mass, qmax = mass_t, qmax_t
+        up.append(up_t)
+    weights = {}
+    for block, w in zip(parts[-1], mass):
+        charged = block & support
+        weights.update((c, w / len(charged)) for c in charged)
+    path = [min((j for j, q in enumerate(qmax) if q is not None), key=qmax.__getitem__)]
+    for parents in reversed(up):
+        path.append(parents[path[-1]])
+    path.reverse()
+    generator = {}
+    for t, kids_of in enumerate(tree):  # trading_space's basis order
+        for i, kids in enumerate(kids_of):
+            if any(d for _, d in kids):
+                generator[t, i] = len(generator)
+    coeffs = [ZERO] * len(ls.basis)
+    values: list[Fraction] = [ZERO] * (m.n_states + 1)  # values[TAIL]: the tail
+    wealth = ONE
+    for t, (i, j) in enumerate(zip(path, path[1:])):
+        d = dict(lives[t][i])[j]
+        stake = -wealth / _farthest(d, lives[t][i]) if d else ZERO
+        if d:
+            coeffs[generator[t, i]] = stake
+        for k, dk in tree[t][i]:
+            if k != j:
+                off = wealth + stake * dk - 1
+                for c in parts[t + 1][k]:
+                    values[c] = off
+        wealth += stake * d
+    for c in parts[-1][path[-1]]:
+        values[c] = wealth - 1
+    gain = RandVar(values[:-1], values[-1] if m.has_tail else None)
+    return _emfap(m, weights, value[0], tuple(coeffs), gain)
+
+
+def _farthest(d: Fraction, live: Sequence[tuple[int, Fraction]]) -> Fraction:
+    """The live increment farthest on the other side of ``d``."""
+    return min(e for _, e in live) if d > 0 else max(e for _, e in live)
+
+
+def _local_max_min(
+    live: Sequence[tuple[int, Fraction]], value: Sequence[Fraction]
+) -> tuple[Fraction, dict[int, Fraction]] | None:
+    """At a node whose live children ``j`` have increments ``d``, listed
+    in ``live`` as ``(j, d)``: the largest ``min_j p_j V(j)`` over local
+    martingales ``p``, and a ``p`` that attains it.  None on a one-step
+    arbitrage.  With every increment zero, every pmf is a martingale and
+    ``p_j`` is proportional to ``1/V(j)``; two children of opposite
+    increments have one martingale; otherwise a small program decides."""
+    ds = [d for _, d in live]
+    if ds == [0]:  # one live child, and the process does not move
+        return value[live[0][0]], {live[0][0]: ONE}
+    if not any(ds):
+        total = sum(1 / value[j] for j, _ in live)
+        return 1 / total, {j: 1 / (value[j] * total) for j, _ in live}
+    if min(ds) >= 0 or max(ds) <= 0:
+        return None
+    if len(live) == 2:
+        (i, a), (j, b) = live
+        p = b / (b - a)
+        return min(p * value[i], (1 - p) * value[j]), {i: p, j: 1 - p}
+    k = len(live)
+    rows = [((1,) * k + (0,), EQ, 1), ((*ds, 0), EQ, 0)]
+    for n, (j, _) in enumerate(live):  # p_j V(j) >= t
+        rows.append(((0,) * n + (value[j],) + (0,) * (k - n - 1) + (-1,), GE, 0))
+    out = solve(LinearProgram((0,) * k + (1,), True, rows, (0,) * k + (None,)))
+    return out.value, dict(zip((j for j, _ in live), out.primal))
 
 
 def _with_arbitrage(

@@ -16,6 +16,7 @@ its result holds a rational too long to write (see
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -167,7 +168,10 @@ def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
     return None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    as it was, so every ``main`` call reads the same one."""
     parser = argparse.ArgumentParser(
         prog="famart",
         description="Exact checkers, with certificates, for martingale "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import checkers
 from .certificates import (
@@ -104,12 +104,12 @@ def _block_to_json(block: frozenset[int]) -> list[Any]:
 
 
 def _coord_from_json(v: Any, m: Model) -> int:
+    if type(v) is int and 0 <= v < len(m.p0_mass):
+        return v
     if v == "tail":
         if not m.has_tail:
             raise InvalidInput("file references the tail state of a tail-less model")
         return TAIL
-    if isinstance(v, int) and not isinstance(v, bool) and 0 <= v < m.n_states:
-        return v
     raise InvalidInput(f"bad coordinate {v!r}")
 
 
@@ -119,9 +119,12 @@ def _block_from_json(block: Any, m: Model, key: str) -> frozenset[int]:
     return frozenset(_coord_from_json(c, m) for c in block)
 
 
-def randvar_from_json(d: Any, m: Model, what: str) -> RandVar:
-    """A model-file random variable; any bad field is ``InvalidInput``.
-    (Certificates have their own decoders, which tell malformed from false.)"""
+def randvar_from_json(
+    d: Any, m: Model, what: str, read: Callable[[Any], Fraction] = rat
+) -> RandVar:
+    """A model-file random variable, each value read by ``read``; any bad
+    field is ``InvalidInput``.  (Certificates have their own decoders,
+    which tell malformed from false.)"""
     if not isinstance(d, Mapping) or "values" not in d:
         raise InvalidInput(f"{what} must be an object with a 'values' list")
     values = d["values"]
@@ -131,10 +134,10 @@ def randvar_from_json(d: Any, m: Model, what: str) -> RandVar:
     if m.has_tail:
         if "tail" not in d:
             raise InvalidInput(f"{what} lacks a tail value on a tail model")
-        tail = rat(d["tail"])
+        tail = read(d["tail"])
     elif "tail" in d:
         raise InvalidInput(f"{what} carries a tail value on a tail-less model")
-    x = RandVar(tuple(rat(v) for v in values), tail)
+    x = RandVar(tuple(map(read, values)), tail)
     x.check_conforms(m)
     return x
 
@@ -188,9 +191,20 @@ def parse_model(doc: Mapping[str, Any]) -> ModelDoc:
         raw_s = doc["process"]
         if not isinstance(raw_s, list):
             raise InvalidInput("'process' must be a list of value blocks")
+        # A process repeats its values from time to time: read each string once.
+        memo: dict[str, Fraction] = {}
+
+        def read(v: Any) -> Fraction:
+            if type(v) is not str:
+                return rat(v)
+            q = memo.get(v)
+            if q is None:
+                q = memo[v] = rat(v)
+            return q
+
         process = AdaptedProcess(
             tuple(
-                randvar_from_json(d, model, f"process step {t}")
+                randvar_from_json(d, model, f"process step {t}", read)
                 for t, d in enumerate(raw_s)
             )
         )
@@ -313,7 +327,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     with checkers.solving_once():
         # One (3) solve decides (3), (4), (6) and (10); where (3) fails it
         # decides (5) too, and where it holds it starts the (5) sweep.
-        mm = checkers.min_mass(m, ls)
+        mm = checkers.min_mass(m, ls, doc.filtration, doc.process)
         verdicts["(3)"] = emfap = mm.verdict
         verdicts["(4)"] = acm = checkers.acmfap_from(m, mm)
         verdicts["(5)"] = checkers.cstar_verdict(m, ls, mm)

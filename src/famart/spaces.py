@@ -62,17 +62,17 @@ class Filtration(Record):
                     raise InvalidInput(
                         f"time {t}: block {sorted(block)} leaves the model"
                     )
-                if seen & block:
+                if not seen.isdisjoint(block):
                     raise InvalidInput(f"time {t}: blocks overlap")
                 seen |= block
-            if seen != coords:
+            if len(seen) != len(coords):
                 raise InvalidInput(f"time {t}: partition does not cover the model")
         if len(self.partitions[0]) != 1:
             raise InvalidInput("time 0 must carry the trivial partition")
         for t in range(1, len(self.partitions)):
-            prev = self.partitions[t - 1]
+            owner = {c: coarse for coarse in self.partitions[t - 1] for c in coarse}
             for block in self.partitions[t]:
-                if not any(block <= coarse for coarse in prev):
+                if not block <= owner[next(iter(block))]:
                     raise InvalidInput(
                         f"time {t}: block {sorted(block)} does not refine time {t - 1}"
                     )
@@ -99,13 +99,42 @@ class AdaptedProcess(Record):
             )
         for t, (s, part) in enumerate(zip(self.steps, f.partitions)):
             s.check_conforms(m)
+            values = (*s.values, s.tail_value)  # values[TAIL] is the tail value
             for block in part:
-                vals = {s.at(c) for c in block}
-                if len(vals) > 1:
-                    raise InvalidInput(
-                        f"process not adapted: time {t}, block "
-                        f"{sorted(block)} takes values {sorted(vals)}"
-                    )
+                coords = iter(block)
+                first = values[next(coords)]
+                for c in coords:
+                    v = values[c]
+                    if v is not first and v != first:
+                        vals = sorted({values[c] for c in block})
+                        raise InvalidInput(
+                            f"process not adapted: time {t}, block "
+                            f"{sorted(block)} takes values {vals}"
+                        )
+
+
+def one_step_tree(
+    f: Filtration, s: AdaptedProcess
+) -> list[list[list[tuple[int, Fraction]]]]:
+    """The filtration as a tree, with the process's one-step increments.
+
+    Entry ``[t][i]`` lists the children of block ``i`` of time ``t`` as
+    pairs ``(j, d)``: block ``j`` of time ``t + 1`` lies inside it, and
+    ``S_{t+1} - S_t = d`` on it.  Reads a conforming filtration and an
+    adapted process, with one subtraction per child whose value changed.
+    """
+    values = [(*step.values, step.tail_value) for step in s.steps]
+    tree = []
+    for t in range(f.horizon):
+        owner = {c: i for i, block in enumerate(f.partitions[t]) for c in block}
+        kids: list[list[tuple[int, Fraction]]] = [[] for _ in f.partitions[t]]
+        now, then = values[t], values[t + 1]
+        for j, child in enumerate(f.partitions[t + 1]):
+            c = next(iter(child))
+            d = ZERO if then[c] is now[c] else then[c] - now[c]
+            kids[owner[c]].append((j, d))
+        tree.append(kids)
+    return tree
 
 
 def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
@@ -117,20 +146,15 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
     f.check_conforms(m)
     s.check_adapted(f, m)
     basis: list[RandVar] = []
-    for t in range(f.horizon):
-        now, then = s.steps[t], s.steps[t + 1]
-        tail_inc = then.tail_value - now.tail_value if m.has_tail else None
-        inc = RandVar(tuple(b - a for a, b in zip(now.values, then.values)), tail_inc)
-        for block in f.partitions[t]:
-            if not any(inc.at(c) for c in block):
+    for t, kids in enumerate(one_step_tree(f, s)):
+        for children in kids:
+            if not any(d for _, d in children):
                 continue
-            values = tuple(
-                inc.values[i] if i in block else ZERO for i in range(m.n_states)
-            )
-            tail = None
-            if m.has_tail:
-                tail = tail_inc if TAIL in block else ZERO
-            basis.append(RandVar(values, tail))
+            values = [ZERO] * (m.n_states + 1)  # values[TAIL] is the tail value
+            for j, d in children:
+                for c in f.partitions[t + 1][j]:
+                    values[c] = d
+            basis.append(RandVar(values[:-1], values[-1] if m.has_tail else None))
     return LinSpace(tuple(basis))
 
 
@@ -268,6 +292,58 @@ def binomial_pmf(n: int, p: RationalLike) -> tuple[Fraction, ...]:
     return tuple(
         Fraction(math.comb(n, k)) * p**k * q ** (n - k) for k in range(n + 1)
     )
+
+
+def random_tree_model(seed: int) -> tuple[Model, Filtration, AdaptedProcess]:
+    """Reproducible random filtration market for differential tests.
+
+    Horizon 1 to 3.  Each block splits into 1 to 3 children, and each
+    final block holds one or two states.  Increments are drawn from
+    -2..2 over 1..3, so they take either sign or vanish.  At nine nodes in
+    ten the first child's increment is then set against the largest other
+    one, so that the node has no one-step arbitrage unless states below
+    it are uncharged.  Some states are uncharged, and on some seeds
+    the tail joins a random state's blocks, charged or not.
+    """
+    rng = random.Random(seed)
+    horizon = rng.randint(1, 3)
+    partitions: list[list[Block]] = [[] for _ in range(horizon + 1)]
+    levels: list[list[Fraction]] = [[] for _ in range(horizon + 1)]
+    n = 0
+
+    def grow(t: int, level: Fraction) -> Block:
+        nonlocal n
+        if t == horizon:
+            block = frozenset(range(n, n + rng.randint(1, 2)))
+            n += len(block)
+        else:
+            incs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.9:  # oppose the largest other increment
+                incs[0] = -max(incs[1:], key=abs, default=0) * rng.randint(1, 2)
+            block = frozenset().union(*(grow(t + 1, level + d) for d in incs))
+        partitions[t].append(block)
+        levels[t].append(level)
+        return block
+
+    grow(0, Fraction(rng.randint(-2, 2)))
+    weights = [rng.randint(0, 3) for _ in range(n)]
+    tail = None
+    if rng.random() < 0.3:
+        tail = rng.randint(0, 2)
+        joined = rng.randrange(n)
+        partitions = [[b | {TAIL} if joined in b else b for b in part] for part in partitions]
+    total = sum(weights) + (tail or 0)
+    if not total:
+        weights[0] = total = 1
+    m = Model(tuple(Fraction(w, total) for w in weights), None if tail is None else Fraction(tail, total))
+    steps = []
+    for part, level in zip(partitions, levels):
+        values = [ZERO] * (n + 1)  # values[TAIL] is the tail value
+        for block, v in zip(part, level):
+            for c in block:
+                values[c] = v
+        steps.append(RandVar(values[:-1], None if tail is None else values[-1]))
+    return m, Filtration(partitions), AdaptedProcess(steps)
 
 
 def random_finite_model(

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from famart.spaces import (
     example_dmw,
     example_harmonic,
     random_finite_model,
+    random_tree_model,
     trading_space,
 )
 
@@ -233,24 +235,26 @@ def test_report_builds_the_arbitrage_rows_once(monkeypatch):
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
-    # One solve: the min-mass program of (3).  Its functional certifies
-    # (4) and (6), and through (4) also (7) and coherence, whose program
-    # on the least event (the support here) is the (4) program.  Its dual
-    # gain attains c*, so the (5) sweep solves no ratio program, and (5*)
-    # is read off (5) and (3).  Solving (5*) afresh took 24 solves here.
+    # No solve: (3) is decided on the filtration tree.  Its functional
+    # certifies (4) and (6), and through (4) also (7) and coherence, whose
+    # program on the least event (the support here) is the (4) program.
+    # Its gain attains c*, so the (5) sweep solves no ratio program, and
+    # (5*) is read off (5) and (3).  Solving (5*) afresh took 24 solves
+    # here, and the min-mass program of (3) one more.
     calls = counting_solves(monkeypatch)
     m, f, s = example_dmw(F(1, 3), 3)
     build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
     "example, solves",
     [
-        # (3) only: its dual gain attains c* (three ratio solves before),
-        # and (7) and coherence are read off the (4) that (3) certifies.
-        (lambda: example_bp(40, 38)[:3], 1),
-        (lambda: example_dmw(F(1, 3), 5), 1),
+        # None: (3) is decided on the tree (one solve before), its gain
+        # attains c* (three ratio solves before that), and (7) and
+        # coherence are read off the (4) that (3) certifies.
+        (lambda: example_bp(40, 38)[:3], 0),
+        (lambda: example_dmw(F(1, 3), 5), 0),
     ],
     ids=["bp-40-38", "dmw-5"],
 )
@@ -341,6 +345,51 @@ def test_report_verdicts_match_the_per_condition_programs():
         assert _cstar_of(rows["(5)"]) == _cstar_of(fresh_5.to_dict())
         seen.update((cond, row["holds"]) for cond, row in rows.items())
     assert {(c, h) for c in ("(3)", "(4)", "(5)", "(7)") for h in (True, False)} <= seen
+
+
+def _tree_markets():
+    for seed in range(300):
+        yield random_tree_model(seed)
+    for n in range(2, 7):
+        yield example_dmw(F(1, 3), n)
+    for n in (5, 8, 40):
+        yield example_bp(n, n - 2)[:3]
+
+
+def _facts(report):
+    """Each row's verdict and c*, and the (3) row's least weight t*."""
+    return [
+        (row["condition"], row["holds"], _cstar_of(row), row["certificate"].get("minimum_weight"))
+        for row in report["verdicts"]
+    ]
+
+
+def test_tree_decision_agrees_with_the_lp():
+    # A filtration file decides (3) node by node unless a live node has a
+    # one-step arbitrage; the same model as a basis file decides it by the
+    # min-mass program over all paths.  Verdicts, c* and t* must agree, and
+    # where the tree declines the two reports are the same bytes.
+    paths = Counter()
+    for m, f, s in _tree_markets():
+        doc = _roundtrip(serialize_model(m, filtration=f, process=s))
+        ls = doc.lin_space
+        tree_report = build_report(doc)
+        lp_report = build_report(_roundtrip(serialize_model(m, lin_space=ls)))
+        assert _facts(tree_report) == _facts(lp_report)
+        mm = checkers.tree_min_mass(m, ls, f, s)
+        if mm is None:
+            paths["lp" if ls.basis else "no generator"] += 1
+            assert tree_report == lp_report
+            continue
+        paths["tree"] += 1
+        assert mm.verdict.holds and checkers.min_mass(m, ls).verdict.holds
+        for row in tree_report["verdicts"]:
+            assert validate_verdict(m, ls, row, doc.extras())
+        # The gain attains c* and is at least -1 on the support.
+        gain = [mm.gain.at(c) for c in m.support()]
+        assert min(gain) >= -1 and max(gain) == F(_cstar_of(tree_report["verdicts"][2]))
+        assert ls.combine(mm.coefficients) == mm.gain
+    assert min(paths.values()) >= 40 and len(paths) == 3
 
 
 def _model_docs():
@@ -626,7 +675,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "19d3794f886c1177012f86c406d66af690c87dbc2527d4af4cf053d7e07ba3db"
+REPORT_DIGEST = "09fbb487b69c58a8539ef30a0846265a49ddb3af76aac6d59bce6e7a60663b4e"
 
 
 def _cstar_of(row):
@@ -685,7 +734,7 @@ def test_dominance_and_coherence_rows_are_pinned():
     assert digest.hexdigest() == DOMINANCE_COHERENCE_DIGEST
 
 
-DOMINANCE_COHERENCE_DIGEST = "b0247a14417ea7c41a262315eb8cf692df0587ce835b72c7c37347bada306e42"
+DOMINANCE_COHERENCE_DIGEST = "45f3415e9d170508b97c72ab5282aee4ec4fb4a12961dfa3d1bfdc52fe1e90e8"
 
 
 def test_holding_4_and_7_and_coherence_rows_are_pinned():
@@ -704,4 +753,4 @@ def test_holding_4_and_7_and_coherence_rows_are_pinned():
     assert digest.hexdigest() == HOLDING_AND_COHERENCE_DIGEST
 
 
-HOLDING_AND_COHERENCE_DIGEST = "4f903017282a33064033bc970763a3671c932abbb1479ad7d223af672e7f6b08"
+HOLDING_AND_COHERENCE_DIGEST = "b35946c4b79223d39679e8c8c46fd79a2ad8531536388dc2b95270b049f3e3a0"
