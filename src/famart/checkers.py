@@ -26,12 +26,15 @@ Checked conditions, by their report labels:
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
 
-One (3) solve decides what it can.  Where (3) fails, the weights of its
+One (3) decision serves the others.  On a filtration market it is taken
+node by node on the tree (:func:`tree_min_mass`), with no program over
+all paths; otherwise, and where a node has a one-step arbitrage, by the
+min-mass program.  Where (3) fails, the weights of its
 certificate combine the generators into a gain that is nonnegative on
 the support and not zero there: the (6) arbitrage, the (5) direction
 and, where it is positive everywhere on the support, the (4) violation.
 Where (3) holds, its functional certifies (4) and (6), and it and its
-dual gain start the (5) sweep, which often needs no ratio solve at all.
+gain start the (5) sweep, which often needs no ratio solve at all.
 (7) and coherence are read off the (4) verdict wherever their
 representation program is the (4) program; otherwise each is decided by
 one feasibility program whose Farkas vector gives the failure.
@@ -431,16 +434,13 @@ def tree_min_mass(
     local martingales ``p``.  The functional is the product of the
     maximizing ``p`` along each path, each final block split evenly.
 
-    The gain is the doubling strategy along the path to a final block
-    with the least ``q_max``, the largest mass a martingale pmf can put
-    on one of its coordinates: the product along the path of the largest
-    local mass on the child taken.  At each node it stakes the wealth
-    over ``-e`` on the generator of the node, where ``e`` is the live
-    increment farthest on the other side of the path's, which multiplies
-    the wealth by ``1/q`` on the path's child, for ``q`` that child's
-    largest local mass, and keeps it nonnegative on the other live
-    children.  So the gain is at least -1 on the support and attains
-    ``1/q_max - 1``, which is c*, on the block.
+    The largest mass a martingale pmf can put on a coordinate, ``q_max``,
+    is the product along its path of the largest local mass ``q`` on the
+    child taken.  The gain is the doubling strategy along the path of a
+    coordinate with the least ``q_max``: at each node it stakes on the
+    node's generator what multiplies the wealth by ``1/q`` on the path's
+    child and keeps it nonnegative on the other live children.  So it is
+    at least -1 on the support and attains ``1/q_max - 1``, which is c*.
 
     None where the LP decides: with no generators, or where a live node
     has a one-step arbitrage.
@@ -449,98 +449,93 @@ def tree_min_mass(
         return None
     support = frozenset(m.support())
     parts, tree = f.partitions, one_step_tree(f, s)
-    lives: list[list[list[tuple[int, Fraction]]]] = []
-    pmfs: list[list[dict[int, Fraction]]] = []
     value = [Fraction(1, k) if k else None for k in (len(b & support) for b in parts[-1])]
-    for kids_of in reversed(tree):  # V per block, None on a dead one
-        lives.append([[(j, d) for j, d in kids if value[j] is not None] for kids in kids_of])
-        pmfs.append([])
+    nodes = []  # per time and block: its live children (j, d) and {j: (p_j, q_j)}
+    for kids_of in reversed(tree):
         below, value = value, []
-        for live in lives[-1]:
+        nodes.insert(0, [])
+        for kids in kids_of:
+            live = [(j, d) for j, d in kids if below[j] is not None]
             local = _local_max_min(live, below) if live else (None, {})
             if local is None:
                 return None
             value.append(local[0])
-            pmfs[-1].append(local[1])
-    lives.reverse()
-    pmfs.reverse()
-    mass, qmax, up = [ONE], [ONE], []
-    for t, live_of in enumerate(lives):  # down: masses, q_max and parents
-        size = len(parts[t + 1])
-        mass_t, qmax_t, up_t = [ZERO] * size, [None] * size, [None] * size
-        for i, live in enumerate(live_of):
-            for j, d in live:
-                p = pmfs[t][i][j]
-                mass_t[j] = mass[i] if p is ONE else mass[i] * p
-                qmax_t[j] = qmax[i] * (_farthest(d, live) / (_farthest(d, live) - d)) if d else qmax[i]
+            nodes[0].append((live, local[1]))
+    mass, qmax, up, generator = [ONE], [ONE], [], {}
+    for t, kids_of in enumerate(tree):  # down, in trading_space's basis order
+        above, size = (mass, qmax), len(parts[t + 1])
+        mass, qmax, up_t = [ZERO] * size, [None] * size, [None] * size
+        for i, kids in enumerate(kids_of):
+            if any(d for _, d in kids):
+                generator[t, i] = len(generator)
+            for j, (p, q) in nodes[t][i][1].items():
+                mass[j] = above[0][i] if p is ONE else above[0][i] * p
+                qmax[j] = above[1][i] if q is ONE else above[1][i] * q
                 up_t[j] = i
-        mass, qmax = mass_t, qmax_t
         up.append(up_t)
     weights = {}
     for block, w in zip(parts[-1], mass):
         charged = block & support
         weights.update((c, w / len(charged)) for c in charged)
     path = [min((j for j, q in enumerate(qmax) if q is not None), key=qmax.__getitem__)]
-    for parents in reversed(up):
-        path.append(parents[path[-1]])
+    for up_t in reversed(up):
+        path.append(up_t[path[-1]])
     path.reverse()
-    generator = {}
-    for t, kids_of in enumerate(tree):  # trading_space's basis order
-        for i, kids in enumerate(kids_of):
-            if any(d for _, d in kids):
-                generator[t, i] = len(generator)
     coeffs = [ZERO] * len(ls.basis)
-    values: list[Fraction] = [ZERO] * (m.n_states + 1)  # values[TAIL]: the tail
+    values = [ZERO] * (m.n_states + 1)  # values[TAIL] is the tail value
     wealth = ONE
     for t, (i, j) in enumerate(zip(path, path[1:])):
-        d = dict(lives[t][i])[j]
-        stake = -wealth / _farthest(d, lives[t][i]) if d else ZERO
+        live, local = nodes[t][i]
+        d, q = dict(live)[j], local[j][1]
+        stake = wealth * (1 / q - 1) / d if d else ZERO
         if d:
             coeffs[generator[t, i]] = stake
         for k, dk in tree[t][i]:
-            if k != j:
-                off = wealth + stake * dk - 1
-                for c in parts[t + 1][k]:
-                    values[c] = off
-        wealth += stake * d
+            off = wealth + stake * dk - 1
+            for c in parts[t + 1][k] if k != j else ():
+                values[c] = off
+        wealth /= q
     for c in parts[-1][path[-1]]:
         values[c] = wealth - 1
     gain = RandVar(values[:-1], values[-1] if m.has_tail else None)
     return _emfap(m, weights, value[0], tuple(coeffs), gain)
 
 
-def _farthest(d: Fraction, live: Sequence[tuple[int, Fraction]]) -> Fraction:
-    """The live increment farthest on the other side of ``d``."""
-    return min(e for _, e in live) if d > 0 else max(e for _, e in live)
-
-
 def _local_max_min(
     live: Sequence[tuple[int, Fraction]], value: Sequence[Fraction]
-) -> tuple[Fraction, dict[int, Fraction]] | None:
+) -> tuple[Fraction, dict[int, tuple[Fraction, Fraction]]] | None:
     """At a node whose live children ``j`` have increments ``d``, listed
     in ``live`` as ``(j, d)``: the largest ``min_j p_j V(j)`` over local
-    martingales ``p``, and a ``p`` that attains it.  None on a one-step
-    arbitrage.  With every increment zero, every pmf is a martingale and
-    ``p_j`` is proportional to ``1/V(j)``; two children of opposite
-    increments have one martingale; otherwise a small program decides."""
+    martingales ``p``, with, for each child, ``p_j`` of a ``p`` that
+    attains it and the largest mass ``q_j`` any local martingale puts on
+    it.  None on a one-step arbitrage.
+
+    ``q_j`` is 1 where ``d = 0``, and otherwise ``e / (e - d)``, where
+    ``e`` is the increment farthest on the other side.  With every
+    increment zero, every pmf is a martingale and ``p_j`` is proportional
+    to ``1/V(j)``; two children of opposite increments have one
+    martingale; otherwise a small program decides.
+    """
     ds = [d for _, d in live]
     if ds == [0]:  # one live child, and the process does not move
-        return value[live[0][0]], {live[0][0]: ONE}
+        return value[live[0][0]], {live[0][0]: (ONE, ONE)}
+    lo, hi = min(ds), max(ds)
     if not any(ds):
         total = sum(1 / value[j] for j, _ in live)
-        return 1 / total, {j: 1 / (value[j] * total) for j, _ in live}
-    if min(ds) >= 0 or max(ds) <= 0:
+        return 1 / total, {j: (1 / (value[j] * total), ONE) for j, _ in live}
+    if lo >= 0 or hi <= 0:
         return None
+    q = [lo / (lo - d) if d > 0 else hi / (hi - d) if d else ONE for d in ds]
     if len(live) == 2:
         (i, a), (j, b) = live
         p = b / (b - a)
-        return min(p * value[i], (1 - p) * value[j]), {i: p, j: 1 - p}
+        return min(p * value[i], (1 - p) * value[j]), {i: (p, q[0]), j: (1 - p, q[1])}
     k = len(live)
     rows = [((1,) * k + (0,), EQ, 1), ((*ds, 0), EQ, 0)]
     for n, (j, _) in enumerate(live):  # p_j V(j) >= t
         rows.append(((0,) * n + (value[j],) + (0,) * (k - n - 1) + (-1,), GE, 0))
     out = solve(LinearProgram((0,) * k + (1,), True, rows, (0,) * k + (None,)))
-    return out.value, dict(zip((j for j, _ in live), out.primal))
+    return out.value, {j: pq for (j, _), pq in zip(live, zip(out.primal, q))}
 
 
 def _with_arbitrage(

@@ -19,7 +19,8 @@ blocks (partitions as lists of coordinate lists, with ``"tail"`` naming
 the tail state; the process as one value block per time index); the
 basis is then derived from the one-step gains, and a simultaneous
 explicit ``basis`` key is rejected so the file has a single source of
-truth.  Optional ``previsions`` (one per generator, default zero) and
+truth.  Such a file loads in time linear in its size, and its report
+decides (3) on the filtration tree.  Optional ``previsions`` (one per generator, default zero) and
 ``events`` (default: the essential support) feed the coherence and
 event-dominance checks.
 """
@@ -325,8 +326,9 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
     extras = doc.extras()
     verdicts: dict[str, Verdict] = {}
     with checkers.solving_once():
-        # One (3) solve decides (3), (4), (6) and (10); where (3) fails it
-        # decides (5) too, and where it holds it starts the (5) sweep.
+        # One (3) decision, on the filtration tree where the file has one,
+        # decides (3), (4), (6) and (10); where (3) fails it decides (5)
+        # too, and where it holds it starts the (5) sweep.
         mm = checkers.min_mass(m, ls, doc.filtration, doc.process)
         verdicts["(3)"] = emfap = mm.verdict
         verdicts["(4)"] = acm = checkers.acmfap_from(m, mm)

@@ -5,7 +5,10 @@ plus the tail state, which must sit inside exactly one block per time),
 each refining the previous one.  The trading space of an adapted process
 is spanned by the one-step gains ``I_B * (S_{t+1} - S_t)`` over the
 time-t blocks; consecutive increments span the whole space of simple
-strategy gains by telescoping.
+strategy gains by telescoping.  :func:`one_step_tree` reads the
+filtration as a tree whose edges carry the increments; it builds the
+trading space, and :func:`famart.checkers.tree_min_mass` decides (3) on
+it node by node.  Every step is linear in the size of the partitions.
 """
 
 from __future__ import annotations
