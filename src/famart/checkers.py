@@ -450,17 +450,17 @@ def tree_min_mass(
     support = frozenset(m.support())
     parts, tree = f.partitions, one_step_tree(f, s)
     value = [Fraction(1, k) if k else None for k in (len(b & support) for b in parts[-1])]
-    nodes = []  # per time and block: its live children (j, d) and {j: (p_j, q_j)}
+    local = []  # per time and block: {j: (p_j, q_j)} over its live children j
     for kids_of in reversed(tree):
         below, value = value, []
-        nodes.insert(0, [])
+        local.insert(0, [])
         for kids in kids_of:
             live = [(j, d) for j, d in kids if below[j] is not None]
-            local = _local_max_min(live, below) if live else (None, {})
-            if local is None:
+            node = _local_max_min(live, below) if live else (None, {})
+            if node is None:
                 return None
-            value.append(local[0])
-            nodes[0].append((live, local[1]))
+            value.append(node[0])
+            local[0].append(node[1])
     mass, qmax, up, generator = [ONE], [ONE], [], {}
     for t, kids_of in enumerate(tree):  # down, in trading_space's basis order
         above, size = (mass, qmax), len(parts[t + 1])
@@ -468,7 +468,7 @@ def tree_min_mass(
         for i, kids in enumerate(kids_of):
             if any(d for _, d in kids):
                 generator[t, i] = len(generator)
-            for j, (p, q) in nodes[t][i][1].items():
+            for j, (p, q) in local[t][i].items():
                 mass[j] = above[0][i] if p is ONE else above[0][i] * p
                 qmax[j] = above[1][i] if q is ONE else above[1][i] * q
                 up_t[j] = i
@@ -485,8 +485,7 @@ def tree_min_mass(
     values = [ZERO] * (m.n_states + 1)  # values[TAIL] is the tail value
     wealth = ONE
     for t, (i, j) in enumerate(zip(path, path[1:])):
-        live, local = nodes[t][i]
-        d, q = dict(live)[j], local[j][1]
+        d, q = dict(tree[t][i])[j], local[t][i][j][1]
         stake = wealth * (1 / q - 1) / d if d else ZERO
         if d:
             coeffs[generator[t, i]] = stake
