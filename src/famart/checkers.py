@@ -455,6 +455,11 @@ def tree_min_mass(
         below, value = value, []
         local.insert(0, [])
         for kids in kids_of:
+            if len(kids) == 1 and not kids[0][1]:  # neither splits nor moves
+                j = kids[0][0]
+                value.append(below[j])
+                local[0].append({} if below[j] is None else {j: (ONE, ONE)})
+                continue
             live = [(j, d) for j, d in kids if below[j] is not None]
             node = _local_max_min(live, below) if live else (None, {})
             if node is None:
@@ -516,8 +521,6 @@ def _local_max_min(
     martingale; otherwise a small program decides.
     """
     ds = [d for _, d in live]
-    if ds == [0]:  # one live child, and the process does not move
-        return value[live[0][0]], {live[0][0]: (ONE, ONE)}
     lo, hi = min(ds), max(ds)
     if not any(ds):
         total = sum(1 / value[j] for j, _ in live)
