@@ -401,8 +401,11 @@ def min_mass(
 
 
 def _emfap(
-    m: Model, weights: dict[int, Fraction], t_star: Fraction,
-    coeffs: Sequence[Fraction], gain: RandVar,
+    m: Model,
+    weights: dict[int, Fraction],
+    t_star: Fraction,
+    coeffs: Sequence[Fraction],
+    gain: RandVar,
 ) -> MinMass:
     """A holding (3): the functional of the support ``weights``, whose
     least weight is ``t_star``, and a gain at least -1 on the support."""

@@ -320,7 +320,10 @@ def random_tree_model(seed: int) -> tuple[Model, Filtration, AdaptedProcess]:
             block = frozenset(range(n, n + rng.randint(1, 2)))
             n += len(block)
         else:
-            incs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+            incs = [
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                for _ in range(rng.randint(1, 3))
+            ]
             if rng.random() < 0.9:  # oppose the largest other increment
                 incs[0] = -max(incs[1:], key=abs, default=0) * rng.randint(1, 2)
             block = frozenset().union(*(grow(t + 1, level + d) for d in incs))
@@ -338,7 +341,8 @@ def random_tree_model(seed: int) -> tuple[Model, Filtration, AdaptedProcess]:
     total = sum(weights) + (tail or 0)
     if not total:
         weights[0] = total = 1
-    m = Model(tuple(Fraction(w, total) for w in weights), None if tail is None else Fraction(tail, total))
+    masses = tuple(Fraction(w, total) for w in weights)
+    m = Model(masses, None if tail is None else Fraction(tail, total))
     steps = []
     for part, level in zip(partitions, levels):
         values = [ZERO] * (n + 1)  # values[TAIL] is the tail value

@@ -107,7 +107,9 @@ LOADER_ERRORS = [
 
 
 @pytest.mark.parametrize(
-    "mutate, message", [case[1:] for case in LOADER_ERRORS], ids=[case[0] for case in LOADER_ERRORS]
+    "mutate, message",
+    [case[1:] for case in LOADER_ERRORS],
+    ids=[case[0] for case in LOADER_ERRORS],
 )
 def test_loader_errors_are_pinned(tmp_path, capsys, mutate, message):
     doc = _dynamics_file()
@@ -136,8 +138,9 @@ def test_filtration_errors_outside_a_file():
     s = AdaptedProcess((RandVar((F(0), F(0)), F(0)), RandVar((F(1), F(2)), F(2))))
     with pytest.raises(InvalidInput, match=r"^process has 2 time points, filtration has 1$"):
         s.check_adapted(Filtration(((whole,),)), m)
+    tail_less = AdaptedProcess((RandVar((F(0), F(0))), RandVar((F(1), F(2)), F(2))))
     with pytest.raises(InvalidInput, match=r"^random variable lacks a tail value on a tail model$"):
-        AdaptedProcess((RandVar((F(0), F(0))), RandVar((F(1), F(2)), F(2)))).check_adapted(f, m)
+        tail_less.check_adapted(f, m)
     s.check_adapted(f, m)
 
 
