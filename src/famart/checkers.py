@@ -98,7 +98,7 @@ from .programs import (
 )
 # Unused here; bench/spans.py traces these builders as checkers attributes.
 from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
-from .spaces import AdaptedProcess, Filtration, binomial_pmf, one_step_tree
+from .spaces import AdaptedProcess, Filtration, binomial_pmf, space_tree
 
 # The outcome of every program solved so far inside ``solving_once``.
 _SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
@@ -451,7 +451,7 @@ def tree_min_mass(
     if not ls.basis:
         return None
     support = frozenset(m.support())
-    parts, tree = f.partitions, one_step_tree(f, s)
+    parts, tree = f.partitions, space_tree(ls, f, s)
     value = [Fraction(1, k) if k else None for k in (len(b & support) for b in parts[-1])]
     local = []  # per time and block: {j: (p_j, q_j)} over its live children j
     for kids_of in reversed(tree):

@@ -49,15 +49,29 @@ def rat(x: RationalLike) -> Fraction:
     return x if type(x) is Fraction else Fraction(*rat_pair(x))
 
 
+#: Canonical strings of at most ``_MEMO_WIDTH`` characters that
+#: :func:`rat_pair` has read, with their pairs: certificates repeat a few
+#: leaves ("0/1", "1/1") thousands of times.  It stops taking entries at
+#: ``_MEMO_SIZE``, about 1 MB, and never holds an error or a string that
+#: only ``Fraction`` reads.  The pairs are immutable, so sharing them is safe.
+_DECODED: dict[str, tuple[int, int]] = {}
+_MEMO_SIZE = 4096
+_MEMO_WIDTH = 32
+
+
 def rat_pair(x: RationalLike) -> tuple[int, int]:
     """The numerator and positive denominator of ``rat(x)``, not always in
     lowest terms.
 
     A string in the canonical form of :func:`rat_str` is read by ``int``
-    directly; any other string goes through ``Fraction``'s own parser.
+    directly, once per process for short ones; any other string goes
+    through ``Fraction``'s own parser.
     Floats are rejected: they would smuggle rounding into an exact pipeline.
     """
     if isinstance(x, str):
+        pair = _DECODED.get(x)
+        if pair is not None:
+            return pair
         num, _, den = x.partition("/")
         digits = num.removeprefix("-")
         if (
@@ -69,7 +83,10 @@ def rat_pair(x: RationalLike) -> tuple[int, int]:
         ):
             d = int(den)
             if d:  # "n/0" goes on to Fraction, which refuses it
-                return int(num), d
+                pair = int(num), d
+                if len(x) <= _MEMO_WIDTH and len(_DECODED) < _MEMO_SIZE:
+                    _DECODED[x] = pair
+                return pair
         if _digit_bound(x) > MAX_DIGITS:
             raise InvalidInput(f"more than {MAX_DIGITS} digits: {x[:40]!r}")
     elif type(x) is int:  # ints first: isinstance on Fraction, an ABC, is slow
@@ -188,11 +205,14 @@ class Record:
 
 class _Kept(Record):
     """Slots for what a record reads off its fields and keeps: a model its
-    coordinates, a trading space its integer rows and the model shape it
-    was found to fit, a program its integer form.  A base class's slots
-    are not fields, so equality, hashing, printing and pickling ignore them."""
+    coordinates, a trading space its integer rows, the model shape it was
+    found to fit, its arbitrage program and the filtration tree it was
+    built from, a program its integer form.  A base class's slots are not
+    fields, so equality, hashing, printing and pickling ignore them."""
 
-    __slots__ = ("_charged", "_support", "_coords", "_rows", "_shape")
+    __slots__ = (
+        "_charged", "_support", "_coords", "_rows", "_shape", "_arbitrage", "_tree"
+    )
 
 
 class Model(_Kept):

@@ -284,12 +284,24 @@ def load_model_file(path: str) -> ModelDoc:
 
 def model_digest(model: Model, lin_space: LinSpace) -> str:
     """Canonical digest of the model and its derived basis."""
+    # The basis as ``randvar_payload`` renders it, but each distinct value
+    # (a numerator over the kept rows' denominator) is rendered once: a
+    # dmw n=10 basis holds a million values, all of them -1, 0 or 1.
+    rows, den = lin_space.int_rows()
+    text = {n: rat_str(Fraction(n, den)) for n in {n for row in rows for n in row}}
+    basis = []
+    for x, row in zip(lin_space.basis, rows):
+        values = list(map(text.__getitem__, row))
+        if x.tail_value is None:
+            basis.append({"values": values})
+        else:
+            basis.append({"values": values[:-1], "tail": values[-1]})
     payload = {
         "states": model.n_states,
         "tail": model.has_tail,
         "p0": rat_strs(model.p0_mass),
         "p0_tail": rat_str(model.p0_tail) if model.has_tail else None,
-        "basis": [randvar_payload(x) for x in lin_space.basis],
+        "basis": basis,
     }
     import hashlib  # here, not at the top: most processes never take a digest
 

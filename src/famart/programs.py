@@ -75,15 +75,22 @@ def arbitrage_rows(m: Model, ls: LinSpace) -> IntProgram:
 
     By positive homogeneity this is feasible exactly when some nonzero
     nonnegative gain exists, i.e. when there is arbitrage.  One ``>= 0``
-    row per support coordinate, then the total row ``>= 1``.
+    row per support coordinate, then the total row ``>= 1``.  The space
+    keeps the program for the support it was last built on, so a report
+    and its re-validation build it once.
     """
     ls.check_conforms(m)
-    basis, den = ls.int_rows()
     support = m.support()
+    kept = getattr(ls, "_arbitrage", None)
+    if kept is not None and kept[0] == support:
+        return kept[1]
+    basis, den = ls.int_rows()
     k = len(basis)
     rows = [(*(row[c] for row in basis), 0) for c in support]
     rows.append((*(sum(row[c] for c in support) for row in basis), den))
-    return IntProgram(rows, (GE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
+    program = IntProgram(rows, (GE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
+    object.__setattr__(ls, "_arbitrage", (support, program))
+    return program
 
 
 def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:

@@ -7,8 +7,9 @@ is spanned by the one-step gains ``I_B * (S_{t+1} - S_t)`` over the
 time-t blocks; consecutive increments span the whole space of simple
 strategy gains by telescoping.  :func:`one_step_tree` reads the
 filtration as a tree whose edges carry the increments; it builds the
-trading space, and :func:`famart.checkers.tree_min_mass` decides (3) on
-it node by node.  Every step is linear in the size of the partitions.
+trading space, which keeps it, and :func:`famart.checkers.tree_min_mass`
+decides (3) on it node by node.  Every step is linear in the size of the
+partitions.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
     """
     f.check_conforms(m)
     s.check_adapted(f, m)
+    tree = one_step_tree(f, s)
     basis: list[RandVar] = []
-    for t, kids in enumerate(one_step_tree(f, s)):
+    for t, kids in enumerate(tree):
         for children in kids:
             if not any(d for _, d in children):
                 continue
@@ -158,7 +160,20 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
                 for c in f.partitions[t + 1][j]:
                     values[c] = d
             basis.append(RandVar(values[:-1], values[-1] if m.has_tail else None))
-    return LinSpace(tuple(basis))
+    ls = LinSpace(tuple(basis))
+    object.__setattr__(ls, "_tree", (f, s, tree))
+    return ls
+
+
+def space_tree(
+    ls: LinSpace, f: Filtration, s: AdaptedProcess
+) -> list[list[list[tuple[int, Fraction]]]]:
+    """:func:`one_step_tree` of ``f`` and ``s``: the tree ``ls`` keeps when
+    :func:`trading_space` built it from these two, else read afresh."""
+    kept = getattr(ls, "_tree", None)
+    if kept is not None and kept[0] is f and kept[1] is s:
+        return kept[2]
+    return one_step_tree(f, s)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from famart import core
 from famart.core import (
     MAX_DIGITS,
     TAIL,
@@ -417,3 +418,79 @@ def test_rat_pair_accepts_and_refuses_what_the_regex_rule_did(text):
 )
 def test_rat_pair_agrees_with_the_regex_rule_at_the_edges(text):
     assert _outcome(rat_pair, text) == _outcome(_oracle_rat_pair, text)
+
+
+# ``rat_pair`` keeps the canonical strings it has read in a bounded memo.
+_MEMO_EDGES = [
+    "1/0", "+1/2", " 1/2", "1/2 ", "٣/4", "1/٣", "²/3",
+    "1" * (MAX_DIGITS + 1) + "/1", "1/2", "-1/2", "0/1", "-0/3", "00/01",
+]
+
+
+def _cold_then_warm(text):
+    core._DECODED.pop(text, None)
+    return _outcome(rat_pair, text), _outcome(rat_pair, text)
+
+
+@given(_strings)
+@settings(max_examples=300, deadline=None)
+def test_rat_pair_reads_alike_cold_and_warm(text):
+    expected = _outcome(_oracle_rat_pair, text)
+    assert _cold_then_warm(text) == (expected, expected)
+
+
+@pytest.mark.parametrize("text", _MEMO_EDGES)
+def test_rat_pair_reads_alike_cold_and_warm_at_the_edges(text):
+    expected = _outcome(_oracle_rat_pair, text)
+    assert _cold_then_warm(text) == (expected, expected)
+
+
+def test_rat_pair_memo_is_bounded(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(core, "_DECODED", memo)
+    refused = [t for t in _MEMO_EDGES if _outcome(_oracle_rat_pair, t) == "refused"]
+    refused += ["1.5", "3", "-2/-3", "1e2"]  # Fraction reads these, not the fast path
+    wide = ["1" * 20 + "/" + "3" * 19, "-" + "7" * 39 + "/1", "1/" + "9" * 38]
+    for text in refused + wide:
+        _outcome(rat_pair, text)
+    assert memo == {}
+    assert [rat_pair(t) for t in wide] == [_oracle_rat_pair(t) for t in wide]
+    for k in range(5000):
+        assert rat_pair(f"{k}/7") == (k, 7)
+    assert len(memo) == core._MEMO_SIZE
+    assert max(map(len, memo)) <= core._MEMO_WIDTH
+    assert memo.keys() == {f"{k}/7" for k in range(core._MEMO_SIZE)}
+    # Past the bound the memo takes nothing and every read is still right.
+    assert rat_pair("4999/7") == (4999, 7) and "4999/7" not in memo
+
+
+def test_a_tampered_leaf_fails_validation_with_a_warm_memo():
+    # Each leaf is swapped for another leaf of the same report, which the
+    # validation before it has put in the memo; the swap must still fail.
+    import json
+    from functools import reduce
+    from operator import getitem
+
+    from famart.certificates import validate_verdict
+    from famart.modelio import build_report, parse_model, serialize_model
+    from famart.spaces import example_dmw
+    from test_certificates import _leaf_paths, _replaced
+
+    m, f, s = example_dmw(F(1, 3), 2)
+    doc = parse_model(json.loads(json.dumps(serialize_model(m, filtration=f, process=s))))
+    m, ls, extras = doc.model, doc.lin_space, doc.extras()
+    rows = json.loads(json.dumps(build_report(doc)["verdicts"]))
+    certs = [row["certificate"] for row in rows]
+    leaves = [reduce(getitem, p, cert) for cert in certs for p in _leaf_paths(cert)]
+    swaps = 0
+    for row in rows:
+        assert validate_verdict(m, ls, row, extras)
+        cert = row["certificate"]
+        for path in _leaf_paths(cert):
+            leaf = reduce(getitem, path, cert)
+            other = next(x for x in leaves if F(x) != F(leaf))
+            assert other in core._DECODED
+            clone = dict(row, certificate=_replaced(cert, path, other))
+            assert not validate_verdict(m, ls, clone, extras), (row["condition"], path)
+            swaps += 1
+    assert swaps >= 50

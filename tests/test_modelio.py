@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from famart import checkers, programs
+from famart import checkers, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
@@ -216,22 +216,74 @@ def test_report_audit_fires_on_contradicting_verdicts(monkeypatch, doc, message)
         build_report(_roundtrip(doc))
 
 
-def test_report_builds_the_arbitrage_rows_once(monkeypatch):
+def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
+    # The (6) certificate and the re-validation of the (6) and (10) rows
+    # read one program, kept beside the space's integer rows; so does a
+    # certify process, which loads the model again.  Counted where the
+    # rows are built (all rows ">="), whichever module asks for them.
     builds = []
+    int_program = programs.IntProgram
 
-    def counting(m, ls):
-        builds.append(m)
-        return arbitrage_rows(m, ls)
+    def counting(rows, relations, *rest):
+        if set(relations) == {programs.GE}:
+            builds.append(rows)
+        return int_program(rows, relations, *rest)
 
-    arbitrage_rows = checkers.arbitrage_rows
-    monkeypatch.setattr(checkers, "arbitrage_rows", counting)
+    monkeypatch.setattr(programs, "IntProgram", counting)
     m, f, s = example_dmw(F(1, 3), 2)
-    report = build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
+    doc = serialize_model(m, filtration=f, process=s)
+    report = build_report(_roundtrip(doc))
     assert len(builds) == 1
     rows = {v["condition"]: v for v in report["verdicts"]}
     assert rows["(6)"]["holds"] and rows["(10)"]["holds"]
     assert rows["(10)"]["certificate"] == rows["(6)"]["certificate"]
     assert rows["(10)"]["narrative"] != rows["(6)"]["narrative"]
+    model, path = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps(doc))
+    path.write_text(json.dumps(report))
+    assert main(["certify", str(model), str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(builds) == 2
+
+
+def test_arbitrage_program_is_built_again_for_another_support():
+    m, f, s = example_dmw(F(1, 3), 2)
+    ls = trading_space(f, s, m)
+    first = programs.arbitrage_rows(m, ls)
+    assert programs.arbitrage_rows(m, ls) is first
+    # A null path leaves the support: the program loses its row.
+    masses = list(m.p0_mass)
+    masses[0], masses[1] = F(0), masses[0] + masses[1]
+    thinner = Model(masses)
+    program = programs.arbitrage_rows(thinner, ls)
+    assert len(program.rows) == len(first.rows) - 1
+    assert program == programs.arbitrage_rows(thinner, LinSpace(ls.basis))
+
+
+def test_filtration_report_reads_the_one_step_tree_once(monkeypatch):
+    # parse_model builds the trading space from the tree, which the space
+    # keeps for the tree decision of (3).
+    calls = []
+    one_step_tree = spaces.one_step_tree
+
+    def counting(f, s):
+        calls.append(f)
+        return one_step_tree(f, s)
+
+    for module in (spaces, checkers):  # wherever the name is bound
+        if hasattr(module, "one_step_tree"):
+            monkeypatch.setattr(module, "one_step_tree", counting)
+    m, f, s = example_bp(8, 4)[:3]
+    doc = _roundtrip(serialize_model(m, filtration=f, process=s))
+    assert len(calls) == 1
+    report = build_report(doc)
+    assert len(calls) == 1
+    assert report["verdicts"][0]["holds"]
+    # A space the tree did not build reads it afresh, to the same verdict.
+    alone = checkers.min_mass(m, LinSpace(doc.lin_space.basis), doc.filtration, doc.process)
+    assert len(calls) == 2
+    assert alone.verdict == checkers.min_mass(m, doc.lin_space, f, s).verdict
+    assert len(calls) == 3
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
