@@ -16,16 +16,7 @@ from .core import (
     sup_norm,
 )
 from .fap import Fap, from_p0, is_abs_continuous, is_equivalent, is_pure, yh_decompose
-from .lp import (
-    Constraint,
-    Infeasible,
-    LinearProgram,
-    LpOutcome,
-    Optimal,
-    Unbounded,
-    solve,
-    verify_outcome,
-)
+from .kernel import Constraint, Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
 
 __all__ = [
     "TAIL",
@@ -55,3 +46,13 @@ __all__ = [
     "solve",
     "verify_outcome",
 ]
+
+
+def __getattr__(name: str):
+    # The simplex loads on first use, so a process that only validates
+    # certificates (``famart certify``) never compiles it.
+    if name in ("solve", "verify_outcome"):
+        from . import lp
+
+        return getattr(lp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -31,7 +31,7 @@ from .core import (
     rat_str,
 )
 from .fap import Fap, is_abs_continuous
-from .lp import (
+from .kernel import (
     IntProgram,
     LinearProgram,
     dual_rows,
@@ -698,7 +698,9 @@ def validate_verdict(
     """
     extras = dict(extras or {})
     condition = _get(verdict, "condition")
-    holds = bool(_get(verdict, "holds"))
+    holds = _get(verdict, "holds")
+    if type(holds) is not bool:
+        raise CertificateFormat(f"'holds' must be true or false, got {holds!r}")
     cert = _get(verdict, "certificate")
     kind = _get(cert, "kind")
     try:

@@ -5,6 +5,11 @@ only the explicit bound against a given pmf (``--q``) and the (5*) bound
 for a given weight (``--weight``), which are not report rows, are decided
 on their own.
 
+Only ``check`` and ``report`` import the checkers and the simplex
+(:mod:`famart.modelio`); ``certify`` re-validates with the model-file
+codec and :mod:`famart.certificates` alone, and ``examples`` loads
+neither.
+
 Exit codes are a stable contract: 0 when the checked condition holds (or
 the certificate re-validates), 1 when it fails, 2 on invalid input.
 ``check`` and ``report`` exit 3 if the report's cross-condition audit
@@ -21,14 +26,11 @@ import json
 import sys
 from typing import Any
 
-from . import checkers
 from .certificates import CertificateFormat, fap_from_payload, validate_verdict
-from .core import InvalidInput, OversizedOutput, rat
+from .core import AuditError, InvalidInput, OversizedOutput, rat
 from .fap import from_p0
-from .modelio import (
-    AuditError,
+from .modelfile import (
     ModelDoc,
-    build_report,
     implications,
     load_model_file,
     model_digest,
@@ -61,6 +63,9 @@ def _emit(payload: Any, fmt: str) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import checkers
+    from .modelio import build_report
+
     cond = args.condition.strip("()")
     if cond != "3" and (args.q is not None or args.c is not None):
         raise InvalidInput("--q and --c apply to condition 3 only")
@@ -98,6 +103,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .modelio import build_report
+
     _emit(build_report(load_model_file(args.path)), args.format)
     return 0
 
@@ -162,7 +169,7 @@ def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
     if [v["condition"] for v in verdicts] != report_conditions(m, ls):
         return "verdicts"
     if report.get("implications") != implications(
-        {v["condition"]: bool(v["holds"]) for v in verdicts}
+        {v["condition"]: v["holds"] for v in verdicts}
     ):
         return "implications"
     return None

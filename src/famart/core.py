@@ -44,6 +44,10 @@ class OversizedOutput(Exception):
     would refuse to read back."""
 
 
+class AuditError(RuntimeError):
+    """The cross-condition self-audit of a report failed."""
+
+
 def rat(x: RationalLike) -> Fraction:
     """Coerce an int, Fraction, or ``"num/den"`` string to an exact Fraction."""
     return x if type(x) is Fraction else Fraction(*rat_pair(x))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .core import TAIL, ZERO, InvalidInput, LinSpace, Model, RandVar, expect
 from .fap import Fap
-from .lp import EQ, GE, LE, IntProgram, LinearProgram
+from .kernel import EQ, GE, LE, IntProgram, LinearProgram
 
 
 def _combo_row(basis: Sequence[RandVar], coord: int) -> tuple[Fraction, ...]:

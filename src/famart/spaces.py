@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 from .core import (
@@ -323,6 +322,8 @@ def random_tree_model(seed: int) -> tuple[Model, Filtration, AdaptedProcess]:
     it are uncharged.  Some states are uncharged, and on some seeds
     the tail joins a random state's blocks, charged or not.
     """
+    import random  # here, not at the top: most processes never draw a model
+
     rng = random.Random(seed)
     horizon = rng.randint(1, 3)
     partitions: list[list[Block]] = [[] for _ in range(horizon + 1)]
@@ -380,6 +381,8 @@ def random_finite_model(
     """
     if max_states < 1 or max_basis < 1:
         raise InvalidInput("a random model needs max_states >= 1 and max_basis >= 1")
+    import random
+
     rng = random.Random(seed)
     n = rng.randint(1, max_states)
     weights = [rng.randint(0, 6) for _ in range(n)]

@@ -1,6 +1,7 @@
 """Command line contract: exit codes, formats, and the certify loop."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -495,6 +496,84 @@ def test_certify_unhashable_witness_claim_is_malformed(bp_file, tmp_path, capsys
     cert_path.write_text(json.dumps(verdict))
     assert main(["certify", bp_file, str(cert_path)]) == 2
     assert "malformed certificate: bad witness claim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("holds", ["yes", "false", 1, 0, None])
+def test_certify_rejects_a_holds_that_is_not_a_boolean(dmw_file, tmp_path, capsys, holds):
+    # The (3) row holds.  A truthy or falsy stand-in for true is malformed,
+    # in a single verdict and in a row of a whole report.
+    code, out = run_cli(["report", dmw_file], capsys)
+    report = json.loads(out)
+    row = report["verdicts"][0]
+    assert code == 0 and row["condition"] == "(3)" and row["holds"] is True
+    report["verdicts"][0] = bad = dict(row, holds=holds)
+    doc = load_model_file(dmw_file)
+    with pytest.raises(CertificateFormat, match="'holds' must be true or false"):
+        validate_verdict(doc.model, doc.lin_space, bad)
+    for payload in (bad, report):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(payload))
+        assert main(["certify", dmw_file, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"malformed certificate: 'holds' must be true or false, got {holds!r}\n"
+        )
+
+
+def _famart_modules(code, *args):
+    """The famart modules loaded when a ``python -c code *args`` process
+    ends, which ``code`` prints as its last line on stderr."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+_PRINT_MODULES = (
+    "print(json.dumps([m for m in sys.modules if m.startswith('famart')]), file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize("example", [("dmw", "--n", "3"), ("bp", "--N", "8", "--k", "4")])
+def test_certify_loads_neither_the_checkers_nor_the_simplex(tmp_path, capsys, example):
+    # Certificates re-validate by plain arithmetic: a certify process,
+    # started as ``python -m famart.cli`` starts it, never imports the
+    # checkers, the simplex or the report assembly.
+    model, report = tmp_path / "m.json", tmp_path / "report.json"
+    assert main(["examples", *example, "--out", str(model)]) == 0
+    code, out = run_cli(["report", str(model)], capsys)
+    assert code == 0
+    report.write_text(out)
+    verdict = tmp_path / "v.json"
+    verdict.write_text(json.dumps(json.loads(out)["verdicts"][0]))
+    certify = (
+        "import json, runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('famart.cli', run_name='__main__')\n"
+        "finally:\n"
+        f"    {_PRINT_MODULES}\n"
+    )
+    for path in (verdict, report):
+        proc, loaded = _famart_modules(certify, "certify", str(model), str(path))
+        assert (proc.returncode, proc.stdout) == (0, '{"valid": true}\n')
+        assert {"famart.certificates", "famart.kernel", "famart.modelfile"} <= loaded
+        assert not loaded & {"famart.checkers", "famart.lp", "famart.modelio"}
+
+
+def test_importing_modelio_loads_the_checkers_and_the_simplex():
+    # ``import famart`` loads no simplex; ``famart.modelio``, the report's
+    # module, loads the checkers and the simplex with it.
+    solver = {"famart.checkers", "famart.lp"}
+    for module, expected in (("famart", set()), ("famart.modelio", solver)):
+        proc, loaded = _famart_modules(f"import json, sys, {module}\n{_PRINT_MODULES}")
+        assert proc.returncode == 0
+        assert loaded & solver == expected
 
 
 def test_console_script_subprocess(tmp_path):
