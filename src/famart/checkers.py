@@ -55,6 +55,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from operator import mul
 from typing import Any, Iterator, Sequence
 
 from . import certificates as certs
@@ -71,6 +72,7 @@ from .core import (
     dot,
     ess_sup,
     expect,
+    int_row,
     rat,
     sup_norm,
 )
@@ -672,32 +674,51 @@ def _ratio_sweep(
     maximizes each later coordinate's objective over its rows from the
     last optimal basis (:func:`famart.lp.reoptimizer`).  A coordinate
     whose objective was already maximized reuses that outcome.
+
+    The bookkeeping runs on integers.  A solve's duals ``Y`` and value
+    ``V`` are read as numerators over one denominator ``D``, so its pmf
+    is ``(e_i D - Y) / (D + V)``, reduced once; the bounds are numerator
+    and denominator pairs compared by cross products, and a gain's values
+    at the support are read off the program's integer rows.  A pmf
+    becomes ``Fraction``s only when it joins the cover, and the attaining
+    gain is combined once, at the end.
     """
     support = m.support()
-    lower = [max(col) for col in zip(*cover)] if cover else [ZERO] * len(support)
-    best: Fraction = ZERO
+    known: set[tuple[tuple[int, ...], int]] = set()
+    lower = [(0, 1)] * len(support)  # (numerator, denominator) per coordinate
+    for q in cover:
+        nums, den = int_row(q)
+        known.add((tuple(nums), den))
+        lower = [_larger(a, (n, den)) for a, n in zip(lower, nums)]
+    best = (0, 1)
     attaining = None
 
-    def attain(coeffs: Sequence[Fraction], x: RandVar) -> None:
+    def attain(
+        values: list[int], den: int, coeffs: Sequence[Fraction], x: RandVar | None
+    ) -> None:
+        """Take a gain whose values at the support are ``values`` over
+        ``den`` if its largest value beats ``best``."""
         nonlocal best, attaining
-        values = [x.at(c) for c in support]
         top = max(values)
-        if attaining is None or top > best:
-            best = top
-            attaining = {
-                "coefficients": coeffs,
-                "x": x,
-                "coord": support[values.index(top)],
-            }
+        if attaining is None or top * best[1] > best[0] * den:
+            best = (top, den)
+            attaining = (coeffs, x, support[values.index(top)])
 
     for coeffs, x in gains:
-        attain(coeffs, x)
+        attain(*int_row([x.at(c) for c in support]), coeffs, x)
     solved: dict[tuple[Fraction, ...], LpOutcome] = {}
     # With no generators there is no program to solve, and c* = 0.
-    while ls.basis and (attaining is None or (1 + best) * min(lower) < 1):
-        i = min(range(len(support)), key=lower.__getitem__)
+    while ls.basis:
+        i = 0
+        for j, (n, d) in enumerate(lower):
+            if n * lower[i][1] < lower[i][0] * d:
+                i = j
+        (ln, ld), (bn, bd) = lower[i], best
+        if attaining is not None and (bd + bn) * ln >= bd * ld:  # (1 + c*) q >= 1
+            break
         if not solved:
             lp = ratio_bound_lp(m, ls, support[i])
+            program = lp.int_form()
             solved[lp.objective], maximize = reoptimizer(lp)
         # Row i is the gain at support[i], which is that coordinate's objective.
         objective = lp.constraints[i].coeffs
@@ -708,21 +729,42 @@ def _ratio_sweep(
             return _unbounded_ratio(m, out.ray, ls.combine(out.ray))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
-        # The dual weights sit on ">=" rows, so they are <= 0.
-        pmf = tuple(
-            (int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual)
-        )
-        if pmf not in cover:
-            cover.append(pmf)
-        lower = [max(a, b) for a, b in zip(lower, pmf)]
-        attain(out.primal, ls.combine(out.primal))
+        # The dual weights sit on ">=" rows, so they are <= 0.  The pmf is
+        # (e_i - Y) / (1 + V), with Y and V over one denominator D.  Row i
+        # is slack at the optimum (the gain there is V >= 0 > -1), so
+        # Y_i = 0, and V = -sum Y by duality; as D, Y and V share no
+        # factor, neither do D + V and the pmf's numerators.
+        nums, den = int_row((*out.dual, out.value))
+        nums[i] -= den
+        den += nums.pop()
+        pmf = tuple(-y for y in nums)
+        if (pmf, den) not in known:
+            known.add((pmf, den))
+            cover.append(tuple(Fraction(n, den) for n in pmf))
+            lower = [_larger(a, (n, den)) for a, n in zip(lower, pmf)]
+        coeffs, cden = int_row(out.primal)
+        values = [sum(map(mul, coeffs, row)) for row in program.rows]
+        attain(values, cden * program.den, out.primal, None)
+    if attaining is not None:
+        coeffs, x, coord = attaining
+        attaining = {
+            "coefficients": coeffs,
+            "x": ls.combine(coeffs) if x is None else x,
+            "coord": coord,
+        }
+    cstar = Fraction(*best)
     return Verdict(
         "(5)",
         True,
-        certs.cstar_bound(best, attaining=attaining, cover=cover),
-        f"finite ratio bound c* = {best} (attained; a cover of martingale "
+        certs.cstar_bound(cstar, attaining=attaining, cover=cover),
+        f"finite ratio bound c* = {cstar} (attained; a cover of martingale "
         "pmfs bounds every coordinate).",
     )
+
+
+def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The larger of two (numerator, positive denominator) pairs; ``a`` on ties."""
+    return b if b[0] * a[1] > a[0] * b[1] else a
 
 
 def qstar_from_weight(m: Model, q: Fap, y: RandVar) -> Fap:

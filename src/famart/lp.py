@@ -42,7 +42,7 @@ weighted right-hand side over the whole variable-bounds box.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
@@ -253,27 +253,38 @@ class _Tableau:
         """Multipliers of the original rows, read off the probe columns,
         for the column costs ``costs`` over ``den``."""
         duals = [ZERO] * self.n_orig_rows
-        rc, rc_den = self.rc, self.rc_den
+        rc, rc_den, sigma = self.rc, self.rc_den, self.sigma
         for col, origin in zip(self.probe, self.row_origin):
             if origin < self.n_orig_rows:
-                y = Fraction(costs[col] * rc_den - rc[col] * den, den * rc_den)
-                duals[origin] = self.sigma[origin] * y
+                y = sigma[origin] * (costs[col] * rc_den - rc[col] * den)
+                duals[origin] = Fraction(y, den * rc_den)
         return duals
 
     def _primal(self) -> list[Fraction]:
-        cols = [ZERO] * self.ncols
-        for r, b in enumerate(self.basis):
-            cols[b] = Fraction(self.rows[r][-1], self.dens[r])
-        return self._map(cols, True)
+        return self._map(
+            [(b, self.rows[r][-1], self.dens[r]) for r, b in enumerate(self.basis)],
+            True,
+        )
 
-    def _map(self, cols: Sequence[Fraction], point: bool) -> list[Fraction]:
-        """The original variables at internal column values ``cols``: a
-        point, or, with ``point`` False, a ray, which the shifts leave out."""
-        out = [Fraction(s, self.den) if point else ZERO for s in self.shift]
-        for (j, sign), v in zip(self.col_var, cols):
-            if v:
-                out[j] += v if sign > 0 else -v
-        return out
+    def _map(self, cols: list[tuple[int, int, int]], point: bool) -> list[Fraction]:
+        """The original variables where each internal ``(column, numerator,
+        denominator)`` of ``cols`` takes that value and every other column
+        is 0: a point, or, with ``point`` False, a ray, which the shifts
+        leave out.  The sum runs in integers over the lcm of the nonzero
+        values' denominators, and each variable becomes one ``Fraction``."""
+        n_mapped = len(self.col_var)
+        cols = [c for c in cols if c[1] and c[0] < n_mapped]
+        den = lcm(*[d for _, _, d in cols])
+        nums = [0] * len(self.shift)
+        for col, v, d in cols:
+            j, sign = self.col_var[col]
+            nums[j] += sign * v * (den // d)
+        if point and any(self.shift):
+            return [
+                Fraction(v * self.den + s * den, den * self.den)
+                for v, s in zip(nums, self.shift)
+            ]
+        return [Fraction(v, den) for v in nums]
 
     def maximize(self, costs: Sequence[int], den: int) -> Optimal | Unbounded:
         """Phase 2: maximize ``costs`` over ``den``, one cost per original
@@ -283,13 +294,10 @@ class _Tableau:
         cols += [0] * (self.ncols - len(cols))
         status, enter = self._run(cols, den)
         if status == "unbounded":
-            ray_cols = [ZERO] * self.ncols
-            ray_cols[enter] = Fraction(1)
-            for r, b in enumerate(self.basis):
-                a = self.rows[r][enter]
-                if a:
-                    ray_cols[b] = -Fraction(a, self.dens[r])
-            return Unbounded(tuple(self._primal()), tuple(self._map(ray_cols, False)))
+            ray = [(enter, 1, 1)] + [
+                (b, -row[enter], d) for row, d, b in zip(self.rows, self.dens, self.basis)
+            ]
+            return Unbounded(tuple(self._primal()), tuple(self._map(ray, False)))
         offset = sum(map(mul, costs, self.shift))  # over den * self.den
         value = Fraction(-self.rc[-1], self.rc_den) + Fraction(offset, den * self.den)
         return Optimal(value, tuple(self._primal()), tuple(self._duals(cols, den)))

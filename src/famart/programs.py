@@ -17,6 +17,9 @@ contract between the two sides:
   reads those rows, and so does the solver: ``arbitrage_lp`` and
   ``martingale_mass_lp`` wrap them in a ``LinearProgram`` that keeps them
   as its integer form, which the simplex reads.
+- The (5) ratio programs are read off the same integer basis rows
+  (:func:`ratio_bound_rows`, wrapped by ``ratio_bound_lp``).  No witness
+  names them; the (5) sweep reads its gains' values off these rows.
 """
 
 from __future__ import annotations
@@ -166,14 +169,26 @@ def expectation_bound_lp(
     )
 
 
-def ratio_bound_lp(m: Model, ls: LinSpace, coord: int) -> LinearProgram:
+def ratio_bound_rows(m: Model, ls: LinSpace, coord: int) -> IntProgram:
     """Maximize the gain at one support coordinate subject to the gain
-    being at least -1 everywhere on the support."""
-    support = m.support()
-    rows = [(_combo_row(ls.basis, c), GE, Fraction(-1)) for c in support]
-    return LinearProgram(
-        objective=_combo_row(ls.basis, coord), maximize=True, constraints=rows
-    )
+    being at least -1 everywhere on the support.
+
+    Variables are the combination coefficients, free.  One ``>= -1`` row
+    per support coordinate, in support order; row ``i`` is the gain at
+    the ``i``-th support coordinate, so the objective is the row at
+    ``coord``.
+    """
+    ls.check_conforms(m)
+    basis, den = ls.int_rows()
+    k = len(basis)
+    rows = [(*(row[c] for row in basis), -den) for c in m.support()]
+    costs = tuple(row[coord] for row in basis)
+    return IntProgram(rows, (GE,) * len(rows), costs, (None,) * k, (None,) * k, den)
+
+
+def ratio_bound_lp(m: Model, ls: LinSpace, coord: int) -> LinearProgram:
+    """:func:`ratio_bound_rows` as a ``LinearProgram``."""
+    return ratio_bound_rows(m, ls, coord).linear_program()
 
 
 def event_dominance_lp(

@@ -33,6 +33,10 @@ from .fap import Fap
 
 Block = frozenset  # of state indices; TAIL marks the tail state
 
+# The largest dmw horizon: 2^16 paths build in seconds, while a larger
+# horizon would need memory exponential in it before any other check.
+MAX_DMW_HORIZON = 16
+
 
 class Filtration(Record):
     """Per time index, a partition of the model's coordinates.
@@ -188,13 +192,13 @@ def example_dmw(
     2^n explicit path states, no tail.  A path with heads probability
     ``p`` in (0, 1/2) gets mass p^h (1-p)^(n-h); the process is the
     running sum of the +-1 steps and the filtration is generated by the
-    observed prefix.
+    observed prefix.  A horizon above ``MAX_DMW_HORIZON`` is refused
+    before anything is built.
     """
+    _check_dmw_horizon(n)
     p = rat(p)
     if not (0 < p < Fraction(1, 2)):
         raise InvalidInput(f"heads probability must lie in (0, 1/2), got {p}")
-    if n < 1:
-        raise InvalidInput("horizon must be at least 1")
     paths = list(itertools.product((1, -1), repeat=n))
     masses = []
     for path in paths:
@@ -219,10 +223,16 @@ def example_dmw(
     return m, f, s
 
 
+def _check_dmw_horizon(n: int) -> None:
+    if not 1 <= n <= MAX_DMW_HORIZON:
+        raise InvalidInput(
+            f"horizon must lie in 1..{MAX_DMW_HORIZON} (2^n paths), got {n}"
+        )
+
+
 def dmw_martingale_fap(n: int) -> Fap:
     """The fair-coin path measure: mass 2^-n on each of the 2^n paths."""
-    if n < 1:
-        raise InvalidInput("horizon must be at least 1")
+    _check_dmw_horizon(n)
     return Fap(ZERO, (Fraction(1, 2**n),) * 2**n)
 
 

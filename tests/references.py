@@ -4,14 +4,17 @@ The report decides (4), (5) and (6) from one (3) solve, so comparing a
 report row with ``check_acmfap`` or ``check_no_arbitrage`` compares the
 chain with itself.  These helpers decide each condition by its own
 program instead, so the differential and implication tests stay
-independent of the code they test.  :func:`counting_solves` counts the
-programs the checkers solve.
+independent of the code they test.  :func:`reference_ratio_sweep` is
+the (5) sweep in ``Fraction`` arithmetic over the ``Fraction`` ratio
+program, which the integer sweep must reproduce byte for byte.
+:func:`counting_solves` counts the programs the checkers solve.
 """
 
 from fractions import Fraction as F
 
-from famart import checkers, programs
-from famart.lp import LinearProgram, Optimal, solve
+from famart import certificates, checkers, programs
+from famart.core import ZERO
+from famart.lp import GE, LinearProgram, Optimal, Unbounded, reoptimizer, solve
 
 
 def acmfap_holds(m, ls):
@@ -37,6 +40,57 @@ def cstar_of(m, ls):
     """c* by the ratio programs alone; None when no finite bound exists."""
     v = ratio_sweep(m, ls)
     return F(v.certificate["value"]) if v.holds else None
+
+
+def ratio_bound_lp(m, ls, coord):
+    """The ``Fraction`` definition of the ratio program: maximize the gain
+    at ``coord`` subject to the gain being at least -1 on the support."""
+    rows = [(tuple(x.at(c) for x in ls.basis), GE, F(-1)) for c in m.support()]
+    return LinearProgram(tuple(x.at(coord) for x in ls.basis), True, rows)
+
+
+def reference_ratio_sweep(m, ls, cover, gains):
+    """The (5) sweep of ``checkers._ratio_sweep`` with every pmf, bound and
+    gain value a ``Fraction``; it appends to ``cover`` as that does."""
+    support = m.support()
+    lower = [max(col) for col in zip(*cover)] if cover else [ZERO] * len(support)
+    best = ZERO
+    attaining = None
+
+    def attain(coeffs, x):
+        nonlocal best, attaining
+        values = [x.at(c) for c in support]
+        top = max(values)
+        if attaining is None or top > best:
+            best = top
+            attaining = {"coefficients": coeffs, "x": x, "coord": support[values.index(top)]}
+
+    for coeffs, x in gains:
+        attain(coeffs, x)
+    solved = {}
+    while ls.basis and (attaining is None or (1 + best) * min(lower) < 1):
+        i = min(range(len(support)), key=lower.__getitem__)
+        if not solved:
+            lp = ratio_bound_lp(m, ls, support[i])
+            solved[lp.objective], maximize = reoptimizer(lp)
+        objective = lp.constraints[i].coeffs
+        out = solved.get(objective)
+        if out is None:
+            out = solved[objective] = maximize(objective)
+        if isinstance(out, Unbounded):
+            return checkers._unbounded_ratio(m, out.ray, ls.combine(out.ray))
+        pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
+        if pmf not in cover:
+            cover.append(pmf)
+        lower = [max(a, b) for a, b in zip(lower, pmf)]
+        attain(out.primal, ls.combine(out.primal))
+    return checkers.Verdict(
+        "(5)",
+        True,
+        certificates.cstar_bound(best, attaining=attaining, cover=cover),
+        f"finite ratio bound c* = {best} (attained; a cover of martingale "
+        "pmfs bounds every coordinate).",
+    )
 
 
 def counting_solves(monkeypatch):

@@ -1,5 +1,6 @@
 """Condition checkers: worked examples, error paths, cross-properties."""
 
+import json
 import random
 from itertools import combinations
 from fractions import Fraction as F
@@ -18,6 +19,7 @@ from famart.spaces import (
     example_dmw,
     example_harmonic,
     random_finite_model,
+    random_tree_model,
     trading_space,
 )
 
@@ -27,6 +29,7 @@ from references import (
     cstar_of,
     no_arbitrage_holds,
     ratio_sweep,
+    reference_ratio_sweep,
 )
 
 
@@ -384,6 +387,33 @@ def test_cstar_sweep_solves_a_known_pmf_only_to_attain_cstar(monkeypatch, seeded
                 repeats += 1
                 assert k == len(steps) - 1 and value == F(v.certificate["value"])
     assert repeats > 0
+
+
+def test_integer_sweep_equals_the_fraction_sweep():
+    # The sweep keeps its pmfs, bounds and gain values in integers; the
+    # reference keeps them as Fractions.  Both starts: from no pmf and no
+    # gain, and from the (3) solve as a report starts it.  On bp N=5 k=2
+    # the unseeded sweep finds a pmf that is already in its cover.
+    models = [_bp(5, 2)[:2]] + [random_finite_model(seed) for seed in range(400)]
+    for seed in range(100):
+        m, f, s = random_tree_model(seed)
+        models.append((m, trading_space(f, s, m)))
+    seen = {"unbounded": 0, "seeded": 0, "seeded_solves": 0}
+    for m, ls in models:
+        want = reference_ratio_sweep(m, ls, [], [])
+        assert json.dumps(ratio_sweep(m, ls).to_dict()) == json.dumps(want.to_dict())
+        seen["unbounded"] += not want.holds
+        mm = checkers.min_mass(m, ls)
+        if mm.gain is None or not mm.verdict.holds:
+            continue
+        q = certificates.support_weights(m, mm.fap)
+        cover = [tuple(q[c] for c in m.support())]
+        want = reference_ratio_sweep(m, ls, cover, [(mm.coefficients, mm.gain)])
+        got = checkers.cstar_verdict(m, ls, mm)
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+        seen["seeded"] += 1
+        seen["seeded_solves"] += len(cover) > 1
+    assert min(seen.values()) > 0, seen
 
 
 def _unique_solution(rows, rhs):

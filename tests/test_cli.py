@@ -544,26 +544,31 @@ _PRINT_MODULES = (
 def test_certify_loads_neither_the_checkers_nor_the_simplex(tmp_path, capsys, example):
     # Certificates re-validate by plain arithmetic: a certify process,
     # started as ``python -m famart.cli`` starts it, never imports the
-    # checkers, the simplex or the report assembly.
-    model, report = tmp_path / "m.json", tmp_path / "report.json"
-    assert main(["examples", *example, "--out", str(model)]) == 0
-    code, out = run_cli(["report", str(model)], capsys)
-    assert code == 0
-    report.write_text(out)
-    verdict = tmp_path / "v.json"
-    verdict.write_text(json.dumps(json.loads(out)["verdicts"][0]))
-    certify = (
+    # checkers, the simplex or the report assembly.  An examples process
+    # loads no module that certify does not.
+    solver = {"famart.checkers", "famart.lp", "famart.modelio"}
+    cli = (
         "import json, runpy, sys\n"
         "try:\n"
         "    runpy.run_module('famart.cli', run_name='__main__')\n"
         "finally:\n"
         f"    {_PRINT_MODULES}\n"
     )
+    model, report = tmp_path / "m.json", tmp_path / "report.json"
+    proc, examples = _famart_modules(cli, "examples", *example, "--out", str(model))
+    assert proc.returncode == 0
+    assert not examples & solver
+    code, out = run_cli(["report", str(model)], capsys)
+    assert code == 0
+    report.write_text(out)
+    verdict = tmp_path / "v.json"
+    verdict.write_text(json.dumps(json.loads(out)["verdicts"][0]))
     for path in (verdict, report):
-        proc, loaded = _famart_modules(certify, "certify", str(model), str(path))
+        proc, loaded = _famart_modules(cli, "certify", str(model), str(path))
         assert (proc.returncode, proc.stdout) == (0, '{"valid": true}\n')
         assert {"famart.certificates", "famart.kernel", "famart.modelfile"} <= loaded
-        assert not loaded & {"famart.checkers", "famart.lp", "famart.modelio"}
+        assert not loaded & solver
+        assert examples <= loaded
 
 
 def test_importing_modelio_loads_the_checkers_and_the_simplex():

@@ -1,14 +1,17 @@
-"""The programs a Farkas witness names, defined once as integer rows.
+"""The programs read off integer basis rows, each defined once.
 
 ``arbitrage_rows`` and ``martingale_mass_rows`` read the ``arbitrage``
-and ``min-mass`` programs off a space's kept integer basis rows;
-``arbitrage_lp`` and ``martingale_mass_lp`` wrap those rows in a
-``LinearProgram`` that keeps them as the integer form the solver reads.  These tests pin both forms to the
-``Fraction`` definitions they replaced, and pin validation of these
-programs' Farkas and dual rows to the integer form alone.
+and ``min-mass`` programs off a space's kept integer basis rows, and
+``ratio_bound_rows`` reads the (5) ratio programs off them;
+``arbitrage_lp``, ``martingale_mass_lp`` and ``ratio_bound_lp`` wrap
+those rows in a ``LinearProgram`` that keeps them as the integer form the
+solver reads.  These tests pin both forms to the ``Fraction`` definitions
+they replaced, and pin validation of the Farkas and dual rows of the
+programs a witness names to the integer form alone.
 """
 
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
@@ -24,6 +27,8 @@ from famart.spaces import (
     random_finite_model,
     trading_space,
 )
+
+from references import ratio_bound_lp as _reference_ratio_bound_lp
 
 
 def _reference_arbitrage_lp(m, ls):
@@ -52,6 +57,17 @@ PROGRAMS = [
     (programs.arbitrage_rows, programs.arbitrage_lp, _reference_arbitrage_lp),
     (programs.martingale_mass_rows, programs.martingale_mass_lp, _reference_martingale_mass_lp),
 ]
+
+
+def _programs(m):
+    """:data:`PROGRAMS`, then the ratio program at every support coordinate."""
+    yield from PROGRAMS
+    for c in m.support():
+        yield (
+            partial(programs.ratio_bound_rows, coord=c),
+            partial(programs.ratio_bound_lp, coord=c),
+            partial(_reference_ratio_bound_lp, coord=c),
+        )
 
 
 def _models():
@@ -84,7 +100,7 @@ def _lp_values(lp: LinearProgram):
 def test_integer_rows_equal_their_linear_program_row_for_row():
     checked = 0
     for m, ls in _models():
-        for rows_of, lp_of, reference_of in PROGRAMS:
+        for rows_of, lp_of, reference_of in _programs(m):
             p = rows_of(m, ls)
             lp = lp_of(m, ls)
             assert p.den > 0
@@ -93,7 +109,8 @@ def test_integer_rows_equal_their_linear_program_row_for_row():
             assert lp.int_form() == p
             assert _values(reference_of(m, ls).int_form()) == _values(p)
             checked += 1
-    assert checked == 2 * 408
+    # Two programs per model, then one ratio program per support coordinate.
+    assert checked == 2 * 408 + 1274
 
 
 def test_the_wrapper_keeps_its_rows_and_shares_equal_values():
@@ -114,7 +131,7 @@ def test_the_wrapper_keeps_its_rows_and_shares_equal_values():
 def test_a_space_that_does_not_fit_builds_no_program():
     m = Model((F(1, 2), F(1, 2)))
     ls = LinSpace((RandVar((F(1), F(-1)), F(0)),))
-    for rows_of, _lp_of, _reference_of in PROGRAMS:
+    for rows_of, _lp_of, _reference_of in _programs(m):
         with pytest.raises(InvalidInput):
             rows_of(m, ls)
 

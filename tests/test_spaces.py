@@ -1,15 +1,18 @@
 """Trading-space generation and the built-in model generators."""
 
 import copy
+import itertools
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from famart import spaces
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, Model, RandVar, expect
 from famart.modelio import parse_model
 from famart.spaces import (
+    MAX_DMW_HORIZON,
     AdaptedProcess,
     Filtration,
     binomial_pmf,
@@ -289,3 +292,37 @@ def test_random_finite_model_is_reproducible_and_hygienic():
             assert any(x.values[i] != 0 for i in charged)
         for i in charged:
             assert any(x.values[i] != 0 for x in ls.basis)
+
+
+def _refuse_building(monkeypatch):
+    """Make enumerating the paths, or building the fair mass that the
+    martingale measure repeats 2^n times, fail at once."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the horizon check")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    monkeypatch.setattr(spaces, "Fraction", refuse)
+
+
+@pytest.mark.parametrize("n", [0, MAX_DMW_HORIZON + 1, 40, 64])
+def test_dmw_horizon_is_refused_before_anything_is_built(monkeypatch, n):
+    # 2^n paths: without the check, n = 40 or 64 exhausts memory.
+    _refuse_building(monkeypatch)
+    message = rf"^horizon must lie in 1\.\.{MAX_DMW_HORIZON} \(2\^n paths\), got {n}$"
+    with pytest.raises(InvalidInput, match=message):
+        example_dmw(F(1, 3), n)
+    with pytest.raises(InvalidInput, match=message):
+        dmw_martingale_fap(n)
+
+
+def test_examples_dmw_refuses_a_large_horizon(monkeypatch, tmp_path, capsys):
+    _refuse_building(monkeypatch)
+    out = tmp_path / "dmw.json"
+    assert main(["examples", "dmw", "--n", "64", "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"invalid input: horizon must lie in 1..{MAX_DMW_HORIZON} (2^n paths), got 64\n"
+    )
