@@ -26,13 +26,14 @@ Checked conditions, by their report labels:
 ``coherence``  previsions admit a representing finitely additive
          probability; otherwise a sure-loss bet exists.
 
-One (3) decision serves the others.  On a filtration market it is taken
-node by node on the tree (:func:`tree_min_mass`), with no program over
-all paths; otherwise, and where a node has a one-step arbitrage, by the
-min-mass program.  Where (3) fails, the weights of its
-certificate combine the generators into a gain that is nonnegative on
-the support and not zero there: the (6) arbitrage, the (5) direction
-and, where it is positive everywhere on the support, the (4) violation.
+One (3) decision serves the others.  On a space that
+:func:`famart.spaces.trading_space` built it is taken node by node on
+the filtration tree the space keeps (:func:`tree_min_mass`); on any
+other space, and where a node has a one-step arbitrage, by the min-mass
+program.  Where (3) fails, the weights of its certificate combine the
+generators into a gain that is nonnegative on the support and not zero
+there: the (6) arbitrage, the (5) direction and, where it is positive
+everywhere on the support, the (4) violation.
 Where (3) holds, its functional certifies (4) and (6), and it and its
 gain start the (5) sweep, which often needs no ratio solve at all.
 (7) and coherence are read off the (4) verdict wherever their
@@ -42,8 +43,8 @@ one feasibility program whose Farkas vector gives the failure.
 The ``*_from`` functions build a verdict from another one with no solve:
 (4) and (6) from (3), (10) from (6), and (5*) from (5) and (3).  Inside
 :func:`solving_once`, each distinct (7) or coherence program is solved at
-most once.  The (5) sweep solves one ratio program and maximizes each
-later coordinate's objective over the same rows, on one tableau.
+most once.  The (5) sweep solves one integer ratio program and maximizes
+each later coordinate's row of it over the same rows, on one tableau.
 This chain, from :func:`min_mass`, is the one decision path for every
 report row, and ``famart check`` prints the report's row.
 :func:`find_emfap`, :func:`check_acmfap`, :func:`check_no_arbitrage` and
@@ -95,12 +96,13 @@ from .programs import (
     coherence_lp,
     expectation_bound_lp,
     martingale_mass_lp,
-    ratio_bound_lp,
+    ratio_bound_rows,
     weighted_space,
 )
 # Unused here; bench/spans.py traces these builders as checkers attributes.
 from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
-from .spaces import AdaptedProcess, Filtration, binomial_pmf, space_tree
+from .programs import ratio_bound_lp  # noqa: F401
+from .spaces import binomial_pmf
 
 # The outcome of every program solved so far inside ``solving_once``.
 _SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
@@ -344,18 +346,16 @@ def find_emfap(m: Model, ls: LinSpace) -> Verdict:
     return min_mass(m, ls).verdict
 
 
-def min_mass(
-    m: Model, ls: LinSpace, f: Filtration | None = None, s: AdaptedProcess | None = None
-) -> MinMass:
+def min_mass(m: Model, ls: LinSpace) -> MinMass:
     """Condition (3) as :func:`find_emfap` decides it, with what the same
-    solve decides of the other conditions (see :class:`MinMass`).  Given
-    the filtration and process whose trading space is ``ls``, it is
-    decided node by node where it can be (see :func:`tree_min_mass`)."""
+    solve decides of the other conditions (see :class:`MinMass`).  A space
+    that :func:`famart.spaces.trading_space` built keeps its filtration
+    tree and is decided node by node where it can be (see
+    :func:`tree_min_mass`); any other space by the min-mass program."""
     ls.check_conforms(m)
-    if f is not None:
-        mm = tree_min_mass(m, ls, f, s)
-        if mm is not None:
-            return mm
+    mm = tree_min_mass(m, ls)
+    if mm is not None:
+        return mm
     if not ls.basis:
         fap = from_p0(m)
         weights = {c: (m.p0_tail if c == TAIL else m.p0_mass[c]) for c in m.support()}
@@ -423,11 +423,10 @@ def _emfap(
     return MinMass(verdict, fap, coeffs, gain)
 
 
-def tree_min_mass(
-    m: Model, ls: LinSpace, f: Filtration, s: AdaptedProcess
-) -> MinMass | None:
-    """:func:`min_mass` on the filtration tree of ``f``, whose trading space
-    for the process ``s`` is ``ls``, with no program over all paths.
+def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
+    """:func:`min_mass` on the filtration tree that the trading space
+    ``ls`` keeps (see :func:`famart.spaces.trading_space`), with no
+    program over all paths.
 
     A pmf kills every gain ``I_B (S_{t+1} - S_t)`` exactly when, at every
     node of positive mass, its conditional pmf over the children is a
@@ -447,13 +446,15 @@ def tree_min_mass(
     child and keeps it nonnegative on the other live children.  So it is
     at least -1 on the support and attains ``1/q_max - 1``, which is c*.
 
-    None where the LP decides: with no generators, or where a live node
-    has a one-step arbitrage.
+    None where the LP decides: where the space keeps no tree (a basis
+    file, a weighted space, a space built or copied by hand), has no
+    generators, or where a live node has a one-step arbitrage.
     """
-    if not ls.basis:
+    kept = getattr(ls, "_tree", None)
+    if kept is None or not ls.basis:
         return None
     support = frozenset(m.support())
-    parts, tree = f.partitions, space_tree(ls, f, s)
+    parts, tree = kept
     value = [Fraction(1, k) if k else None for k in (len(b & support) for b in parts[-1])]
     local = []  # per time and block: {j: (p_j, q_j)} over its live children j
     for kids_of in reversed(tree):
@@ -706,7 +707,7 @@ def _ratio_sweep(
 
     for coeffs, x in gains:
         attain(*int_row([x.at(c) for c in support]), coeffs, x)
-    solved: dict[tuple[Fraction, ...], LpOutcome] = {}
+    solved: dict[tuple[int, ...], LpOutcome] = {}
     # With no generators there is no program to solve, and c* = 0.
     while ls.basis:
         i = 0
@@ -717,14 +718,13 @@ def _ratio_sweep(
         if attaining is not None and (bd + bn) * ln >= bd * ld:  # (1 + c*) q >= 1
             break
         if not solved:
-            lp = ratio_bound_lp(m, ls, support[i])
-            program = lp.int_form()
-            solved[lp.objective], maximize = reoptimizer(lp)
+            program = ratio_bound_rows(m, ls, support[i])
+            solved[program.costs], maximize = reoptimizer(program)
         # Row i is the gain at support[i], which is that coordinate's objective.
-        objective = lp.constraints[i].coeffs
+        objective = program.rows[i][:-1]
         out = solved.get(objective)
         if out is None:
-            out = solved[objective] = maximize(objective)
+            out = solved[objective] = maximize(objective, program.den)
         if isinstance(out, Unbounded):
             return _unbounded_ratio(m, out.ray, ls.combine(out.ray))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible

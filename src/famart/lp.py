@@ -13,10 +13,11 @@ The dense tableau holds each row as integer numerators over one positive
 integer denominator, reduced by their gcd after every update, in the
 fraction-free style of Edmonds and Bareiss; every entry is therefore the
 same rational a `fractions.Fraction` tableau would hold, and the pivot
-rule reads only signs and cross products of numerators.  Programs and
-outcomes are `Fraction`-valued; the tableau reads a program's kept
-integer form, the one the verification kernel (:mod:`famart.kernel`)
-reads too, and converts to `Fraction` once on the way out.
+rule reads only signs and cross products of numerators.  A
+`LinearProgram` enters through :func:`solve`; the tableau, and
+:func:`reoptimizer`, read its kept integer form (an `IntProgram`, which
+the verification kernel :mod:`famart.kernel` reads too), and outcomes
+become `Fraction`-valued once, on the way out.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
@@ -354,23 +355,26 @@ def _eliminate(
 
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly, returning an outcome with a verifiable certificate."""
-    return reoptimizer(lp)[0]
+    if not isinstance(lp, LinearProgram):
+        raise InvalidInput("solve expects a LinearProgram")
+    out = reoptimizer(lp.int_form())[0]
+    if isinstance(out, Optimal) and not lp.maximize:
+        out = Optimal(-out.value, out.primal, out.dual)
+    return out
 
 
 def reoptimizer(
-    lp: LinearProgram,
-) -> tuple[LpOutcome, Callable[[Sequence[Fraction]], LpOutcome]]:
-    """Solve ``lp``, and return the outcome with a function that maximizes
-    another objective over ``lp``'s rows and bounds.
+    p: IntProgram,
+) -> tuple[LpOutcome, Callable[[Sequence[int], int], LpOutcome]]:
+    """Maximize ``p``'s costs over its rows and bounds, and return the
+    outcome with a function that maximizes other costs over the same rows
+    and bounds: integer numerators over one positive denominator.
 
-    Phase 1 runs once.  Each call runs phase 2 for its objective from the
+    Phase 1 runs once.  Each call runs phase 2 for its costs from the
     basis the last phase 2 left optimal, and its outcome certifies the
-    maximization of that objective over the same rows and bounds.  On
+    maximization of those costs over the same rows and bounds.  On
     infeasible rows every call returns the phase-1 outcome.
     """
-    if not isinstance(lp, LinearProgram):
-        raise InvalidInput("solve expects a LinearProgram")
-    p = lp.int_form()
     tab = _Tableau(p)
 
     # Phase 1: maximize minus the sum of artificial values.
@@ -385,18 +389,15 @@ def reoptimizer(
             tuple(-y if rel == GE else y for y, rel in zip(duals, p.relations))
         )
 
-    def maximize(objective: Sequence[Fraction]) -> LpOutcome:
-        if len(objective) != lp.n_vars:
-            raise InvalidInput("objective length does not match variable count")
-        return infeasible or tab.maximize(*int_row(objective))
+    def maximize(costs: Sequence[int], den: int) -> LpOutcome:
+        if len(costs) != len(p.costs) or den <= 0:
+            raise InvalidInput("costs must be one numerator per variable over den > 0")
+        return infeasible or tab.maximize(costs, den)
 
     if infeasible:
         return infeasible, maximize
     tab.drive_out_artificials()
-    out = tab.maximize(p.costs, p.den)
-    if isinstance(out, Optimal) and not lp.maximize:
-        out = Optimal(-out.value, out.primal, out.dual)
-    return out, maximize
+    return tab.maximize(p.costs, p.den), maximize
 
 
 # --------------------------------------------------------------------------

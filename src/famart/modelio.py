@@ -40,7 +40,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         # One (3) decision, on the filtration tree where the file has one,
         # decides (3), (4), (6) and (10); where (3) fails it decides (5)
         # too, and where it holds it starts the (5) sweep.
-        mm = checkers.min_mass(m, ls, doc.filtration, doc.process)
+        mm = checkers.min_mass(m, ls)
         verdicts["(3)"] = emfap = mm.verdict
         verdicts["(4)"] = acm = checkers.acmfap_from(m, mm)
         verdicts["(5)"] = checkers.cstar_verdict(m, ls, mm)

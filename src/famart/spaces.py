@@ -7,9 +7,11 @@ is spanned by the one-step gains ``I_B * (S_{t+1} - S_t)`` over the
 time-t blocks; consecutive increments span the whole space of simple
 strategy gains by telescoping.  :func:`one_step_tree` reads the
 filtration as a tree whose edges carry the increments; it builds the
-trading space, which keeps it, and :func:`famart.checkers.tree_min_mass`
-decides (3) on it node by node.  Every step is linear in the size of the
-partitions.
+trading space, which keeps the tree with the partitions, so that
+:func:`famart.checkers.min_mass` decides (3) node by node from the space
+alone.  Every step is linear in the size of the partitions.  The
+built-in generators refuse, before building anything, a size whose model
+would exhaust memory or print a number of more than ``MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 from fractions import Fraction
 
 from .core import (
+    MAX_DIGITS,
     TAIL,
     ZERO,
     InvalidInput,
@@ -36,6 +39,14 @@ Block = frozenset  # of state indices; TAIL marks the tail state
 # The largest dmw horizon: 2^16 paths build in seconds, while a larger
 # horizon would need memory exponential in it before any other check.
 MAX_DMW_HORIZON = 16
+# The largest bp and harmonic truncation N: 2^N, their largest
+# denominator, prints in MAX_DIGITS digits, and 2^(N+1) does not.
+MAX_TRUNCATION = 14284
+# The most values a built-in model may hold: (MAX_DMW_HORIZON + 1) * 2^16,
+# the size of the largest dmw process.  It caps bp's (k + 2)(N + 1)
+# process values and finite-random's max_states * max_basis.  Literals,
+# not arithmetic: every command imports this module.
+MAX_VALUES = 1114112
 
 
 class Filtration(Record):
@@ -148,7 +159,8 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
     """Basis ``I_B (S_{t+1} - S_t)`` over consecutive times and time-t blocks.
 
     Identically zero gains are omitted; a constant process yields the
-    empty basis (the space {0}).
+    empty basis (the space {0}).  The space keeps the partitions and the
+    :func:`one_step_tree`, which :func:`famart.checkers.min_mass` reads.
     """
     f.check_conforms(m)
     s.check_adapted(f, m)
@@ -164,19 +176,8 @@ def trading_space(f: Filtration, s: AdaptedProcess, m: Model) -> LinSpace:
                     values[c] = d
             basis.append(RandVar(values[:-1], values[-1] if m.has_tail else None))
     ls = LinSpace(tuple(basis))
-    object.__setattr__(ls, "_tree", (f, s, tree))
+    object.__setattr__(ls, "_tree", (f.partitions, tree))
     return ls
-
-
-def space_tree(
-    ls: LinSpace, f: Filtration, s: AdaptedProcess
-) -> list[list[list[tuple[int, Fraction]]]]:
-    """:func:`one_step_tree` of ``f`` and ``s``: the tree ``ls`` keeps when
-    :func:`trading_space` built it from these two, else read afresh."""
-    kept = getattr(ls, "_tree", None)
-    if kept is not None and kept[0] is f and kept[1] is s:
-        return kept[2]
-    return one_step_tree(f, s)
 
 
 # --------------------------------------------------------------------------
@@ -254,15 +255,16 @@ def example_bp(
     truncation the ratio bound (5) holds: c* is finite and at least
     (k+1)(k+3), the ratio ess sup(X) / ess sup(-X) of the last
     generator.  (5) fails only for the countable market, as c* grows
-    without limit along the truncation scale.
+    without limit along the truncation scale.  N above ``MAX_TRUNCATION``
+    and more than ``MAX_VALUES`` process values are refused.
     """
-    if n_states < 2:
-        raise InvalidInput("need at least two explicit states")
+    _check_truncation(n_states)
     if k < 0 or k + 1 >= n_states:
         raise InvalidInput(
             "basis size must satisfy k + 1 < N so every gain is "
             "eventually constant within the truncation"
         )
+    _check_values("(k + 2)(N + 1) process values", (k + 2) * (n_states + 1))
     masses = tuple(Fraction(1, 2 ** (w + 1)) for w in range(n_states))
     m = Model(masses, Fraction(1, 2**n_states))
 
@@ -298,14 +300,28 @@ def example_harmonic(n_states: int) -> tuple[Model, LinSpace]:
 
     The single generator is nonnegative with positive mass somewhere, so
     arbitrage exists, while its essential supremum reaches 0 only through
-    the charged tail.
+    the charged tail.  N above ``MAX_TRUNCATION`` is refused.
     """
-    if n_states < 2:
-        raise InvalidInput("need at least two explicit states")
+    _check_truncation(n_states)
     masses = tuple(Fraction(1, 2 ** (w + 1)) for w in range(n_states))
     m = Model(masses, Fraction(1, 2**n_states))
     x = RandVar(tuple(Fraction(1, w) for w in range(1, n_states + 1)), ZERO)
     return m, LinSpace((x,))
+
+
+def _check_truncation(n_states: int) -> None:
+    if n_states < 2:
+        raise InvalidInput("need at least two explicit states")
+    if n_states > MAX_TRUNCATION:
+        raise InvalidInput(
+            f"truncation must be at most {MAX_TRUNCATION} (2^N in "
+            f"{MAX_DIGITS} digits), got {n_states}"
+        )
+
+
+def _check_values(what: str, count: int) -> None:
+    if count > MAX_VALUES:
+        raise InvalidInput(f"{what} must be at most {MAX_VALUES}, got {count}")
 
 
 def binomial_pmf(n: int, p: RationalLike) -> tuple[Fraction, ...]:
@@ -387,10 +403,12 @@ def random_finite_model(
     No tail state.  Null explicit states may occur, but every generator
     takes a nonzero value at some charged state and every charged state
     is touched by some generator; the fully degenerate shapes (empty
-    basis, zero generators) have their own dedicated tests.
+    basis, zero generators) have their own dedicated tests.  A
+    ``max_states * max_basis`` above ``MAX_VALUES`` is refused.
     """
     if max_states < 1 or max_basis < 1:
         raise InvalidInput("a random model needs max_states >= 1 and max_basis >= 1")
+    _check_values("max_states * max_basis", max_states * max_basis)
     import random
 
     rng = random.Random(seed)

@@ -6,15 +6,16 @@ chain with itself.  These helpers decide each condition by its own
 program instead, so the differential and implication tests stay
 independent of the code they test.  :func:`reference_ratio_sweep` is
 the (5) sweep in ``Fraction`` arithmetic over the ``Fraction`` ratio
-program, which the integer sweep must reproduce byte for byte.
+program, whose integer form it hands the simplex; the integer sweep
+must reproduce it byte for byte.
 :func:`counting_solves` counts the programs the checkers solve.
 """
 
 from fractions import Fraction as F
 
 from famart import certificates, checkers, programs
-from famart.core import ZERO
-from famart.lp import GE, LinearProgram, Optimal, Unbounded, reoptimizer, solve
+from famart.core import ZERO, int_row
+from famart.lp import GE, IntProgram, LinearProgram, Optimal, Unbounded, reoptimizer, solve
 
 
 def acmfap_holds(m, ls):
@@ -72,11 +73,11 @@ def reference_ratio_sweep(m, ls, cover, gains):
         i = min(range(len(support)), key=lower.__getitem__)
         if not solved:
             lp = ratio_bound_lp(m, ls, support[i])
-            solved[lp.objective], maximize = reoptimizer(lp)
+            solved[lp.objective], maximize = reoptimizer(lp.int_form())
         objective = lp.constraints[i].coeffs
         out = solved.get(objective)
         if out is None:
-            out = solved[objective] = maximize(objective)
+            out = solved[objective] = maximize(*int_row(objective))
         if isinstance(out, Unbounded):
             return checkers._unbounded_ratio(m, out.ray, ls.combine(out.ray))
         pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
@@ -97,8 +98,9 @@ def counting_solves(monkeypatch):
     """The list of programs the checkers solve from now on, in order.
 
     A ``solve`` and the (5) sweep's first ratio program add their program.
-    Each later objective the sweep maximizes over that program's rows adds
-    the program of that objective; an objective the sweep reuses adds none.
+    Each later objective the sweep maximizes over that program's rows, as
+    numerators over the program's denominator, adds the program of that
+    objective; an objective the sweep reuses adds none.
     """
     calls = []
     solve, reoptimizer = checkers.solve, checkers.reoptimizer
@@ -107,13 +109,14 @@ def counting_solves(monkeypatch):
         calls.append(lp)
         return solve(lp)
 
-    def opening(lp):
-        calls.append(lp)
-        out, maximize = reoptimizer(lp)
+    def opening(p):
+        calls.append(p)
+        out, maximize = reoptimizer(p)
 
-        def maximizing(objective):
-            calls.append(LinearProgram(objective, True, lp.constraints, lp.lower, lp.upper))
-            return maximize(objective)
+        def maximizing(costs, den):
+            assert den == p.den
+            calls.append(IntProgram(p.rows, p.relations, costs, p.lower, p.upper, den))
+            return maximize(costs, den)
 
         return out, maximizing
 

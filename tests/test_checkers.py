@@ -13,7 +13,7 @@ from famart import certificates, checkers, programs
 from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
 from famart.fap import Fap, from_p0, is_equivalent
-from famart.lp import Infeasible, Unbounded, solve, verify_outcome
+from famart.lp import Infeasible, IntProgram, Unbounded, solve, verify_outcome
 from famart.spaces import (
     example_bp,
     example_dmw,
@@ -324,12 +324,12 @@ def _sweep_steps(monkeypatch, m, ls, seeded):
     maximized = []
     reoptimizer = checkers.reoptimizer
 
-    def opening(lp):
-        out, maximize = reoptimizer(lp)
-        maximized.append((lp.objective, out))
+    def opening(p):
+        out, maximize = reoptimizer(p)
+        maximized.append((tuple(F(c, p.den) for c in p.costs), out))
 
-        def maximizing(objective):
-            maximized.append((objective, maximize(objective)))
+        def maximizing(costs, den):
+            maximized.append((tuple(F(c, den) for c in costs), maximize(costs, den)))
             return maximized[-1][1]
 
         return out, maximizing
@@ -414,6 +414,20 @@ def test_integer_sweep_equals_the_fraction_sweep():
         seen["seeded"] += 1
         seen["seeded_solves"] += len(cover) > 1
     assert min(seen.values()) > 0, seen
+
+
+def test_sweep_builds_no_fraction_program(monkeypatch):
+    # The sweep hands the simplex its integer ratio rows and maximizes
+    # each coordinate's row of them: no program becomes Fractions.
+    def refuse(self):
+        raise AssertionError("the sweep built a Fraction program")
+
+    monkeypatch.setattr(IntProgram, "linear_program", refuse)
+    solved = 0
+    for seed in range(400):
+        m, ls = random_finite_model(seed)
+        solved += checkers._ratio_sweep(m, ls, [], []).holds
+    assert solved > 0
 
 
 def _unique_solution(rows, rhs):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from famart.core import InvalidInput
+from famart.core import InvalidInput, int_row
 from famart.lp import (
     Constraint,
     Infeasible,
@@ -358,19 +358,21 @@ def test_reoptimizing_agrees_with_a_cold_solve_of_each_objective():
     kinds = set()
     for _ in range(180):
         lp = _oracle_lp(rng)
-        first, maximize = reoptimizer(lp)
-        assert first == solve(lp)
+        first, maximize = reoptimizer(lp.int_form())
+        assert first == solve(lp.int_form().linear_program())
         for _ in range(3):
             objective = tuple(_small_rat(rng) for _ in range(lp.n_vars))
             program = LinearProgram(objective, True, lp.constraints, lp.lower, lp.upper)
-            warm, cold = maximize(objective), solve(program)
+            warm, cold = maximize(*int_row(objective)), solve(program)
             assert type(warm) is type(cold)
             assert verify_outcome(program, warm)
             if isinstance(cold, Optimal):
                 assert warm.value == cold.value
             kinds.add(type(warm))
         with pytest.raises(InvalidInput):
-            maximize((F(1),) * (lp.n_vars + 1))
+            maximize((1,) * (lp.n_vars + 1), 1)
+        with pytest.raises(InvalidInput):
+            maximize((1,) * lp.n_vars, 0)
     assert kinds == {Optimal, Infeasible, Unbounded}
 
 

@@ -1,5 +1,6 @@
 """Model file round trips, validation diagnostics, and report assembly."""
 
+import copy
 import hashlib
 import json
 import random
@@ -277,13 +278,15 @@ def test_filtration_report_reads_the_one_step_tree_once(monkeypatch):
     doc = _roundtrip(serialize_model(m, filtration=f, process=s))
     assert len(calls) == 1
     report = build_report(doc)
-    assert len(calls) == 1
     assert report["verdicts"][0]["holds"]
-    # A space the tree did not build reads it afresh, to the same verdict.
-    alone = checkers.min_mass(m, LinSpace(doc.lin_space.basis), doc.filtration, doc.process)
-    assert len(calls) == 2
-    assert alone.verdict == checkers.min_mass(m, doc.lin_space, f, s).verdict
-    assert len(calls) == 3
+    # The space decides (3) on its tree, as the report does; a space the
+    # tree did not build is decided by the min-mass program, to the same
+    # least weight.
+    row = checkers.min_mass(m, doc.lin_space).verdict.to_dict()
+    assert row == report["verdicts"][0]
+    alone = checkers.min_mass(m, LinSpace(doc.lin_space.basis)).verdict
+    assert alone.certificate["minimum_weight"] == row["certificate"]["minimum_weight"]
+    assert len(calls) == 1
 
 
 def test_report_reads_unit_weight_5star_off_5_and_3(monkeypatch):
@@ -428,13 +431,13 @@ def test_tree_decision_agrees_with_the_lp():
         tree_report = build_report(doc)
         lp_report = build_report(_roundtrip(serialize_model(m, lin_space=ls)))
         assert _facts(tree_report) == _facts(lp_report)
-        mm = checkers.tree_min_mass(m, ls, f, s)
+        mm = checkers.tree_min_mass(m, ls)
         if mm is None:
             paths["lp" if ls.basis else "no generator"] += 1
             assert tree_report == lp_report
             continue
         paths["tree"] += 1
-        assert mm.verdict.holds and checkers.min_mass(m, ls).verdict.holds
+        assert mm.verdict.holds and checkers.min_mass(m, LinSpace(ls.basis)).verdict.holds
         for row in tree_report["verdicts"]:
             assert validate_verdict(m, ls, row, doc.extras())
         # The gain attains c* and is at least -1 on the support.
@@ -442,6 +445,39 @@ def test_tree_decision_agrees_with_the_lp():
         assert min(gain) >= -1 and max(gain) == F(_cstar_of(tree_report["verdicts"][2]))
         assert ls.combine(mm.coefficients) == mm.gain
     assert min(paths.values()) >= 40 and len(paths) == 3
+
+
+def test_library_checkers_return_the_report_rows_on_a_trading_space():
+    # A trading space keeps its filtration tree, so the one-condition
+    # checkers decide (3) on it as the report does and return its rows.
+    markets = [example_bp(8, 4)[:3], example_bp(40, 38)[:3], example_dmw(F(1, 3), 3)]
+    markets += [random_tree_model(seed) for seed in range(100)]
+    checks = {
+        "(3)": checkers.find_emfap,
+        "(4)": checkers.check_acmfap,
+        "(6)": checkers.check_no_arbitrage,
+        "(10)": checkers.check_norm_closure,
+    }
+    for m, f, s in markets:
+        report = build_report(_roundtrip(serialize_model(m, filtration=f, process=s)))
+        rows = {row["condition"]: row for row in report["verdicts"]}
+        ls = trading_space(f, s, m)
+        for condition, check in checks.items():
+            assert check(m, ls).to_dict() == rows[condition]
+
+
+def test_a_space_copied_by_hand_is_decided_by_the_lp(monkeypatch):
+    # A copy keeps the generators but not the tree: one min-mass solve, to
+    # the verdict and least weight the tree gives, with a valid row.
+    for m, f, s in (example_bp(8, 4)[:3], example_dmw(F(1, 3), 3)):
+        ls = trading_space(f, s, m)
+        tree = checkers.min_mass(m, ls).verdict
+        calls = counting_solves(monkeypatch)
+        lp = checkers.min_mass(m, copy.copy(ls)).verdict
+        monkeypatch.undo()
+        assert len(calls) == 1 and lp.holds == tree.holds
+        assert lp.certificate["minimum_weight"] == tree.certificate["minimum_weight"]
+        assert validate_verdict(m, ls, lp.to_dict())
 
 
 def _model_docs():

@@ -3,16 +3,19 @@
 import copy
 import itertools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from famart import spaces
 from famart.cli import main
-from famart.core import TAIL, InvalidInput, Model, RandVar, expect
+from famart.core import MAX_DIGITS, TAIL, InvalidInput, Model, RandVar, expect
 from famart.modelio import parse_model
 from famart.spaces import (
     MAX_DMW_HORIZON,
+    MAX_TRUNCATION,
+    MAX_VALUES,
     AdaptedProcess,
     Filtration,
     binomial_pmf,
@@ -326,3 +329,79 @@ def test_examples_dmw_refuses_a_large_horizon(monkeypatch, tmp_path, capsys):
     assert captured.err == (
         f"invalid input: horizon must lie in 1..{MAX_DMW_HORIZON} (2^n paths), got 64\n"
     )
+
+
+def test_size_bounds_match_their_definitions():
+    # 2^N prints in MAX_DIGITS digits up to MAX_TRUNCATION, and no further;
+    # MAX_VALUES is the size of the largest dmw process, (16 + 1) * 2^16.
+    assert 2**MAX_TRUNCATION < 10**MAX_DIGITS <= 2 ** (MAX_TRUNCATION + 1)
+    assert MAX_VALUES == (MAX_DMW_HORIZON + 1) * 2**MAX_DMW_HORIZON
+
+
+class _Built(Exception):
+    pass
+
+
+def _refuse_sizes(monkeypatch):
+    """Make building any masses, values or random draws fail at once, so
+    that a size the guards miss raises ``_Built`` instead of allocating."""
+
+    def refuse(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(spaces, "Fraction", refuse)
+    monkeypatch.setattr(random, "Random", refuse)
+
+
+_OVERSIZED = [
+    (lambda: example_bp(MAX_TRUNCATION + 1, 3), "truncation must be at most"),
+    (lambda: example_bp(100000, 3), "truncation must be at most"),
+    (lambda: example_bp(2000, 1998), r"\(k \+ 2\)\(N \+ 1\) process values"),
+    (lambda: example_harmonic(MAX_TRUNCATION + 1), "truncation must be at most"),
+    (lambda: example_harmonic(10**9), "truncation must be at most"),
+    (lambda: random_finite_model(3, 100000, 100000), r"max_states \* max_basis"),
+    (lambda: random_finite_model(0, MAX_VALUES + 1, 1), r"max_states \* max_basis"),
+]
+
+
+@pytest.mark.parametrize("build, message", _OVERSIZED)
+def test_oversized_examples_are_refused_before_anything_is_built(monkeypatch, build, message):
+    # Without the guards bp N=2000 k=1998, harmonic N=200000 and
+    # finite-random 100000 x 100000 exhaust memory.
+    _refuse_sizes(monkeypatch)
+    with pytest.raises(InvalidInput, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: example_bp(MAX_TRUNCATION, 2),
+        lambda: example_bp(1000, 998),  # 1,001,000 process values
+        lambda: example_harmonic(MAX_TRUNCATION),
+        lambda: random_finite_model(0, MAX_VALUES, 1),
+    ],
+)
+def test_examples_at_the_size_bounds_pass_the_guards(monkeypatch, build):
+    _refuse_sizes(monkeypatch)
+    with pytest.raises(_Built):
+        build()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bp", "--N", "20000", "--k", "3"], "truncation must be at most 14284"),
+        (["bp", "--N", "2000", "--k", "1998"], "process values must be at most 1114112"),
+        (["harmonic", "--N", "1000000000"], "truncation must be at most 14284"),
+        (["finite-random", "--max-states", "100000", "--max-basis", "100000"], "max_basis"),
+    ],
+)
+def test_examples_refuse_an_oversized_model(monkeypatch, tmp_path, capsys, args, message):
+    _refuse_sizes(monkeypatch)
+    out = tmp_path / "model.json"
+    assert main(["examples", *args, "--out", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ") and message in captured.err
