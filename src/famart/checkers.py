@@ -33,9 +33,11 @@ other space, and where a node has a one-step arbitrage, by the min-mass
 program.  Where (3) fails, the weights of its certificate combine the
 generators into a gain that is nonnegative on the support and not zero
 there: the (6) arbitrage, the (5) direction and, where it is positive
-everywhere on the support, the (4) violation.
-Where (3) holds, its functional certifies (4) and (6), and it and its
-gain start the (5) sweep, which often needs no ratio solve at all.
+everywhere on the support, the (4) violation and the stakes of the (7)
+and coherence failures.  It is formed once, on integers, and every row
+reads it.  Where (3) holds, its functional certifies (4) and (6), and
+it, the support weights the solve keeps, and its gain start the (5)
+sweep, which often needs no ratio solve at all.
 (7) and coherence are read off the (4) verdict wherever their
 representation program is the (4) program; otherwise each is decided by
 one feasibility program whose Farkas vector gives the failure.
@@ -70,12 +72,12 @@ from .core import (
     RandVar,
     RationalLike,
     Record,
+    constant,
     dot,
     ess_sup,
     expect,
     int_row,
     rat,
-    sup_norm,
 )
 from .fap import Fap, from_p0, is_equivalent
 from .lp import (
@@ -217,9 +219,8 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
-    q = certs.support_weights(m, mm.fap)
-    t_star = min(q.values())
-    farkas = [q[c] - t_star for c in m.support()] + [t_star]
+    t_star = min(mm.weights)
+    farkas = [q - t_star for q in mm.weights] + [t_star]
     return Verdict(
         "(6)",
         True,
@@ -277,28 +278,47 @@ def _negative_ess_sup(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdi
     )
 
 
-def _acmfap(m: Model, fap: Fap) -> Verdict:
-    return Verdict(
-        "(4)",
-        True,
-        certs.martingale_fap(m, fap, equivalent=is_equivalent(fap, m)),
-        "every gain has nonnegative essential supremum; the attached "
-        "absolutely continuous functional kills every generator.",
-    )
+def _holding_functional(mm: MinMass) -> certs.Certificate:
+    """The ``martingale_fap`` certificate of a holding (3)'s functional.
+
+    The functional is equivalent, hence absolutely continuous, and its
+    payload is the one the (3) certificate already holds: nothing is
+    rendered again.
+    """
+    return {
+        "kind": "martingale_fap",
+        "fap": mm.verdict.certificate["fap"],
+        "equivalent": True,
+        "abs_continuous": True,
+    }
 
 
 def acmfap_from(m: Model, mm: MinMass) -> Verdict:
     """Condition (4) read off the (3) solve, with no solve of its own.
 
     Nonnegative weights killing every generator are the (4) functional:
-    the (3) functional itself, or the (3) optimum when its least weight
-    is zero.  Otherwise the (3) arbitrage is positive on the support (see
-    :class:`MinMass`), so its negation has negative essential supremum.
+    the (3) functional itself, whose certificate shares the (3) payload
+    (see :func:`_holding_functional`), or the (3) optimum when its least
+    weight is zero.  Otherwise the (3) arbitrage is positive on the
+    support (see :class:`MinMass`), so its negation has negative
+    essential supremum.
     """
-    if mm.fap is not None:
-        return _acmfap(m, mm.fap)
-    return _negative_ess_sup(
-        m, tuple(-b for b in mm.coefficients), mm.gain.negated()
+    if mm.fap is None:
+        return _negative_ess_sup(
+            m, tuple(-b for b in mm.coefficients), mm.gain.negated()
+        )
+    if mm.verdict.holds:
+        certificate = _holding_functional(mm)
+    else:
+        certificate = certs.martingale_fap(
+            m, mm.fap, equivalent=is_equivalent(mm.fap, m)
+        )
+    return Verdict(
+        "(4)",
+        True,
+        certificate,
+        "every gain has nonnegative essential supremum; the attached "
+        "absolutely continuous functional kills every generator.",
     )
 
 
@@ -308,7 +328,10 @@ class MinMass(Record):
     ``fap`` kills every generator with nonnegative weights: the (3)
     functional where (3) holds, the (3) optimum where its least weight
     ``t*`` is zero, and None where ``t* < 0`` or the program is
-    infeasible.  ``gain`` is ``sum_d coefficients[d] X_d``, read off the
+    infeasible.  ``weights`` are the weights ``fap`` puts on the support
+    coordinates, in support order (``certificates.support_weights``),
+    kept from the solve so that no row computes them again; None with
+    ``fap``.  ``gain`` is ``sum_d coefficients[d] X_d``, read off the
     weights ``y`` of the (3) program's rows: a mass row, then one row per
     generator, over support weights ``s_c >= 0`` and a free floor ``t``.
 
@@ -321,15 +344,17 @@ class MinMass(Record):
     program of (5).  With no generators, ``gain`` is None.
     """
 
-    __slots__ = ("verdict", "fap", "coefficients", "gain")
+    __slots__ = ("verdict", "fap", "weights", "coefficients", "gain")
     verdict: Verdict
     fap: Fap | None
+    weights: tuple[Fraction, ...] | None
     coefficients: tuple[Fraction, ...] | None
     gain: RandVar | None
 
-    def __init__(self, verdict, fap, coefficients, gain) -> None:
+    def __init__(self, verdict, fap, weights, coefficients, gain) -> None:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "fap", fap)
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "gain", gain)
 
@@ -358,15 +383,15 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         return mm
     if not ls.basis:
         fap = from_p0(m)
-        weights = {c: (m.p0_tail if c == TAIL else m.p0_mass[c]) for c in m.support()}
+        weights = tuple(m.p0_tail if c == TAIL else m.p0_mass[c] for c in m.support())
         verdict = Verdict(
             "(3)",
             True,
-            certs.separating_functional(m, fap, min(weights.values())),
+            certs.separating_functional(m, fap, min(weights)),
             "the space of gains is trivial; the reference measure itself "
             "is an equivalent martingale functional.",
         )
-        return MinMass(verdict, fap, None, None)
+        return MinMass(verdict, fap, weights, None, None)
     lp = martingale_mass_lp(m, ls)
     # Not through the memo: a report builds this program once, and hashing
     # it costs more than the memo could save.
@@ -379,7 +404,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
             "no signed weighting kills every generator; the scaled "
             "expectation bound fails for every representable (Q, c).",
         )
-        return _with_arbitrage(m, ls, verdict, None, out.farkas)
+        return _with_arbitrage(m, ls, verdict, out.farkas)
     if not isinstance(out, Optimal):  # pragma: no cover - mass one caps t
         raise AssertionError("the common floor is at most one over the support size")
     t_star = out.value
@@ -396,8 +421,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
             "zero); the scaled expectation bound fails for every "
             "representable (Q, c).",
         )
-        fap = _fap_from_weights(m, weights) if t_star == 0 else None
-        return _with_arbitrage(m, ls, verdict, fap, out.dual)
+        return _with_arbitrage(m, ls, verdict, out.dual, weights if t_star == 0 else None)
     coeffs = tuple(y / t_star for y in out.dual[1:])
     return _emfap(m, weights, t_star, coeffs, ls.combine(coeffs))
 
@@ -411,7 +435,7 @@ def _emfap(
 ) -> MinMass:
     """A holding (3): the functional of the support ``weights``, whose
     least weight is ``t_star``, and a gain at least -1 on the support."""
-    fap = _fap_from_weights(m, weights)
+    fap, kept = _functional(m, weights)
     verdict = Verdict(
         "(3)",
         True,
@@ -420,7 +444,15 @@ def _emfap(
         "dominated-gain cone via the open convex set of bounded functions "
         "with strictly positive expectation.",
     )
-    return MinMass(verdict, fap, coeffs, gain)
+    return MinMass(verdict, fap, kept, coeffs, gain)
+
+
+def _functional(
+    m: Model, weights: dict[int, Fraction]
+) -> tuple[Fap, tuple[Fraction, ...]]:
+    """The Fap of the support ``weights`` and those weights in support
+    order, which are its support weights."""
+    return _fap_from_weights(m, weights), tuple(weights[c] for c in m.support())
 
 
 def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
@@ -547,12 +579,32 @@ def _local_max_min(
 
 
 def _with_arbitrage(
-    m: Model, ls: LinSpace, verdict: Verdict, fap: Fap | None, y: Sequence[Fraction]
+    m: Model,
+    ls: LinSpace,
+    verdict: Verdict,
+    y: Sequence[Fraction],
+    weights: dict[int, Fraction] | None = None,
 ) -> MinMass:
-    """A failing (3) and the arbitrage its weights ``y`` give."""
-    x = ls.combine(y[1:])
-    norm = sup_norm(x, m)
-    return MinMass(verdict, fap, tuple(b / norm for b in y[1:]), x.scaled(1 / norm))
+    """A failing (3), with the functional of its optimum's support
+    ``weights`` where ``t* = 0``, and the arbitrage its row weights ``y``
+    give: ``G = sum_d y_d X_d`` scaled to sup norm one on the support.
+
+    ``G`` is formed on integers.  With ``y_d = ys_d / D`` and the basis
+    rows as numerators over ``B``, ``G`` at coordinate ``c`` is
+    ``G_c / (D B)`` with ``G_c = sum_d ys_d rows[d][c]``, and its norm is
+    ``top / (D B)`` with ``top = max |G_c|`` over the support.  So the
+    gain is ``G_c / top`` and the coefficients ``ys_d B / top``: each
+    one ``Fraction``, with no ``Fraction`` arithmetic.
+    """
+    ys, _ = int_row(y[1:])
+    rows, bden = ls.int_rows()
+    g = [sum(map(mul, ys, column)) for column in zip(*rows)]
+    top = max(abs(g[c]) for c in m.support())  # rows list the tail last: TAIL == -1
+    values = [Fraction(n, top) for n in g]
+    gain = RandVar(values[: m.n_states], values[-1] if m.has_tail else None)
+    coeffs = tuple(Fraction(n * bden, top) for n in ys)
+    fap, kept = (None, None) if weights is None else _functional(m, weights)
+    return MinMass(verdict, fap, kept, coeffs, gain)
 
 
 def verify_condition3(
@@ -626,10 +678,7 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
         return _unbounded_ratio(m, mm.coefficients, mm.gain)
-    q = certs.support_weights(m, mm.fap)
-    return _ratio_sweep(
-        m, ls, [tuple(q[c] for c in m.support())], [(mm.coefficients, mm.gain)]
-    )
+    return _ratio_sweep(m, ls, [mm.weights], [(mm.coefficients, mm.gain)])
 
 
 def _unbounded_ratio(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
@@ -790,7 +839,11 @@ def weighted_ratio_from(
     """Condition (5*) read off the (5) verdict of the weighted family
     ``{X Y}`` and, when that holds, its (3) solve ``mm``, whose functional
     is reweighted by ``y`` into Q*.  With the unit weight on a tail-less
-    model the weighted family is the family itself."""
+    model the weighted family is the family itself.  The unit weight
+    leaves a functional with no pure part as it is, so there Q* is the
+    (3) functional and its certificate the (4) one (see
+    :func:`_holding_functional`); any other weight builds Q* by
+    :func:`qstar_from_weight`."""
     certificate = {
         "kind": "weighted_ratio_bound",
         "cstar": cstar.certificate,
@@ -807,10 +860,13 @@ def weighted_ratio_from(
     if mm is None or not mm.verdict.holds:  # pragma: no cover - exact duality
         raise AssertionError("a finite weighted ratio bound implies (3)")
     q = mm.fap
-    qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
-    certificate["qstar"] = certs.martingale_fap(
-        m, qstar, equivalent=is_equivalent(qstar, m)
-    )
+    if q.alpha == 0 and y == constant(ONE, m):
+        certificate["qstar"] = _holding_functional(mm)
+    else:
+        qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
+        certificate["qstar"] = certs.martingale_fap(
+            m, qstar, equivalent=is_equivalent(qstar, m)
+        )
     return Verdict(
         "(5*)",
         True,
@@ -869,24 +925,32 @@ def _representation(
     """The outcome of ``coherence_lp(coords, gambles, previsions)``.
 
     ``mm`` is the (3) solve of a space whose generators are ``gambles``.
-    Where the program is the (4) program (the support in support order,
-    zero previsions), the outcome is read off ``mm`` with no solve, as
-    :func:`acmfap_from` reads (4).  Its functional gives a feasible point.
-    Without one, its gain ``sum_d b_d X_d`` is positive on the support, so
-    ``x = -gain`` has ``ess sup x = a < 0``, and the Farkas weights
-    ``(a, b)`` combine the rows to ``a - x >= 0`` on the support, against
-    the bound ``a < 0``.
+    Where the program is the (4) program (see :func:`_is_4_program`), the
+    outcome is read off ``mm`` with no solve, as :func:`acmfap_from` reads
+    (4).  Its functional's kept support weights are a feasible point.
+    Without one, its gain ``G = sum_d b_d X_d`` is positive on the
+    support, with least value ``w > 0`` there, and the Farkas weights
+    ``(-w, b)`` combine the rows to ``G - w >= 0`` on the support, against
+    the bound ``-w < 0``.  So the sure-loss stakes are ``b`` and their
+    least win is ``w``.
     """
-    if mm is not None and tuple(coords) == m.support() and not any(previsions):
+    if _is_4_program(m, coords, previsions, mm):
         if mm.fap is not None:
-            weights = certs.support_weights(m, mm.fap)
-            zeros = (ZERO,) * (1 + len(gambles))
-            return Optimal(ZERO, tuple(weights[c] for c in coords), zeros)
-        return Infeasible((ess_sup(mm.gain.negated(), m), *mm.coefficients))
+            return Optimal(ZERO, mm.weights, (ZERO,) * (1 + len(gambles)))
+        return Infeasible((-min(mm.gain.at(c) for c in coords), *mm.coefficients))
     out = _solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Unbounded):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
     return out
+
+
+def _is_4_program(
+    m: Model, coords: Sequence[int], previsions: Sequence[Fraction], mm: MinMass | None
+) -> bool:
+    """Whether the representation program over ``coords`` is the (4)
+    program, the support in support order with zero previsions, which
+    the (3) solve ``mm`` decides."""
+    return mm is not None and tuple(coords) == m.support() and not any(previsions)
 
 
 def check_coherence(
@@ -903,7 +967,9 @@ def check_coherence(
     ``sum c_d (X_d - E_d)`` is strictly positive at every coordinate.
     The (3) solve of the gambles as generators decides it where the
     representation program is the (4) program (see
-    :func:`_representation`).
+    :func:`_representation`); there a sure-loss bet stakes the (3)
+    arbitrage's coefficients and wins its least value on the support,
+    with no sum recomputed.
     """
     gambles = tuple(gambles)
     previsions = tuple(rat(e) for e in previsions)
@@ -922,7 +988,10 @@ def check_coherence(
             certs.representing_fap(_representing_fap(m, coords, out.primal), previsions),
             "coherent: the attached probability reproduces every prevision.",
         )
-    stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
+    if _is_4_program(m, coords, previsions, mm):
+        stakes, win = mm.coefficients, -out.farkas[0]
+    else:
+        stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
     return Verdict(
         "coherence",
         False,
@@ -963,7 +1032,9 @@ def check_event_dominance(
     the stakes negated violates dominance on the least event.  The least
     event is weighted in support order, the tail last, so that on default
     inputs the program is the (4) program and the (3) solve of ``d``
-    decides it (see :func:`_representation`).
+    decides it (see :func:`_representation`).  There a failure stakes the
+    (3) arbitrage's coefficients, and the violating gain is that
+    arbitrage negated, with no sum recomputed.
     """
     previsions = tuple(rat(e) for e in previsions)
     d.check_conforms(m)
@@ -1002,14 +1073,19 @@ def check_event_dominance(
             "on the least event, reproduces the previsions, and gives every "
             "event total mass.",
         )
-    stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
+    read = _is_4_program(m, coords, previsions, mm)
+    if read:
+        stakes, win = mm.coefficients, -out.farkas[0]
+    else:
+        stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
     coeffs = tuple(-c for c in stakes)
+    x = mm.gain.negated() if read else d.combine(coeffs)
     return Verdict(
         "(7)",
         False,
         certs.witness(
             coefficients=coeffs,
-            x=d.combine(coeffs),
+            x=x,
             claim="event_dominance_violated",
             amount=-win,
             event=least,

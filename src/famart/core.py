@@ -332,7 +332,8 @@ class RandVar(Record):
         )
 
     def negated(self) -> "RandVar":
-        return self.scaled(-1)
+        tail = None if self.tail_value is None else -self.tail_value
+        return RandVar(tuple(-v for v in self.values), tail)
 
 
 def constant(c: RationalLike, m: Model) -> RandVar:

@@ -7,14 +7,16 @@ program instead, so the differential and implication tests stay
 independent of the code they test.  :func:`reference_ratio_sweep` is
 the (5) sweep in ``Fraction`` arithmetic over the ``Fraction`` ratio
 program, whose integer form it hands the simplex; the integer sweep
-must reproduce it byte for byte.
+must reproduce it byte for byte.  :func:`reference_arbitrage` is the
+failing (3) arbitrage formed in ``Fraction`` arithmetic, which the
+integer form in ``checkers`` must reproduce exactly.
 :func:`counting_solves` counts the programs the checkers solve.
 """
 
 from fractions import Fraction as F
 
 from famart import certificates, checkers, programs
-from famart.core import ZERO, int_row
+from famart.core import ZERO, int_row, sup_norm
 from famart.lp import GE, IntProgram, LinearProgram, Optimal, Unbounded, reoptimizer, solve
 
 
@@ -92,6 +94,15 @@ def reference_ratio_sweep(m, ls, cover, gains):
         f"finite ratio bound c* = {best} (attained; a cover of martingale "
         "pmfs bounds every coordinate).",
     )
+
+
+def reference_arbitrage(m, ls, y):
+    """The coefficients and the gain of a failing (3) whose program rows
+    carry the Farkas or dual weights ``y``: ``sum_d y_d X_d`` combined in
+    ``Fraction`` arithmetic and scaled to sup norm one on the support."""
+    x = ls.combine(y[1:])
+    norm = sup_norm(x, m)
+    return tuple(b / norm for b in y[1:]), x.scaled(1 / norm)
 
 
 def counting_solves(monkeypatch):

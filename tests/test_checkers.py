@@ -14,6 +14,7 @@ from famart.certificates import CertificateFormat, farkas_witness, validate_verd
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
 from famart.fap import Fap, from_p0, is_equivalent
 from famart.lp import Infeasible, IntProgram, Unbounded, solve, verify_outcome
+from famart.certificates import randvar_payload, rat_str, rat_strs
 from famart.spaces import (
     example_bp,
     example_dmw,
@@ -29,6 +30,7 @@ from references import (
     cstar_of,
     no_arbitrage_holds,
     ratio_sweep,
+    reference_arbitrage,
     reference_ratio_sweep,
 )
 
@@ -166,6 +168,101 @@ def test_find_emfap_empty_basis_returns_reference():
     v = checkers.find_emfap(m, LinSpace(()))
     assert v.holds
     assert v.certificate["fap"]["mass"] == ["1/2", "1/2"]
+
+
+# -- what the (3) decision keeps for the other rows ----------------------------
+
+
+def _pinned_tail_model():
+    # The tail model whose report test_modelio.py pins: state 2 is
+    # uncharged, and (3) holds with a pure part.
+    m = Model((F(1, 2), F(1, 4), F(0)), F(1, 4))
+    ls = LinSpace((RandVar((F(1), F(-1), F(5)), F(0)), RandVar((F(1), F(1), F(2)), F(-2))))
+    return m, ls
+
+
+def _row_weights(m, ls):
+    """The Farkas or dual weights of the (3) program's rows."""
+    out = solve(programs.martingale_mass_lp(m, ls))
+    return out.farkas if isinstance(out, Infeasible) else out.dual
+
+
+def test_integer_arbitrage_equals_the_fraction_one():
+    models = [random_finite_model(seed) for seed in range(2000)]
+    models += [example_harmonic(n) for n in range(3, 11)]
+    models.append(_pinned_tail_model())
+    seen = {"infeasible": 0, "max_at_most": 0, "tail": 0, "sure_loss": 0}
+    for m, ls in models:
+        mm = checkers.min_mass(m, ls)
+        if mm.verdict.holds:
+            continue
+        coeffs, gain = reference_arbitrage(m, ls, _row_weights(m, ls))
+        assert mm.coefficients == coeffs
+        assert mm.gain == gain  # values and tail
+        seen[mm.verdict.certificate["claim"]] += 1
+        seen["tail"] += m.has_tail
+        if mm.fap is not None:  # t* = 0: (4), (7) and coherence hold
+            continue
+        # The failing (7) and coherence rows carry what _sure_loss
+        # recomputes from the representation program's Farkas weights.
+        zeros = (F(0),) * len(ls.basis)
+        for coords, row in (
+            (m.support(), checkers.check_event_dominance(ls, zeros, [m.support()], m, mm)),
+            (programs.coherence_coords(m), checkers.check_coherence(ls.basis, zeros, m, mm)),
+        ):
+            assert not row.holds
+            out = checkers._representation(m, coords, ls.basis, zeros, mm)
+            stakes, win = checkers._sure_loss(coords, ls.basis, zeros, out.farkas)
+            cert = row.certificate
+            if row.condition == "(7)":
+                against = tuple(-c for c in stakes)
+                assert cert["coefficients"] == rat_strs(against)
+                assert cert["amount"] == rat_str(-win)
+                assert cert["gain"] == randvar_payload(ls.combine(against))
+            else:
+                assert cert["stakes"] == rat_strs(stakes)
+                assert cert["guaranteed_win"] == rat_str(win)
+                seen["sure_loss"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_min_mass_keeps_the_support_weights_of_its_functional():
+    tree = [_bp(8, 4)[:2], _dmw(F(1, 3), 3)]
+    for seed in range(100):
+        m, f, s = random_tree_model(seed)
+        tree.append((m, trading_space(f, s, m)))
+    paths = {
+        "tree": [(m, ls) for m, ls in tree if checkers.tree_min_mass(m, ls) is not None],
+        "lp": [random_finite_model(seed) for seed in range(200)] + [_pinned_tail_model()],
+        "t* = 0": [random_finite_model(seed) for seed in (25, 83, 136, 182, 196)],
+        "empty basis": [
+            (_two_state(), LinSpace(())),
+            (Model((F(1, 2), F(0)), F(1, 2)), LinSpace(())),
+        ],
+    }
+    seen = dict.fromkeys(paths, 0)
+    for path, models in paths.items():
+        for m, ls in models:
+            mm = checkers.min_mass(m, ls)
+            if path == "t* = 0":
+                assert not mm.verdict.holds and mm.fap is not None
+            if mm.fap is None:
+                assert mm.weights is None
+                continue
+            q = certificates.support_weights(m, mm.fap)
+            assert mm.weights == tuple(q[c] for c in m.support())
+            seen[path] += 1
+    assert len(paths["tree"]) >= 40 and min(seen.values()) > 0, seen
+
+
+def test_a_holding_4_shares_the_3_functional_payload():
+    for m, ls in [_bp(8, 4)[:2], _pinned_tail_model(), random_finite_model(5)]:
+        mm = checkers.min_mass(m, ls)
+        assert mm.verdict.holds
+        acm = checkers.acmfap_from(m, mm)
+        assert acm.certificate["fap"] is mm.verdict.certificate["fap"]
+        assert acm.certificate == certificates.martingale_fap(m, mm.fap, equivalent=True)
+        assert validate_verdict(m, ls, acm.to_dict())
 
 
 # -- explicit expectation bound (3) -------------------------------------------
@@ -505,6 +602,20 @@ def test_condition5star_identity_weight_reduces_to_cstar():
     v = checkers.verify_condition5star(m, ls, constant(1, m))
     assert v.holds
     assert F(v.certificate["cstar"]["value"]) == cstar_of(m, ls)
+
+
+def test_condition5star_reweights_by_a_weight_other_than_one():
+    # The weighted family is the span of (1, -3), whose functional is
+    # (3/4, 1/4); reweighted by (1, 3) it is Q* = (1/2, 1/2).
+    m = _two_state()
+    ls = _span((F(1), F(-1)))
+    y = RandVar((F(1), F(3)))
+    v = checkers.verify_condition5star(m, ls, y)
+    assert v.holds
+    qstar = v.certificate["qstar"]
+    assert qstar["fap"]["mass"] == ["1/2", "1/2"]
+    assert qstar["equivalent"] and qstar["abs_continuous"]
+    assert validate_verdict(m, ls, v.to_dict(), {"weight": y})
 
 
 def test_condition5star_weighted_bp():

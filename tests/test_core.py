@@ -196,6 +196,15 @@ def test_linspace_combine():
         ls.combine((F(1),))
 
 
+@pytest.mark.parametrize("tail", [None, F(0), F(-5, 3)])
+def test_negated_equals_scaling_by_minus_one(tail):
+    x = RandVar((F(2), F(0), F(-1, 3)), tail)
+    neg = x.negated()
+    assert neg == x.scaled(-1)
+    assert neg.tail_value == (None if tail is None else -tail)
+    assert all(type(v) is F for v in neg.values)
+
+
 # -- property-based invariants ------------------------------------------------
 
 _small_rat = st.fractions(

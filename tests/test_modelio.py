@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from famart import checkers, programs, spaces
+from famart import certificates, checkers, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
@@ -842,3 +842,51 @@ def test_holding_4_and_7_and_coherence_rows_are_pinned():
 
 
 HOLDING_AND_COHERENCE_DIGEST = "b35946c4b79223d39679e8c8c46fd79a2ad8531536388dc2b95270b049f3e3a0"
+
+
+def test_fuzz_report_digest_is_pinned():
+    # Whole reports over the fuzz corpus's shapes (up to 6 states and 4
+    # gains): failing (3) rows of both claims, t* = 0 and holding ones,
+    # all read off the one (3) decision.
+    digest = hashlib.sha256()
+    for seed in range(600):
+        doc = parse_model(serialize_model(*random_finite_model(seed, 6, 4)))
+        digest.update(json.dumps(build_report(doc)).encode())
+    assert digest.hexdigest() == FUZZ_REPORT_DIGEST
+
+
+FUZZ_REPORT_DIGEST = "6a5d427a92a6b1e8ba2062584c81ca03425b9bb4eb908b1752efff4fde9c8c84"
+
+
+def test_unit_weight_5star_attaches_the_4_functional():
+    seen = 0
+    for doc in _pinned_model_files():
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        rows = {row["condition"]: row for row in report["verdicts"]}
+        if "(5*)" in rows and rows["(5*)"]["holds"]:
+            assert rows["(5*)"]["certificate"]["qstar"] == rows["(4)"]["certificate"]
+            seen += 1
+    assert seen > 10
+
+
+def test_default_reports_read_their_rows_off_the_3_decision(monkeypatch):
+    # On default inputs no row recomputes the (3) arbitrage, the support
+    # weights of the (3) functional, a sure-loss bet or the unit-weight Q*.
+    def refused(*args, **kwargs):
+        raise AssertionError("recomputed what the (3) decision holds")
+
+    docs = [_roundtrip(serialize_model(*random_finite_model(seed))) for seed in range(288)]
+    docs += [_roundtrip(serialize_model(*example_harmonic(n))) for n in (3, 5)]
+    holding = [checkers.min_mass(doc.model, doc.lin_space).verdict.holds for doc in docs]
+    monkeypatch.setattr(certificates, "support_weights", refused)
+    monkeypatch.setattr(checkers, "_sure_loss", refused)
+    monkeypatch.setattr(checkers, "qstar_from_weight", refused)
+    monkeypatch.setattr(RandVar, "scaled", refused)
+    combine = LinSpace.combine
+    failing = 0
+    for doc, holds in zip(docs, holding):
+        # A failing (3) combines no gain at all: its arbitrage is formed once.
+        monkeypatch.setattr(LinSpace, "combine", combine if holds else refused)
+        report = build_report(doc)
+        failing += not report["verdicts"][0]["holds"]
+    assert failing > 100
