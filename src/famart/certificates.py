@@ -19,6 +19,7 @@ from math import lcm
 from operator import mul
 from typing import Any, Mapping, Sequence
 
+from . import core
 from .core import (
     TAIL,
     InvalidInput,
@@ -80,14 +81,20 @@ def _parse_rat(x: Any) -> tuple[int, int]:
 
 def _parse_vec(xs: Any, *more: Any) -> tuple[list[int], int]:
     """A list of rationals, then any further leaves, as integer numerators
-    over one positive denominator: the form every check below computes in."""
+    over one positive denominator: the form every check below computes in.
+    A string leaf that ``rat_pair`` has read before is taken from its memo;
+    any other leaf, an unhashable one too, goes to ``rat_pair``."""
     if not isinstance(xs, (list, tuple)):
         raise CertificateFormat(f"expected a list of rationals, got {xs!r}")
+    decoded = core._DECODED.get
     try:
-        pairs = [rat_pair(x) for x in (*xs, *more)]
+        pairs = [(type(x) is str and decoded(x)) or rat_pair(x) for x in (*xs, *more)]
     except InvalidInput as exc:
         raise CertificateFormat(str(exc)) from exc
-    den = lcm(*[d for _, d in pairs])
+    dens = [d for _, d in pairs]
+    den = lcm(*dens)
+    if dens.count(den) == len(dens):  # one denominator: nothing to scale
+        return [n for n, _ in pairs], den
     return [n * (den // d) for n, d in pairs], den
 
 
@@ -149,16 +156,15 @@ def event_from_payload(v: Any) -> frozenset[int]:
 # --------------------------------------------------------------------------
 # Constructors
 # --------------------------------------------------------------------------
+#
+# A combination's coefficients and gain, a bet's stakes and a functional
+# come already rendered (``rat_strs``, ``randvar_payload``,
+# ``fap_payload``): the rows of a report that carry one of them carry
+# one payload, rendered once.
 
 
-def arbitrage_vector(
-    coefficients: Sequence[Fraction], gain: RandVar
-) -> Certificate:
-    return {
-        "kind": "arbitrage_vector",
-        "coefficients": rat_strs(coefficients),
-        "gain": randvar_payload(gain),
-    }
+def arbitrage_vector(coefficients: list[str], gain: dict[str, Any]) -> Certificate:
+    return {"kind": "arbitrage_vector", "coefficients": coefficients, "gain": gain}
 
 
 def martingale_fap(m: Model, p: Fap, equivalent: bool) -> Certificate:
@@ -215,8 +221,8 @@ def farkas_witness(
 
 
 def witness(
-    coefficients: Sequence[Fraction],
-    x: RandVar | None,
+    coefficients: list[str],
+    gain: dict[str, Any],
     claim: str,
     amount: Fraction,
     event: frozenset[int] | None = None,
@@ -225,11 +231,10 @@ def witness(
     out: dict[str, Any] = {
         "kind": "witness",
         "claim": claim,
-        "coefficients": rat_strs(coefficients),
+        "coefficients": coefficients,
         "amount": rat_str(amount),
+        "gain": gain,
     }
-    if x is not None:
-        out["gain"] = randvar_payload(x)
     if event is not None:
         out["event"] = event_payload(event)
     if extras:
@@ -238,13 +243,13 @@ def witness(
 
 
 def representing_fap(
-    p: Fap,
+    fap: dict[str, Any],
     previsions: Sequence[Fraction],
     event: frozenset[int] | None = None,
 ) -> Certificate:
     out: dict[str, Any] = {
         "kind": "representing_fap",
-        "fap": fap_payload(p),
+        "fap": fap,
         "previsions": rat_strs(previsions),
     }
     if event is not None:
@@ -253,11 +258,11 @@ def representing_fap(
 
 
 def sure_loss_bet(
-    stakes: Sequence[Fraction], win: Fraction, previsions: Sequence[Fraction]
+    stakes: list[str], win: Fraction, previsions: Sequence[Fraction]
 ) -> Certificate:
     return {
         "kind": "sure_loss_bet",
-        "stakes": rat_strs(stakes),
+        "stakes": stakes,
         "guaranteed_win": rat_str(win),
         "previsions": rat_strs(previsions),
     }
@@ -303,6 +308,31 @@ def _rows(m: Model, ls: LinSpace) -> Rows:
     return ls.int_rows()
 
 
+class _Audit:
+    """The checks one :func:`validate_report` call has run, keyed by the
+    identity of their inputs, which it holds, so no key outlives its
+    objects.  ``results`` maps a check and its inputs to its result, which
+    no caller writes; ``passed`` maps a certificate to the condition and
+    ``holds`` of the row it passed in."""
+
+    __slots__ = ("results", "passed")
+
+    def __init__(self) -> None:
+        self.results: dict[tuple, tuple[Any, tuple]] = {}
+        self.passed: dict[int, tuple[Any, str, bool]] = {}
+
+
+def _once(audit: _Audit | None, check: Any, *args: Any) -> Any:
+    """``check(*args)``, run once per ``audit`` for the same input objects."""
+    if audit is None:
+        return check(*args)
+    key = (check, *map(id, args))
+    hit = audit.results.get(key)
+    if hit is None:
+        hit = audit.results[key] = check(*args), args
+    return hit[0]
+
+
 def _parse_gain(d: Any, m: Model) -> tuple[list[int], int]:
     values = _get(d, "values")
     out = _parse_vec(values, *([d["tail"]] if "tail" in d else []))
@@ -339,8 +369,10 @@ def _functional(d: Any, m: Model) -> tuple[list[int], int, int, bool, bool]:
     return weights, aden * qden, a, equivalent, continuous
 
 
-def _kills(weights: Sequence[int], rows: Rows) -> bool:
-    return not any(sum(map(mul, weights, row)) for row in rows[0])
+def _sums(weights: Sequence[int], rows: Rows) -> list[int]:
+    """Each row's sum against ``weights``: a functional's expectation of
+    each generator, over the weights' and the rows' denominators."""
+    return [sum(map(mul, weights, row)) for row in rows[0]]
 
 
 def _same(a: Sequence[int], aden: int, b: Sequence[int], bden: int) -> bool:
@@ -453,28 +485,34 @@ def support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
     return weights
 
 
-def _validate_martingale_fap(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
-    weights, _, _, equivalent, continuous = _functional(_get(cert, "fap"), m)
-    if not _kills(weights, rows):
+def _validate_martingale_fap(
+    cert: Mapping[str, Any], m: Model, rows: Rows, audit: _Audit | None
+) -> bool:
+    fap = _get(cert, "fap")
+    weights, _, _, equivalent, continuous = _once(audit, _functional, fap, m)
+    if any(_once(audit, _sums, weights, rows)):
         return False
     if bool(_get(cert, "equivalent")) != equivalent:
         return False
     return bool(_get(cert, "abs_continuous")) == continuous
 
 
-def _validate_separating(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
-    weights, den, _, equivalent, _ = _functional(_get(cert, "fap"), m)
-    if not equivalent or not _kills(weights, rows):
+def _validate_separating(
+    cert: Mapping[str, Any], m: Model, rows: Rows, audit: _Audit | None
+) -> bool:
+    weights, den, _, equivalent, _ = _once(audit, _functional, _get(cert, "fap"), m)
+    if not equivalent or any(_once(audit, _sums, weights, rows)):
         return False
     minimum, mden = _parse_rat(_get(cert, "minimum_weight"))
     low = min(weights[c] for c in m.support())
     return low * mden == minimum * den and minimum > 0
 
 
-def _validate_arbitrage_vector(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
-    combo = _validate_combination(
-        rows, _get(cert, "coefficients"), _get(cert, "gain"), m
-    )
+def _validate_arbitrage_vector(
+    cert: Mapping[str, Any], m: Model, rows: Rows, audit: _Audit | None
+) -> bool:
+    payloads = _get(cert, "coefficients"), _get(cert, "gain")
+    combo = _once(audit, _validate_combination, rows, *payloads, m)
     if combo is None:
         return False
     gain, den = combo[1]
@@ -484,13 +522,16 @@ def _validate_arbitrage_vector(cert: Mapping[str, Any], m: Model, rows: Rows) ->
 
 
 def _validate_witness(
-    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
+    cert: Mapping[str, Any],
+    m: Model,
+    rows: Rows,
+    extras: Mapping[str, Any],
+    audit: _Audit | None,
 ) -> bool:
     claim = _get(cert, "claim")
     amount, aden = _parse_rat(_get(cert, "amount"))
-    combo = _validate_combination(
-        rows, _get(cert, "coefficients"), _get(cert, "gain"), m
-    )
+    payloads = _get(cert, "coefficients"), _get(cert, "gain")
+    combo = _once(audit, _validate_combination, rows, *payloads, m)
     if combo is None:
         return False
     (coeffs, cden), (gain, gden) = combo
@@ -536,16 +577,20 @@ def _validate_witness(
 
 
 def _validate_representing(
-    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
+    cert: Mapping[str, Any],
+    m: Model,
+    rows: Rows,
+    extras: Mapping[str, Any],
+    audit: _Audit | None,
 ) -> bool:
-    weights, wden, alpha, _, _ = _functional(_get(cert, "fap"), m)
+    weights, wden, alpha, _, _ = _once(audit, _functional, _get(cert, "fap"), m)
     previsions, pden = _parse_vec(_get(cert, "previsions"))
     if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
         return False
     basis, bden = rows
     if len(previsions) != len(basis) or alpha:
         return False
-    expected = [sum(map(mul, weights, row)) for row in basis]
+    expected = _once(audit, _sums, weights, rows)
     if not _same(expected, wden * bden, previsions, pden):
         return False
     if "event" in cert:
@@ -596,7 +641,9 @@ def _validate_tail_values(
     return holds == (not any(stored))
 
 
-def _validate_cstar(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
+def _validate_cstar(
+    cert: Mapping[str, Any], m: Model, rows: Rows, audit: _Audit | None
+) -> bool:
     raw = _get(cert, "value")
     support = m.support()
     if raw == "infinite":
@@ -605,9 +652,8 @@ def _validate_cstar(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     if not rows[0]:
         return value == 0
     attaining = _get(cert, "attaining")
-    combo = _validate_combination(
-        rows, _get(attaining, "coefficients"), _get(attaining, "gain"), m
-    )
+    payloads = _get(attaining, "coefficients"), _get(attaining, "gain")
+    combo = _once(audit, _validate_combination, rows, *payloads, m)
     if combo is None:
         return False
     gain, gden = combo[1]
@@ -626,7 +672,7 @@ def _validate_cstar(cert: Mapping[str, Any], m: Model, rows: Rows) -> bool:
     for q, qden in pmfs:
         if len(q) != len(support) or min(q) < 0 or sum(q) != qden:
             return False
-        if not _kills(q, on_support):
+        if any(_sums(q, on_support)):
             return False
     # q_i / qden >= 1 / (1 + value / vden)
     return all(
@@ -658,24 +704,38 @@ def _weight(d: Any, m: Model, extras: Mapping[str, Any]) -> tuple[list[int], int
 
 
 def _validate_weighted_ratio(
-    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
+    cert: Mapping[str, Any],
+    m: Model,
+    rows: Rows,
+    extras: Mapping[str, Any],
+    audit: _Audit | None,
 ) -> bool:
     weight = _weight(_get(cert, "weight"), m, extras)
     if weight is None:
         return False
     ys, yden = weight
-    weighted = [list(map(mul, row, ys)) for row in rows[0]], rows[1] * yden
     inner = _get(cert, "cstar")
     kind = _get(inner, "kind")
+    # The unit weight leaves the rows as they are, so the inner check is
+    # the (5) row's check where the inner certificate is the (5) row's,
+    # and that row passed.  A passing (5) witness claims a nonnegative
+    # direction, which reads no extras.
+    if ys.count(yden) == len(ys):
+        weighted = rows
+        seen = None if audit is None else audit.passed.get(id(inner))
+        known = seen is not None and seen[1] == "(5)"
+    else:
+        weighted = [list(map(mul, row, ys)) for row in rows[0]], rows[1] * yden
+        known = False
     if kind == "witness":
-        if not _validate_witness(inner, m, weighted, {}):
+        if not (known or _validate_witness(inner, m, weighted, {}, audit)):
             return False
         return "qstar" not in cert
     if kind != "cstar_bound":
         raise CertificateFormat(f"unexpected inner kind {kind!r}")
-    if not _validate_cstar(inner, m, weighted):
+    if not (known or _validate_cstar(inner, m, weighted, audit)):
         return False
-    return _validate_martingale_fap(_get(cert, "qstar"), m, rows)
+    return _validate_martingale_fap(_get(cert, "qstar"), m, rows, audit)
 
 
 def validate_verdict(
@@ -696,12 +756,56 @@ def validate_verdict(
     ``LinearProgram`` for them), and checks every stored fact by integer
     arithmetic.
     """
+    return _validate(m, ls, verdict, dict(extras or {}), None)
+
+
+def validate_report(
+    m: Model,
+    ls: LinSpace,
+    rows: Sequence[Mapping[str, Any]],
+    extras: Mapping[str, Any] | None = None,
+) -> str | None:
+    """The condition of the first of a report's ``rows`` whose certificate
+    fails :func:`validate_verdict`, or None when every row passes.
+
+    Every row is checked, but a check whose inputs are the very objects
+    (``is``) of a check already run in this call is not run again: a
+    report's rows share objects where one result serves several rows.
+    (10) carries the (6) certificate, (5*) the (5) one, and (4), (5*),
+    (7) and coherence may carry the (3) functional's payload; the (5) and
+    (6) rows, or the (4) and (7) rows, may carry one combination.  Rows
+    read back from JSON share nothing, so each is checked in full.
+    """
     extras = dict(extras or {})
+    audit = _Audit()
+    for row in rows:
+        if not _validate(m, ls, row, extras, audit):
+            return row["condition"]
+        cert = row["certificate"]
+        audit.passed.setdefault(id(cert), (cert, row["condition"], row["holds"]))
+    return None
+
+
+_ALIKE = ("(6)", "(10)")  # conditions validated alike in every branch
+
+
+def _validate(
+    m: Model,
+    ls: LinSpace,
+    verdict: Mapping[str, Any],
+    extras: Mapping[str, Any],
+    audit: _Audit | None,
+) -> bool:
+    """:func:`validate_verdict`, reusing what ``audit`` has checked."""
     condition = _get(verdict, "condition")
     holds = _get(verdict, "holds")
     if type(holds) is not bool:
         raise CertificateFormat(f"'holds' must be true or false, got {holds!r}")
     cert = _get(verdict, "certificate")
+    if audit is not None and condition in _ALIKE:
+        seen = audit.passed.get(id(cert))
+        if seen is not None and seen[1] in _ALIKE and seen[2] == holds:
+            return True
     kind = _get(cert, "kind")
     try:
         if kind == "farkas_witness":
@@ -709,7 +813,7 @@ def validate_verdict(
             if checked is None:
                 return False
             builder, claim = checked
-            if condition in ("(6)", "(10)"):
+            if condition in _ALIKE:
                 return holds and builder == "arbitrage" and claim == "infeasible"
             if condition == "(3)":
                 if builder == "min-mass" and claim == "infeasible":
@@ -722,19 +826,21 @@ def validate_verdict(
             return False
         if kind == "tail_values":
             return condition == "(8)" and _validate_tail_values(cert, m, ls, holds)
-        rows = _rows(m, ls)
+        rows = _rows(m, ls) if audit is None else _once(audit, _rows, m, ls)
         if kind == "arbitrage_vector":
             return (
-                condition in ("(6)", "(10)")
+                condition in _ALIKE
                 and not holds
-                and _validate_arbitrage_vector(cert, m, rows)
+                and _validate_arbitrage_vector(cert, m, rows, audit)
             )
         if kind == "martingale_fap":
             if condition == "(4)":
-                return holds and _validate_martingale_fap(cert, m, rows)
+                return holds and _validate_martingale_fap(cert, m, rows, audit)
             return False
         if kind == "separating_functional":
-            return condition == "(3)" and holds and _validate_separating(cert, m, rows)
+            return condition == "(3)" and holds and _validate_separating(
+                cert, m, rows, audit
+            )
         if kind == "witness":
             claim = _get(cert, "claim")
             if not isinstance(claim, str):
@@ -749,12 +855,12 @@ def validate_verdict(
                 raise CertificateFormat(f"unknown witness claim {claim!r}")
             if condition != expected or holds:
                 return False
-            return _validate_witness(cert, m, rows, extras)
+            return _validate_witness(cert, m, rows, extras, audit)
         if kind == "representing_fap":
             if condition == "coherence" and holds and "event" not in cert:
-                return _validate_representing(cert, m, rows, extras)
+                return _validate_representing(cert, m, rows, extras, audit)
             if condition == "(7)" and holds and "event" in cert:
-                return _validate_representing(cert, m, rows, extras)
+                return _validate_representing(cert, m, rows, extras, audit)
             return False
         if kind == "sure_loss_bet":
             return (
@@ -763,14 +869,14 @@ def validate_verdict(
                 and _validate_sure_loss(cert, m, rows, extras)
             )
         if kind == "cstar_bound":
-            return condition == "(5)" and holds and _validate_cstar(cert, m, rows)
+            return condition == "(5)" and holds and _validate_cstar(cert, m, rows, audit)
         if kind == "weighted_ratio_bound":
             if condition != "(5*)":
                 return False
             inner_kind = _get(_get(cert, "cstar"), "kind")
             if holds != (inner_kind == "cstar_bound"):
                 return False
-            return _validate_weighted_ratio(cert, m, rows, extras)
+            return _validate_weighted_ratio(cert, m, rows, extras, audit)
     except CertificateFormat:
         raise
     except InvalidInput:

@@ -74,7 +74,6 @@ from .core import (
     Record,
     constant,
     dot,
-    ess_sup,
     expect,
     int_row,
     rat,
@@ -190,6 +189,13 @@ def _representing_fap(
     return Fap(ZERO, masses, by_coord.get(TAIL, ZERO) if m.has_tail else None)
 
 
+def _rendered(
+    coeffs: Sequence[Fraction], x: RandVar
+) -> tuple[list[str], dict[str, Any]]:
+    """A combination's coefficients and gain as certificate payloads."""
+    return certs.rat_strs(coeffs), certs.randvar_payload(x)
+
+
 # --------------------------------------------------------------------------
 # Checkers
 # --------------------------------------------------------------------------
@@ -215,7 +221,7 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
         return Verdict(
             "(6)",
             False,
-            certs.arbitrage_vector(mm.coefficients, mm.gain),
+            certs.arbitrage_vector(*mm.rendered[0]),
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
@@ -263,15 +269,16 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     return acmfap_from(m, min_mass(m, ls))
 
 
-def _negative_ess_sup(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
+def _negative_ess_sup(m: Model, mm: MinMass) -> Verdict:
+    """The (4) witness: the (3) arbitrage negated, whose essential
+    supremum is minus the arbitrage's least value on the support."""
     return Verdict(
         "(4)",
         False,
         certs.witness(
-            coefficients=coeffs,
-            x=x,
+            *mm.rendered[1],
             claim="negative_ess_sup",
-            amount=ess_sup(x, m),
+            amount=-min(mm.gain.at(c) for c in m.support()),
         ),
         "a gain with strictly negative essential supremum exists; "
         "no absolutely continuous martingale functional can price it.",
@@ -304,9 +311,7 @@ def acmfap_from(m: Model, mm: MinMass) -> Verdict:
     essential supremum.
     """
     if mm.fap is None:
-        return _negative_ess_sup(
-            m, tuple(-b for b in mm.coefficients), mm.gain.negated()
-        )
+        return _negative_ess_sup(m, mm)
     if mm.verdict.holds:
         certificate = _holding_functional(mm)
     else:
@@ -342,21 +347,28 @@ class MinMass(Record):
     norm one.  Where (3) holds, the dual makes ``G >= -t*`` on the
     support, and ``gain`` is ``G / t*``, a feasible point of every ratio
     program of (5).  With no generators, ``gain`` is None.
+
+    ``rendered`` holds, where (3) fails, the arbitrage and its negation
+    as certificate payloads (see :func:`_rendered`), each rendered once:
+    the (5), (6) and coherence rows carry the first, the (4) and (7) rows
+    the second.  It is None where (3) holds.
     """
 
-    __slots__ = ("verdict", "fap", "weights", "coefficients", "gain")
+    __slots__ = ("verdict", "fap", "weights", "coefficients", "gain", "rendered")
     verdict: Verdict
     fap: Fap | None
     weights: tuple[Fraction, ...] | None
     coefficients: tuple[Fraction, ...] | None
     gain: RandVar | None
+    rendered: tuple[tuple[list[str], dict[str, Any]], ...] | None
 
-    def __init__(self, verdict, fap, weights, coefficients, gain) -> None:
+    def __init__(self, verdict, fap, weights, coefficients, gain, rendered=None) -> None:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "fap", fap)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "rendered", rendered)
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -408,7 +420,9 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
     if not isinstance(out, Optimal):  # pragma: no cover - mass one caps t
         raise AssertionError("the common floor is at most one over the support size")
     t_star = out.value
-    weights = {c: s + t_star for c, s in zip(m.support(), out.primal)}
+    weights = None
+    if t_star >= 0:
+        weights = {c: s + t_star for c, s in zip(m.support(), out.primal)}
     if t_star <= 0:
         verdict = Verdict(
             "(3)",
@@ -421,7 +435,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
             "zero); the scaled expectation bound fails for every "
             "representable (Q, c).",
         )
-        return _with_arbitrage(m, ls, verdict, out.dual, weights if t_star == 0 else None)
+        return _with_arbitrage(m, ls, verdict, out.dual, weights)
     coeffs = tuple(y / t_star for y in out.dual[1:])
     return _emfap(m, weights, t_star, coeffs, ls.combine(coeffs))
 
@@ -594,7 +608,8 @@ def _with_arbitrage(
     ``G_c / (D B)`` with ``G_c = sum_d ys_d rows[d][c]``, and its norm is
     ``top / (D B)`` with ``top = max |G_c|`` over the support.  So the
     gain is ``G_c / top`` and the coefficients ``ys_d B / top``: each
-    one ``Fraction``, with no ``Fraction`` arithmetic.
+    one ``Fraction``, with no ``Fraction`` arithmetic.  The arbitrage and
+    its negation are rendered here, once for every row that carries them.
     """
     ys, _ = int_row(y[1:])
     rows, bden = ls.int_rows()
@@ -604,7 +619,8 @@ def _with_arbitrage(
     gain = RandVar(values[: m.n_states], values[-1] if m.has_tail else None)
     coeffs = tuple(Fraction(n * bden, top) for n in ys)
     fap, kept = (None, None) if weights is None else _functional(m, weights)
-    return MinMass(verdict, fap, kept, coeffs, gain)
+    negated = _rendered(tuple(-b for b in coeffs), gain.negated())
+    return MinMass(verdict, fap, kept, coeffs, gain, (_rendered(coeffs, gain), negated))
 
 
 def verify_condition3(
@@ -646,13 +662,11 @@ def verify_condition3(
             "essential supremum of its negation (dual bound attached).",
         )
     coeffs = out.primal[: len(ls.basis)]
-    x = ls.combine(coeffs)
     return Verdict(
         "(3)",
         False,
         certs.witness(
-            coefficients=coeffs,
-            x=x,
+            *_rendered(coeffs, ls.combine(coeffs)),
             claim="expectation_bound_violated",
             amount=out.value,
             extras=params,
@@ -677,17 +691,21 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     if mm.gain is None:  # no generators: c* = 0
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
-        return _unbounded_ratio(m, mm.coefficients, mm.gain)
+        return _unbounded_ratio(m, mm.gain, *mm.rendered[0])
     return _ratio_sweep(m, ls, [mm.weights], [(mm.coefficients, mm.gain)])
 
 
-def _unbounded_ratio(m: Model, coeffs: Sequence[Fraction], x: RandVar) -> Verdict:
+def _unbounded_ratio(
+    m: Model, x: RandVar, coefficients: list[str], gain: dict[str, Any]
+) -> Verdict:
+    """The (5) witness: the nonzero nonnegative gain ``x``, whose rendered
+    coefficients and gain are ``coefficients`` and ``gain``."""
     return Verdict(
         "(5)",
         False,
         certs.witness(
-            coefficients=coeffs,
-            x=x,
+            coefficients,
+            gain,
             claim="nonnegative_direction",
             amount=sum((x.at(c) for c in m.support()), ZERO),
         ),
@@ -775,7 +793,8 @@ def _ratio_sweep(
         if out is None:
             out = solved[objective] = maximize(objective, program.den)
         if isinstance(out, Unbounded):
-            return _unbounded_ratio(m, out.ray, ls.combine(out.ray))
+            x = ls.combine(out.ray)
+            return _unbounded_ratio(m, x, *_rendered(out.ray, x))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
         # The dual weights sit on ">=" rows, so they are <= 0.  The pmf is
@@ -953,6 +972,28 @@ def _is_4_program(
     return mm is not None and tuple(coords) == m.support() and not any(previsions)
 
 
+def _represented(
+    m: Model,
+    coords: Sequence[int],
+    weights: Sequence[Fraction],
+    previsions: Sequence[Fraction],
+    mm: MinMass | None,
+    event: frozenset[int] | None = None,
+) -> certs.Certificate:
+    """The ``representing_fap`` certificate of ``weights`` on ``coords``.
+
+    Where the (3) solve ``mm`` decides the program and its functional
+    holds with no pure part, the weights are its kept support weights
+    (see :func:`_representation`), so the functional is the (3) one and
+    its payload the (3) certificate's: nothing is rendered again.
+    """
+    if _is_4_program(m, coords, previsions, mm) and mm.verdict.holds and not mm.fap.alpha:
+        fap = mm.verdict.certificate["fap"]
+    else:
+        fap = certs.fap_payload(_representing_fap(m, coords, weights))
+    return certs.representing_fap(fap, previsions, event)
+
+
 def check_coherence(
     gambles: Sequence[RandVar],
     previsions: Sequence[RationalLike],
@@ -985,13 +1026,14 @@ def check_coherence(
         return Verdict(
             "coherence",
             True,
-            certs.representing_fap(_representing_fap(m, coords, out.primal), previsions),
+            _represented(m, coords, out.primal, previsions, mm),
             "coherent: the attached probability reproduces every prevision.",
         )
     if _is_4_program(m, coords, previsions, mm):
-        stakes, win = mm.coefficients, -out.farkas[0]
+        stakes, win = mm.rendered[0][0], -out.farkas[0]
     else:
         stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
+        stakes = certs.rat_strs(stakes)
     return Verdict(
         "coherence",
         False,
@@ -1066,26 +1108,22 @@ def check_event_dominance(
         return Verdict(
             "(7)",
             True,
-            certs.representing_fap(
-                _representing_fap(m, coords, out.primal), previsions, event=least
-            ),
+            _represented(m, coords, out.primal, previsions, mm, event=least),
             "dominance holds for every event; the attached probability sits "
             "on the least event, reproduces the previsions, and gives every "
             "event total mass.",
         )
-    read = _is_4_program(m, coords, previsions, mm)
-    if read:
-        stakes, win = mm.coefficients, -out.farkas[0]
+    if _is_4_program(m, coords, previsions, mm):
+        win, negated = -out.farkas[0], mm.rendered[1]
     else:
         stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
-    coeffs = tuple(-c for c in stakes)
-    x = mm.gain.negated() if read else d.combine(coeffs)
+        coeffs = tuple(-c for c in stakes)
+        negated = _rendered(coeffs, d.combine(coeffs))
     return Verdict(
         "(7)",
         False,
         certs.witness(
-            coefficients=coeffs,
-            x=x,
+            *negated,
             claim="event_dominance_violated",
             amount=-win,
             event=least,

@@ -26,7 +26,12 @@ import json
 import sys
 from typing import Any
 
-from .certificates import CertificateFormat, fap_from_payload, validate_verdict
+from .certificates import (
+    CertificateFormat,
+    fap_from_payload,
+    validate_report,
+    validate_verdict,
+)
 from .core import AuditError, InvalidInput, OversizedOutput, rat
 from .fap import from_p0
 from .modelfile import (
@@ -163,9 +168,9 @@ def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
     verdicts = report["verdicts"]
     if not isinstance(verdicts, list):
         raise CertificateFormat("a report's 'verdicts' must be a list")
-    for v in verdicts:
-        if not validate_verdict(m, ls, v, doc.extras()):
-            return v["condition"]
+    failed = validate_report(m, ls, verdicts, doc.extras())
+    if failed is not None:
+        return failed
     if [v["condition"] for v in verdicts] != report_conditions(m, ls):
         return "verdicts"
     if report.get("implications") != implications(

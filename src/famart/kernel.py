@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence, Union
+from typing import Any, Sequence, Union
 
 from .core import InvalidInput, Record, _Kept, _rat_tuple, int_row, rat
 
@@ -140,7 +140,9 @@ class IntProgram(Record):
 
     def linear_program(self) -> LinearProgram:
         """The maximization program these rows define, whose integer form
-        is kept as this record.  Equal numerators share one ``Fraction``."""
+        is kept as this record.  Equal numerators share one ``Fraction``.
+        The rows already fit, and each ``Fraction`` is exact, so the
+        records are filled in without the constructors' checks."""
         den, cache = self.den, {}
 
         def q(n: int | None) -> Fraction | None:
@@ -151,18 +153,28 @@ class IntProgram(Record):
                 f = cache[n] = Fraction(n, den)
             return f
 
-        lp = LinearProgram(
+        constraints = tuple(
+            _filled(Constraint, tuple(map(q, row[:-1])), relation, q(row[-1]))
+            for row, relation in zip(self.rows, self.relations)
+        )
+        lp = _filled(
+            LinearProgram,
             tuple(map(q, self.costs)),
             True,
-            [
-                Constraint(tuple(map(q, row[:-1])), relation, q(row[-1]))
-                for row, relation in zip(self.rows, self.relations)
-            ],
+            constraints,
             tuple(map(q, self.lower)),
             tuple(map(q, self.upper)),
         )
         object.__setattr__(lp, "_rows", self)
         return lp
+
+
+def _filled(cls: type, *fields: object) -> Any:
+    """A record of ``cls`` with ``fields`` set in slot order, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(record, name, value)
+    return record
 
 
 class Optimal(Record):

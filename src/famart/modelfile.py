@@ -34,15 +34,18 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Mapping, Sequence
 
 from .certificates import coord_payload, randvar_payload, rat_strs
 from .core import (
     TAIL,
     ZERO,
+    MAX_DIGITS,
     InvalidInput,
     LinSpace,
     Model,
+    OversizedOutput,
     RandVar,
     Record,
     rat,
@@ -284,7 +287,15 @@ def model_digest(model: Model, lin_space: LinSpace) -> str:
     # (a numerator over the kept rows' denominator) is rendered once: a
     # dmw n=10 basis holds a million values, all of them -1, 0 or 1.
     rows, den = lin_space.int_rows()
-    text = {n: rat_str(Fraction(n, den)) for n in {n for row in rows for n in row}}
+    text = {}
+    try:
+        for n in {n for row in rows for n in row}:
+            g = gcd(n, den)
+            text[n] = f"{n // g}/{den // g}"
+    except ValueError as exc:  # CPython's limit on printing an int, as in rat_str
+        raise OversizedOutput(
+            f"a result holds a rational of more than {MAX_DIGITS} digits"
+        ) from exc
     basis = []
     for x, row in zip(lin_space.basis, rows):
         values = list(map(text.__getitem__, row))

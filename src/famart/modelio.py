@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from . import checkers
-from .certificates import validate_verdict
+from .certificates import validate_report
 from .checkers import Verdict
 from .core import AuditError, constant
 from .modelfile import (  # noqa: F401  (re-exported: the model-file interface)
@@ -32,7 +32,9 @@ from .programs import check_weight
 
 def build_report(doc: ModelDoc) -> dict[str, Any]:
     """Run every applicable checker, self-audit the implication chain, and
-    re-validate each certificate before assembly."""
+    re-validate each certificate before assembly; a certificate or payload
+    that several rows share is checked once (see
+    :func:`famart.certificates.validate_report`)."""
     m, ls = doc.model, doc.lin_space
     extras = doc.extras()
     verdicts: dict[str, Verdict] = {}
@@ -77,11 +79,9 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
                          "nonnegative-essential-supremum verdict")
 
     rows = [verdicts[cond].to_dict() for cond in report_conditions(m, ls)]
-    for row in rows:
-        if not validate_verdict(m, ls, row, extras):
-            raise AuditError(
-                f"certificate for condition {row['condition']} failed re-validation"
-            )
+    failed = validate_report(m, ls, rows, extras)
+    if failed is not None:
+        raise AuditError(f"certificate for condition {failed} failed re-validation")
 
     return {
         "model_digest": model_digest(m, ls),

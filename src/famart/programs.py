@@ -123,17 +123,21 @@ def martingale_mass_rows(m: Model, ls: LinSpace) -> IntProgram:
 
     Variables are ordered support-first (charged states, then the tail
     when charged), with ``t`` last.  The mass row comes first, then one
-    zero-expectation row per generator.
+    zero-expectation row per generator.  The space keeps the program for
+    the support it was last built on, as :func:`arbitrage_rows` does.
     """
     ls.check_conforms(m)
-    basis, den = ls.int_rows()
     support = m.support()
+    kept = getattr(ls, "_min_mass", None)
+    if kept is not None and kept[0] == support:
+        return kept[1]
+    basis, den = ls.int_rows()
     ns = len(support)
     rows = [(den,) * ns + (ns * den, den)]  # mass one
     for row in basis:  # zero expectation per generator
         values = [row[c] for c in support]
         rows.append((*values, sum(values), 0))
-    return IntProgram(
+    program = IntProgram(
         rows,
         (EQ,) * len(rows),
         (0,) * ns + (den,),
@@ -141,6 +145,8 @@ def martingale_mass_rows(m: Model, ls: LinSpace) -> IntProgram:
         (None,) * (ns + 1),
         den,
     )
+    object.__setattr__(ls, "_min_mass", (support, program))
+    return program
 
 
 def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:

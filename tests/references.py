@@ -81,7 +81,8 @@ def reference_ratio_sweep(m, ls, cover, gains):
         if out is None:
             out = solved[objective] = maximize(*int_row(objective))
         if isinstance(out, Unbounded):
-            return checkers._unbounded_ratio(m, out.ray, ls.combine(out.ray))
+            x = ls.combine(out.ray)
+            return checkers._unbounded_ratio(m, x, *checkers._rendered(out.ray, x))
         pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
         if pmf not in cover:
             cover.append(pmf)

@@ -8,11 +8,13 @@ refuses.
 
 import json
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from famart import certificates, core
 from famart.certificates import (
     CertificateFormat,
     _functional,
@@ -20,12 +22,14 @@ from famart.certificates import (
     _weight,
     fap_from_payload,
     randvar_from_payload,
+    validate_report,
     validate_verdict,
 )
-from famart.core import TAIL, InvalidInput, Model, RandVar, rat
+from famart.core import TAIL, InvalidInput, Model, RandVar, constant, rat, rat_pair, rat_str
 from famart.fap import is_abs_continuous, is_equivalent
-from famart.modelio import build_report, parse_model
+from famart.modelio import ModelDoc, build_report, parse_model, serialize_model
 from famart.programs import check_weight
+from famart.spaces import example_dmw, example_harmonic, random_finite_model
 from test_acceptance import _emitted_certificates
 from test_modelio import _pinned_model_files
 
@@ -331,3 +335,139 @@ _tail_model = Model([F(1, 2), F(0)], F(1, 2))
 def test_integer_weight_reading_agrees_with_check_weight(case):
     m, d, extras = case
     assert _integer_weight(m, d, extras) == _fraction_weight(m, d, extras)
+
+
+# ``_parse_vec`` reads a string leaf from ``rat_pair``'s memo where it can
+# and hands every other leaf to ``rat_pair``; it must read each leaf as
+# ``rat_pair`` does, cold or warm.  The 33-character leaf is canonical but
+# too wide for the memo; a list leaf is unhashable.
+_PARSE_EDGES = [
+    "+1/2", " 1/2", "1_0/3", "1/0", "1" * 31 + "/3", 1.5, True, [1], None,
+    "1/2", "-2/4", "0/1", "3", 7,
+]
+
+
+def _pairs_read(xs):
+    """The reading ``_parse_vec`` must match: ``rat_pair`` on every leaf,
+    scaled to the least common denominator."""
+    try:
+        pairs = [rat_pair(x) for x in xs]
+    except InvalidInput:
+        return "refused"
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _parsed(xs):
+    try:
+        return _parse_vec(xs[:1], *xs[1:]), _parse_vec(xs)
+    except CertificateFormat:
+        return "refused"
+
+
+@pytest.mark.parametrize("leaf", _PARSE_EDGES, ids=repr)
+def test_parse_vec_reads_every_leaf_as_rat_pair_does(leaf):
+    for xs in ([leaf], ["1/3", leaf], [leaf, "5/3", "-1/3"]):
+        if isinstance(leaf, str):
+            core._DECODED.pop(leaf, None)
+        cold = _parsed(xs)
+        expected = _pairs_read(xs)
+        warm = _parsed(xs)
+        assert cold == warm == (expected if expected == "refused" else (expected, expected))
+
+
+def test_parse_vec_keeps_one_denominator_unscaled():
+    assert _parse_vec(["1/2", "3/2", "-5/2"]) == ([1, 3, -5], 2)
+    assert _parse_vec(["2/4", "0/4"]) == ([2, 0], 4)
+    assert _parse_vec(["1/2", "1/3"]) == ([3, 2], 6)
+    assert _parse_vec([]) == ([], 1)
+
+
+def _audit_docs():
+    """Finite-random models: (3) fails by an infeasible program (seed 0),
+    a negative best least weight (7) and a zero one (25), and holds (20);
+    then a tail model and a filtration model."""
+    for seed in (0, 7, 20, 25, *range(40)):
+        yield parse_model(serialize_model(*random_finite_model(seed)))
+    yield parse_model(serialize_model(*example_harmonic(5)))
+    m, f, s = example_dmw(F(1, 3), 3)
+    yield parse_model(serialize_model(m, filtration=f, process=s))
+
+
+def _report_extras(doc):
+    """The extras ``build_report`` validates with: the unit (5*) weight too."""
+    m = doc.model
+    return doc.extras() if m.has_tail else {**doc.extras(), "weight": constant(1, m)}
+
+
+def _first_failing_row(m, ls, rows, extras):
+    for row in rows:
+        if not validate_verdict(m, ls, row, extras):
+            return row["condition"]
+    return None
+
+
+@pytest.mark.parametrize("extras_of", [_report_extras, ModelDoc.extras], ids=["report", "file"])
+def test_a_changed_shared_leaf_fails_the_row_validating_each_row_fails(extras_of):
+    # In memory a report's rows share objects, so one changed leaf changes
+    # every row that carries it.  validate_report checks a shared object
+    # once, and must still fail the first row that validating each row on
+    # its own fails, wherever the change is: with the unit (5*) weight in
+    # the extras, as the report's audit has it, and without, as a
+    # certify has it, where a (5*) weight may change to another one.
+    changed = 0
+    for doc in _audit_docs():
+        m, ls, extras = doc.model, doc.lin_space, extras_of(doc)
+        rows = build_report(doc)["verdicts"]
+        assert validate_report(m, ls, rows, extras) is None
+        for i, row in enumerate(rows):
+            # The other "holds", on a row that shares its certificate.
+            flipped = [*rows[:i], dict(row, holds=not row["holds"]), *rows[i + 1 :]]
+            assert validate_report(m, ls, flipped, extras) == row["condition"]
+        for row in rows:
+            for path in _leaf_paths(row["certificate"]):
+                target = row["certificate"]
+                for key in path[:-1]:
+                    target = target[key]
+                leaf = target[path[-1]]
+                target[path[-1]] = rat_str(rat(leaf) + 1)
+                try:
+                    failed = validate_report(m, ls, rows, extras)
+                    assert failed == _first_failing_row(m, ls, rows, extras)
+                finally:
+                    target[path[-1]] = leaf
+                changed += 1
+                # Only a weight at a null state may change unnoticed, and
+                # only where no unit weight is asked for.
+                assert failed is not None or (extras_of is ModelDoc.extras and path[0] == "weight")
+        assert validate_report(m, ls, rows, extras) is None
+    assert changed > 1000
+
+
+def test_validate_report_runs_no_check_twice_on_the_same_objects(monkeypatch):
+    # Per report, each payload check runs once per distinct input objects,
+    # and in all fewer times than validating each row on its own.
+    calls = []
+    for name in ("_functional", "_sums", "_validate_combination"):
+        check = getattr(certificates, name)
+
+        def counted(*args, _check=check, _name=name):
+            calls.append((_name, *map(id, args)))
+            return _check(*args)
+
+        monkeypatch.setattr(certificates, name, counted)
+    fewer = 0
+    for doc in _audit_docs():
+        m, ls, extras = doc.model, doc.lin_space, doc.extras()
+        rows = build_report(doc)["verdicts"]
+        calls.clear()
+        assert validate_report(m, ls, rows, extras) is None
+        audited = list(calls)
+        assert len(set(audited)) == len(audited)
+        calls.clear()
+        assert _first_failing_row(m, ls, rows, extras) is None
+        # Each payload a row carries is read and combined as validating
+        # the row on its own reads it (the sums are keyed by read weights).
+        assert {c for c in audited if c[0] != "_sums"} <= set(calls)
+        fewer += len(audited) < len(calls)
+    assert fewer > 30

@@ -393,6 +393,46 @@ def test_certify_checks_every_verdict_of_a_report(bp_file, dmw_file, tmp_path, c
     assert "malformed certificate" in capsys.readouterr().err
 
 
+def _first_leaf(node):
+    """The container and key of the first rational leaf under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, val in items:
+        if isinstance(val, str) and "/" in val:
+            return node, key
+        if isinstance(val, (dict, list)):
+            found = _first_leaf(val)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize("seed", [7, 20], ids=["failing", "holding"])
+@pytest.mark.parametrize("condition", ["(10)", "(5*)"])
+def test_certify_names_a_row_whose_shared_certificate_alone_changed(
+    tmp_path, capsys, seed, condition
+):
+    # In a report's own audit (10) carries the (6) certificate and (5*)
+    # the (5) one, each checked once.  Read back from JSON every row has
+    # its own copy, so a change to (10), or to the (5*) row's inner
+    # certificate, with (6) and (5) intact, fails that row.
+    model = tmp_path / "m.json"
+    assert main(["examples", "finite-random", "--seed", str(seed), "--out", str(model)]) == 0
+    code, out = run_cli(["report", str(model)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    rows = {v["condition"]: v for v in report["verdicts"]}
+    assert rows["(3)"]["holds"] == (seed == 20)
+    cert = rows[condition]["certificate"]
+    node, key = _first_leaf(cert if condition == "(10)" else cert["cstar"])
+    node[key] = rat_str(rat(node[key]) + 1)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["certify", str(model), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"valid": False}
+    assert captured.err == f"not valid: {condition}\n"
+
+
 @pytest.fixture()
 def dmw5_report(tmp_path, capsys):
     """A dmw n=5 model file and its report, which certifies."""

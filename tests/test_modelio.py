@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from famart import certificates, checkers, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
-from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant
+from famart.core import TAIL, InvalidInput, LinSpace, Model, OversizedOutput, RandVar, constant
 from famart.lp import Infeasible, Unbounded, solve
 from famart.modelio import (
     CONDITION_ORDER,
@@ -245,6 +245,112 @@ def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
     assert main(["certify", str(model), str(path)]) == 0
     assert capsys.readouterr().err == ""
     assert len(builds) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 7], ids=["infeasible", "negative"])
+def test_report_builds_the_min_mass_rows_once(monkeypatch, tmp_path, capsys, seed):
+    # The (3) solve and the re-validation of the failing (3) row's Farkas
+    # weights read one program, kept beside the space's integer rows; so
+    # does a certify process, which loads the model again.  Counted where
+    # the rows are built (all rows "="), whichever module asks for them.
+    builds = []
+    int_program = programs.IntProgram
+
+    def counting(rows, relations, *rest):
+        if set(relations) == {programs.EQ}:
+            builds.append(rows)
+        return int_program(rows, relations, *rest)
+
+    monkeypatch.setattr(programs, "IntProgram", counting)
+    doc = serialize_model(*random_finite_model(seed))
+    report = build_report(_roundtrip(doc))
+    assert len(builds) == 1
+    row = report["verdicts"][0]
+    assert not row["holds"] and row["certificate"]["lp"] == "min-mass"
+    model, path = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps(doc))
+    path.write_text(json.dumps(report))
+    assert main(["certify", str(model), str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(builds) == 2
+
+
+def test_min_mass_program_is_built_again_for_another_support():
+    m, ls = random_finite_model(0)
+    first = programs.martingale_mass_rows(m, ls)
+    assert programs.martingale_mass_rows(m, ls) is first
+    # A charged state leaves the support: the program loses its column.
+    i, j = m.charged_states()[:2]
+    masses = list(m.p0_mass)
+    masses[i], masses[j] = F(0), masses[i] + masses[j]
+    thinner = Model(masses)
+    program = programs.martingale_mass_rows(thinner, ls)
+    assert len(program.costs) == len(first.costs) - 1
+    assert program == programs.martingale_mass_rows(thinner, LinSpace(ls.basis))
+
+
+def _changed_first_leaf(cert, key):
+    """A copy of ``cert`` whose list ``key`` has its first entry plus one;
+    the original, which other rows may share, is left as it is."""
+    values = list(cert[key])
+    values[0] = str(F(values[0]) + 1)
+    return dict(cert, **{key: values})
+
+
+@pytest.mark.parametrize("doc", [_harmonic_doc(4), _dmw_doc(2)], ids=["arbitrage", "farkas"])
+def test_report_audit_fires_on_a_changed_6_certificate(monkeypatch, doc):
+    # The (10) row carries the (6) certificate, so the audit checks it
+    # once; a changed coefficient or weight must still fail it.
+    no_arbitrage_from = checkers.no_arbitrage_from
+
+    def changed(m, ls, mm):
+        v = no_arbitrage_from(m, ls, mm)
+        key = "weights" if v.holds else "coefficients"
+        cert = _changed_first_leaf(v.certificate, key)
+        return checkers.Verdict(v.condition, v.holds, cert, v.narrative)
+
+    monkeypatch.setattr(checkers, "no_arbitrage_from", changed)
+    with pytest.raises(AuditError, match=r"condition \(6\) failed"):
+        build_report(_roundtrip(doc))
+
+
+@pytest.mark.parametrize("seed", [7, 20], ids=["failing", "holding"])
+def test_report_audit_fires_on_a_5star_weight_other_than_1(monkeypatch, seed):
+    # The unit weight lets the audit take the (5*) row's inner check from
+    # the (5) row; any other weight must fail the row.
+    weighted_ratio_from = checkers.weighted_ratio_from
+
+    def doubled(m, y, cstar, mm):
+        v = weighted_ratio_from(m, y, cstar, mm)
+        cert = dict(v.certificate, weight=certificates.randvar_payload(constant(2, m)))
+        return checkers.Verdict(v.condition, v.holds, cert, v.narrative)
+
+    monkeypatch.setattr(checkers, "weighted_ratio_from", doubled)
+    with pytest.raises(AuditError, match=r"condition \(5\*\) failed"):
+        build_report(_roundtrip(serialize_model(*random_finite_model(seed))))
+
+
+def test_model_digest_renders_basis_values_as_rat_str_does():
+    m = Model([F(1, 2), F(1, 2)])
+    values = [F(-6, 4), F(0), F(10, 5), F(7, 3)]
+    ls = LinSpace([RandVar(values[:2]), RandVar(values[2:])])
+    expected = hashlib.sha256(
+        json.dumps(
+            {
+                "states": 2,
+                "tail": False,
+                "p0": ["1/2", "1/2"],
+                "p0_tail": None,
+                "basis": [{"values": ["-3/2", "0/1"]}, {"values": ["2/1", "7/3"]}],
+            },
+            sort_keys=True,
+            separators=(",", ":"),
+        ).encode()
+    ).hexdigest()
+    assert model_digest(m, ls) == expected
+    huge = LinSpace([RandVar([F(1, 10**4400), F(0)])])
+    with pytest.raises(OversizedOutput):
+        model_digest(m, huge)
 
 
 def test_arbitrage_program_is_built_again_for_another_support():

@@ -113,6 +113,32 @@ def test_integer_rows_equal_their_linear_program_row_for_row():
     assert checked == 2 * 408 + 1274
 
 
+def test_linear_program_equals_the_validating_constructors_on_fuzz_programs():
+    # linear_program() fills its records in without the constructors'
+    # checks; on every (3) program of the fuzz corpus's shapes (up to 6
+    # states and 4 gains) it must build the program they build.
+    checked = 0
+    for seed in range(600):
+        m, ls = random_finite_model(seed, 6, 4)
+        if not ls.basis:
+            continue
+        p = programs.martingale_mass_rows(m, ls)
+        lp = p.linear_program()
+
+        def q(n):
+            return None if n is None else F(n, p.den)
+
+        rows = [(tuple(map(q, row[:-1])), rel, q(row[-1])) for row, rel in zip(p.rows, p.relations)]
+        checked_lp = LinearProgram(
+            tuple(map(q, p.costs)), True, rows, tuple(map(q, p.lower)), tuple(map(q, p.upper))
+        )
+        assert lp == checked_lp and hash(lp) == hash(checked_lp) and repr(lp) == repr(checked_lp)
+        assert all(type(c) is famart.lp.Constraint for c in lp.constraints)
+        assert lp.int_form() is p
+        checked += 1
+    assert checked > 500
+
+
 def test_the_wrapper_keeps_its_rows_and_shares_equal_values():
     m, f, s = example_dmw(F(1, 3), 3)
     ls = trading_space(f, s, m)
