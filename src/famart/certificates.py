@@ -15,16 +15,18 @@ hold) just report False.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Any, Mapping, Sequence
 
 from . import core
 from .core import (
+    MAX_DIGITS,
     TAIL,
     InvalidInput,
     LinSpace,
     Model,
+    OversizedOutput,
     RandVar,
     int_row,
     rat,
@@ -106,6 +108,40 @@ def randvar_payload(x: RandVar) -> dict[str, Any]:
     out: dict[str, Any] = {"values": rat_strs(x.values)}
     if x.tail_value is not None:
         out["tail"] = rat_str(x.tail_value)
+    return out
+
+
+def signed_payloads(
+    coefficients: Sequence[int], values: Sequence[int], den: int, tail: bool
+) -> tuple[tuple[list[str], dict[str, Any]], tuple[list[str], dict[str, Any]]]:
+    """The coefficients and gain payloads (``rat_strs``, ``randvar_payload``)
+    of a combination and of its negation, rendered straight from integer
+    numerators over one positive ``den``: ``values`` lists the gain at the
+    explicit states, then at the tail where ``tail``.  One gcd per entry;
+    an entry past :data:`~famart.core.MAX_DIGITS` digits raises
+    ``OversizedOutput``, as ``rat_str`` does."""
+    cs, negated_cs = _signed_strs(coefficients, den)
+    vs, negated_vs = _signed_strs(values, den)
+
+    def gain(strs: list[str]) -> dict[str, Any]:
+        return {"values": strs[:-1], "tail": strs[-1]} if tail else {"values": strs}
+
+    return (cs, gain(vs)), (negated_cs, gain(negated_vs))
+
+
+def _signed_strs(nums: Sequence[int], den: int) -> tuple[list[str], list[str]]:
+    """``rat_strs`` of each ``n / den`` and of each ``-n / den``."""
+    out: tuple[list[str], list[str]] = [], []
+    try:
+        for n in nums:
+            g = gcd(n, den)
+            n, d = n // g, den // g
+            out[0].append(f"{n}/{d}")
+            out[1].append(f"{-n}/{d}")
+    except ValueError as exc:  # CPython's limit on printing an int
+        raise OversizedOutput(
+            f"a result holds a rational of more than {MAX_DIGITS} digits"
+        ) from exc
     return out
 
 
@@ -422,7 +458,7 @@ def _bound_params(
 
 def _program_for(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
-) -> tuple[str, LinearProgram | IntProgram | None]:
+) -> tuple[str, IntProgram | None]:
     builder = _get(cert, "lp")
     if builder == "arbitrage":
         return builder, arbitrage_rows(m, ls)
@@ -432,7 +468,7 @@ def _program_for(
         params = _bound_params(cert, m, extras)
         if params is None or params[1] <= 0:
             return builder, None
-        return builder, expectation_bound_lp(m, ls, *params)
+        return builder, expectation_bound_lp(m, ls, *params).int_form()
     raise CertificateFormat(f"unknown program id {builder!r}")
 
 

@@ -83,6 +83,7 @@ from .lp import (
     EQ,
     GE,
     Infeasible,
+    IntProgram,
     LinearProgram,
     LpOutcome,
     Optimal,
@@ -105,8 +106,9 @@ from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa
 from .programs import ratio_bound_lp  # noqa: F401
 from .spaces import binomial_pmf
 
-# The outcome of every program solved so far inside ``solving_once``.
-_SOLVED: ContextVar[dict[LinearProgram, LpOutcome] | None] = ContextVar(
+# The outcome of every program solved so far inside ``solving_once``, by
+# its integer form: the (7) and coherence programs it serves all maximize.
+_SOLVED: ContextVar[dict[IntProgram, LpOutcome] | None] = ContextVar(
     "famart_solved", default=None
 )
 
@@ -128,9 +130,10 @@ def _solve(lp: LinearProgram) -> LpOutcome:
     solved = _SOLVED.get()
     if solved is None:
         return solve(lp)
-    out = solved.get(lp)
+    key = lp.int_form()  # hashing the view itself would fill its fields
+    out = solved.get(key)
     if out is None:
-        out = solved[lp] = solve(lp)
+        out = solved[key] = solve(lp)
     return out
 
 
@@ -278,7 +281,7 @@ def _negative_ess_sup(m: Model, mm: MinMass) -> Verdict:
         certs.witness(
             *mm.rendered[1],
             claim="negative_ess_sup",
-            amount=-min(mm.gain.at(c) for c in m.support()),
+            amount=-mm.least,
         ),
         "a gain with strictly negative essential supremum exists; "
         "no absolutely continuous martingale functional can price it.",
@@ -348,27 +351,38 @@ class MinMass(Record):
     support, and ``gain`` is ``G / t*``, a feasible point of every ratio
     program of (5).  With no generators, ``gain`` is None.
 
-    ``rendered`` holds, where (3) fails, the arbitrage and its negation
-    as certificate payloads (see :func:`_rendered`), each rendered once:
-    the (5), (6) and coherence rows carry the first, the (4) and (7) rows
-    the second.  It is None where (3) holds.
+    Where (3) fails, ``rendered`` holds the arbitrage and its negation as
+    certificate payloads, each rendered once from integers (see
+    :func:`famart.certificates.signed_payloads`): the (5), (6) and
+    coherence rows carry the first, the (4) and (7) rows the second.  ``least`` and ``total`` are the arbitrage's
+    least value on the support and the sum of its values there: the
+    amounts of the (4) and (5) witnesses, and the least win of the
+    sure-loss bet.  All three are None where (3) holds.
     """
 
-    __slots__ = ("verdict", "fap", "weights", "coefficients", "gain", "rendered")
+    __slots__ = (
+        "verdict", "fap", "weights", "coefficients", "gain", "rendered", "least", "total"
+    )
     verdict: Verdict
     fap: Fap | None
     weights: tuple[Fraction, ...] | None
     coefficients: tuple[Fraction, ...] | None
     gain: RandVar | None
     rendered: tuple[tuple[list[str], dict[str, Any]], ...] | None
+    least: Fraction | None
+    total: Fraction | None
 
-    def __init__(self, verdict, fap, weights, coefficients, gain, rendered=None) -> None:
+    def __init__(
+        self, verdict, fap, weights, coefficients, gain, rendered=None, least=None, total=None
+    ) -> None:
         object.__setattr__(self, "verdict", verdict)
         object.__setattr__(self, "fap", fap)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "coefficients", coefficients)
         object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "rendered", rendered)
+        object.__setattr__(self, "least", least)
+        object.__setattr__(self, "total", total)
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -585,10 +599,13 @@ def _local_max_min(
         p = b / (b - a)
         return min(p * value[i], (1 - p) * value[j]), {i: (p, q[0]), j: (1 - p, q[1])}
     k = len(live)
-    rows = [((1,) * k + (0,), EQ, 1), ((*ds, 0), EQ, 0)]
-    for n, (j, _) in enumerate(live):  # p_j V(j) >= t
-        rows.append(((0,) * n + (value[j],) + (0,) * (k - n - 1) + (-1,), GE, 0))
-    out = solve(LinearProgram((0,) * k + (1,), True, rows, (0,) * k + (None,)))
+    nums, den = int_row([*ds, *(value[j] for j, _ in live)])
+    rows = [(den,) * k + (0, den), (*nums[:k], 0, 0)]
+    for n, v in enumerate(nums[k:]):  # p_j V(j) >= t
+        rows.append((0,) * n + (v,) + (0,) * (k - n - 1) + (-den, 0))
+    lower, upper = (0,) * k + (None,), (None,) * (k + 1)
+    program = IntProgram(rows, (EQ, EQ) + (GE,) * k, (0,) * k + (den,), lower, upper, den)
+    out = solve(program.linear_program())
     return out.value, {j: pq for (j, _), pq in zip(live, zip(out.primal, q))}
 
 
@@ -609,18 +626,23 @@ def _with_arbitrage(
     ``top / (D B)`` with ``top = max |G_c|`` over the support.  So the
     gain is ``G_c / top`` and the coefficients ``ys_d B / top``: each
     one ``Fraction``, with no ``Fraction`` arithmetic.  The arbitrage and
-    its negation are rendered here, once for every row that carries them.
+    its negation are rendered here from those numerators, once for every
+    row that carries them, and the least value and the sum of ``G`` on
+    the support are one ``Fraction`` each.
     """
     ys, _ = int_row(y[1:])
     rows, bden = ls.int_rows()
     g = [sum(map(mul, ys, column)) for column in zip(*rows)]
-    top = max(abs(g[c]) for c in m.support())  # rows list the tail last: TAIL == -1
+    on_support = [g[c] for c in m.support()]  # rows list the tail last: TAIL == -1
+    top = max(map(abs, on_support))
     values = [Fraction(n, top) for n in g]
     gain = RandVar(values[: m.n_states], values[-1] if m.has_tail else None)
-    coeffs = tuple(Fraction(n * bden, top) for n in ys)
+    cs = [n * bden for n in ys]
+    coeffs = tuple(Fraction(n, top) for n in cs)
     fap, kept = (None, None) if weights is None else _functional(m, weights)
-    negated = _rendered(tuple(-b for b in coeffs), gain.negated())
-    return MinMass(verdict, fap, kept, coeffs, gain, (_rendered(coeffs, gain), negated))
+    rendered = certs.signed_payloads(cs, g, top, m.has_tail)
+    least, total = Fraction(min(on_support), top), Fraction(sum(on_support), top)
+    return MinMass(verdict, fap, kept, coeffs, gain, rendered, least, total)
 
 
 def verify_condition3(
@@ -691,24 +713,20 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     if mm.gain is None:  # no generators: c* = 0
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
-        return _unbounded_ratio(m, mm.gain, *mm.rendered[0])
+        return _unbounded_ratio(mm.total, *mm.rendered[0])
     return _ratio_sweep(m, ls, [mm.weights], [(mm.coefficients, mm.gain)])
 
 
 def _unbounded_ratio(
-    m: Model, x: RandVar, coefficients: list[str], gain: dict[str, Any]
+    total: Fraction, coefficients: list[str], gain: dict[str, Any]
 ) -> Verdict:
-    """The (5) witness: the nonzero nonnegative gain ``x``, whose rendered
-    coefficients and gain are ``coefficients`` and ``gain``."""
+    """The (5) witness: a nonzero nonnegative gain, rendered as
+    ``coefficients`` and ``gain``, whose values on the support sum to
+    ``total``."""
     return Verdict(
         "(5)",
         False,
-        certs.witness(
-            coefficients,
-            gain,
-            claim="nonnegative_direction",
-            amount=sum((x.at(c) for c in m.support()), ZERO),
-        ),
+        certs.witness(coefficients, gain, claim="nonnegative_direction", amount=total),
         "no finite ratio bound: the attached direction is a nonzero "
         "nonnegative gain.",
     )
@@ -794,7 +812,8 @@ def _ratio_sweep(
             out = solved[objective] = maximize(objective, program.den)
         if isinstance(out, Unbounded):
             x = ls.combine(out.ray)
-            return _unbounded_ratio(m, x, *_rendered(out.ray, x))
+            total = sum((x.at(c) for c in support), ZERO)
+            return _unbounded_ratio(total, *_rendered(out.ray, x))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
         # The dual weights sit on ">=" rows, so they are <= 0.  The pmf is
@@ -948,15 +967,15 @@ def _representation(
     outcome is read off ``mm`` with no solve, as :func:`acmfap_from` reads
     (4).  Its functional's kept support weights are a feasible point.
     Without one, its gain ``G = sum_d b_d X_d`` is positive on the
-    support, with least value ``w > 0`` there, and the Farkas weights
-    ``(-w, b)`` combine the rows to ``G - w >= 0`` on the support, against
-    the bound ``-w < 0``.  So the sure-loss stakes are ``b`` and their
-    least win is ``w``.
+    support, with least value ``w = mm.least > 0`` there, and the Farkas
+    weights ``(-w, b)`` combine the rows to ``G - w >= 0`` on the support,
+    against the bound ``-w < 0``.  So the sure-loss stakes are ``b`` and
+    their least win is ``w``.
     """
     if _is_4_program(m, coords, previsions, mm):
         if mm.fap is not None:
             return Optimal(ZERO, mm.weights, (ZERO,) * (1 + len(gambles)))
-        return Infeasible((-min(mm.gain.at(c) for c in coords), *mm.coefficients))
+        return Infeasible((-mm.least, *mm.coefficients))
     out = _solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Unbounded):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")

@@ -1,13 +1,15 @@
 """The integer kernel of linear programs: the program and outcome
 records, and the integer checks that certificate validation runs.
 
-A program is a :class:`LinearProgram` of ``Fraction`` entries or an
-:class:`IntProgram` of integer numerators over one denominator; each
-``LinearProgram`` keeps its integer form once read.  The checks here
-(:func:`farkas_rows`, :func:`proves_infeasible`, :func:`dual_rows`)
-read that integer form alone.  Nothing here solves: the simplex that
-produces outcomes is :mod:`famart.lp`, and a process that only
-validates certificates never imports it.
+A program is an :class:`IntProgram` of integer numerators over one
+denominator, the form the engine builds.  A :class:`LinearProgram` of
+``Fraction`` entries keeps its integer form once read; one read off an
+``IntProgram`` is a view that builds its ``Fraction`` fields only when
+they are read.  The checks here (:func:`farkas_rows`,
+:func:`proves_infeasible`, :func:`dual_rows`) read the integer form
+alone.  Nothing here solves: the simplex that produces outcomes is
+:mod:`famart.lp`, and a process that only validates certificates never
+imports it.
 """
 
 from __future__ import annotations
@@ -36,11 +38,23 @@ class Constraint(Record):
             raise InvalidInput(f"unknown relation {relation!r}")
 
 
+# The fields a view fills from its integer form on first read.
+_VIEW_FIELDS = frozenset({"objective", "constraints", "lower", "upper"})
+
+
 class LinearProgram(_Kept):
     """``max/min objective . x`` subject to rows and optional variable bounds.
 
     Bounds default to free variables; zero-variable and zero-constraint
     programs are legal (objective 0, empty solutions).
+
+    A program read off an :class:`IntProgram` is a view: it sets only
+    ``maximize`` and keeps the integer record as its integer form, which
+    is all :func:`famart.lp.solve` and the verification kernel read.  Its
+    other fields are filled from those integers on first read, equal
+    numerators sharing one ``Fraction``.  Equality, hashing, printing and
+    pickling read the fields, so a view behaves as the record built from
+    them.
     """
 
     __slots__ = ("objective", "maximize", "constraints", "lower", "upper")
@@ -88,6 +102,35 @@ class LinearProgram(_Kept):
     @property
     def n_rows(self) -> int:
         return len(self.constraints)
+
+    def __getattr__(self, name: str) -> Any:
+        # Python calls this only for an unset slot: a view's unread fields.
+        if name not in _VIEW_FIELDS:
+            raise AttributeError(name)
+        try:
+            p = object.__getattribute__(self, "_rows")
+        except AttributeError:
+            raise AttributeError(name) from None
+        den, cache = p.den, {}
+
+        def q(n: int | None) -> Fraction | None:
+            if n is None:
+                return None
+            f = cache.get(n)
+            if f is None:
+                f = cache[n] = Fraction(n, den)
+            return f
+
+        costs = p.costs if self.maximize else [-c for c in p.costs]
+        constraints = tuple(
+            _filled(Constraint, tuple(map(q, row[:-1])), relation, q(row[-1]))
+            for row, relation in zip(p.rows, p.relations)
+        )
+        object.__setattr__(self, "objective", tuple(map(q, costs)))
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "lower", tuple(map(q, p.lower)))
+        object.__setattr__(self, "upper", tuple(map(q, p.upper)))
+        return object.__getattribute__(self, name)
 
     def int_form(self) -> "IntProgram":
         """The program in integers, for the simplex and the verification
@@ -138,33 +181,13 @@ class IntProgram(Record):
         object.__setattr__(self, "upper", tuple(upper))
         object.__setattr__(self, "den", den)
 
-    def linear_program(self) -> LinearProgram:
-        """The maximization program these rows define, whose integer form
-        is kept as this record.  Equal numerators share one ``Fraction``.
-        The rows already fit, and each ``Fraction`` is exact, so the
-        records are filled in without the constructors' checks."""
-        den, cache = self.den, {}
-
-        def q(n: int | None) -> Fraction | None:
-            if n is None:
-                return None
-            f = cache.get(n)
-            if f is None:
-                f = cache[n] = Fraction(n, den)
-            return f
-
-        constraints = tuple(
-            _filled(Constraint, tuple(map(q, row[:-1])), relation, q(row[-1]))
-            for row, relation in zip(self.rows, self.relations)
-        )
-        lp = _filled(
-            LinearProgram,
-            tuple(map(q, self.costs)),
-            True,
-            constraints,
-            tuple(map(q, self.lower)),
-            tuple(map(q, self.upper)),
-        )
+    def linear_program(self, maximize: bool = True) -> LinearProgram:
+        """The program these rows define, maximizing ``costs``, or
+        minimizing their negation where ``maximize`` is false, as a view:
+        it holds this record as its integer form and fills its
+        ``Fraction`` fields on first read (see :class:`LinearProgram`)."""
+        lp = object.__new__(LinearProgram)
+        object.__setattr__(lp, "maximize", maximize)
         object.__setattr__(lp, "_rows", self)
         return lp
 

@@ -8,18 +8,17 @@ contract between the two sides:
   give the same program: the same rows in the same order over the same
   variables.  Bland's rule is deterministic too, so the same program
   also gives the same pivots and the same certificate.
-- A Farkas witness names its program by id (its ``lp`` field).  The
-  validator reads that program off the model and checks the stored
-  weights against it by integer arithmetic.  The two programs such a
-  witness names, ``arbitrage`` and ``min-mass``, are defined here once,
-  as integer rows read off the space's kept integer basis rows
-  (:func:`arbitrage_rows`, :func:`martingale_mass_rows`).  The validator
-  reads those rows, and so does the solver: ``arbitrage_lp`` and
-  ``martingale_mass_lp`` wrap them in a ``LinearProgram`` that keeps them
-  as its integer form, which the simplex reads.
-- The (5) ratio programs are read off the same integer basis rows
-  (:func:`ratio_bound_rows`, wrapped by ``ratio_bound_lp``).  No witness
-  names them; the (5) sweep reads its gains' values off these rows.
+- Every program the engine builds is an ``IntProgram``.  The two that a
+  Farkas witness names by id (its ``lp`` field), ``arbitrage`` and
+  ``min-mass``, and the (5) ratio programs are read off the space's kept
+  integer basis rows (:func:`arbitrage_rows`, :func:`martingale_mass_rows`,
+  :func:`ratio_bound_rows`); the validator checks stored weights against
+  those rows by integer arithmetic.
+- A ``*_lp`` builder returns a ``LinearProgram`` view of its integer
+  rows, which ``solve`` and the validators read as they are and which
+  makes ``Fraction`` fields only when they are read.  Only
+  ``negative_gain_lp`` and ``event_dominance_lp``, which no checker
+  calls, still build ``Fraction`` programs.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .core import TAIL, ZERO, InvalidInput, LinSpace, Model, RandVar, expect
+from .core import TAIL, ZERO, InvalidInput, LinSpace, Model, RandVar, expect, int_row
 from .fap import Fap
 from .kernel import EQ, GE, LE, IntProgram, LinearProgram
 
@@ -160,19 +159,17 @@ def expectation_bound_lp(
     """Minimize ``ess sup(-X_b) - c E_Q(X_b)`` over the unit ball.
 
     Variables: the combination coefficients, then the epigraph variable
-    for the essential supremum of the negated gain.
+    for the essential supremum of the negated gain.  Three rows per
+    support coordinate: ``u >= -X_b``, then ``X_b <= 1`` and ``X_b >= -1``.
     """
-    support = m.support()
-    rows = []
-    for coord in support:
-        row = list(_combo_row(ls.basis, coord))
-        rows.append((tuple(row + [Fraction(1)]), GE, ZERO))  # u >= -X_b
-        rows.append((tuple(row + [ZERO]), LE, Fraction(1)))
-        rows.append((tuple(row + [ZERO]), GE, Fraction(-1)))
-    objective = [-c * expect(q, x) for x in ls.basis] + [Fraction(1)]
-    return LinearProgram(
-        objective=tuple(objective), maximize=False, constraints=rows
-    )
+    support, k = m.support(), len(ls.basis)
+    values = [x.at(coord) for coord in support for x in ls.basis]
+    nums, den = int_row([*(c * expect(q, x) for x in ls.basis), *values])
+    bounds = (den, 0), (0, den), (0, -den)
+    rows = [(*nums[i * k : i * k + k], *b) for i in range(1, len(support) + 1) for b in bounds]
+    free = (None,) * (k + 1)
+    program = IntProgram(rows, (GE, LE, GE) * len(support), (*nums[:k], -den), free, free, den)
+    return program.linear_program(maximize=False)
 
 
 def ratio_bound_rows(m: Model, ls: LinSpace, coord: int) -> IntProgram:
@@ -242,13 +239,7 @@ def coherence_lp(
     support with zero previsions.
     """
     n = len(coords)
-    rows = [((Fraction(1),) * n, EQ, Fraction(1))]
-    for x, e in zip(gambles, previsions):
-        rows.append((tuple(x.at(c) for c in coords), EQ, e))
-    return LinearProgram(
-        objective=(ZERO,) * n,
-        maximize=True,
-        constraints=rows,
-        lower=(ZERO,) * n,
-        upper=(None,) * n,
-    )
+    nums, den = int_row([v for x, e in zip(gambles, previsions) for v in (*map(x.at, coords), e)])
+    rows = [(den,) * (n + 1), *(tuple(nums[i : i + n + 1]) for i in range(0, len(nums), n + 1))]
+    program = IntProgram(rows, (EQ,) * len(rows), (0,) * n, (0,) * n, (None,) * n, den)
+    return program.linear_program()

@@ -82,7 +82,8 @@ def reference_ratio_sweep(m, ls, cover, gains):
             out = solved[objective] = maximize(*int_row(objective))
         if isinstance(out, Unbounded):
             x = ls.combine(out.ray)
-            return checkers._unbounded_ratio(m, x, *checkers._rendered(out.ray, x))
+            total = sum(x.at(c) for c in support)
+            return checkers._unbounded_ratio(total, *checkers._rendered(out.ray, x))
         pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
         if pmf not in cover:
             cover.append(pmf)

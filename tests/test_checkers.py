@@ -11,7 +11,17 @@ from hypothesis import strategies as st
 
 from famart import certificates, checkers, programs
 from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
-from famart.core import TAIL, InvalidInput, LinSpace, Model, RandVar, constant, expect
+from famart.core import (
+    MAX_DIGITS,
+    TAIL,
+    InvalidInput,
+    LinSpace,
+    Model,
+    OversizedOutput,
+    RandVar,
+    constant,
+    expect,
+)
 from famart.fap import Fap, from_p0, is_equivalent
 from famart.lp import Infeasible, IntProgram, Unbounded, solve, verify_outcome
 from famart.certificates import randvar_payload, rat_str, rat_strs
@@ -224,6 +234,56 @@ def test_integer_arbitrage_equals_the_fraction_one():
                 assert cert["guaranteed_win"] == rat_str(win)
                 seen["sure_loss"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_the_failing_3_chain_renders_from_integers_as_from_fractions():
+    # The arbitrage and its negation are rendered from integer numerators;
+    # each payload must be the one rat_strs and randvar_payload give of
+    # the Fraction values, and the least value and the sum on the support
+    # the ones the Fraction gain gives.
+    models = [random_finite_model(seed) for seed in range(600)]
+    for seed in range(100):
+        m, f, s = random_tree_model(seed)
+        models.append((m, trading_space(f, s, m)))
+    seen = {"failing": 0, "tail": 0, "holding": 0}
+    for m, ls in models:
+        mm = checkers.min_mass(m, ls)
+        if mm.verdict.holds:
+            assert mm.rendered is mm.least is mm.total is None
+            seen["holding"] += 1
+            continue
+        negated = tuple(-c for c in mm.coefficients)
+        assert mm.rendered == (
+            (rat_strs(mm.coefficients), randvar_payload(mm.gain)),
+            (rat_strs(negated), randvar_payload(mm.gain.negated())),
+        )
+        on_support = [mm.gain.at(c) for c in m.support()]
+        assert mm.least == min(on_support) and mm.total == sum(on_support)
+        assert type(mm.least) is type(mm.total) is F
+        seen["failing"] += 1
+        seen["tail"] += m.has_tail
+    assert min(seen.values()) > 0, seen
+
+
+def test_the_integer_renderer_refuses_what_rat_str_refuses():
+    # Past MAX_DIGITS digits rat_str raises OversizedOutput; so does the
+    # integer renderer, for a coefficient, a value or a tail value past it.
+    big = 10**MAX_DIGITS  # MAX_DIGITS + 1 digits
+    with pytest.raises(OversizedOutput):
+        rat_str(F(big, 3))
+    for coefficients, values in (([big, 1], [1]), ([1], [-big, 2]), ([1], [-1, 3 * big])):
+        with pytest.raises(OversizedOutput, match=f"more than {MAX_DIGITS} digits"):
+            certificates.signed_payloads(coefficients, values, 3, tail=True)
+    # An entry is reduced before it is written, as a Fraction is: a
+    # numerator past the limit whose reduced form is within it is written.
+    widest, den = 10 ** (MAX_DIGITS - 1), 10**10  # widest has MAX_DIGITS digits
+    pos, neg = certificates.signed_payloads([widest * den, -1], [0, widest], den, tail=True)
+    want = [F(widest), F(-1, den)]
+    assert pos == (rat_strs(want), {"values": ["0/1"], "tail": rat_str(F(widest, den))})
+    assert neg == (
+        rat_strs([-x for x in want]),
+        {"values": ["0/1"], "tail": rat_str(F(-widest, den))},
+    )
 
 
 def test_min_mass_keeps_the_support_weights_of_its_functional():

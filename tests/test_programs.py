@@ -4,12 +4,17 @@
 and ``min-mass`` programs off a space's kept integer basis rows, and
 ``ratio_bound_rows`` reads the (5) ratio programs off them;
 ``arbitrage_lp``, ``martingale_mass_lp`` and ``ratio_bound_lp`` wrap
-those rows in a ``LinearProgram`` that keeps them as the integer form the
-solver reads.  These tests pin both forms to the ``Fraction`` definitions
-they replaced, and pin validation of the Farkas and dual rows of the
-programs a witness names to the integer form alone.
+those rows in a ``LinearProgram`` view that keeps them as the integer
+form the solver reads.  ``coherence_lp`` and ``expectation_bound_lp``
+build integer rows and return such a view too.  These tests pin both
+forms to the ``Fraction`` definitions they replaced, pin a view to the
+record built from its fields, and pin validation of the Farkas and dual
+rows of the programs a witness names to the integer form alone.
 """
 
+import copy
+import json
+import pickle
 from fractions import Fraction as F
 from functools import partial
 
@@ -18,13 +23,17 @@ import pytest
 import famart.lp
 from famart import checkers, programs
 from famart.certificates import validate_verdict
-from famart.core import ZERO, InvalidInput, LinSpace, Model, RandVar
-from famart.lp import EQ, GE, IntProgram, LinearProgram
+from famart.core import ZERO, InvalidInput, LinSpace, Model, RandVar, expect
+from famart.fap import from_p0
+from famart.kernel import _VIEW_FIELDS
+from famart.lp import EQ, GE, LE, IntProgram, LinearProgram
+from famart.modelio import build_report, parse_model, serialize_model
 from famart.spaces import (
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
+    random_tree_model,
     trading_space,
 )
 
@@ -215,3 +224,163 @@ def test_validating_farkas_rows_builds_no_linear_program(monkeypatch):
         cert = dict(verdict["certificate"], **tampered)
         assert not validate_verdict(m, ls, dict(verdict, certificate=cert))
 
+
+# --------------------------------------------------------------------------
+# Views: a LinearProgram read off an IntProgram fills its fields on first read
+# --------------------------------------------------------------------------
+
+
+def _reference_coherence_lp(coords, gambles, previsions):
+    """The ``Fraction`` definition of the representation program."""
+    n = len(coords)
+    rows = [((F(1),) * n, EQ, F(1))]
+    for x, e in zip(gambles, previsions):
+        rows.append((tuple(x.at(c) for c in coords), EQ, e))
+    return LinearProgram((ZERO,) * n, True, rows, (ZERO,) * n, (None,) * n)
+
+
+def _reference_expectation_bound_lp(m, ls, q, c):
+    """The ``Fraction`` definition of the expectation-bound program."""
+    rows = []
+    for coord in m.support():
+        row = tuple(x.at(coord) for x in ls.basis)
+        rows.append(((*row, F(1)), GE, ZERO))
+        rows.append(((*row, ZERO), LE, F(1)))
+        rows.append(((*row, ZERO), GE, F(-1)))
+    objective = [-c * expect(q, x) for x in ls.basis] + [F(1)]
+    return LinearProgram(tuple(objective), False, rows)
+
+
+def _set_fields(lp):
+    """The view fields of ``lp`` that hold a value, read without filling."""
+    out = set()
+    for name in _VIEW_FIELDS:
+        try:
+            getattr(LinearProgram, name).__get__(lp, LinearProgram)
+        except AttributeError:
+            continue
+        out.add(name)
+    return out
+
+
+def _builders(m, ls):
+    """(build a view, its Fraction definition, the integer program it
+    keeps or None) for every builder that returns a view, on one model."""
+    for rows_of, lp_of, reference_of in _programs(m):
+        rows = rows_of(m, ls)
+        yield partial(lp_of, m, ls), partial(reference_of, m, ls), None
+        yield rows.linear_program, partial(reference_of, m, ls), rows
+    if not ls.basis:
+        return
+    zeros = (ZERO,) * len(ls.basis)
+    some = (F(1, 3),) + zeros[1:]
+    for coords in (m.support(), programs.coherence_coords(m), m.all_coords()[:1]):
+        for previsions in (zeros, some):
+            args = coords, ls.basis, previsions
+            yield (
+                partial(programs.coherence_lp, *args),
+                partial(_reference_coherence_lp, *args),
+                None,
+            )
+    for c in (F(1), F(1, 2)):
+        args = m, ls, from_p0(m), c
+        yield (
+            partial(programs.expectation_bound_lp, *args),
+            partial(_reference_expectation_bound_lp, *args),
+            None,
+        )
+
+
+def _check_view(view, eager, kept=None):
+    """``view`` is an unfilled view behaving as the eager record ``eager``."""
+    assert _set_fields(view) == set()
+    p = view.int_form()
+    assert type(p) is IntProgram and view.int_form() is p
+    assert kept is None or p is kept
+    assert _values(p) == _values(eager.int_form())
+    assert _set_fields(view) == set()  # reading the integer form fills nothing
+    assert view == eager and hash(view) == hash(eager) and repr(view) == repr(eager)
+    assert _set_fields(view) == _VIEW_FIELDS
+    for again in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
+        assert type(again) is LinearProgram and again == eager and repr(again) == repr(eager)
+
+
+def test_a_view_is_the_record_of_its_fields_for_every_builder():
+    checked = 0
+    m, f, s, _q = example_bp(8, 4)
+    models = [random_finite_model(seed) for seed in range(60)]
+    models += [example_harmonic(5), (m, trading_space(f, s, m))]
+    for m, ls in models:
+        for build, reference, kept in _builders(m, ls):
+            _check_view(build(), reference(), kept)
+            for name in _VIEW_FIELDS:  # reading any one field fills all four
+                view = build()
+                getattr(view, name)
+                assert _set_fields(view) == _VIEW_FIELDS
+            checked += 1
+    assert checked > 1000
+
+
+def test_the_tree_decision_solves_views_of_its_local_programs(monkeypatch):
+    # The tree's local max-min programs are integer rows; the solver gets
+    # an unfilled view of each, which behaves as the record of its fields.
+    solved = []
+    solve = checkers.solve
+
+    def recording(lp):
+        solved.append((lp, _set_fields(lp)))
+        return solve(lp)
+
+    monkeypatch.setattr(checkers, "solve", recording)
+    for seed in range(100):
+        m, f, s = random_tree_model(seed)
+        checkers.tree_min_mass(m, trading_space(f, s, m))
+    assert len(solved) > 20
+    for lp, fields in solved:
+        assert fields == set()
+        eager = LinearProgram(lp.objective, lp.maximize, lp.constraints, lp.lower, lp.upper)
+        assert lp.int_form() == eager.int_form()
+        assert lp == eager and hash(lp) == hash(eager) and repr(lp) == repr(eager)
+        assert pickle.loads(pickle.dumps(lp)) == eager
+
+
+def _fuzz_corpus():
+    """The benchmark's seed-0 fuzz corpus: model seeds from 0 on, each kept
+    while its shape (charged states, gains) has room, 12 models for each
+    of the 24 shapes of up to 6 charged states and 4 gains."""
+    room = {(n, k): 12 for n in range(1, 7) for k in range(1, 5)}
+    seed = 0
+    while any(room.values()):
+        m, ls = random_finite_model(seed, 6, 4)
+        shape = len(m.charged_states()), len(ls.basis)
+        if room[shape]:
+            room[shape] -= 1
+            yield json.loads(json.dumps(serialize_model(m, lin_space=ls)))
+        seed += 1
+
+
+def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
+    # Every program a report solves or validates is read in integers, so
+    # no view builds its Fraction fields.
+    fills = []
+    fill = LinearProgram.__getattr__
+
+    def counting(self, name):
+        value = fill(self, name)
+        fills.append(name)
+        return value
+
+    monkeypatch.setattr(LinearProgram, "__getattr__", counting)
+    docs = list(_fuzz_corpus())
+    assert len(docs) == 288
+    for doc in docs:
+        build_report(parse_model(doc))
+    assert fills == []
+    # A check of explicit previsions solves a representation program,
+    # through the memo, and fills no view either.
+    m, ls = random_finite_model(7)
+    some = (F(1, 3),) + (ZERO,) * (len(ls.basis) - 1)
+    with checkers.solving_once():
+        for _ in range(2):
+            checkers.check_coherence(ls.basis, some, m)
+    assert fills == []
