@@ -122,22 +122,38 @@ def signed_payloads(
     ``OversizedOutput``, as ``rat_str`` does."""
     cs, negated_cs = _signed_strs(coefficients, den)
     vs, negated_vs = _signed_strs(values, den)
-
-    def gain(strs: list[str]) -> dict[str, Any]:
-        return {"values": strs[:-1], "tail": strs[-1]} if tail else {"values": strs}
-
-    return (cs, gain(vs)), (negated_cs, gain(negated_vs))
+    return (cs, _gain(vs, tail)), (negated_cs, _gain(negated_vs, tail))
 
 
-def _signed_strs(nums: Sequence[int], den: int) -> tuple[list[str], list[str]]:
-    """``rat_strs`` of each ``n / den`` and of each ``-n / den``."""
+def int_payloads(
+    coefficients: Sequence[int], values: Sequence[int], den: int, tail: bool
+) -> tuple[list[str], dict[str, Any]]:
+    """The first of :func:`signed_payloads`: the combination alone."""
+    return _strs(coefficients, den), _gain(_strs(values, den), tail)
+
+
+def _gain(strs: list[str], tail: bool) -> dict[str, Any]:
+    return {"values": strs[:-1], "tail": strs[-1]} if tail else {"values": strs}
+
+
+def _strs(nums: Sequence[int], den: int) -> list[str]:
+    """``rat_strs`` of each ``n / den``."""
+    return _signed_strs(nums, den, negated=False)[0]
+
+
+def _signed_strs(
+    nums: Sequence[int], den: int, negated: bool = True
+) -> tuple[list[str], list[str]]:
+    """``rat_strs`` of each ``n / den`` and, where ``negated``, of each
+    ``-n / den``."""
     out: tuple[list[str], list[str]] = [], []
     try:
         for n in nums:
             g = gcd(n, den)
             n, d = n // g, den // g
             out[0].append(f"{n}/{d}")
-            out[1].append(f"{-n}/{d}")
+            if negated:
+                out[1].append(f"{-n}/{d}")
     except ValueError as exc:  # CPython's limit on printing an int
         raise OversizedOutput(
             f"a result holds a rational of more than {MAX_DIGITS} digits"
@@ -227,28 +243,30 @@ def separating_functional(
 def farkas_witness(
     lp: LinearProgram | IntProgram,
     builder: str,
-    weights: Sequence[Fraction],
+    weights: Sequence[int],
+    den: int,
     claim: str,
     bound_value: Fraction | None = None,
     extras: Mapping[str, Any] | None = None,
 ) -> Certificate:
+    """Farkas or dual weights, integer numerators over a positive ``den``
+    (an outcome's ``int_form()`` pair), with what they combine to."""
     out: dict[str, Any] = {
         "kind": "farkas_witness",
         "lp": builder,
         "claim": claim,
-        "weights": rat_strs(weights),
+        "weights": _strs(weights, den),
     }
     if claim == "infeasible":
-        sums, den = farkas_rows(lp, *int_row(weights))
-        out["combined"] = [rat_str(Fraction(g, den)) for g in sums[:-1]]
-        out["bound"] = rat_str(Fraction(sums[-1], den))
+        sums, d = farkas_rows(lp, weights, den)
+        *out["combined"], out["bound"] = _strs(sums, d)
     elif claim in ("max_at_most", "min_at_least"):
-        reduced, value, den = dual_rows(lp, *int_row(weights))
+        reduced, value, d = dual_rows(lp, weights, den)
         if value is None:
             raise InvalidInput("weights are not dual feasible")
-        out["dual_value"] = rat_str(Fraction(value, den))
+        out["dual_value"] = _strs((value,), d)[0]
         out["bound_value"] = rat_str(bound_value)
-        out["reduced"] = [rat_str(Fraction(r, den)) for r in reduced]
+        out["reduced"] = _strs(reduced, d)
     else:
         raise InvalidInput(f"unknown farkas claim {claim!r}")
     if extras:
@@ -310,19 +328,25 @@ def tail_values(tails: Sequence[Fraction]) -> Certificate:
 
 def cstar_bound(
     value: Fraction,
-    attaining: Mapping[str, Any] | None,
-    cover: Sequence[Sequence[Fraction]],
+    attaining: tuple[Sequence[int], Sequence[int], int, int] | None,
+    cover: Sequence[tuple[Sequence[int], int]],
+    tail: bool,
 ) -> Certificate:
-    """c* with the gain attaining it and a cover of martingale pmfs, each
-    a list of weights over the support in support order."""
+    """c* with the gain attaining it and a cover of martingale pmfs, in
+    integers: ``attaining`` is a combination's coefficients and its gain
+    at the explicit states, then at the tail where ``tail``, over one
+    positive denominator, and the coordinate where it attains c*; each
+    pmf of ``cover`` is its weights over the support, in support order,
+    over one positive denominator."""
     out: dict[str, Any] = {"kind": "cstar_bound", "value": rat_str(value)}
     if attaining is not None:
+        coefficients, gain = int_payloads(*attaining[:3], tail)
         out["attaining"] = {
-            "coefficients": rat_strs(attaining["coefficients"]),
-            "gain": randvar_payload(attaining["x"]),
-            "coord": coord_payload(attaining["coord"]),
+            "coefficients": coefficients,
+            "gain": gain,
+            "coord": coord_payload(attaining[3]),
         }
-    out["cover"] = [rat_strs(q) for q in cover]
+    out["cover"] = [_strs(*q) for q in cover]
     return out
 
 

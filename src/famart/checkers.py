@@ -58,6 +58,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Any, Iterator, Sequence
 
@@ -78,7 +79,8 @@ from .core import (
     int_row,
     rat,
 )
-from .fap import Fap, from_p0, is_equivalent
+from .fap import Fap, from_p0, is_abs_continuous, is_equivalent
+from .kernel import _View
 from .lp import (
     EQ,
     GE,
@@ -192,13 +194,6 @@ def _representing_fap(
     return Fap(ZERO, masses, by_coord.get(TAIL, ZERO) if m.has_tail else None)
 
 
-def _rendered(
-    coeffs: Sequence[Fraction], x: RandVar
-) -> tuple[list[str], dict[str, Any]]:
-    """A combination's coefficients and gain as certificate payloads."""
-    return certs.rat_strs(coeffs), certs.randvar_payload(x)
-
-
 # --------------------------------------------------------------------------
 # Checkers
 # --------------------------------------------------------------------------
@@ -228,12 +223,13 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
-    t_star = min(mm.weights)
-    farkas = [q - t_star for q in mm.weights] + [t_star]
+    weights, den = int_row(mm.weights)
+    t_star = min(weights)
+    farkas = [q - t_star for q in weights] + [t_star]
     return Verdict(
         "(6)",
         True,
-        certs.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, "infeasible"),
+        certs.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, den, "infeasible"),
         "no-arbitrage: the search for a nonnegative gain with "
         "positive essential supremum is infeasible (Farkas witness).",
     )
@@ -272,34 +268,15 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     return acmfap_from(m, min_mass(m, ls))
 
 
-def _negative_ess_sup(m: Model, mm: MinMass) -> Verdict:
-    """The (4) witness: the (3) arbitrage negated, whose essential
-    supremum is minus the arbitrage's least value on the support."""
-    return Verdict(
-        "(4)",
-        False,
-        certs.witness(
-            *mm.rendered[1],
-            claim="negative_ess_sup",
-            amount=-mm.least,
-        ),
-        "a gain with strictly negative essential supremum exists; "
-        "no absolutely continuous martingale functional can price it.",
-    )
-
-
-def _holding_functional(mm: MinMass) -> certs.Certificate:
-    """The ``martingale_fap`` certificate of a holding (3)'s functional.
-
-    The functional is equivalent, hence absolutely continuous, and its
-    payload is the one the (3) certificate already holds: nothing is
-    rendered again.
-    """
+def _functional_certificate(m: Model, mm: MinMass) -> certs.Certificate:
+    """The ``martingale_fap`` certificate of the (3) decision's functional,
+    with its kept payload; where (3) holds, it is equivalent."""
+    holds = mm.verdict.holds
     return {
         "kind": "martingale_fap",
-        "fap": mm.verdict.certificate["fap"],
-        "equivalent": True,
-        "abs_continuous": True,
+        "fap": mm.kept()[1],
+        "equivalent": holds or is_equivalent(mm.fap, m),
+        "abs_continuous": holds or is_abs_continuous(mm.fap, m),
     }
 
 
@@ -307,30 +284,30 @@ def acmfap_from(m: Model, mm: MinMass) -> Verdict:
     """Condition (4) read off the (3) solve, with no solve of its own.
 
     Nonnegative weights killing every generator are the (4) functional:
-    the (3) functional itself, whose certificate shares the (3) payload
-    (see :func:`_holding_functional`), or the (3) optimum when its least
-    weight is zero.  Otherwise the (3) arbitrage is positive on the
-    support (see :class:`MinMass`), so its negation has negative
-    essential supremum.
+    the (3) functional itself, whose certificate shares the (3) payload,
+    or the (3) optimum when its least weight is zero (see
+    :func:`_functional_certificate`).  Otherwise the (3) arbitrage is
+    positive on the support (see :class:`MinMass`), so its negation has
+    negative essential supremum: minus the arbitrage's least value there.
     """
     if mm.fap is None:
-        return _negative_ess_sup(m, mm)
-    if mm.verdict.holds:
-        certificate = _holding_functional(mm)
-    else:
-        certificate = certs.martingale_fap(
-            m, mm.fap, equivalent=is_equivalent(mm.fap, m)
+        return Verdict(
+            "(4)",
+            False,
+            certs.witness(*mm.rendered[1], claim="negative_ess_sup", amount=-mm.least),
+            "a gain with strictly negative essential supremum exists; "
+            "no absolutely continuous martingale functional can price it.",
         )
     return Verdict(
         "(4)",
         True,
-        certificate,
+        _functional_certificate(m, mm),
         "every gain has nonnegative essential supremum; the attached "
         "absolutely continuous functional kills every generator.",
     )
 
 
-class MinMass(Record):
+class MinMass(_View):
     """The (3) solve, and what it decides of (4), (5) and (6).
 
     ``fap`` kills every generator with nonnegative weights: the (3)
@@ -354,10 +331,13 @@ class MinMass(Record):
     Where (3) fails, ``rendered`` holds the arbitrage and its negation as
     certificate payloads, each rendered once from integers (see
     :func:`famart.certificates.signed_payloads`): the (5), (6) and
-    coherence rows carry the first, the (4) and (7) rows the second.  ``least`` and ``total`` are the arbitrage's
-    least value on the support and the sum of its values there: the
-    amounts of the (4) and (5) witnesses, and the least win of the
-    sure-loss bet.  All three are None where (3) holds.
+    coherence rows carry the first, the (4) and (7) rows the second.
+    ``least`` and ``total`` are the arbitrage's least value on the
+    support and the sum of its values there: the amounts of the (4) and
+    (5) witnesses, and the least win of the sure-loss bet.  All three are
+    None where (3) holds.  The rows read the integers of the gain (see
+    :meth:`kept`), and the decision's ``MinMass`` fills ``coefficients``
+    and ``gain`` from them only when they are read.
     """
 
     __slots__ = (
@@ -375,14 +355,34 @@ class MinMass(Record):
     def __init__(
         self, verdict, fap, weights, coefficients, gain, rendered=None, least=None, total=None
     ) -> None:
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "fap", fap)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "rendered", rendered)
-        object.__setattr__(self, "least", least)
-        object.__setattr__(self, "total", total)
+        fields = verdict, fap, weights, coefficients, gain, rendered, least, total
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    _LAZY = ("coefficients", "gain")
+
+    def _fill(self, kept: Any) -> tuple:
+        cs, g, den, tail = kept[0]
+        values = [Fraction(n, den) for n in g]
+        gain = RandVar(values[:-1], values[-1]) if tail else RandVar(values)
+        return tuple(Fraction(n, den) for n in cs), gain
+
+    def kept(self) -> tuple:
+        """``coefficients`` and ``gain`` as ``(coefficients, values, den,
+        tail)``, ``values`` the gain at the explicit states, then at the
+        tail where ``tail``, and the payload of ``fap``, rendered once for
+        every row; None with their fields.  Kept by the (3) decision, read
+        off the fields of a record built from them."""
+        if not hasattr(self, "_kept"):
+            x, gain, payload = self.gain, None, None
+            if x is not None:
+                tail, k = () if x.tail_value is None else (x.tail_value,), len(self.coefficients)
+                nums, den = int_row([*self.coefficients, *x.values, *tail])
+                gain = nums[:k], nums[k:], den, bool(tail)
+            if self.fap is not None:  # the (3) certificate holds it where (3) holds
+                payload = self.verdict.certificate.get("fap") or certs.fap_payload(self.fap)
+            object.__setattr__(self, "_kept", (gain, payload))
+        return self._kept
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -423,47 +423,48 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
     # it costs more than the memo could save.
     out = solve(lp)
     if isinstance(out, Infeasible):
+        ((ys, den),) = out.int_form()
         verdict = Verdict(
             "(3)",
             False,
-            certs.farkas_witness(lp, "min-mass", out.farkas, claim="infeasible"),
+            certs.farkas_witness(lp, "min-mass", ys, den, claim="infeasible"),
             "no signed weighting kills every generator; the scaled "
             "expectation bound fails for every representable (Q, c).",
         )
-        return _with_arbitrage(m, ls, verdict, out.farkas)
+        return _with_arbitrage(m, ls, verdict, ys)
     if not isinstance(out, Optimal):  # pragma: no cover - mass one caps t
         raise AssertionError("the common floor is at most one over the support size")
-    t_star = out.value
-    weights = None
-    if t_star >= 0:
-        weights = {c: s + t_star for c, s in zip(m.support(), out.primal)}
-    if t_star <= 0:
+    (tn, td), (ss, sd), (ys, yd) = out.int_form()
+    t_star, weights = Fraction(tn, td), None
+    if tn >= 0:  # w_c = s_c + t*, with t last among the variables
+        nums = (s * td + tn * sd for s in ss)
+        weights = {c: Fraction(n, sd * td) for c, n in zip(m.support(), nums)}
+    if tn <= 0:
         verdict = Verdict(
             "(3)",
             False,
             certs.farkas_witness(
-                lp, "min-mass", out.dual, claim="max_at_most", bound_value=t_star
+                lp, "min-mass", ys, yd, claim="max_at_most", bound_value=t_star
             ),
             "weightings killing every generator exist but none is strictly "
             "positive (the attached dual bounds the best minimum weight by "
             "zero); the scaled expectation bound fails for every "
             "representable (Q, c).",
         )
-        return _with_arbitrage(m, ls, verdict, out.dual, weights)
-    coeffs = tuple(y / t_star for y in out.dual[1:])
-    return _emfap(m, weights, t_star, coeffs, ls.combine(coeffs))
+        return _with_arbitrage(m, ls, verdict, ys, weights)
+    verdict, fap, in_order = _holding(m, weights, t_star)
+    gain = _combined(ls, [y * td for y in ys[1:]], yd * tn)  # sum_d y_d X_d / t*
+    kept = (*gain, m.has_tail), verdict.certificate["fap"]
+    return MinMass.view(kept, verdict, fap, in_order, None, None, None)
 
 
-def _emfap(
-    m: Model,
-    weights: dict[int, Fraction],
-    t_star: Fraction,
-    coeffs: Sequence[Fraction],
-    gain: RandVar,
-) -> MinMass:
-    """A holding (3): the functional of the support ``weights``, whose
-    least weight is ``t_star``, and a gain at least -1 on the support."""
-    fap, kept = _functional(m, weights)
+def _holding(
+    m: Model, weights: dict[int, Fraction], t_star: Fraction
+) -> tuple[Verdict, Fap, tuple[Fraction, ...]]:
+    """A holding (3): its verdict, the functional of the support
+    ``weights``, whose least weight is ``t_star``, and those weights in
+    support order."""
+    fap, in_order = _functional(m, weights)
     verdict = Verdict(
         "(3)",
         True,
@@ -472,7 +473,17 @@ def _emfap(
         "dominated-gain cone via the open convex set of bounded functions "
         "with strictly positive expectation.",
     )
-    return MinMass(verdict, fap, kept, coeffs, gain)
+    return verdict, fap, in_order
+
+
+def _combined(ls: LinSpace, coefficients: Sequence[int], den: int) -> tuple[list, list, int]:
+    """The combination of the generators with coefficients
+    ``coefficients`` over ``den``: its coefficients and its gain at every
+    coordinate (the explicit states, then the tail where there is one),
+    numerators over the one denominator returned last."""
+    rows, bden = ls.int_rows()
+    gain = [sum(map(mul, coefficients, column)) for column in zip(*rows)]
+    return [n * bden for n in coefficients], gain, den * bden
 
 
 def _functional(
@@ -568,7 +579,7 @@ def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
     for c in parts[-1][path[-1]]:
         values[c] = wealth - 1
     gain = RandVar(values[:-1], values[-1] if m.has_tail else None)
-    return _emfap(m, weights, value[0], tuple(coeffs), gain)
+    return MinMass(*_holding(m, weights, value[0]), tuple(coeffs), gain)
 
 
 def _local_max_min(
@@ -613,7 +624,7 @@ def _with_arbitrage(
     m: Model,
     ls: LinSpace,
     verdict: Verdict,
-    y: Sequence[Fraction],
+    y: Sequence[int],
     weights: dict[int, Fraction] | None = None,
 ) -> MinMass:
     """A failing (3), with the functional of its optimum's support
@@ -624,25 +635,21 @@ def _with_arbitrage(
     rows as numerators over ``B``, ``G`` at coordinate ``c`` is
     ``G_c / (D B)`` with ``G_c = sum_d ys_d rows[d][c]``, and its norm is
     ``top / (D B)`` with ``top = max |G_c|`` over the support.  So the
-    gain is ``G_c / top`` and the coefficients ``ys_d B / top``: each
-    one ``Fraction``, with no ``Fraction`` arithmetic.  The arbitrage and
-    its negation are rendered here from those numerators, once for every
-    row that carries them, and the least value and the sum of ``G`` on
-    the support are one ``Fraction`` each.
+    gain is ``G_c / top`` and the coefficients ``ys_d B / top``, kept so.
+    The arbitrage, its negation and the functional are rendered here,
+    once for every row that carries them.
     """
-    ys, _ = int_row(y[1:])
-    rows, bden = ls.int_rows()
-    g = [sum(map(mul, ys, column)) for column in zip(*rows)]
+    cs, g, _ = _combined(ls, y[1:], 1)
     on_support = [g[c] for c in m.support()]  # rows list the tail last: TAIL == -1
     top = max(map(abs, on_support))
-    values = [Fraction(n, top) for n in g]
-    gain = RandVar(values[: m.n_states], values[-1] if m.has_tail else None)
-    cs = [n * bden for n in ys]
-    coeffs = tuple(Fraction(n, top) for n in cs)
-    fap, kept = (None, None) if weights is None else _functional(m, weights)
+    fap = in_order = payload = None
+    if weights is not None:
+        fap, in_order = _functional(m, weights)
+        payload = certs.fap_payload(fap)
     rendered = certs.signed_payloads(cs, g, top, m.has_tail)
     least, total = Fraction(min(on_support), top), Fraction(sum(on_support), top)
-    return MinMass(verdict, fap, kept, coeffs, gain, rendered, least, total)
+    kept = (cs, g, top, m.has_tail), payload
+    return MinMass.view(kept, verdict, fap, in_order, rendered, least, total)
 
 
 def verify_condition3(
@@ -668,29 +675,26 @@ def verify_condition3(
     out = solve(lp)
     if not isinstance(out, Optimal):  # pragma: no cover - ball-constrained
         raise AssertionError("the expectation bound program is always attained")
-    if out.value >= 0:
+    (vn, vd), (xs, xd), dual = out.int_form()
+    value = Fraction(vn, vd)
+    if vn >= 0:
         return Verdict(
             "(3)",
             True,
             certs.farkas_witness(
-                lp,
-                "expectation-bound",
-                out.dual,
-                claim="min_at_least",
-                bound_value=out.value,
-                extras=params,
+                lp, "expectation-bound", *dual, "min_at_least", value, extras=params
             ),
             "the scaled expectation of every gain stays below the "
             "essential supremum of its negation (dual bound attached).",
         )
-    coeffs = out.primal[: len(ls.basis)]
+    gain = _combined(ls, xs[: len(ls.basis)], xd)
     return Verdict(
         "(3)",
         False,
         certs.witness(
-            *_rendered(coeffs, ls.combine(coeffs)),
+            *certs.int_payloads(*gain, m.has_tail),
             claim="expectation_bound_violated",
-            amount=out.value,
+            amount=value,
             extras=params,
         ),
         "a unit-ball gain violates the scaled expectation bound.",
@@ -710,11 +714,11 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     solved.
     """
     ls.check_conforms(m)
-    if mm.gain is None:  # no generators: c* = 0
+    if not ls.basis:  # no generators: c* = 0
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
         return _unbounded_ratio(mm.total, *mm.rendered[0])
-    return _ratio_sweep(m, ls, [mm.weights], [(mm.coefficients, mm.gain)])
+    return _ratio_sweep(m, ls, [int_row(mm.weights)], [mm.kept()[0]])
 
 
 def _unbounded_ratio(
@@ -735,8 +739,8 @@ def _unbounded_ratio(
 def _ratio_sweep(
     m: Model,
     ls: LinSpace,
-    cover: list[tuple[Fraction, ...]],
-    gains: Sequence[tuple[Sequence[Fraction], RandVar]],
+    cover: list[tuple[Sequence[int], int]],
+    gains: Sequence[tuple[Sequence[int], Sequence[int], int, bool]],
 ) -> Verdict:
     """Condition (5) from martingale pmfs and feasible gains.
 
@@ -746,14 +750,14 @@ def _ratio_sweep(
     mass a martingale pmf puts there, so ``c* = 1/min q_max - 1``.  Every
     pmf in ``cover`` bounds ``q_max`` from below at every coordinate, so
     c* is at most ``1/min lower - 1``.  Every gain at least -1 on the
-    support (the coefficients in ``gains``, then each ratio solve's
-    optimum) bounds c* from below by its largest value there.  The sweep
-    stops when the bounds meet.  Until then it solves the coordinate with
-    the least lower bound (ties in support order): its pmf raises that
-    bound to ``q_max``, and its optimum attains ``1/q_max - 1``, so a
-    coordinate is never solved twice.  A coordinate no pmf charges yet is
-    always solved first, so the first unbounded coordinate in support
-    order is found.
+    support (those in ``gains``, then each ratio solve's optimum) bounds
+    c* from below by its largest value there.  The sweep stops when the
+    bounds meet.  Until then it solves the coordinate with the least
+    lower bound (ties in support order): its pmf raises that bound to
+    ``q_max``, and its optimum attains ``1/q_max - 1``, so a coordinate
+    is never solved twice.  A coordinate no pmf charges yet is always
+    solved first, so the first unbounded coordinate in support order is
+    found.
 
     Every ratio program has the same rows; only the objective, the gain
     at the coordinate, changes.  So the sweep solves the first one and
@@ -761,37 +765,36 @@ def _ratio_sweep(
     last optimal basis (:func:`famart.lp.reoptimizer`).  A coordinate
     whose objective was already maximized reuses that outcome.
 
-    The bookkeeping runs on integers.  A solve's duals ``Y`` and value
-    ``V`` are read as numerators over one denominator ``D``, so its pmf
-    is ``(e_i D - Y) / (D + V)``, reduced once; the bounds are numerator
-    and denominator pairs compared by cross products, and a gain's values
-    at the support are read off the program's integer rows.  A pmf
-    becomes ``Fraction``s only when it joins the cover, and the attaining
-    gain is combined once, at the end.
+    It runs on integers: a pmf of ``cover`` is its weights in lowest
+    terms over one denominator, as ``int_row`` gives them, and a gain of
+    ``gains`` is as :meth:`MinMass.kept` keeps it.  A solve's duals ``Y``
+    and value ``V`` are read over one denominator ``D``, reduced once, so
+    its pmf ``(e_i D - Y) / (D + V)`` is in lowest terms too, as the
+    known pmfs it is compared with.  Bounds are numerator and denominator
+    pairs compared by cross products.  Only c* becomes a ``Fraction``.
     """
     support = m.support()
     known: set[tuple[tuple[int, ...], int]] = set()
     lower = [(0, 1)] * len(support)  # (numerator, denominator) per coordinate
-    for q in cover:
-        nums, den = int_row(q)
+    for nums, den in cover:
         known.add((tuple(nums), den))
         lower = [_larger(a, (n, den)) for a, n in zip(lower, nums)]
     best = (0, 1)
     attaining = None
 
-    def attain(
-        values: list[int], den: int, coeffs: Sequence[Fraction], x: RandVar | None
-    ) -> None:
-        """Take a gain whose values at the support are ``values`` over
-        ``den`` if its largest value beats ``best``."""
+    def attain(coeffs: Sequence[int], x: Sequence[int], den: int) -> None:
+        """Take the gain with coefficients ``coeffs`` and values ``x`` at
+        every coordinate, over ``den``, if its largest value on the
+        support beats ``best``."""
         nonlocal best, attaining
+        values = [x[c] for c in support]
         top = max(values)
         if attaining is None or top * best[1] > best[0] * den:
             best = (top, den)
-            attaining = (coeffs, x, support[values.index(top)])
+            attaining = (coeffs, x, den, support[values.index(top)])
 
-    for coeffs, x in gains:
-        attain(*int_row([x.at(c) for c in support]), coeffs, x)
+    for coeffs, x, den, _ in gains:
+        attain(coeffs, x, den)
     solved: dict[tuple[int, ...], LpOutcome] = {}
     # With no generators there is no program to solve, and c* = 0.
     while ls.basis:
@@ -811,9 +814,9 @@ def _ratio_sweep(
         if out is None:
             out = solved[objective] = maximize(objective, program.den)
         if isinstance(out, Unbounded):
-            x = ls.combine(out.ray)
-            total = sum((x.at(c) for c in support), ZERO)
-            return _unbounded_ratio(total, *_rendered(out.ray, x))
+            cs, x, den = _combined(ls, *out.int_form()[1])
+            total = Fraction(sum(x[c] for c in support), den)
+            return _unbounded_ratio(total, *certs.int_payloads(cs, x, den, m.has_tail))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
         # The dual weights sit on ">=" rows, so they are <= 0.  The pmf is
@@ -821,29 +824,24 @@ def _ratio_sweep(
         # is slack at the optimum (the gain there is V >= 0 > -1), so
         # Y_i = 0, and V = -sum Y by duality; as D, Y and V share no
         # factor, neither do D + V and the pmf's numerators.
-        nums, den = int_row((*out.dual, out.value))
+        (vn, vd), (coeffs, cden), (ys, yd) = out.int_form()
+        den = lcm(vd, yd)
+        nums = [y * (den // yd) for y in ys] + [vn * (den // vd)]
+        g = gcd(den, *nums)
+        nums, den = [n // g for n in nums], den // g
         nums[i] -= den
         den += nums.pop()
         pmf = tuple(-y for y in nums)
         if (pmf, den) not in known:
             known.add((pmf, den))
-            cover.append(tuple(Fraction(n, den) for n in pmf))
+            cover.append((pmf, den))
             lower = [_larger(a, (n, den)) for a, n in zip(lower, pmf)]
-        coeffs, cden = int_row(out.primal)
-        values = [sum(map(mul, coeffs, row)) for row in program.rows]
-        attain(values, cden * program.den, out.primal, None)
-    if attaining is not None:
-        coeffs, x, coord = attaining
-        attaining = {
-            "coefficients": coeffs,
-            "x": ls.combine(coeffs) if x is None else x,
-            "coord": coord,
-        }
+        attain(*_combined(ls, coeffs, cden))
     cstar = Fraction(*best)
     return Verdict(
         "(5)",
         True,
-        certs.cstar_bound(cstar, attaining=attaining, cover=cover),
+        certs.cstar_bound(cstar, attaining, cover, m.has_tail),
         f"finite ratio bound c* = {cstar} (attained; a cover of martingale "
         "pmfs bounds every coordinate).",
     )
@@ -880,7 +878,7 @@ def weighted_ratio_from(
     model the weighted family is the family itself.  The unit weight
     leaves a functional with no pure part as it is, so there Q* is the
     (3) functional and its certificate the (4) one (see
-    :func:`_holding_functional`); any other weight builds Q* by
+    :func:`_functional_certificate`); any other weight builds Q* by
     :func:`qstar_from_weight`."""
     certificate = {
         "kind": "weighted_ratio_bound",
@@ -899,7 +897,7 @@ def weighted_ratio_from(
         raise AssertionError("a finite weighted ratio bound implies (3)")
     q = mm.fap
     if q.alpha == 0 and y == constant(ONE, m):
-        certificate["qstar"] = _holding_functional(mm)
+        certificate["qstar"] = _functional_certificate(m, mm)
     else:
         qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
         certificate["qstar"] = certs.martingale_fap(
@@ -970,12 +968,13 @@ def _representation(
     support, with least value ``w = mm.least > 0`` there, and the Farkas
     weights ``(-w, b)`` combine the rows to ``G - w >= 0`` on the support,
     against the bound ``-w < 0``.  So the sure-loss stakes are ``b`` and
-    their least win is ``w``.
+    their least win is ``w``, read off the integers ``mm`` keeps.
     """
     if _is_4_program(m, coords, previsions, mm):
         if mm.fap is not None:
             return Optimal(ZERO, mm.weights, (ZERO,) * (1 + len(gambles)))
-        return Infeasible((-mm.least, *mm.coefficients))
+        cs, g, den, _ = mm.kept()[0]
+        return Infeasible.view((((-min(g[c] for c in coords), *cs), den),))
     out = _solve(coherence_lp(coords, gambles, previsions))
     if isinstance(out, Unbounded):  # pragma: no cover - zero objective
         raise AssertionError("a feasibility program is never unbounded")
@@ -1001,13 +1000,13 @@ def _represented(
 ) -> certs.Certificate:
     """The ``representing_fap`` certificate of ``weights`` on ``coords``.
 
-    Where the (3) solve ``mm`` decides the program and its functional
-    holds with no pure part, the weights are its kept support weights
-    (see :func:`_representation`), so the functional is the (3) one and
-    its payload the (3) certificate's: nothing is rendered again.
+    Where the (3) solve ``mm`` decides the program and its functional has
+    no pure part, the weights are its kept support weights (see
+    :func:`_representation`), so the functional, holding or with
+    ``t* = 0``, is the (3) one, whose payload is rendered already.
     """
-    if _is_4_program(m, coords, previsions, mm) and mm.verdict.holds and not mm.fap.alpha:
-        fap = mm.verdict.certificate["fap"]
+    if _is_4_program(m, coords, previsions, mm) and not mm.fap.alpha:
+        fap = mm.kept()[1]
     else:
         fap = certs.fap_payload(_representing_fap(m, coords, weights))
     return certs.representing_fap(fap, previsions, event)
@@ -1049,7 +1048,7 @@ def check_coherence(
             "coherent: the attached probability reproduces every prevision.",
         )
     if _is_4_program(m, coords, previsions, mm):
-        stakes, win = mm.rendered[0][0], -out.farkas[0]
+        stakes, win = mm.rendered[0][0], mm.least
     else:
         stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
         stakes = certs.rat_strs(stakes)
@@ -1133,11 +1132,11 @@ def check_event_dominance(
             "event total mass.",
         )
     if _is_4_program(m, coords, previsions, mm):
-        win, negated = -out.farkas[0], mm.rendered[1]
+        win, negated = mm.least, mm.rendered[1]
     else:
         stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
         coeffs = tuple(-c for c in stakes)
-        negated = _rendered(coeffs, d.combine(coeffs))
+        negated = certs.rat_strs(coeffs), certs.randvar_payload(d.combine(coeffs))
     return Verdict(
         "(7)",
         False,

@@ -5,11 +5,14 @@ A program is an :class:`IntProgram` of integer numerators over one
 denominator, the form the engine builds.  A :class:`LinearProgram` of
 ``Fraction`` entries keeps its integer form once read; one read off an
 ``IntProgram`` is a view that builds its ``Fraction`` fields only when
-they are read.  The checks here (:func:`farkas_rows`,
-:func:`proves_infeasible`, :func:`dual_rows`) read the integer form
-alone.  Nothing here solves: the simplex that produces outcomes is
-:mod:`famart.lp`, and a process that only validates certificates never
-imports it.
+they are read.  Outcomes are views too: the simplex writes each field
+of an :class:`Optimal`, :class:`Infeasible` or :class:`Unbounded` as
+integers over one denominator, which ``int_form()`` returns, and the
+``Fraction`` fields are built on first read.  The checks here
+(:func:`farkas_rows`, :func:`proves_infeasible`, :func:`dual_rows`)
+read the integer form alone.  Nothing here solves: the simplex that
+produces outcomes is :mod:`famart.lp`, and a process that only
+validates certificates never imports it.
 """
 
 from __future__ import annotations
@@ -200,7 +203,78 @@ def _filled(cls: type, *fields: object) -> Any:
     return record
 
 
-class Optimal(Record):
+class _View(Record):
+    """A record that can be built from what it keeps in the private slot
+    ``_kept`` (see :meth:`view`), and then fills its fields named in
+    ``_LAZY`` on first read: ``_fill(kept)`` gives their values.  The
+    slot is not a field: equality, hashing, printing and pickling read
+    the fields, so a view behaves as the record built from them, and a
+    copy or an unpickled view is that record."""
+
+    __slots__ = ("_kept",)
+    _LAZY: tuple[str, ...] = ()
+
+    @classmethod
+    def view(cls, kept: Any, *fields: Any) -> Any:
+        """A record keeping ``kept``, its fields in ``_LAZY`` left to fill
+        and its other fields set to ``fields``, in slot order."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "_kept", kept)
+        if fields:  # an outcome's fields are all filled from ``kept``
+            names = [name for name in cls.__slots__ if name not in cls._LAZY]
+            for name, value in zip(names, fields, strict=True):
+                object.__setattr__(record, name, value)
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        # Python calls this only for an unset slot: a view's unread fields.
+        if name not in self._LAZY:
+            raise AttributeError(name)
+        for field, value in zip(self._LAZY, self._fill(self._kept)):
+            object.__setattr__(self, field, value)
+        return object.__getattribute__(self, name)
+
+
+class _Outcome(_View):
+    """An outcome of the simplex.  One built by :mod:`famart.lp` is a view
+    that keeps each field as integers over one positive denominator, a
+    ``(numerator, den)`` pair for a value and a ``(numerators, den)`` pair
+    for a vector, and fills its ``Fraction`` fields on first read, equal
+    numerators sharing one ``Fraction``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._LAZY = cls.__slots__
+
+    def _fill(self, kept: Any) -> tuple:
+        out = []
+        for nums, den in kept:
+            if type(nums) is int:
+                out.append(Fraction(nums, den))
+            else:
+                cache = {n: Fraction(n, den) for n in set(nums)}
+                out.append(tuple(map(cache.__getitem__, nums)))
+        return tuple(out)
+
+    def int_form(self) -> tuple:
+        """Each field as integers over one positive denominator, in field
+        order, not always in lowest terms: the pairs a view keeps, or those
+        read off the fields of an outcome built from them, kept once read."""
+        if not hasattr(self, "_kept"):
+            kept = []
+            for name in self.__slots__:
+                value = getattr(self, name)
+                if isinstance(value, (int, Fraction)):
+                    kept.append(value.as_integer_ratio())
+                else:
+                    nums, den = int_row(value)
+                    kept.append((tuple(nums), den))
+            object.__setattr__(self, "_kept", tuple(kept))
+        return self._kept
+
+
+class Optimal(_Outcome):
     __slots__ = ("value", "primal", "dual")
     value: Fraction
     primal: tuple[Fraction, ...]
@@ -212,7 +286,7 @@ class Optimal(Record):
         object.__setattr__(self, "dual", dual)
 
 
-class Infeasible(Record):
+class Infeasible(_Outcome):
     __slots__ = ("farkas",)
     farkas: tuple[Fraction, ...]
 
@@ -220,7 +294,7 @@ class Infeasible(Record):
         object.__setattr__(self, "farkas", farkas)
 
 
-class Unbounded(Record):
+class Unbounded(_Outcome):
     __slots__ = ("point", "ray")
     point: tuple[Fraction, ...]
     ray: tuple[Fraction, ...]

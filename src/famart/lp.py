@@ -17,7 +17,8 @@ rule reads only signs and cross products of numerators.  A
 `LinearProgram` enters through :func:`solve`; the tableau, and
 :func:`reoptimizer`, read its kept integer form (an `IntProgram`, which
 the verification kernel :mod:`famart.kernel` reads too), and outcomes
-become `Fraction`-valued once, on the way out.
+are views of integers (``int_form()``) that build `Fraction`s only when
+a field is read.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
@@ -47,7 +48,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Callable, Sequence
 
-from .core import ZERO, InvalidInput, dot, int_row
+from .core import InvalidInput, dot, int_row
 from .kernel import (  # noqa: F401  (re-exported: callers name them on famart.lp)
     EQ,
     GE,
@@ -250,29 +251,26 @@ class _Tableau:
 
     # -- outcome extraction -------------------------------------------------
 
-    def _duals(self, costs: Sequence[int], den: int) -> list[Fraction]:
-        """Multipliers of the original rows, read off the probe columns,
-        for the column costs ``costs`` over ``den``."""
-        duals = [ZERO] * self.n_orig_rows
+    def _duals(self, costs: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+        """Multipliers of the original rows, read off the probe columns, for
+        the column costs ``costs`` over ``den``, over ``den * rc_den``."""
+        duals = [0] * self.n_orig_rows
         rc, rc_den, sigma = self.rc, self.rc_den, self.sigma
         for col, origin in zip(self.probe, self.row_origin):
             if origin < self.n_orig_rows:
-                y = sigma[origin] * (costs[col] * rc_den - rc[col] * den)
-                duals[origin] = Fraction(y, den * rc_den)
-        return duals
+                duals[origin] = sigma[origin] * (costs[col] * rc_den - rc[col] * den)
+        return tuple(duals), den * rc_den
 
-    def _primal(self) -> list[Fraction]:
-        return self._map(
-            [(b, self.rows[r][-1], self.dens[r]) for r, b in enumerate(self.basis)],
-            True,
-        )
+    def _primal(self) -> tuple[tuple[int, ...], int]:
+        basic = [(b, row[-1], d) for row, d, b in zip(self.rows, self.dens, self.basis)]
+        return self._map(basic, True)
 
-    def _map(self, cols: list[tuple[int, int, int]], point: bool) -> list[Fraction]:
+    def _map(self, cols: list[tuple[int, int, int]], point: bool) -> tuple[tuple[int, ...], int]:
         """The original variables where each internal ``(column, numerator,
         denominator)`` of ``cols`` takes that value and every other column
         is 0: a point, or, with ``point`` False, a ray, which the shifts
-        leave out.  The sum runs in integers over the lcm of the nonzero
-        values' denominators, and each variable becomes one ``Fraction``."""
+        leave out.  Numerators over the lcm of the nonzero values'
+        denominators, times ``den`` where a point is shifted."""
         n_mapped = len(self.col_var)
         cols = [c for c in cols if c[1] and c[0] < n_mapped]
         den = lcm(*[d for _, _, d in cols])
@@ -281,16 +279,13 @@ class _Tableau:
             j, sign = self.col_var[col]
             nums[j] += sign * v * (den // d)
         if point and any(self.shift):
-            return [
-                Fraction(v * self.den + s * den, den * self.den)
-                for v, s in zip(nums, self.shift)
-            ]
-        return [Fraction(v, den) for v in nums]
+            return tuple(v * self.den + s * den for v, s in zip(nums, self.shift)), den * self.den
+        return tuple(nums), den
 
     def maximize(self, costs: Sequence[int], den: int) -> Optimal | Unbounded:
         """Phase 2: maximize ``costs`` over ``den``, one cost per original
         variable, from the current basis, which is feasible; read back the
-        outcome."""
+        outcome, in integers (see :class:`famart.kernel.Optimal`)."""
         cols = [sign * costs[j] for j, sign in self.col_var]
         cols += [0] * (self.ncols - len(cols))
         status, enter = self._run(cols, den)
@@ -298,10 +293,12 @@ class _Tableau:
             ray = [(enter, 1, 1)] + [
                 (b, -row[enter], d) for row, d, b in zip(self.rows, self.dens, self.basis)
             ]
-            return Unbounded(tuple(self._primal()), tuple(self._map(ray, False)))
+            return Unbounded.view((self._primal(), self._map(ray, False)))
+        value = -self.rc[-1] * den, den * self.rc_den  # over the duals' denominator
         offset = sum(map(mul, costs, self.shift))  # over den * self.den
-        value = Fraction(-self.rc[-1], self.rc_den) + Fraction(offset, den * self.den)
-        return Optimal(value, tuple(self._primal()), tuple(self._duals(cols, den)))
+        if offset:
+            value = value[0] * self.den + offset * self.rc_den, value[1] * self.den
+        return Optimal.view((value, self._primal(), self._duals(cols, den)))
 
     def drive_out_artificials(self) -> None:
         """Pivot zero-valued artificials out of the basis; drop redundant rows."""
@@ -359,7 +356,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
         raise InvalidInput("solve expects a LinearProgram")
     out = reoptimizer(lp.int_form())[0]
     if isinstance(out, Optimal) and not lp.maximize:
-        out = Optimal(-out.value, out.primal, out.dual)
+        (num, den), primal, dual = out.int_form()
+        out = Optimal.view(((-num, den), primal, dual))
     return out
 
 
@@ -384,10 +382,9 @@ def reoptimizer(
         raise AssertionError("phase 1 reported an unbounded objective")
     infeasible = None
     if tab.rc[-1] > 0:  # the phase-1 optimum, -rc[-1] / rc_den, is negative
-        duals = tab._duals(phase1, 1)
-        infeasible = Infeasible(
-            tuple(-y if rel == GE else y for y, rel in zip(duals, p.relations))
-        )
+        duals, den = tab._duals(phase1, 1)
+        farkas = tuple(-y if rel == GE else y for y, rel in zip(duals, p.relations))
+        infeasible = Infeasible.view(((farkas, den),))
 
     def maximize(costs: Sequence[int], den: int) -> LpOutcome:
         if len(costs) != len(p.costs) or den <= 0:

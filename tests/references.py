@@ -6,18 +6,24 @@ chain with itself.  These helpers decide each condition by its own
 program instead, so the differential and implication tests stay
 independent of the code they test.  :func:`reference_ratio_sweep` is
 the (5) sweep in ``Fraction`` arithmetic over the ``Fraction`` ratio
-program, whose integer form it hands the simplex; the integer sweep
-must reproduce it byte for byte.  :func:`reference_arbitrage` is the
+program, whose integer form it hands the simplex, and it renders its
+certificate with the ``Fraction`` encoders; the integer sweep must
+reproduce it byte for byte.  :func:`reference_arbitrage` is the
 failing (3) arbitrage formed in ``Fraction`` arithmetic, which the
 integer form in ``checkers`` must reproduce exactly.
-:func:`counting_solves` counts the programs the checkers solve.
+:func:`counting_solves` counts the programs the checkers solve, and
+:func:`fuzz_corpus` yields the benchmark's seed-0 fuzz corpus.
 """
 
+import json
 from fractions import Fraction as F
 
 from famart import certificates, checkers, programs
+from famart.certificates import randvar_payload, rat_str, rat_strs
 from famart.core import ZERO, int_row, sup_norm
 from famart.lp import GE, IntProgram, LinearProgram, Optimal, Unbounded, reoptimizer, solve
+from famart.modelio import serialize_model
+from famart.spaces import random_finite_model
 
 
 def acmfap_holds(m, ls):
@@ -83,16 +89,24 @@ def reference_ratio_sweep(m, ls, cover, gains):
         if isinstance(out, Unbounded):
             x = ls.combine(out.ray)
             total = sum(x.at(c) for c in support)
-            return checkers._unbounded_ratio(total, *checkers._rendered(out.ray, x))
+            return checkers._unbounded_ratio(total, rat_strs(out.ray), randvar_payload(x))
         pmf = tuple((int(j == i) - y) / (1 + out.value) for j, y in enumerate(out.dual))
         if pmf not in cover:
             cover.append(pmf)
         lower = [max(a, b) for a, b in zip(lower, pmf)]
         attain(out.primal, ls.combine(out.primal))
+    certificate = {"kind": "cstar_bound", "value": rat_str(best)}
+    if attaining is not None:
+        certificate["attaining"] = {
+            "coefficients": rat_strs(attaining["coefficients"]),
+            "gain": randvar_payload(attaining["x"]),
+            "coord": certificates.coord_payload(attaining["coord"]),
+        }
+    certificate["cover"] = [rat_strs(q) for q in cover]
     return checkers.Verdict(
         "(5)",
         True,
-        certificates.cstar_bound(best, attaining=attaining, cover=cover),
+        certificate,
         f"finite ratio bound c* = {best} (attained; a cover of martingale "
         "pmfs bounds every coordinate).",
     )
@@ -136,3 +150,18 @@ def counting_solves(monkeypatch):
     monkeypatch.setattr(checkers, "solve", solving)
     monkeypatch.setattr(checkers, "reoptimizer", opening)
     return calls
+
+
+def fuzz_corpus():
+    """The benchmark's seed-0 fuzz corpus: model seeds from 0 on, each kept
+    while its shape (charged states, gains) has room, 12 models for each
+    of the 24 shapes of up to 6 charged states and 4 gains."""
+    room = {(n, k): 12 for n in range(1, 7) for k in range(1, 5)}
+    seed = 0
+    while any(room.values()):
+        m, ls = random_finite_model(seed, 6, 4)
+        shape = len(m.charged_states()), len(ls.basis)
+        if room[shape]:
+            room[shape] -= 1
+            yield json.loads(json.dumps(serialize_model(m, lin_space=ls)))
+        seed += 1

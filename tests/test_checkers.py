@@ -21,9 +21,11 @@ from famart.core import (
     RandVar,
     constant,
     expect,
+    int_row,
 )
 from famart.fap import Fap, from_p0, is_equivalent
 from famart.lp import Infeasible, IntProgram, Unbounded, solve, verify_outcome
+from famart.modelio import build_report, parse_model, serialize_model
 from famart.certificates import randvar_payload, rat_str, rat_strs
 from famart.spaces import (
     example_bp,
@@ -38,6 +40,7 @@ from references import (
     acmfap_holds,
     counting_solves,
     cstar_of,
+    fuzz_corpus,
     no_arbitrage_holds,
     ratio_sweep,
     reference_arbitrage,
@@ -325,6 +328,32 @@ def test_a_holding_4_shares_the_3_functional_payload():
         assert validate_verdict(m, ls, acm.to_dict())
 
 
+def test_a_failing_3_at_t_star_0_renders_its_functional_once(monkeypatch):
+    # Where (3) fails with t* = 0, the optimum's functional holds (4), (7)
+    # and coherence.  With no pure part the three rows carry the one
+    # payload the (3) decision rendered, and the report's audit reads it
+    # once; each row is the one it would render by itself.
+    functional, audited, seen = certificates._functional, [], 0
+    monkeypatch.setattr(
+        certificates, "_functional", lambda d, m: audited.append(d) or functional(d, m)
+    )
+    for seed in range(600):
+        m, ls = random_finite_model(seed)
+        mm = checkers.min_mass(m, ls)
+        if mm.verdict.holds or mm.fap is None:
+            continue
+        audited.clear()
+        doc = json.loads(json.dumps(serialize_model(m, lin_space=ls)))
+        report = build_report(parse_model(doc))
+        rows = {row["condition"]: row["certificate"] for row in report["verdicts"]}
+        shared = rows["(4)"]["fap"]
+        assert shared == certificates.fap_payload(mm.fap) and not mm.fap.alpha
+        assert rows["(7)"]["fap"] is shared and rows["coherence"]["fap"] is shared
+        assert len(audited) == 1
+        seen += 1
+    assert seen == 11
+
+
 # -- explicit expectation bound (3) -------------------------------------------
 
 
@@ -432,9 +461,8 @@ def test_cstar_cover_checks_each_pmf_and_the_bound():
         bad = dict(cert, cover=cert["cover"] + [[str(w) for w in extra]])
         assert not validate_verdict(m, ls, dict(verdict, certificate=bad))
     # The zero gain with the genuine cover understates c*.
-    zeros = (F(0),) * len(ls.basis)
-    attaining = {"coefficients": zeros, "x": ls.combine(zeros), "coord": 0}
-    low = certificates.cstar_bound(F(0), attaining, cover)
+    zeros = (0,) * len(ls.basis), (0,) * len(m.all_coords()), 1, 0
+    low = certificates.cstar_bound(F(0), zeros, [int_row(q) for q in cover], m.has_tail)
     assert not validate_verdict(m, ls, dict(verdict, certificate=low))
     assert validate_verdict(m, ls, verdict)
 
@@ -461,12 +489,44 @@ def test_cstar_sweep_solves_few_programs(monkeypatch, example, most_solves):
 
 def test_cstar_cover_holds_no_repeated_pmf():
     # bp N=5 k=2 re-solves a coordinate whose pmf is already in the cover.
-    models = [_bp(5, 2)[:2]] + [random_finite_model(seed) for seed in range(200)]
+    # A sweep started from the cover another sweep found solves at least
+    # once, since it has no gain yet, and mostly finds a pmf it holds: the
+    # sweep knows a pmf by its (numerators, denominator) pair in lowest
+    # terms, and a pmf read off a solve without reducing it would not
+    # match and be appended again.
+    models = [_bp(5, 2)[:2]] + [random_finite_model(seed) for seed in range(400)]
+    refound = 0
     for m, ls in models:
         v = ratio_sweep(m, ls)
         if v.holds:
             cover = v.certificate["cover"]
             assert len({tuple(q) for q in cover}) == len(cover)
+            start = [int_row([F(w) for w in q]) for q in cover]
+            again = checkers._ratio_sweep(m, ls, list(start), []).certificate["cover"]
+            assert len({tuple(q) for q in again}) == len(again)
+            refound += len(again) == len(start)
+    assert refound > 50
+
+
+def test_the_report_cover_never_holds_a_pmf_twice(monkeypatch):
+    # The report's sweep starts from the (3) pmf, and on these models some
+    # of its steps find a pmf the cover already holds (see
+    # test_cstar_cover_holds_no_repeated_pmf).  Each step, and the holding
+    # (3) decision before them, combines one gain.
+    steps, combined = [], checkers._combined
+    monkeypatch.setattr(checkers, "_combined", lambda *a: steps.append(a) or combined(*a))
+    docs = [serialize_model(*random_finite_model(seed)) for seed in range(400)]
+    repeats = 0
+    for doc in docs + list(fuzz_corpus()):
+        steps.clear()
+        report = build_report(parse_model(json.loads(json.dumps(doc))))
+        cert = {row["condition"]: row for row in report["verdicts"]}["(5)"]["certificate"]
+        if cert["kind"] != "cstar_bound":
+            continue
+        cover = [tuple(q) for q in cert["cover"]]
+        assert len(set(cover)) == len(cover)
+        repeats += len(steps) - len(cover)  # the (3) pmf starts the cover
+    assert repeats > 0
 
 
 def _sweep_steps(monkeypatch, m, ls, seeded):
@@ -783,7 +843,7 @@ def test_negative_gain_program_id_is_unknown_to_validation():
     lp = programs.negative_gain_lp(m, ls)
     out = solve(lp)
     assert isinstance(out, Infeasible)
-    cert = farkas_witness(lp, "negative-gain", out.farkas, claim="infeasible")
+    cert = farkas_witness(lp, "negative-gain", *out.int_form()[0], claim="infeasible")
     for condition, holds in (("(4)", True), ("(6)", True), ("(3)", False)):
         verdict = {"condition": condition, "holds": holds, "certificate": cert}
         with pytest.raises(CertificateFormat, match="unknown program id 'negative-gain'"):

@@ -1,6 +1,8 @@
 """The exact simplex engine and its certificates."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -298,9 +300,8 @@ def _oracle_lp(
 OUTCOME_DIGEST = "57a5621b0ad59a9f7080308a7c9866816cc6cd7be56515c53085eaa1264fcdd8"
 
 
-def test_outcome_digest_is_pinned():
-    import hashlib
-
+def _digest_programs() -> list[LinearProgram]:
+    """The 1,204 programs whose outcomes ``OUTCOME_DIGEST`` pins."""
     rng = random.Random(31337)
     programs = [
         LinearProgram(objective=()),
@@ -308,16 +309,73 @@ def test_outcome_digest_is_pinned():
         LinearProgram(objective=(), constraints=[((), ">=", F(1))]),
         LinearProgram(objective=(F(1), F(-2)), lower=(F(0), None), upper=(F(3), F(1))),
     ]
-    programs += [_oracle_lp(rng) for _ in range(1200)]
+    return programs + [_oracle_lp(rng) for _ in range(1200)]
+
+
+def test_outcome_digest_is_pinned():
+    import hashlib
+
     digest = hashlib.sha256()
     kinds = set()
-    for lp in programs:
+    for lp in _digest_programs():
         out = solve(lp)
         assert verify_outcome(lp, out)
         kinds.add(type(out))
         digest.update(repr(out).encode() + b"\n")
     assert kinds == {Optimal, Infeasible, Unbounded}
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+def _set_fields(out) -> set[str]:
+    """The fields of an outcome that hold a value, read without filling."""
+    cls = type(out)
+    out_fields = set()
+    for name in cls.__slots__:
+        try:
+            getattr(cls, name).__get__(out, cls)
+        except AttributeError:
+            continue
+        out_fields.add(name)
+    return out_fields
+
+
+def _as_fractions(kept) -> tuple:
+    """An outcome's integer form as the rationals it stands for."""
+    return tuple(
+        F(nums, den) if type(nums) is int else tuple(F(n, den) for n in nums)
+        for nums, den in kept
+    )
+
+
+def test_a_view_outcome_is_the_record_of_its_fields():
+    # The simplex returns views that keep integers and fill their Fraction
+    # fields on first read.  Each must behave as the eager record of its
+    # fields, and the integers of either kind stand for the same fields.
+    kinds = set()
+    for lp in _digest_programs():
+        view = solve(lp)
+        cls, fields = type(view), set(type(view).__slots__)
+        kinds.add(cls)
+        assert _set_fields(view) == set()
+        kept = view.int_form()
+        assert all(den > 0 for _, den in kept) and view.int_form() is kept
+        assert _set_fields(view) == set()  # reading the integers fills nothing
+        eager = cls(*_as_fractions(kept))
+        assert _set_fields(eager) == fields
+        assert _as_fractions(eager.int_form()) == _as_fractions(kept)
+        assert cls.view(eager.int_form()) == eager
+        assert verify_outcome(lp, solve(lp)) and verify_outcome(lp, eager)
+        assert view == eager and eager == view and hash(view) == hash(eager)
+        assert repr(view) == repr(eager) and _set_fields(view) == fields
+        copies = pickle.loads(pickle.dumps(solve(lp))), copy.copy(solve(lp)), copy.deepcopy(solve(lp))
+        for again in copies:
+            assert type(again) is cls and _set_fields(again) == fields
+            assert again == eager and repr(again) == repr(eager)
+        for name in fields:  # reading any one field fills all of them
+            view = solve(lp)
+            getattr(view, name)
+            assert _set_fields(view) == fields
+    assert kinds == {Optimal, Infeasible, Unbounded}
 
 
 def _scaled(p: IntProgram, k: int) -> IntProgram:

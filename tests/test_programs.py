@@ -13,7 +13,6 @@ rows of the programs a witness names to the integer form alone.
 """
 
 import copy
-import json
 import pickle
 from fractions import Fraction as F
 from functools import partial
@@ -25,9 +24,9 @@ from famart import checkers, programs
 from famart.certificates import validate_verdict
 from famart.core import ZERO, InvalidInput, LinSpace, Model, RandVar, expect
 from famart.fap import from_p0
-from famart.kernel import _VIEW_FIELDS
-from famart.lp import EQ, GE, LE, IntProgram, LinearProgram
-from famart.modelio import build_report, parse_model, serialize_model
+from famart.kernel import _VIEW_FIELDS, _View
+from famart.lp import EQ, GE, LE, Infeasible, IntProgram, LinearProgram, Optimal, Unbounded
+from famart.modelio import build_report, parse_model
 from famart.spaces import (
     example_bp,
     example_dmw,
@@ -37,6 +36,7 @@ from famart.spaces import (
     trading_space,
 )
 
+from references import fuzz_corpus
 from references import ratio_bound_lp as _reference_ratio_bound_lp
 
 
@@ -344,21 +344,6 @@ def test_the_tree_decision_solves_views_of_its_local_programs(monkeypatch):
         assert pickle.loads(pickle.dumps(lp)) == eager
 
 
-def _fuzz_corpus():
-    """The benchmark's seed-0 fuzz corpus: model seeds from 0 on, each kept
-    while its shape (charged states, gains) has room, 12 models for each
-    of the 24 shapes of up to 6 charged states and 4 gains."""
-    room = {(n, k): 12 for n in range(1, 7) for k in range(1, 5)}
-    seed = 0
-    while any(room.values()):
-        m, ls = random_finite_model(seed, 6, 4)
-        shape = len(m.charged_states()), len(ls.basis)
-        if room[shape]:
-            room[shape] -= 1
-            yield json.loads(json.dumps(serialize_model(m, lin_space=ls)))
-        seed += 1
-
-
 def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
     # Every program a report solves or validates is read in integers, so
     # no view builds its Fraction fields.
@@ -371,7 +356,7 @@ def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
         return value
 
     monkeypatch.setattr(LinearProgram, "__getattr__", counting)
-    docs = list(_fuzz_corpus())
+    docs = list(fuzz_corpus())
     assert len(docs) == 288
     for doc in docs:
         build_report(parse_model(doc))
@@ -384,3 +369,32 @@ def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
         for _ in range(2):
             checkers.check_coherence(ls.basis, some, m)
     assert fills == []
+
+
+def test_a_report_of_the_fuzz_corpus_fills_no_outcome_view(monkeypatch):
+    # The (3) decision and the (5) sweep read the simplex's outcomes, and
+    # the (3) decision's own record, in integers: a report builds no
+    # Fraction field of an outcome or of the decision's gain.
+    fills, views = [], []
+    view = _View.view.__func__
+
+    def viewing(cls, *args):
+        views.append(cls.__name__)
+        return view(cls, *args)
+
+    def counting(self, name):
+        value = _View.__getattr__(self, name)
+        fills.append((type(self).__name__, name))
+        return value
+
+    monkeypatch.setattr(_View, "view", classmethod(viewing))
+    for cls in (Optimal, Infeasible, Unbounded, checkers.MinMass):
+        monkeypatch.setattr(cls, "__getattr__", counting)
+    for doc in fuzz_corpus():
+        build_report(parse_model(doc))
+    assert fills == []
+    assert set(views) == {"Optimal", "Infeasible", "MinMass"}  # no (5) is unbounded here
+    # The fields are still there to read, and reading one fills its record.
+    m, ls = random_finite_model(4)
+    mm = checkers.min_mass(m, ls)
+    assert not mm.verdict.holds and mm.gain.values and fills == [("MinMass", "gain")]
