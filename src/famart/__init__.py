@@ -16,7 +16,6 @@ from .core import (
     sup_norm,
 )
 from .fap import Fap, from_p0, is_abs_continuous, is_equivalent, is_pure, yh_decompose
-from .kernel import Constraint, Infeasible, LinearProgram, LpOutcome, Optimal, Unbounded
 
 __all__ = [
     "TAIL",
@@ -48,10 +47,17 @@ __all__ = [
 ]
 
 
+_LP_NAMES = frozenset({
+    "Constraint", "Infeasible", "LinearProgram", "LpOutcome", "Optimal", "Unbounded",
+    "solve", "verify_outcome",
+})
+
+
 def __getattr__(name: str):
-    # The simplex loads on first use, so a process that only validates
-    # certificates (``famart certify``) never compiles it.
-    if name in ("solve", "verify_outcome"):
+    # The simplex and its Fraction records load on first use and are never
+    # kept here, so a process that only validates certificates (``famart
+    # certify``) never compiles them.
+    if name in _LP_NAMES:
         from . import lp
 
         return getattr(lp, name)

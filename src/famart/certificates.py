@@ -1,4 +1,4 @@
-"""Certificate payloads and their solver-independent re-validation.
+"""Solver-independent re-validation of certificate payloads.
 
 Certificates are plain JSON-able dicts with every rational rendered as a
 ``"num/den"`` string.  Each kind stores, alongside its witness data, the
@@ -10,61 +10,68 @@ equation: a tampered certificate cannot stay valid.
 Structural problems (missing fields, unparseable rationals) raise
 :class:`CertificateFormat`; semantic failures (a check that does not
 hold) just report False.
+
+This module holds the decoders and the validators, which is all a
+``famart certify`` process compiles.  The encoders and constructors that
+build certificates are :mod:`famart.render`'s; they stay reachable here
+by name (``certificates.farkas_witness`` and the like) without being
+loaded until one is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Any, Mapping, Sequence
 
 from . import core
 from .core import (
-    MAX_DIGITS,
     TAIL,
+    CertificateFormat,
     InvalidInput,
     LinSpace,
     Model,
-    OversizedOutput,
     RandVar,
     int_row,
     rat,
     rat_pair,
-    rat_str,
 )
-from .fap import Fap, is_abs_continuous
-from .kernel import (
-    IntProgram,
-    LinearProgram,
-    dual_rows,
-    farkas_rows,
-    proves_infeasible,
-)
+from .fap import Fap
+from .kernel import IntProgram, dual_rows, farkas_rows, proves_infeasible
 from .programs import (
     arbitrage_rows,
     coherence_coords,
-    expectation_bound_lp,
+    expectation_bound_rows,
     martingale_mass_rows,
 )
 
-Certificate = dict[str, Any]
+# The certificate constructors, which :mod:`famart.render` defines.
+_CONSTRUCTORS = frozenset({
+    "arbitrage_vector", "martingale_fap", "separating_functional", "farkas_witness",
+    "witness", "representing_fap", "sure_loss_bet", "tail_values", "cstar_bound",
+})
 
 
-class CertificateFormat(InvalidInput):
-    """The certificate is structurally malformed (not merely false)."""
+def __getattr__(name: str) -> Any:
+    # A constructor is looked up in the renderer on each access and never
+    # kept here, so reading one leaves this module's namespace as it was.
+    if name in _CONSTRUCTORS:
+        from . import render
+
+        return getattr(render, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------------
-# Payload helpers
+# Decoders
 # --------------------------------------------------------------------------
 #
-# The encoders below are the package's only JSON encoders for rational
-# lists, coordinates, random variables and Faps; model files use them
-# too.  The decoders are this module's own, because the error contract
-# differs: a model-file error is invalid input (``InvalidInput``, CLI
-# exit 2), while a certificate is either malformed (``CertificateFormat``,
-# exit 2) or well formed but false (validation returns False, exit 1).
+# The decoders are this module's own, not the model file's, because the
+# error contract differs: a model-file error is invalid input
+# (``InvalidInput``, CLI exit 2), while a certificate is either malformed
+# (``CertificateFormat``, exit 2) or well formed but false (validation
+# returns False, exit 1).
 
 
 def _get(d: Mapping[str, Any], key: str) -> Any:
@@ -100,79 +107,11 @@ def _parse_vec(xs: Any, *more: Any) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
-def rat_strs(xs: Sequence[Any]) -> list[str]:
-    return [rat_str(x) for x in xs]
-
-
-def randvar_payload(x: RandVar) -> dict[str, Any]:
-    out: dict[str, Any] = {"values": rat_strs(x.values)}
-    if x.tail_value is not None:
-        out["tail"] = rat_str(x.tail_value)
-    return out
-
-
-def signed_payloads(
-    coefficients: Sequence[int], values: Sequence[int], den: int, tail: bool
-) -> tuple[tuple[list[str], dict[str, Any]], tuple[list[str], dict[str, Any]]]:
-    """The coefficients and gain payloads (``rat_strs``, ``randvar_payload``)
-    of a combination and of its negation, rendered straight from integer
-    numerators over one positive ``den``: ``values`` lists the gain at the
-    explicit states, then at the tail where ``tail``.  One gcd per entry;
-    an entry past :data:`~famart.core.MAX_DIGITS` digits raises
-    ``OversizedOutput``, as ``rat_str`` does."""
-    cs, negated_cs = _signed_strs(coefficients, den)
-    vs, negated_vs = _signed_strs(values, den)
-    return (cs, _gain(vs, tail)), (negated_cs, _gain(negated_vs, tail))
-
-
-def int_payloads(
-    coefficients: Sequence[int], values: Sequence[int], den: int, tail: bool
-) -> tuple[list[str], dict[str, Any]]:
-    """The first of :func:`signed_payloads`: the combination alone."""
-    return _strs(coefficients, den), _gain(_strs(values, den), tail)
-
-
-def _gain(strs: list[str], tail: bool) -> dict[str, Any]:
-    return {"values": strs[:-1], "tail": strs[-1]} if tail else {"values": strs}
-
-
-def _strs(nums: Sequence[int], den: int) -> list[str]:
-    """``rat_strs`` of each ``n / den``."""
-    return _signed_strs(nums, den, negated=False)[0]
-
-
-def _signed_strs(
-    nums: Sequence[int], den: int, negated: bool = True
-) -> tuple[list[str], list[str]]:
-    """``rat_strs`` of each ``n / den`` and, where ``negated``, of each
-    ``-n / den``."""
-    out: tuple[list[str], list[str]] = [], []
-    try:
-        for n in nums:
-            g = gcd(n, den)
-            n, d = n // g, den // g
-            out[0].append(f"{n}/{d}")
-            if negated:
-                out[1].append(f"{-n}/{d}")
-    except ValueError as exc:  # CPython's limit on printing an int
-        raise OversizedOutput(
-            f"a result holds a rational of more than {MAX_DIGITS} digits"
-        ) from exc
-    return out
-
-
 def randvar_from_payload(d: Mapping[str, Any]) -> RandVar:
     nums, den = _parse_vec(_get(d, "values"))
     values = [Fraction(n, den) for n in nums]
     tail = Fraction(*_parse_rat(d["tail"])) if "tail" in d else None
     return RandVar(values, tail)
-
-
-def fap_payload(p: Fap) -> dict[str, Any]:
-    out: dict[str, Any] = {"alpha": rat_str(p.alpha), "mass": rat_strs(p.ca_mass)}
-    if p.ca_tail is not None:
-        out["tail"] = rat_str(p.ca_tail)
-    return out
 
 
 def fap_from_payload(d: Mapping[str, Any]) -> Fap:
@@ -183,10 +122,6 @@ def fap_from_payload(d: Mapping[str, Any]) -> Fap:
     return Fap(alpha, mass, tail)
 
 
-def coord_payload(c: int) -> Any:
-    return "tail" if c == TAIL else c
-
-
 def _coord_from_json(v: Any) -> int:
     if v == "tail":
         return TAIL
@@ -195,159 +130,10 @@ def _coord_from_json(v: Any) -> int:
     raise CertificateFormat(f"bad coordinate {v!r}")
 
 
-def event_payload(event: frozenset[int]) -> list[Any]:
-    return [coord_payload(c) for c in sorted(event)]
-
-
 def event_from_payload(v: Any) -> frozenset[int]:
     if not isinstance(v, (list, tuple)):
         raise CertificateFormat(f"bad event {v!r}")
     return frozenset(_coord_from_json(c) for c in v)
-
-
-# --------------------------------------------------------------------------
-# Constructors
-# --------------------------------------------------------------------------
-#
-# A combination's coefficients and gain, a bet's stakes and a functional
-# come already rendered (``rat_strs``, ``randvar_payload``,
-# ``fap_payload``): the rows of a report that carry one of them carry
-# one payload, rendered once.
-
-
-def arbitrage_vector(coefficients: list[str], gain: dict[str, Any]) -> Certificate:
-    return {"kind": "arbitrage_vector", "coefficients": coefficients, "gain": gain}
-
-
-def martingale_fap(m: Model, p: Fap, equivalent: bool) -> Certificate:
-    return {
-        "kind": "martingale_fap",
-        "fap": fap_payload(p),
-        "equivalent": bool(equivalent),
-        "abs_continuous": is_abs_continuous(p, m),
-    }
-
-
-def separating_functional(
-    m: Model, p: Fap, minimum_weight: Fraction
-) -> Certificate:
-    return {
-        "kind": "separating_functional",
-        "fap": fap_payload(p),
-        "minimum_weight": rat_str(minimum_weight),
-        "open_set": "all bounded functions with strictly positive "
-        "expectation under this functional",
-    }
-
-
-def farkas_witness(
-    lp: LinearProgram | IntProgram,
-    builder: str,
-    weights: Sequence[int],
-    den: int,
-    claim: str,
-    bound_value: Fraction | None = None,
-    extras: Mapping[str, Any] | None = None,
-) -> Certificate:
-    """Farkas or dual weights, integer numerators over a positive ``den``
-    (an outcome's ``int_form()`` pair), with what they combine to."""
-    out: dict[str, Any] = {
-        "kind": "farkas_witness",
-        "lp": builder,
-        "claim": claim,
-        "weights": _strs(weights, den),
-    }
-    if claim == "infeasible":
-        sums, d = farkas_rows(lp, weights, den)
-        *out["combined"], out["bound"] = _strs(sums, d)
-    elif claim in ("max_at_most", "min_at_least"):
-        reduced, value, d = dual_rows(lp, weights, den)
-        if value is None:
-            raise InvalidInput("weights are not dual feasible")
-        out["dual_value"] = _strs((value,), d)[0]
-        out["bound_value"] = rat_str(bound_value)
-        out["reduced"] = _strs(reduced, d)
-    else:
-        raise InvalidInput(f"unknown farkas claim {claim!r}")
-    if extras:
-        out.update({k: v for k, v in extras.items()})
-    return out
-
-
-def witness(
-    coefficients: list[str],
-    gain: dict[str, Any],
-    claim: str,
-    amount: Fraction,
-    event: frozenset[int] | None = None,
-    extras: Mapping[str, Any] | None = None,
-) -> Certificate:
-    out: dict[str, Any] = {
-        "kind": "witness",
-        "claim": claim,
-        "coefficients": coefficients,
-        "amount": rat_str(amount),
-        "gain": gain,
-    }
-    if event is not None:
-        out["event"] = event_payload(event)
-    if extras:
-        out.update({k: v for k, v in extras.items()})
-    return out
-
-
-def representing_fap(
-    fap: dict[str, Any],
-    previsions: Sequence[Fraction],
-    event: frozenset[int] | None = None,
-) -> Certificate:
-    out: dict[str, Any] = {
-        "kind": "representing_fap",
-        "fap": fap,
-        "previsions": rat_strs(previsions),
-    }
-    if event is not None:
-        out["event"] = event_payload(event)
-    return out
-
-
-def sure_loss_bet(
-    stakes: list[str], win: Fraction, previsions: Sequence[Fraction]
-) -> Certificate:
-    return {
-        "kind": "sure_loss_bet",
-        "stakes": stakes,
-        "guaranteed_win": rat_str(win),
-        "previsions": rat_strs(previsions),
-    }
-
-
-def tail_values(tails: Sequence[Fraction]) -> Certificate:
-    return {"kind": "tail_values", "values": rat_strs(tails)}
-
-
-def cstar_bound(
-    value: Fraction,
-    attaining: tuple[Sequence[int], Sequence[int], int, int] | None,
-    cover: Sequence[tuple[Sequence[int], int]],
-    tail: bool,
-) -> Certificate:
-    """c* with the gain attaining it and a cover of martingale pmfs, in
-    integers: ``attaining`` is a combination's coefficients and its gain
-    at the explicit states, then at the tail where ``tail``, over one
-    positive denominator, and the coordinate where it attains c*; each
-    pmf of ``cover`` is its weights over the support, in support order,
-    over one positive denominator."""
-    out: dict[str, Any] = {"kind": "cstar_bound", "value": rat_str(value)}
-    if attaining is not None:
-        coefficients, gain = int_payloads(*attaining[:3], tail)
-        out["attaining"] = {
-            "coefficients": coefficients,
-            "gain": gain,
-            "coord": coord_payload(attaining[3]),
-        }
-    out["cover"] = [_strs(*q) for q in cover]
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -444,9 +230,15 @@ def _equals(num: int, den: int, leaf: Any) -> bool:
     return num * d == n * den
 
 
-def _matches(a: Sequence[int], aden: int, values: Sequence[Any]) -> bool:
-    """Whether a parsed vector equals context values, compared by value."""
-    return _same(a, aden, *int_row([rat(v) for v in values]))
+def _context_ints(values: Sequence[Any]) -> tuple[list[int], int]:
+    return int_row([rat(v) for v in values])
+
+
+def _matches(a: Sequence[int], aden: int, values: Sequence[Any], audit: _Audit | None) -> bool:
+    """Whether a parsed vector equals context values, compared by value.
+    The values are read into integers once per ``audit``: the rows of a
+    report share the extras' previsions."""
+    return _same(a, aden, *_once(audit, _context_ints, values))
 
 
 def _validate_combination(
@@ -492,7 +284,7 @@ def _program_for(
         params = _bound_params(cert, m, extras)
         if params is None or params[1] <= 0:
             return builder, None
-        return builder, expectation_bound_lp(m, ls, *params).int_form()
+        return builder, expectation_bound_rows(m, ls, *params)
     raise CertificateFormat(f"unknown program id {builder!r}")
 
 
@@ -533,16 +325,6 @@ def _validate_farkas(
         tight = _equals(value if claim == "max_at_most" else -value, den, bound)
         return (builder, claim) if tight else None
     raise CertificateFormat(f"unknown farkas claim {claim!r}")
-
-
-def support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
-    """The weight a functional puts on each essential support coordinate."""
-    weights = {
-        i: (1 - p.alpha) * p.ca_mass[i] for i in m.charged_states()
-    }
-    if m.tail_charged:
-        weights[TAIL] = p.tail_charge()
-    return weights
 
 
 def _validate_martingale_fap(
@@ -616,9 +398,7 @@ def _validate_witness(
     if claim == "event_dominance_violated":
         event = event_from_payload(_get(cert, "event"))
         previsions, pden = _parse_vec(_get(cert, "previsions"))
-        if "previsions" in extras and not _matches(
-            previsions, pden, extras["previsions"]
-        ):
+        if "previsions" in extras and not _matches(previsions, pden, extras["previsions"], audit):
             return False
         if "events" in extras and event not in {
             frozenset(e) for e in extras["events"]
@@ -645,7 +425,7 @@ def _validate_representing(
 ) -> bool:
     weights, wden, alpha, _, _ = _once(audit, _functional, _get(cert, "fap"), m)
     previsions, pden = _parse_vec(_get(cert, "previsions"))
-    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
+    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"], audit):
         return False
     basis, bden = rows
     if len(previsions) != len(basis) or alpha:
@@ -669,12 +449,16 @@ def _validate_representing(
 
 
 def _validate_sure_loss(
-    cert: Mapping[str, Any], m: Model, rows: Rows, extras: Mapping[str, Any]
+    cert: Mapping[str, Any],
+    m: Model,
+    rows: Rows,
+    extras: Mapping[str, Any],
+    audit: _Audit | None,
 ) -> bool:
     stakes, sden = _parse_vec(_get(cert, "stakes"))
     win, wden = _parse_rat(_get(cert, "guaranteed_win"))
     previsions, pden = _parse_vec(_get(cert, "previsions"))
-    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"]):
+    if "previsions" in extras and not _matches(previsions, pden, extras["previsions"], audit):
         return False
     basis, bden = rows
     if len(stakes) != len(basis) or len(previsions) != len(basis):
@@ -741,9 +525,11 @@ def _validate_cstar(
     )
 
 
-def _weight(d: Any, m: Model, extras: Mapping[str, Any]) -> tuple[list[int], int] | None:
+def _weight(
+    d: Any, m: Model, extras: Mapping[str, Any], audit: _Audit | None = None
+) -> tuple[list[int], int] | None:
     """A (5*) weight read straight into integers, values then tail, over
-    one positive denominator; None where ``programs.check_weight`` refuses
+    one positive denominator; None where ``checkers.check_weight`` refuses
     it or it differs from ``extras["weight"]``.  A malformed field raises
     ``CertificateFormat`` and a weight that does not fit the model
     ``InvalidInput``, as ``randvar_from_payload`` and ``check_weight`` do."""
@@ -758,7 +544,7 @@ def _weight(d: Any, m: Model, extras: Mapping[str, Any]) -> tuple[list[int], int
         if type(w) is not RandVar or (w.tail_value is None) == m.has_tail:
             return None
         values = (*w.values, w.tail_value) if m.has_tail else w.values
-        if not _matches(ys, yden, values):
+        if not _matches(ys, yden, values, audit):
             return None
     return ys, yden
 
@@ -770,7 +556,7 @@ def _validate_weighted_ratio(
     extras: Mapping[str, Any],
     audit: _Audit | None,
 ) -> bool:
-    weight = _weight(_get(cert, "weight"), m, extras)
+    weight = _weight(_get(cert, "weight"), m, extras, audit)
     if weight is None:
         return False
     ys, yden = weight
@@ -926,7 +712,7 @@ def _validate(
             return (
                 condition == "coherence"
                 and not holds
-                and _validate_sure_loss(cert, m, rows, extras)
+                and _validate_sure_loss(cert, m, rows, extras, audit)
             )
         if kind == "cstar_bound":
             return condition == "(5)" and holds and _validate_cstar(cert, m, rows, audit)

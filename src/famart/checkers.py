@@ -1,10 +1,11 @@
 """One decision procedure per no-arbitrage-style condition.
 
-Every checker returns a :class:`Verdict` whose certificate re-validates
-against the model by plain arithmetic (see :mod:`famart.certificates`),
-never by re-running the solver.  The checkers solve the programs that
-:mod:`famart.programs` builds; certificate validation reads the same
-programs from there.
+Every checker returns a :class:`Verdict` whose certificate, built by
+:mod:`famart.render`, re-validates against the model by plain arithmetic
+(see :mod:`famart.certificates`), never by re-running the solver.  The
+checkers solve the programs that :mod:`famart.programs` builds, through
+the :mod:`famart.lp` views of them; certificate validation reads the
+same programs from there.
 
 Checked conditions, by their report labels:
 
@@ -62,7 +63,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Any, Iterator, Sequence
 
-from . import certificates as certs
+from . import render
 from .core import (
     ONE,
     TAIL,
@@ -78,9 +79,9 @@ from .core import (
     expect,
     int_row,
     rat,
+    rat_str,
 )
 from .fap import Fap, from_p0, is_abs_continuous, is_equivalent
-from .kernel import _View
 from .lp import (
     EQ,
     GE,
@@ -90,22 +91,18 @@ from .lp import (
     LpOutcome,
     Optimal,
     Unbounded,
-    reoptimizer,
-    solve,
-)
-from .programs import (
-    arbitrage_rows,
-    check_weight,
-    coherence_coords,
+    _View,
     coherence_lp,
     expectation_bound_lp,
     martingale_mass_lp,
-    ratio_bound_rows,
-    weighted_space,
+    reoptimizer,
+    solve,
 )
 # Unused here; bench/spans.py traces these builders as checkers attributes.
-from .programs import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
-from .programs import ratio_bound_lp  # noqa: F401
+from .lp import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
+from .lp import ratio_bound_lp  # noqa: F401
+from .modelfile import randvar_payload, rat_strs
+from .programs import arbitrage_rows, coherence_coords, ratio_bound_rows
 from .spaces import binomial_pmf
 
 # The outcome of every program solved so far inside ``solving_once``, by
@@ -143,7 +140,7 @@ class Verdict(Record):
     __slots__ = ("condition", "holds", "certificate", "narrative")
     condition: str
     holds: bool
-    certificate: certs.Certificate
+    certificate: render.Certificate
     narrative: str
 
     def __init__(self, condition, holds, certificate, narrative) -> None:
@@ -194,6 +191,40 @@ def _representing_fap(
     return Fap(ZERO, masses, by_coord.get(TAIL, ZERO) if m.has_tail else None)
 
 
+def weighted_space(m: Model, ls: LinSpace, y: RandVar) -> LinSpace:
+    """The weighted family ``{X Y}`` of condition (5*): each generator
+    multiplied pointwise by the weight ``y``."""
+    return LinSpace(
+        tuple(
+            RandVar(
+                tuple(a * b for a, b in zip(x.values, y.values)),
+                (x.tail_value * y.tail_value) if m.has_tail else None,
+            )
+            for x in ls.basis
+        )
+    )
+
+
+def check_weight(m: Model, y: RandVar) -> None:
+    """A (5*) weight is positive on the charged explicit states and, on
+    tail models, vanishes at the tail (its limit along the truncations)."""
+    y.check_conforms(m)
+    charged = m.charged_states()
+    if not charged:
+        raise InvalidInput("degenerate model: no charged explicit state")
+    for i in charged:
+        if y.values[i] <= 0:
+            raise InvalidInput(
+                f"weight must be positive on the support; state {i} has "
+                f"value {y.values[i]}"
+            )
+    if m.has_tail and y.tail_value != 0:
+        raise InvalidInput(
+            "on tail models the weight must vanish at the tail, got "
+            f"{y.tail_value}"
+        )
+
+
 # --------------------------------------------------------------------------
 # Checkers
 # --------------------------------------------------------------------------
@@ -219,7 +250,7 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
         return Verdict(
             "(6)",
             False,
-            certs.arbitrage_vector(*mm.rendered[0]),
+            render.arbitrage_vector(*mm.rendered[0]),
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
@@ -229,7 +260,7 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
     return Verdict(
         "(6)",
         True,
-        certs.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, den, "infeasible"),
+        render.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, den, "infeasible"),
         "no-arbitrage: the search for a nonnegative gain with "
         "positive essential supremum is infeasible (Farkas witness).",
     )
@@ -268,7 +299,7 @@ def check_acmfap(m: Model, ls: LinSpace) -> Verdict:
     return acmfap_from(m, min_mass(m, ls))
 
 
-def _functional_certificate(m: Model, mm: MinMass) -> certs.Certificate:
+def _functional_certificate(m: Model, mm: MinMass) -> render.Certificate:
     """The ``martingale_fap`` certificate of the (3) decision's functional,
     with its kept payload; where (3) holds, it is equivalent."""
     holds = mm.verdict.holds
@@ -294,7 +325,7 @@ def acmfap_from(m: Model, mm: MinMass) -> Verdict:
         return Verdict(
             "(4)",
             False,
-            certs.witness(*mm.rendered[1], claim="negative_ess_sup", amount=-mm.least),
+            render.witness(*mm.rendered[1], claim="negative_ess_sup", amount=-mm.least),
             "a gain with strictly negative essential supremum exists; "
             "no absolutely continuous martingale functional can price it.",
         )
@@ -314,7 +345,7 @@ class MinMass(_View):
     functional where (3) holds, the (3) optimum where its least weight
     ``t*`` is zero, and None where ``t* < 0`` or the program is
     infeasible.  ``weights`` are the weights ``fap`` puts on the support
-    coordinates, in support order (``certificates.support_weights``),
+    coordinates, in support order (:func:`famart.fap.support_weights`),
     kept from the solve so that no row computes them again; None with
     ``fap``.  ``gain`` is ``sum_d coefficients[d] X_d``, read off the
     weights ``y`` of the (3) program's rows: a mass row, then one row per
@@ -330,7 +361,7 @@ class MinMass(_View):
 
     Where (3) fails, ``rendered`` holds the arbitrage and its negation as
     certificate payloads, each rendered once from integers (see
-    :func:`famart.certificates.signed_payloads`): the (5), (6) and
+    :func:`famart.render.signed_payloads`): the (5), (6) and
     coherence rows carry the first, the (4) and (7) rows the second.
     ``least`` and ``total`` are the arbitrage's least value on the
     support and the sum of its values there: the amounts of the (4) and
@@ -380,7 +411,7 @@ class MinMass(_View):
                 nums, den = int_row([*self.coefficients, *x.values, *tail])
                 gain = nums[:k], nums[k:], den, bool(tail)
             if self.fap is not None:  # the (3) certificate holds it where (3) holds
-                payload = self.verdict.certificate.get("fap") or certs.fap_payload(self.fap)
+                payload = self.verdict.certificate.get("fap") or render.fap_payload(self.fap)
             object.__setattr__(self, "_kept", (gain, payload))
         return self._kept
 
@@ -413,7 +444,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         verdict = Verdict(
             "(3)",
             True,
-            certs.separating_functional(m, fap, min(weights)),
+            render.separating_functional(m, fap, min(weights)),
             "the space of gains is trivial; the reference measure itself "
             "is an equivalent martingale functional.",
         )
@@ -427,7 +458,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         verdict = Verdict(
             "(3)",
             False,
-            certs.farkas_witness(lp, "min-mass", ys, den, claim="infeasible"),
+            render.farkas_witness(lp, "min-mass", ys, den, claim="infeasible"),
             "no signed weighting kills every generator; the scaled "
             "expectation bound fails for every representable (Q, c).",
         )
@@ -443,7 +474,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         verdict = Verdict(
             "(3)",
             False,
-            certs.farkas_witness(
+            render.farkas_witness(
                 lp, "min-mass", ys, yd, claim="max_at_most", bound_value=t_star
             ),
             "weightings killing every generator exist but none is strictly "
@@ -468,7 +499,7 @@ def _holding(
     verdict = Verdict(
         "(3)",
         True,
-        certs.separating_functional(m, fap, t_star),
+        render.separating_functional(m, fap, t_star),
         "an equivalent martingale functional exists; it separates the "
         "dominated-gain cone via the open convex set of bounded functions "
         "with strictly positive expectation.",
@@ -645,8 +676,8 @@ def _with_arbitrage(
     fap = in_order = payload = None
     if weights is not None:
         fap, in_order = _functional(m, weights)
-        payload = certs.fap_payload(fap)
-    rendered = certs.signed_payloads(cs, g, top, m.has_tail)
+        payload = render.fap_payload(fap)
+    rendered = render.signed_payloads(cs, g, top, m.has_tail)
     least, total = Fraction(min(on_support), top), Fraction(sum(on_support), top)
     kept = (cs, g, top, m.has_tail), payload
     return MinMass.view(kept, verdict, fap, in_order, rendered, least, total)
@@ -670,7 +701,7 @@ def verify_condition3(
         raise InvalidInput("Q must be equivalent to the reference measure")
     if c <= 0:
         raise InvalidInput("the constant c must be positive")
-    params = {"q": certs.fap_payload(q), "c": certs.rat_str(c)}
+    params = {"q": render.fap_payload(q), "c": rat_str(c)}
     lp = expectation_bound_lp(m, ls, q, c)
     out = solve(lp)
     if not isinstance(out, Optimal):  # pragma: no cover - ball-constrained
@@ -681,7 +712,7 @@ def verify_condition3(
         return Verdict(
             "(3)",
             True,
-            certs.farkas_witness(
+            render.farkas_witness(
                 lp, "expectation-bound", *dual, "min_at_least", value, extras=params
             ),
             "the scaled expectation of every gain stays below the "
@@ -691,8 +722,8 @@ def verify_condition3(
     return Verdict(
         "(3)",
         False,
-        certs.witness(
-            *certs.int_payloads(*gain, m.has_tail),
+        render.witness(
+            *render.int_payloads(*gain, m.has_tail),
             claim="expectation_bound_violated",
             amount=value,
             extras=params,
@@ -730,7 +761,7 @@ def _unbounded_ratio(
     return Verdict(
         "(5)",
         False,
-        certs.witness(coefficients, gain, claim="nonnegative_direction", amount=total),
+        render.witness(coefficients, gain, claim="nonnegative_direction", amount=total),
         "no finite ratio bound: the attached direction is a nonzero "
         "nonnegative gain.",
     )
@@ -816,7 +847,7 @@ def _ratio_sweep(
         if isinstance(out, Unbounded):
             cs, x, den = _combined(ls, *out.int_form()[1])
             total = Fraction(sum(x[c] for c in support), den)
-            return _unbounded_ratio(total, *certs.int_payloads(cs, x, den, m.has_tail))
+            return _unbounded_ratio(total, *render.int_payloads(cs, x, den, m.has_tail))
         if not isinstance(out, Optimal):  # pragma: no cover - b = 0 is feasible
             raise AssertionError("the ratio program is feasible at the zero gain")
         # The dual weights sit on ">=" rows, so they are <= 0.  The pmf is
@@ -841,7 +872,7 @@ def _ratio_sweep(
     return Verdict(
         "(5)",
         True,
-        certs.cstar_bound(cstar, attaining, cover, m.has_tail),
+        render.cstar_bound(cstar, attaining, cover, m.has_tail),
         f"finite ratio bound c* = {cstar} (attained; a cover of martingale "
         "pmfs bounds every coordinate).",
     )
@@ -883,7 +914,7 @@ def weighted_ratio_from(
     certificate = {
         "kind": "weighted_ratio_bound",
         "cstar": cstar.certificate,
-        "weight": certs.randvar_payload(y),
+        "weight": randvar_payload(y),
     }
     if not cstar.holds:
         return Verdict(
@@ -900,7 +931,7 @@ def weighted_ratio_from(
         certificate["qstar"] = _functional_certificate(m, mm)
     else:
         qstar = qstar_from_weight(m, Fap(ZERO, q.ca_mass, q.ca_tail), y)
-        certificate["qstar"] = certs.martingale_fap(
+        certificate["qstar"] = render.martingale_fap(
             m, qstar, equivalent=is_equivalent(qstar, m)
         )
     return Verdict(
@@ -948,7 +979,7 @@ def check_condition8(m: Model, ls: LinSpace) -> Verdict:
             f"generator {bad} has tail value {tails[bad]}; the limit along "
             "the exhausting sequence does not vanish."
         )
-    return Verdict("(8)", holds, certs.tail_values(tails), narrative)
+    return Verdict("(8)", holds, render.tail_values(tails), narrative)
 
 
 def _representation(
@@ -997,7 +1028,7 @@ def _represented(
     previsions: Sequence[Fraction],
     mm: MinMass | None,
     event: frozenset[int] | None = None,
-) -> certs.Certificate:
+) -> render.Certificate:
     """The ``representing_fap`` certificate of ``weights`` on ``coords``.
 
     Where the (3) solve ``mm`` decides the program and its functional has
@@ -1008,8 +1039,8 @@ def _represented(
     if _is_4_program(m, coords, previsions, mm) and not mm.fap.alpha:
         fap = mm.kept()[1]
     else:
-        fap = certs.fap_payload(_representing_fap(m, coords, weights))
-    return certs.representing_fap(fap, previsions, event)
+        fap = render.fap_payload(_representing_fap(m, coords, weights))
+    return render.representing_fap(fap, previsions, event)
 
 
 def check_coherence(
@@ -1051,11 +1082,11 @@ def check_coherence(
         stakes, win = mm.rendered[0][0], mm.least
     else:
         stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
-        stakes = certs.rat_strs(stakes)
+        stakes = rat_strs(stakes)
     return Verdict(
         "coherence",
         False,
-        certs.sure_loss_bet(stakes, win, previsions),
+        render.sure_loss_bet(stakes, win, previsions),
         f"incoherent: the attached stakes win at least {win} at every coordinate.",
     )
 
@@ -1136,16 +1167,16 @@ def check_event_dominance(
     else:
         stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
         coeffs = tuple(-c for c in stakes)
-        negated = certs.rat_strs(coeffs), certs.randvar_payload(d.combine(coeffs))
+        negated = rat_strs(coeffs), randvar_payload(d.combine(coeffs))
     return Verdict(
         "(7)",
         False,
-        certs.witness(
+        render.witness(
             *negated,
             claim="event_dominance_violated",
             amount=-win,
             event=least,
-            extras={"previsions": certs.rat_strs(previsions)},
+            extras={"previsions": rat_strs(previsions)},
         ),
         f"the attached gain has supremum over the least event {coords} "
         f"below its prevision by {win}.",

@@ -5,10 +5,13 @@ only the explicit bound against a given pmf (``--q``) and the (5*) bound
 for a given weight (``--weight``), which are not report rows, are decided
 on their own.
 
-Only ``check`` and ``report`` import the checkers and the simplex
-(:mod:`famart.modelio`); ``certify`` re-validates with the model-file
-codec and :mod:`famart.certificates` alone, and ``examples`` loads
-neither.
+Each command compiles only the modules it runs, and imports them only
+when it runs.  This module holds the parser, the dispatch and
+``certify``, which re-validates with the model-file codec and
+:mod:`famart.certificates` alone.  ``check`` and
+``report`` run from :mod:`famart.modelio`, which loads the checkers, the
+simplex and the certificate renderer; ``examples`` runs from
+:mod:`famart.examples`, which loads the model builders and none of those.
 
 Exit codes are a stable contract: 0 when the checked condition holds (or
 the certificate re-validates), 1 when it fails, 2 on invalid input.
@@ -24,127 +27,42 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
-from .certificates import (
-    CertificateFormat,
-    fap_from_payload,
-    validate_report,
-    validate_verdict,
-)
-from .core import AuditError, InvalidInput, OversizedOutput, rat
-from .fap import from_p0
-from .modelfile import (
-    ModelDoc,
-    implications,
-    load_model_file,
-    model_digest,
-    randvar_from_json,
-    read_json,
-    report_conditions,
-    serialize_model,
-)
-from .spaces import (
-    example_bp,
-    example_dmw,
-    example_harmonic,
-    random_finite_model,
-)
+from .core import AuditError, CertificateFormat, InvalidInput, OversizedOutput
 
-def _emit(payload: Any, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        if isinstance(payload, dict) and "verdicts" in payload:
-            print(f"model {payload['model_digest'][:16]}")
-            for v in payload["verdicts"]:
-                state = "holds" if v["holds"] else "fails"
-                print(f"  {v['condition']:>5} {state}: {v['narrative']}")
-        elif isinstance(payload, dict) and "condition" in payload:
-            state = "holds" if payload["holds"] else "fails"
-            print(f"{payload['condition']} {state}: {payload['narrative']}")
-        else:
-            print(payload)
+if TYPE_CHECKING:
+    from .modelfile import ModelDoc
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from . import checkers
-    from .modelio import build_report
+def __getattr__(name: str) -> Any:
+    # The output writer of check and report lives in famart.modelio; it is
+    # looked up there on each access and never kept here.
+    if name == "_emit":
+        from .modelio import _emit
 
-    cond = args.condition.strip("()")
-    if cond != "3" and (args.q is not None or args.c is not None):
-        raise InvalidInput("--q and --c apply to condition 3 only")
-    if args.c is not None and args.q is None:
-        raise InvalidInput("--c is the constant of the bound against --q; give --q too")
-    if cond != "5*" and args.weight is not None:
-        raise InvalidInput("--weight applies to condition 5* only")
-    doc = load_model_file(args.path)
-    m, ls = doc.model, doc.lin_space
-    if args.q is not None:
-        if args.q == "p0":
-            q = from_p0(m)
-        else:
-            try:
-                q = fap_from_payload(read_json(args.q))
-            except CertificateFormat as exc:
-                msg = f"--q file {args.q} is not a pmf {{alpha, mass, tail}}"
-                raise InvalidInput(msg) from exc
-        c = 1 if args.c is None else args.c
-        row = checkers.verify_condition3(m, ls, q, c).to_dict()
-    elif args.weight is not None:
-        weight = randvar_from_json(read_json(args.weight), m, "weight")
-        row = checkers.verify_condition5star(m, ls, weight).to_dict()
-    else:
-        # Every other check prints its row of the report, so the two agree.
-        names = [label.strip("()") for label in report_conditions(m, ls)]
-        if cond not in names:
-            raise InvalidInput(
-                f"condition {args.condition!r} is not a row of this model's "
-                f"report; its rows are {', '.join(names)}"
-            )
-        row = build_report(doc)["verdicts"][names.index(cond)]
-    _emit(row, args.format)
-    return 0 if row["holds"] else 1
+        return _emit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    from .modelio import build_report
+def _command(name: str) -> Callable[[argparse.Namespace], int]:
+    """The function that runs command ``name``, from the module that
+    holds it: only ``certify``'s is defined here."""
+    if name == "certify":
+        return _cmd_certify
+    if name == "examples":
+        from .examples import _cmd_examples
 
-    _emit(build_report(load_model_file(args.path)), args.format)
-    return 0
+        return _cmd_examples
+    from . import modelio
 
-
-def _cmd_examples(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "dmw":
-        m, f, s = example_dmw(rat(args.p), args.n)
-        doc = serialize_model(m, filtration=f, process=s)
-    elif name == "bp":
-        m, f, s, _q = example_bp(args.N, args.k)
-        doc = serialize_model(m, filtration=f, process=s)
-    elif name == "harmonic":
-        m, ls = example_harmonic(args.N)
-        doc = serialize_model(m, lin_space=ls)
-    elif name == "finite-random":
-        m, ls = random_finite_model(
-            args.seed, max_states=args.max_states, max_basis=args.max_basis
-        )
-        doc = serialize_model(m, lin_space=ls)
-    else:  # unreachable through argparse choices
-        raise InvalidInput(f"unknown example {name!r}")
-    blob = json.dumps(doc, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
-        except OSError as exc:
-            raise InvalidInput(f"cannot write {args.out}: {exc}") from exc
-    else:
-        print(blob)
-    return 0
+    return modelio._cmd_check if name == "check" else modelio._cmd_report
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .certificates import validate_verdict
+    from .modelfile import load_model_file, read_json
+
     doc = load_model_file(args.path)
     payload = read_json(args.certificate)
     if isinstance(payload, dict) and "verdicts" in payload:
@@ -162,6 +80,9 @@ def _first_failure(doc: ModelDoc, report: dict[str, Any]) -> str | None:
     """The first part of a report that fails: ``model_digest``, a row's
     condition, ``verdicts`` when the rows are not the ones ``build_report``
     emits for the model, each once and in order, or ``implications``."""
+    from .certificates import validate_report
+    from .modelfile import implications, model_digest, report_conditions
+
     m, ls = doc.model, doc.lin_space
     if report.get("model_digest") != model_digest(m, ls):
         return "model_digest"
@@ -208,12 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--weight", default=None, help="for condition 5*: path to a weight JSON"
     )
-    p_check.set_defaults(func=_cmd_check)
 
     p_report = sub.add_parser("report", help="run every applicable checker")
     p_report.add_argument("path")
     p_report.add_argument("--format", choices=("json", "text"), default="json")
-    p_report.set_defaults(func=_cmd_report)
 
     p_ex = sub.add_parser("examples", help="write a built-in model file")
     p_ex.add_argument(
@@ -227,14 +146,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--max-states", type=int, default=6)
     p_ex.add_argument("--max-basis", type=int, default=4)
     p_ex.add_argument("--out", default=None, help="output path (default stdout)")
-    p_ex.set_defaults(func=_cmd_examples)
 
     p_cert = sub.add_parser(
         "certify", help="re-validate a serialized verdict or report against a model"
     )
     p_cert.add_argument("path")
     p_cert.add_argument("certificate")
-    p_cert.set_defaults(func=_cmd_certify)
     return parser
 
 
@@ -242,7 +159,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _command(args.command)(args)
     except CertificateFormat as exc:
         print(f"malformed certificate: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,10 @@ class InvalidInput(ValueError):
     """An argument violates a documented precondition or invariant."""
 
 
+class CertificateFormat(InvalidInput):
+    """The certificate is structurally malformed (not merely false)."""
+
+
 class OversizedOutput(Exception):
     """A result holds a rational too long to write: a numerator or
     denominator of more than :data:`MAX_DIGITS` digits, which :func:`rat`

@@ -137,3 +137,13 @@ def is_equivalent(p: Fap, m: Model) -> bool:
     if m.tail_charged and p.tail_charge() == 0:
         return False
     return True
+
+
+def support_weights(m: Model, p: Fap) -> dict[int, Fraction]:
+    """The weight a functional puts on each essential support coordinate."""
+    weights = {
+        i: (1 - p.alpha) * p.ca_mass[i] for i in m.charged_states()
+    }
+    if m.tail_charged:
+        weights[TAIL] = p.tail_charge()
+    return weights

@@ -20,6 +20,13 @@ the verification kernel :mod:`famart.kernel` reads too), and outcomes
 are views of integers (``int_form()``) that build `Fraction`s only when
 a field is read.
 
+The ``Fraction`` records live here, with the solver: a
+:class:`LinearProgram` keeps its integer form once read, and one read
+off an ``IntProgram`` is a view that builds its ``Fraction`` fields
+only when they are read.  So do the ``*_lp`` builders, which return
+such views of the integer rows :mod:`famart.programs` builds: only the
+checkers solve them, and certificate validation reads the rows alone.
+
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
 solver internals:
@@ -44,27 +51,375 @@ weighted right-hand side over the whole variable-bounds box.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence, Union
 
-from .core import InvalidInput, dot, int_row
+from .core import (
+    InvalidInput,
+    LinSpace,
+    Model,
+    RandVar,
+    Record,
+    _Kept,
+    _rat_tuple,
+    dot,
+    int_row,
+    rat,
+)
+from .fap import Fap
 from .kernel import (  # noqa: F401  (re-exported: callers name them on famart.lp)
     EQ,
     GE,
     LE,
-    Constraint,
-    Infeasible,
     IntProgram,
-    LinearProgram,
-    LpOutcome,
-    Optimal,
-    Unbounded,
-    _max_objective,
     dual_rows,
     farkas_rows,
     proves_infeasible,
 )
+from .programs import (
+    arbitrage_rows,
+    expectation_bound_rows,
+    martingale_mass_rows,
+    ratio_bound_rows,
+)
+
+_RELATIONS = (LE, EQ, GE)
+
+
+# --------------------------------------------------------------------------
+# Programs and outcomes
+# --------------------------------------------------------------------------
+
+
+class Constraint(Record):
+    __slots__ = ("coeffs", "relation", "rhs")
+    coeffs: tuple[Fraction, ...]
+    relation: str
+    rhs: Fraction
+
+    def __init__(self, coeffs, relation, rhs) -> None:
+        object.__setattr__(self, "coeffs", _rat_tuple(coeffs))
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "rhs", rat(rhs))
+        if relation not in _RELATIONS:
+            raise InvalidInput(f"unknown relation {relation!r}")
+
+
+# The fields a view fills from its integer form on first read.
+_VIEW_FIELDS = frozenset({"objective", "constraints", "lower", "upper"})
+
+
+class LinearProgram(_Kept):
+    """``max/min objective . x`` subject to rows and optional variable bounds.
+
+    Bounds default to free variables; zero-variable and zero-constraint
+    programs are legal (objective 0, empty solutions).
+
+    A program read off an :class:`IntProgram` is a view: it sets only
+    ``maximize`` and keeps the integer record as its integer form, which
+    is all :func:`famart.lp.solve` and the verification kernel read.  Its
+    other fields are filled from those integers on first read, equal
+    numerators sharing one ``Fraction``.  Equality, hashing, printing and
+    pickling read the fields, so a view behaves as the record built from
+    them.
+    """
+
+    __slots__ = ("objective", "maximize", "constraints", "lower", "upper")
+    objective: tuple[Fraction, ...]
+    maximize: bool
+    constraints: tuple[Constraint, ...]
+    lower: tuple[Fraction | None, ...]
+    upper: tuple[Fraction | None, ...]
+
+    def __init__(
+        self, objective, maximize=True, constraints=(), lower=None, upper=None
+    ) -> None:
+        object.__setattr__(self, "objective", _rat_tuple(objective))
+        rows = []
+        for c in constraints:
+            if not isinstance(c, Constraint):
+                coeffs, relation, rhs = c
+                c = Constraint(tuple(coeffs), relation, rhs)
+            if len(c.coeffs) != self.n_vars:
+                raise InvalidInput(
+                    f"constraint has {len(c.coeffs)} coefficients, "
+                    f"program has {self.n_vars} variables"
+                )
+            rows.append(c)
+        object.__setattr__(self, "maximize", maximize)
+        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "lower", self._bound_tuple(lower))
+        object.__setattr__(self, "upper", self._bound_tuple(upper))
+        for lo, hi in zip(self.lower, self.upper):
+            if lo is not None and hi is not None and lo > hi:
+                raise InvalidInput(f"empty bound interval [{lo}, {hi}]")
+
+    def _bound_tuple(self, bounds) -> tuple[Fraction | None, ...]:
+        if bounds is None:
+            return (None,) * self.n_vars
+        out = tuple(None if b is None else rat(b) for b in bounds)
+        if len(out) != self.n_vars:
+            raise InvalidInput("bounds length does not match variable count")
+        return out
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.objective)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.constraints)
+
+    def __getattr__(self, name: str) -> Any:
+        # Python calls this only for an unset slot: a view's unread fields.
+        if name not in _VIEW_FIELDS:
+            raise AttributeError(name)
+        try:
+            p = object.__getattribute__(self, "_rows")
+        except AttributeError:
+            raise AttributeError(name) from None
+        den, cache = p.den, {}
+
+        def q(n: int | None) -> Fraction | None:
+            if n is None:
+                return None
+            f = cache.get(n)
+            if f is None:
+                f = cache[n] = Fraction(n, den)
+            return f
+
+        costs = p.costs if self.maximize else [-c for c in p.costs]
+        constraints = tuple(
+            _filled(Constraint, tuple(map(q, row[:-1])), relation, q(row[-1]))
+            for row, relation in zip(p.rows, p.relations)
+        )
+        object.__setattr__(self, "objective", tuple(map(q, costs)))
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "lower", tuple(map(q, p.lower)))
+        object.__setattr__(self, "upper", tuple(map(q, p.upper)))
+        return object.__getattribute__(self, name)
+
+    def int_form(self) -> "IntProgram":
+        """The program in integers, for the simplex and the verification
+        kernel; read on first use and kept."""
+        if not hasattr(self, "_rows"):
+            bounds = self.lower + self.upper
+            entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
+            for con in self.constraints:
+                entries += con.coeffs
+                entries.append(con.rhs)
+            flat, den = int_row(entries)
+            nums = iter(flat)
+            costs = tuple(islice(nums, self.n_vars))
+            bounds = tuple(b if b is None else next(nums) for b in bounds)
+            rows = [tuple(islice(nums, self.n_vars + 1)) for _ in self.constraints]
+            relations = [con.relation for con in self.constraints]
+            program = IntProgram(
+                rows, relations, costs, bounds[: self.n_vars], bounds[self.n_vars :], den
+            )
+            object.__setattr__(self, "_rows", program)
+        return self._rows
+
+
+def _filled(cls: type, *fields: object) -> Any:
+    """A record of ``cls`` with ``fields`` set in slot order, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(record, name, value)
+    return record
+
+
+class _View(Record):
+    """A record that can be built from what it keeps in the private slot
+    ``_kept`` (see :meth:`view`), and then fills its fields named in
+    ``_LAZY`` on first read: ``_fill(kept)`` gives their values.  The
+    slot is not a field: equality, hashing, printing and pickling read
+    the fields, so a view behaves as the record built from them, and a
+    copy or an unpickled view is that record."""
+
+    __slots__ = ("_kept",)
+    _LAZY: tuple[str, ...] = ()
+
+    @classmethod
+    def view(cls, kept: Any, *fields: Any) -> Any:
+        """A record keeping ``kept``, its fields in ``_LAZY`` left to fill
+        and its other fields set to ``fields``, in slot order."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "_kept", kept)
+        if fields:  # an outcome's fields are all filled from ``kept``
+            names = [name for name in cls.__slots__ if name not in cls._LAZY]
+            for name, value in zip(names, fields, strict=True):
+                object.__setattr__(record, name, value)
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        # Python calls this only for an unset slot: a view's unread fields.
+        if name not in self._LAZY:
+            raise AttributeError(name)
+        for field, value in zip(self._LAZY, self._fill(self._kept)):
+            object.__setattr__(self, field, value)
+        return object.__getattribute__(self, name)
+
+
+class _Outcome(_View):
+    """An outcome of the simplex.  One built by :mod:`famart.lp` is a view
+    that keeps each field as integers over one positive denominator, a
+    ``(numerator, den)`` pair for a value and a ``(numerators, den)`` pair
+    for a vector, and fills its ``Fraction`` fields on first read, equal
+    numerators sharing one ``Fraction``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._LAZY = cls.__slots__
+
+    def _fill(self, kept: Any) -> tuple:
+        out = []
+        for nums, den in kept:
+            if type(nums) is int:
+                out.append(Fraction(nums, den))
+            else:
+                cache = {n: Fraction(n, den) for n in set(nums)}
+                out.append(tuple(map(cache.__getitem__, nums)))
+        return tuple(out)
+
+    def int_form(self) -> tuple:
+        """Each field as integers over one positive denominator, in field
+        order, not always in lowest terms: the pairs a view keeps, or those
+        read off the fields of an outcome built from them, kept once read."""
+        if not hasattr(self, "_kept"):
+            kept = []
+            for name in self.__slots__:
+                value = getattr(self, name)
+                if isinstance(value, (int, Fraction)):
+                    kept.append(value.as_integer_ratio())
+                else:
+                    nums, den = int_row(value)
+                    kept.append((tuple(nums), den))
+            object.__setattr__(self, "_kept", tuple(kept))
+        return self._kept
+
+
+class Optimal(_Outcome):
+    __slots__ = ("value", "primal", "dual")
+    value: Fraction
+    primal: tuple[Fraction, ...]
+    dual: tuple[Fraction, ...]
+
+    def __init__(self, value, primal, dual) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "primal", primal)
+        object.__setattr__(self, "dual", dual)
+
+
+class Infeasible(_Outcome):
+    __slots__ = ("farkas",)
+    farkas: tuple[Fraction, ...]
+
+    def __init__(self, farkas) -> None:
+        object.__setattr__(self, "farkas", farkas)
+
+
+class Unbounded(_Outcome):
+    __slots__ = ("point", "ray")
+    point: tuple[Fraction, ...]
+    ray: tuple[Fraction, ...]
+
+    def __init__(self, point, ray) -> None:
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "ray", ray)
+
+
+LpOutcome = Union[Optimal, Infeasible, Unbounded]
+
+
+def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
+    return lp.objective if lp.maximize else tuple(-c for c in lp.objective)
+
+
+# --------------------------------------------------------------------------
+# Program builders
+# --------------------------------------------------------------------------
+
+
+def arbitrage_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """:func:`~famart.programs.arbitrage_rows` as a ``LinearProgram``."""
+    return arbitrage_rows(m, ls).linear_program()
+
+
+def negative_gain_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """Feasibility: a combination at most -1 everywhere on the support,
+    i.e. a gain with strictly negative essential supremum (rescaled)."""
+    basis, den = ls.int_rows()
+    k = len(basis)
+    rows = [(*(row[c] for row in basis), -den) for c in m.support()]
+    program = IntProgram(rows, (LE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
+    return program.linear_program()
+
+
+def martingale_mass_lp(m: Model, ls: LinSpace) -> LinearProgram:
+    """:func:`~famart.programs.martingale_mass_rows` as a ``LinearProgram``."""
+    return martingale_mass_rows(m, ls).linear_program()
+
+
+def expectation_bound_lp(
+    m: Model, ls: LinSpace, q: Fap, c: Fraction
+) -> LinearProgram:
+    """:func:`~famart.programs.expectation_bound_rows` as a ``LinearProgram``,
+    minimizing ``ess sup(-X_b) - c E_Q(X_b)``."""
+    return expectation_bound_rows(m, ls, q, c).linear_program(maximize=False)
+
+
+def ratio_bound_lp(m: Model, ls: LinSpace, coord: int) -> LinearProgram:
+    """:func:`~famart.programs.ratio_bound_rows` as a ``LinearProgram``."""
+    return ratio_bound_rows(m, ls, coord).linear_program()
+
+
+def event_dominance_lp(
+    m: Model, ls: LinSpace, previsions: Sequence[Fraction], event: frozenset[int]
+) -> LinearProgram:
+    """Minimize ``sup_A X_b - E(X_b)`` over the unit ball, for one event A.
+
+    Variables: the combination coefficients, then the epigraph variable
+    ``u`` for the event supremum, which is pointwise over the event's
+    coordinates (charged or not); the ball is the essential unit ball.
+    One ``X_b <= u`` row per event coordinate, in sorted order, then
+    ``X_b <= 1`` and ``X_b >= -1`` per support coordinate.
+    """
+    basis, bden = ls.int_rows()
+    ps, pden = int_row(previsions)
+    den = lcm(bden, pden)
+    b, p = den // bden, den // pden
+    rows = [(*(row[c] * b for row in basis), -den, 0) for c in sorted(event)]
+    for c in m.support():
+        gain = tuple(row[c] * b for row in basis)
+        rows += [(*gain, 0, den), (*gain, 0, -den)]
+    relations = (LE,) * len(event) + (LE, GE) * len(m.support())
+    free = (None,) * (len(basis) + 1)
+    costs = (*(e * p for e in ps), -den)  # the maximization form: E(X_b) - u
+    program = IntProgram(rows, relations, costs, free, free, den)
+    return program.linear_program(maximize=False)
+
+
+def coherence_lp(
+    coords: Sequence[int],
+    gambles: Sequence[RandVar],
+    previsions: Sequence[Fraction],
+) -> LinearProgram:
+    """Feasibility: a probability weighting over ``coords``, one variable
+    per coordinate in the given order, reproducing every prevision.
+
+    Coherence weights the :func:`~famart.programs.coherence_coords`, the
+    representation behind (7) weights the least event of the family, and
+    (4) weights the support with zero previsions.
+    """
+    n = len(coords)
+    nums, den = int_row([v for x, e in zip(gambles, previsions) for v in (*map(x.at, coords), e)])
+    rows = [(den,) * (n + 1), *(tuple(nums[i : i + n + 1]) for i in range(0, len(nums), n + 1))]
+    program = IntProgram(rows, (EQ,) * len(rows), (0,) * n, (0,) * n, (None,) * n, den)
+    return program.linear_program()
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +640,7 @@ class _Tableau:
     def maximize(self, costs: Sequence[int], den: int) -> Optimal | Unbounded:
         """Phase 2: maximize ``costs`` over ``den``, one cost per original
         variable, from the current basis, which is feasible; read back the
-        outcome, in integers (see :class:`famart.kernel.Optimal`)."""
+        outcome, in integers (see :class:`Optimal`)."""
         cols = [sign * costs[j] for j, sign in self.col_var]
         cols += [0] * (self.ncols - len(cols))
         status, enter = self._run(cols, den)

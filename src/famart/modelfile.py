@@ -27,7 +27,11 @@ event-dominance checks.
 The rows a model's report holds (:func:`report_conditions`) and the
 implication flags read off them (:func:`implications`) are named here
 too, since ``famart certify`` checks a stored report against them
-without building one.
+without building one.  So are the JSON encoders that model files and
+certificates share (:func:`rat_strs`, :func:`coord_payload`,
+:func:`randvar_payload`); the rest of the certificate encoders are
+:mod:`famart.render`'s, and the model-file writer is
+:func:`famart.examples.serialize_model`.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Callable, Mapping, Sequence
 
-from .certificates import coord_payload, randvar_payload, rat_strs
 from .core import (
     TAIL,
     ZERO,
@@ -82,6 +85,21 @@ class ModelDoc(Record):
         return {"previsions": self.previsions, "events": self.events}
 
 
+def rat_strs(xs: Sequence[Any]) -> list[str]:
+    return [rat_str(x) for x in xs]
+
+
+def coord_payload(c: int) -> Any:
+    return "tail" if c == TAIL else c
+
+
+def randvar_payload(x: RandVar) -> dict[str, Any]:
+    out: dict[str, Any] = {"values": rat_strs(x.values)}
+    if x.tail_value is not None:
+        out["tail"] = rat_str(x.tail_value)
+    return out
+
+
 def read_json(path: str) -> Any:
     """The JSON document in a file; an unreadable file or invalid JSON is
     invalid input.  So is JSON that ``json.load`` cannot turn into Python:
@@ -96,11 +114,6 @@ def read_json(path: str) -> Any:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"{path} holds JSON too large to read: {exc}") from exc
-
-
-def _block_to_json(block: frozenset[int]) -> list[Any]:
-    """A coordinate block as a model file lists it: states, then the tail."""
-    return [coord_payload(c) for c in sorted(block, key=lambda v: (v == TAIL, v))]
 
 
 def _coord_from_json(v: Any, m: Model) -> int:
@@ -240,41 +253,6 @@ def parse_model(doc: Mapping[str, Any]) -> ModelDoc:
         events = (frozenset(model.support()),)
 
     return ModelDoc(model, lin_space, previsions, events, filtration, process)
-
-
-def serialize_model(
-    model: Model,
-    lin_space: LinSpace | None = None,
-    filtration: Filtration | None = None,
-    process: AdaptedProcess | None = None,
-    previsions: Sequence[Fraction] | None = None,
-    events: Sequence[frozenset[int]] | None = None,
-) -> dict[str, Any]:
-    """Build the JSON object for a model plus either a basis or dynamics."""
-    out: dict[str, Any] = {
-        "states": model.n_states,
-        "tail": model.has_tail,
-        "p0": rat_strs(model.p0_mass),
-    }
-    if model.has_tail:
-        out["p0_tail"] = rat_str(model.p0_tail)
-    if filtration is not None or process is not None:
-        if filtration is None or process is None:
-            raise InvalidInput("'filtration' and 'process' must come together")
-        out["filtration"] = [
-            [_block_to_json(block) for block in part]
-            for part in filtration.partitions
-        ]
-        out["process"] = [randvar_payload(s) for s in process.steps]
-    elif lin_space is not None:
-        out["basis"] = [randvar_payload(x) for x in lin_space.basis]
-    else:
-        raise InvalidInput("nothing to serialize: no basis and no dynamics")
-    if previsions is not None:
-        out["previsions"] = rat_strs(previsions)
-    if events is not None:
-        out["events"] = [_block_to_json(ev) for ev in events]
-    return out
 
 
 def load_model_file(path: str) -> ModelDoc:

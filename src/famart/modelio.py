@@ -1,20 +1,25 @@
-"""Report assembly: every checker on a model file, audited, with each
-certificate re-validated.
+"""Report assembly, and the ``check`` and ``report`` commands: every
+checker on a model file, audited, with each certificate re-validated.
 
 The model-file codec is :mod:`famart.modelfile`; its names are
 re-exported here, so ``famart.modelio`` still offers the whole file
-interface.  Importing this module loads the checkers and the simplex;
-a process that only certifies imports :mod:`famart.modelfile` alone.
+interface, and ``modelio.serialize_model`` reaches the model-file writer
+in :mod:`famart.examples` without loading it until it is asked for.
+Importing this module loads the checkers, the simplex and the
+certificate renderer; a process that only certifies imports
+:mod:`famart.modelfile` alone.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+from typing import TYPE_CHECKING, Any
 
 from . import checkers
-from .certificates import validate_report
-from .checkers import Verdict
-from .core import AuditError, constant
+from .certificates import CertificateFormat, fap_from_payload, validate_report
+from .checkers import Verdict, check_weight
+from .core import AuditError, InvalidInput, constant
+from .fap import from_p0
 from .modelfile import (  # noqa: F401  (re-exported: the model-file interface)
     CONDITION_ORDER,
     ModelDoc,
@@ -25,9 +30,20 @@ from .modelfile import (  # noqa: F401  (re-exported: the model-file interface)
     randvar_from_json,
     read_json,
     report_conditions,
-    serialize_model,
 )
-from .programs import check_weight
+
+if TYPE_CHECKING:
+    import argparse
+
+
+def __getattr__(name: str) -> Any:
+    # Looked up in famart.examples on each access and never kept here, so
+    # reading it leaves this module's namespace as it was.
+    if name == "serialize_model":
+        from .examples import serialize_model
+
+        return serialize_model
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_report(doc: ModelDoc) -> dict[str, Any]:
@@ -88,3 +104,61 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         "verdicts": rows,
         "implications": implications({c: v.holds for c, v in verdicts.items()}),
     }
+
+
+def _emit(payload: Any, fmt: str) -> None:
+    if fmt == "json":
+        print(json.dumps(payload, indent=2, sort_keys=False))
+    else:
+        if isinstance(payload, dict) and "verdicts" in payload:
+            print(f"model {payload['model_digest'][:16]}")
+            for v in payload["verdicts"]:
+                state = "holds" if v["holds"] else "fails"
+                print(f"  {v['condition']:>5} {state}: {v['narrative']}")
+        elif isinstance(payload, dict) and "condition" in payload:
+            state = "holds" if payload["holds"] else "fails"
+            print(f"{payload['condition']} {state}: {payload['narrative']}")
+        else:
+            print(payload)
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    cond = args.condition.strip("()")
+    if cond != "3" and (args.q is not None or args.c is not None):
+        raise InvalidInput("--q and --c apply to condition 3 only")
+    if args.c is not None and args.q is None:
+        raise InvalidInput("--c is the constant of the bound against --q; give --q too")
+    if cond != "5*" and args.weight is not None:
+        raise InvalidInput("--weight applies to condition 5* only")
+    doc = load_model_file(args.path)
+    m, ls = doc.model, doc.lin_space
+    if args.q is not None:
+        if args.q == "p0":
+            q = from_p0(m)
+        else:
+            try:
+                q = fap_from_payload(read_json(args.q))
+            except CertificateFormat as exc:
+                msg = f"--q file {args.q} is not a pmf {{alpha, mass, tail}}"
+                raise InvalidInput(msg) from exc
+        c = 1 if args.c is None else args.c
+        row = checkers.verify_condition3(m, ls, q, c).to_dict()
+    elif args.weight is not None:
+        weight = randvar_from_json(read_json(args.weight), m, "weight")
+        row = checkers.verify_condition5star(m, ls, weight).to_dict()
+    else:
+        # Every other check prints its row of the report, so the two agree.
+        names = [label.strip("()") for label in report_conditions(m, ls)]
+        if cond not in names:
+            raise InvalidInput(
+                f"condition {args.condition!r} is not a row of this model's "
+                f"report; its rows are {', '.join(names)}"
+            )
+        row = build_report(doc)["verdicts"][names.index(cond)]
+    _emit(row, args.format)
+    return 0 if row["holds"] else 1
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    _emit(build_report(load_model_file(args.path)), args.format)
+    return 0

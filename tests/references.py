@@ -18,25 +18,34 @@ integer form in ``checkers`` must reproduce exactly.
 import json
 from fractions import Fraction as F
 
-from famart import certificates, checkers, programs
-from famart.certificates import randvar_payload, rat_str, rat_strs
-from famart.core import ZERO, int_row, sup_norm
-from famart.lp import GE, IntProgram, LinearProgram, Optimal, Unbounded, reoptimizer, solve
-from famart.modelio import serialize_model
-from famart.spaces import random_finite_model
+from famart import checkers
+from famart.core import ZERO, int_row, rat_str, sup_norm
+from famart.examples import random_finite_model, serialize_model
+from famart.lp import (
+    GE,
+    IntProgram,
+    LinearProgram,
+    Optimal,
+    Unbounded,
+    arbitrage_lp,
+    coherence_lp,
+    reoptimizer,
+    solve,
+)
+from famart.modelfile import coord_payload, randvar_payload, rat_strs
 
 
 def acmfap_holds(m, ls):
     """(4) by its own program, with no (3) solve: some pmf on the support
     kills every generator (the coherence program with zero previsions)."""
     zeros = (F(0),) * len(ls.basis)
-    return isinstance(solve(programs.coherence_lp(m.support(), ls.basis, zeros)), Optimal)
+    return isinstance(solve(coherence_lp(m.support(), ls.basis, zeros)), Optimal)
 
 
 def no_arbitrage_holds(m, ls):
     """(6) by its own program, with no (3) solve: no gain is nonnegative on
     the support with positive mass."""
-    return not (ls.basis and isinstance(solve(programs.arbitrage_lp(m, ls)), Optimal))
+    return not (ls.basis and isinstance(solve(arbitrage_lp(m, ls)), Optimal))
 
 
 def ratio_sweep(m, ls):
@@ -100,7 +109,7 @@ def reference_ratio_sweep(m, ls, cover, gains):
         certificate["attaining"] = {
             "coefficients": rat_strs(attaining["coefficients"]),
             "gain": randvar_payload(attaining["x"]),
-            "coord": certificates.coord_payload(attaining["coord"]),
+            "coord": coord_payload(attaining["coord"]),
         }
     certificate["cover"] = [rat_strs(q) for q in cover]
     return checkers.Verdict(

@@ -24,16 +24,16 @@ from famart.certificates import validate_verdict
 from famart.cli import main as cli_main
 from famart.core import LinSpace, Model, RandVar, ess_sup, expect, rat_str
 from famart.fap import Fap, from_p0, is_equivalent
-from famart.lp import LinearProgram, Optimal, dual_objective, solve, verify_outcome
-from famart.modelio import serialize_model
-from famart.spaces import (
+from famart.examples import (
     dmw_martingale_fap,
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
-    trading_space,
+    serialize_model,
 )
+from famart.lp import LinearProgram, Optimal, dual_objective, solve, verify_outcome
+from famart.spaces import trading_space
 
 from references import acmfap_holds, cstar_of, no_arbitrage_holds, ratio_sweep
 

@@ -25,11 +25,11 @@ from famart.certificates import (
     validate_report,
     validate_verdict,
 )
+from famart.checkers import check_weight
 from famart.core import TAIL, InvalidInput, Model, RandVar, constant, rat, rat_pair, rat_str
+from famart.examples import example_dmw, example_harmonic, random_finite_model, serialize_model
 from famart.fap import is_abs_continuous, is_equivalent
-from famart.modelio import ModelDoc, build_report, parse_model, serialize_model
-from famart.programs import check_weight
-from famart.spaces import example_dmw, example_harmonic, random_finite_model
+from famart.modelio import ModelDoc, build_report, parse_model
 from test_acceptance import _emitted_certificates
 from test_modelio import _pinned_model_files
 
@@ -471,3 +471,32 @@ def test_validate_report_runs_no_check_twice_on_the_same_objects(monkeypatch):
         assert {c for c in audited if c[0] != "_sums"} <= set(calls)
         fewer += len(audited) < len(calls)
     assert fewer > 30
+
+
+def test_a_report_reads_each_context_vector_into_integers_once(monkeypatch):
+    # The (7) and coherence rows compare one previsions tuple and the (5*)
+    # row the weight: validate_report reads each into integers once, and
+    # validate_verdict once per row that compares it.  The comparison
+    # stays by value: previsions given as strings pass, changed ones fail.
+    reads = []
+    context_ints = certificates._context_ints
+
+    def counted(values):
+        reads.append(values)
+        return context_ints(values)
+
+    monkeypatch.setattr(certificates, "_context_ints", counted)
+    for doc in _audit_docs():
+        m, ls, extras = doc.model, doc.lin_space, _report_extras(doc)
+        rows = json.loads(json.dumps(build_report(doc)["verdicts"]))
+        compared = [r for r in rows if r["condition"] in ("(7)", "coherence", "(5*)")]
+        reads.clear()
+        assert validate_report(m, ls, rows, extras) is None
+        assert len(reads) == len({id(v) for v in reads}) == (2 if "weight" in extras else 1)
+        reads.clear()
+        assert all(validate_verdict(m, ls, r, extras) for r in compared)
+        assert len(reads) == len(compared)
+        as_strings = dict(extras, previsions=[rat_str(e) for e in doc.previsions])
+        assert validate_report(m, ls, rows, as_strings) is None
+        changed = dict(extras, previsions=[e + 1 for e in doc.previsions])
+        assert validate_report(m, ls, rows, changed) in ("(7)", "coherence")

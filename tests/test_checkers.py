@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from famart import certificates, checkers, programs
-from famart.certificates import CertificateFormat, farkas_witness, validate_verdict
+from famart import certificates, checkers, programs, render
+from famart.certificates import CertificateFormat, validate_verdict
 from famart.core import (
     MAX_DIGITS,
     TAIL,
@@ -22,19 +22,31 @@ from famart.core import (
     constant,
     expect,
     int_row,
+    rat_str,
 )
-from famart.fap import Fap, from_p0, is_equivalent
-from famart.lp import Infeasible, IntProgram, Unbounded, solve, verify_outcome
-from famart.modelio import build_report, parse_model, serialize_model
-from famart.certificates import randvar_payload, rat_str, rat_strs
-from famart.spaces import (
+from famart.examples import (
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
     random_tree_model,
-    trading_space,
+    serialize_model,
 )
+from famart.fap import Fap, from_p0, is_equivalent, support_weights
+from famart.lp import (
+    Infeasible,
+    IntProgram,
+    Unbounded,
+    coherence_lp,
+    martingale_mass_lp,
+    negative_gain_lp,
+    solve,
+    verify_outcome,
+)
+from famart.modelfile import randvar_payload, rat_strs
+from famart.modelio import build_report, parse_model
+from famart.render import farkas_witness
+from famart.spaces import trading_space
 
 from references import (
     acmfap_holds,
@@ -196,7 +208,7 @@ def _pinned_tail_model():
 
 def _row_weights(m, ls):
     """The Farkas or dual weights of the (3) program's rows."""
-    out = solve(programs.martingale_mass_lp(m, ls))
+    out = solve(martingale_mass_lp(m, ls))
     return out.farkas if isinstance(out, Infeasible) else out.dual
 
 
@@ -276,11 +288,11 @@ def test_the_integer_renderer_refuses_what_rat_str_refuses():
         rat_str(F(big, 3))
     for coefficients, values in (([big, 1], [1]), ([1], [-big, 2]), ([1], [-1, 3 * big])):
         with pytest.raises(OversizedOutput, match=f"more than {MAX_DIGITS} digits"):
-            certificates.signed_payloads(coefficients, values, 3, tail=True)
+            render.signed_payloads(coefficients, values, 3, tail=True)
     # An entry is reduced before it is written, as a Fraction is: a
     # numerator past the limit whose reduced form is within it is written.
     widest, den = 10 ** (MAX_DIGITS - 1), 10**10  # widest has MAX_DIGITS digits
-    pos, neg = certificates.signed_payloads([widest * den, -1], [0, widest], den, tail=True)
+    pos, neg = render.signed_payloads([widest * den, -1], [0, widest], den, tail=True)
     want = [F(widest), F(-1, den)]
     assert pos == (rat_strs(want), {"values": ["0/1"], "tail": rat_str(F(widest, den))})
     assert neg == (
@@ -312,7 +324,7 @@ def test_min_mass_keeps_the_support_weights_of_its_functional():
             if mm.fap is None:
                 assert mm.weights is None
                 continue
-            q = certificates.support_weights(m, mm.fap)
+            q = support_weights(m, mm.fap)
             assert mm.weights == tuple(q[c] for c in m.support())
             seen[path] += 1
     assert len(paths["tree"]) >= 40 and min(seen.values()) > 0, seen
@@ -324,7 +336,7 @@ def test_a_holding_4_shares_the_3_functional_payload():
         assert mm.verdict.holds
         acm = checkers.acmfap_from(m, mm)
         assert acm.certificate["fap"] is mm.verdict.certificate["fap"]
-        assert acm.certificate == certificates.martingale_fap(m, mm.fap, equivalent=True)
+        assert acm.certificate == render.martingale_fap(m, mm.fap, equivalent=True)
         assert validate_verdict(m, ls, acm.to_dict())
 
 
@@ -347,7 +359,7 @@ def test_a_failing_3_at_t_star_0_renders_its_functional_once(monkeypatch):
         report = build_report(parse_model(doc))
         rows = {row["condition"]: row["certificate"] for row in report["verdicts"]}
         shared = rows["(4)"]["fap"]
-        assert shared == certificates.fap_payload(mm.fap) and not mm.fap.alpha
+        assert shared == render.fap_payload(mm.fap) and not mm.fap.alpha
         assert rows["(7)"]["fap"] is shared and rows["coherence"]["fap"] is shared
         assert len(audited) == 1
         seen += 1
@@ -462,7 +474,7 @@ def test_cstar_cover_checks_each_pmf_and_the_bound():
         assert not validate_verdict(m, ls, dict(verdict, certificate=bad))
     # The zero gain with the genuine cover understates c*.
     zeros = (0,) * len(ls.basis), (0,) * len(m.all_coords()), 1, 0
-    low = certificates.cstar_bound(F(0), zeros, [int_row(q) for q in cover], m.has_tail)
+    low = render.cstar_bound(F(0), zeros, [int_row(q) for q in cover], m.has_tail)
     assert not validate_verdict(m, ls, dict(verdict, certificate=low))
     assert validate_verdict(m, ls, verdict)
 
@@ -623,7 +635,7 @@ def test_integer_sweep_equals_the_fraction_sweep():
         mm = checkers.min_mass(m, ls)
         if mm.gain is None or not mm.verdict.holds:
             continue
-        q = certificates.support_weights(m, mm.fap)
+        q = support_weights(m, mm.fap)
         cover = [tuple(q[c] for c in m.support())]
         want = reference_ratio_sweep(m, ls, cover, [(mm.coefficients, mm.gain)])
         got = checkers.cstar_verdict(m, ls, mm)
@@ -840,7 +852,7 @@ def test_negative_gain_program_id_is_unknown_to_validation():
     # No checker emits a Farkas witness over the negative-gain program, so
     # validation cannot rebuild it: the id is malformed, not merely false.
     m, ls = _dmw(F(1, 3), 2)
-    lp = programs.negative_gain_lp(m, ls)
+    lp = negative_gain_lp(m, ls)
     out = solve(lp)
     assert isinstance(out, Infeasible)
     cert = farkas_witness(lp, "negative-gain", *out.int_form()[0], claim="infeasible")
@@ -1014,7 +1026,7 @@ def test_dominance_and_coherence_read_off_4_on_default_inputs(monkeypatch, examp
     )
     assert calls == []
     # The outcome read off (4) is a valid outcome of the (4) program.
-    program = programs.coherence_lp(m.support(), ls.basis, zeros)
+    program = coherence_lp(m.support(), ls.basis, zeros)
     read_off = checkers._representation(m, m.support(), ls.basis, zeros, mm)
     assert verify_outcome(program, read_off)
     extras = {"previsions": zeros, "events": [m.support()]}

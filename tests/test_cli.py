@@ -11,10 +11,10 @@ import pytest
 
 from famart import checkers, lp
 from famart.certificates import CertificateFormat, validate_verdict
+from famart.checkers import weighted_space
 from famart.cli import main
 from famart.core import RandVar, rat, rat_str
 from famart.modelio import CONDITION_ORDER, load_model_file
-from famart.programs import weighted_space
 
 
 def run_cli(args, capsys):
@@ -580,13 +580,39 @@ _PRINT_MODULES = (
 )
 
 
+# The famart modules each command loads, besides famart.cli, which these
+# processes run as ``__main__``.  certify re-validates by plain arithmetic,
+# with the integer kernel, the integer program rows and the model-file
+# codec; examples builds a model and writes it with the codec alone.
+CERTIFY_MODULES = {
+    "famart",
+    "famart.certificates",
+    "famart.core",
+    "famart.fap",
+    "famart.kernel",
+    "famart.modelfile",
+    "famart.programs",
+    "famart.spaces",
+}
+EXAMPLES_MODULES = {
+    "famart",
+    "famart.core",
+    "famart.examples",
+    "famart.fap",
+    "famart.modelfile",
+    "famart.spaces",
+}
+# What check and report add to certify's modules: the report assembly,
+# the checkers, the simplex and the certificate renderer.
+REPORT_MODULES = CERTIFY_MODULES | {"famart.checkers", "famart.lp", "famart.modelio", "famart.render"}
+
+
 @pytest.mark.parametrize("example", [("dmw", "--n", "3"), ("bp", "--N", "8", "--k", "4")])
-def test_certify_loads_neither_the_checkers_nor_the_simplex(tmp_path, capsys, example):
-    # Certificates re-validate by plain arithmetic: a certify process,
-    # started as ``python -m famart.cli`` starts it, never imports the
-    # checkers, the simplex or the report assembly.  An examples process
-    # loads no module that certify does not.
-    solver = {"famart.checkers", "famart.lp", "famart.modelio"}
+def test_certify_loads_neither_the_checkers_nor_the_simplex(tmp_path, example):
+    # Each command, started as ``python -m famart.cli`` starts it, loads
+    # exactly the modules it runs: a certify process no checker, simplex,
+    # report assembly, renderer or example builder; an examples process no
+    # validator, program or solver; check and report no example builder.
     cli = (
         "import json, runpy, sys\n"
         "try:\n"
@@ -595,20 +621,62 @@ def test_certify_loads_neither_the_checkers_nor_the_simplex(tmp_path, capsys, ex
         f"    {_PRINT_MODULES}\n"
     )
     model, report = tmp_path / "m.json", tmp_path / "report.json"
-    proc, examples = _famart_modules(cli, "examples", *example, "--out", str(model))
+    proc, loaded = _famart_modules(cli, "examples", *example, "--out", str(model))
     assert proc.returncode == 0
-    assert not examples & solver
-    code, out = run_cli(["report", str(model)], capsys)
-    assert code == 0
-    report.write_text(out)
+    assert loaded == EXAMPLES_MODULES
+    proc, loaded = _famart_modules(cli, "report", str(model))
+    assert proc.returncode == 0
+    assert loaded == REPORT_MODULES
+    report.write_text(proc.stdout)
+    proc, loaded = _famart_modules(cli, "check", str(model), "--condition", "6")
+    assert proc.returncode == 0
+    assert loaded == REPORT_MODULES
     verdict = tmp_path / "v.json"
-    verdict.write_text(json.dumps(json.loads(out)["verdicts"][0]))
+    verdict.write_text(json.dumps(json.loads(report.read_text())["verdicts"][0]))
     for path in (verdict, report):
         proc, loaded = _famart_modules(cli, "certify", str(model), str(path))
         assert (proc.returncode, proc.stdout) == (0, '{"valid": true}\n')
-        assert {"famart.certificates", "famart.kernel", "famart.modelfile"} <= loaded
-        assert not loaded & solver
-        assert examples <= loaded
+        assert loaded == CERTIFY_MODULES
+
+
+def test_every_traced_name_resolves_without_adding_a_module_attribute():
+    # The benchmark's tracer looks up each (module, name) of its TARGETS
+    # after ``import famart.modelio`` and wraps it.  A name that moved
+    # resolves through its old module's ``__getattr__``, which must not
+    # keep what it returns: resolving every name adds no attribute to any
+    # famart module, beyond the binding of a submodule it first loads.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    code = (
+        "import importlib, json, sys, types\n"
+        f"sys.path.insert(0, {str(bench)!r})\n"
+        "import spans\n"
+        "import famart.modelio\n"
+        "def attrs():\n"
+        "    return {(n, a): v for n, mod in list(sys.modules.items())\n"
+        "            if n == 'famart' or n.startswith('famart.') for a, v in vars(mod).items()}\n"
+        "for module in sorted({module for module, _ in spans.TARGETS}):\n"
+        "    importlib.import_module(module)\n"
+        "before = attrs()\n"
+        "missing = [f'{m}.{f}' for m, f in spans.TARGETS if not callable(getattr(sys.modules[m], f, None))]\n"
+        "after = attrs()\n"
+        "changed = sorted(f'{n}.{a}' for (n, a), v in after.items() if (n, a) in before and before[n, a] is not v)\n"
+        "old = {n for n, _ in before}\n"
+        "added = sorted(f'{n}.{a}' for (n, a), v in after.items()\n"
+        "               if n in old and (n, a) not in before and not isinstance(v, types.ModuleType))\n"
+        "print(json.dumps([len(spans.TARGETS), missing, changed, added]))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    targets, missing, changed, added = json.loads(proc.stdout)
+    assert targets > 40
+    assert (missing, changed, added) == ([], [], [])
 
 
 def test_importing_modelio_loads_the_checkers_and_the_simplex():

@@ -481,8 +481,8 @@ def test_a_tampered_leaf_fails_validation_with_a_warm_memo():
     from operator import getitem
 
     from famart.certificates import validate_verdict
-    from famart.modelio import build_report, parse_model, serialize_model
-    from famart.spaces import example_dmw
+    from famart.examples import example_dmw, serialize_model
+    from famart.modelio import build_report, parse_model
     from test_certificates import _leaf_paths, _replaced
 
     m, f, s = example_dmw(F(1, 3), 2)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from famart.core import InvalidInput, Model, RandVar, expect
+from famart.examples import example_bp
 from famart.fap import (
     Fap,
     from_p0,
@@ -16,7 +17,6 @@ from famart.fap import (
     point_mass,
     yh_decompose,
 )
-from famart.spaces import example_bp
 
 
 def test_fap_invariants():

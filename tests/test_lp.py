@@ -16,13 +16,14 @@ from famart.lp import (
     LinearProgram,
     Optimal,
     Unbounded,
+    arbitrage_lp,
     dual_objective,
+    martingale_mass_lp,
     reoptimizer,
     solve,
     verify_outcome,
 )
 from famart.modelio import parse_model
-from famart.programs import arbitrage_lp, martingale_mass_lp
 from test_modelio import _pinned_model_files
 
 

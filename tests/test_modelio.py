@@ -11,27 +11,22 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from famart import certificates, checkers, programs, spaces
+from famart import checkers, fap, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, OversizedOutput, RandVar, constant
-from famart.lp import Infeasible, Unbounded, solve
-from famart.modelio import (
-    CONDITION_ORDER,
-    AuditError,
-    build_report,
-    model_digest,
-    parse_model,
-    serialize_model,
-)
-from famart.spaces import (
+from famart.examples import (
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
     random_tree_model,
-    trading_space,
+    serialize_model,
 )
+from famart.lp import Infeasible, Unbounded, event_dominance_lp, negative_gain_lp, solve
+from famart.modelfile import randvar_payload
+from famart.modelio import CONDITION_ORDER, AuditError, build_report, model_digest, parse_model
+from famart.spaces import trading_space
 
 from references import acmfap_holds, counting_solves, no_arbitrage_holds, ratio_sweep
 
@@ -175,7 +170,7 @@ def test_report_on_empty_basis_model_is_all_true():
 def test_report_audit_never_fires_on_fuzz_corpus():
     import random
 
-    from famart.spaces import random_finite_model
+    from famart.examples import random_finite_model
 
     rng = random.Random(515)
     for seed in rng.sample(range(100_000), 25):
@@ -322,7 +317,7 @@ def test_report_audit_fires_on_a_5star_weight_other_than_1(monkeypatch, seed):
 
     def doubled(m, y, cstar, mm):
         v = weighted_ratio_from(m, y, cstar, mm)
-        cert = dict(v.certificate, weight=certificates.randvar_payload(constant(2, m)))
+        cert = dict(v.certificate, weight=randvar_payload(constant(2, m)))
         return checkers.Verdict(v.condition, v.holds, cert, v.narrative)
 
     monkeypatch.setattr(checkers, "weighted_ratio_from", doubled)
@@ -621,12 +616,12 @@ def test_4_and_7_agree_with_the_programs_they_replaced():
     for doc in _model_docs():
         m, ls, extras = doc.model, doc.lin_space, doc.extras()
         acm = checkers.check_acmfap(m, ls)
-        negative = solve(programs.negative_gain_lp(m, ls))
+        negative = solve(negative_gain_lp(m, ls))
         assert acm.holds == isinstance(negative, Infeasible)
         dominance = checkers.check_event_dominance(ls, doc.previsions, doc.events, m)
         violated = False
         for event in doc.events:
-            out = solve(programs.event_dominance_lp(m, ls, doc.previsions, event))
+            out = solve(event_dominance_lp(m, ls, doc.previsions, event))
             violated = violated or isinstance(out, Unbounded) or out.value < 0
         assert dominance.holds != violated
         for v in (acm, dominance):
@@ -984,7 +979,7 @@ def test_default_reports_read_their_rows_off_the_3_decision(monkeypatch):
     docs = [_roundtrip(serialize_model(*random_finite_model(seed))) for seed in range(288)]
     docs += [_roundtrip(serialize_model(*example_harmonic(n))) for n in (3, 5)]
     holding = [checkers.min_mass(doc.model, doc.lin_space).verdict.holds for doc in docs]
-    monkeypatch.setattr(certificates, "support_weights", refused)
+    monkeypatch.setattr(fap, "support_weights", refused)
     monkeypatch.setattr(checkers, "_sure_loss", refused)
     monkeypatch.setattr(checkers, "qstar_from_weight", refused)
     monkeypatch.setattr(RandVar, "scaled", refused)

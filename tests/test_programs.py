@@ -23,18 +23,28 @@ import famart.lp
 from famart import checkers, programs
 from famart.certificates import validate_verdict
 from famart.core import ZERO, InvalidInput, LinSpace, Model, RandVar, expect
-from famart.fap import from_p0
-from famart.kernel import _VIEW_FIELDS, _View
-from famart.lp import EQ, GE, LE, Infeasible, IntProgram, LinearProgram, Optimal, Unbounded
-from famart.modelio import build_report, parse_model
-from famart.spaces import (
+from famart.examples import (
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
     random_tree_model,
-    trading_space,
 )
+from famart.fap import from_p0
+from famart.lp import (
+    _VIEW_FIELDS,
+    EQ,
+    GE,
+    LE,
+    Infeasible,
+    IntProgram,
+    LinearProgram,
+    Optimal,
+    Unbounded,
+    _View,
+)
+from famart.modelio import build_report, parse_model
+from famart.spaces import trading_space
 
 from references import fuzz_corpus
 from references import ratio_bound_lp as _reference_ratio_bound_lp
@@ -63,8 +73,8 @@ def _reference_martingale_mass_lp(m, ls):
 
 
 PROGRAMS = [
-    (programs.arbitrage_rows, programs.arbitrage_lp, _reference_arbitrage_lp),
-    (programs.martingale_mass_rows, programs.martingale_mass_lp, _reference_martingale_mass_lp),
+    (programs.arbitrage_rows, famart.lp.arbitrage_lp, _reference_arbitrage_lp),
+    (programs.martingale_mass_rows, famart.lp.martingale_mass_lp, _reference_martingale_mass_lp),
 ]
 
 
@@ -74,7 +84,7 @@ def _programs(m):
     for c in m.support():
         yield (
             partial(programs.ratio_bound_rows, coord=c),
-            partial(programs.ratio_bound_lp, coord=c),
+            partial(famart.lp.ratio_bound_lp, coord=c),
             partial(_reference_ratio_bound_lp, coord=c),
         )
 
@@ -151,7 +161,7 @@ def test_linear_program_equals_the_validating_constructors_on_fuzz_programs():
 def test_the_wrapper_keeps_its_rows_and_shares_equal_values():
     m, f, s = example_dmw(F(1, 3), 3)
     ls = trading_space(f, s, m)
-    lp = programs.martingale_mass_lp(m, ls)
+    lp = famart.lp.martingale_mass_lp(m, ls)
     assert lp.int_form() is lp.int_form()
     # Equal numerators share one Fraction: the mass row's ones are one object.
     ones = lp.constraints[0].coeffs[:-1]
@@ -251,6 +261,30 @@ def _reference_expectation_bound_lp(m, ls, q, c):
     return LinearProgram(tuple(objective), False, rows)
 
 
+def _reference_negative_gain_lp(m, ls):
+    """The ``Fraction`` definition of the negative-gain program."""
+    rows = [(tuple(x.at(c) for x in ls.basis), LE, F(-1)) for c in m.support()]
+    return LinearProgram((ZERO,) * len(ls.basis), True, rows)
+
+
+def _reference_event_dominance_lp(m, ls, previsions, event):
+    """The ``Fraction`` definition of the event-dominance program."""
+    rows = []
+    for coord in sorted(event):
+        rows.append(((*(x.at(coord) for x in ls.basis), F(-1)), LE, ZERO))
+    for coord in m.support():
+        row = tuple(x.at(coord) for x in ls.basis)
+        rows.append(((*row, ZERO), LE, F(1)))
+        rows.append(((*row, ZERO), GE, F(-1)))
+    objective = [-e for e in previsions] + [F(1)]
+    return LinearProgram(tuple(objective), False, rows)
+
+
+def _events(m):
+    """The support, the whole model and one coordinate, as events."""
+    return frozenset(m.support()), frozenset(m.all_coords()), frozenset(m.all_coords()[-1:])
+
+
 def _set_fields(lp):
     """The view fields of ``lp`` that hold a value, read without filling."""
     out = set()
@@ -278,15 +312,27 @@ def _builders(m, ls):
         for previsions in (zeros, some):
             args = coords, ls.basis, previsions
             yield (
-                partial(programs.coherence_lp, *args),
+                partial(famart.lp.coherence_lp, *args),
                 partial(_reference_coherence_lp, *args),
                 None,
             )
     for c in (F(1), F(1, 2)):
         args = m, ls, from_p0(m), c
         yield (
-            partial(programs.expectation_bound_lp, *args),
+            partial(famart.lp.expectation_bound_lp, *args),
             partial(_reference_expectation_bound_lp, *args),
+            None,
+        )
+    yield (
+        partial(famart.lp.negative_gain_lp, m, ls),
+        partial(_reference_negative_gain_lp, m, ls),
+        None,
+    )
+    for event in _events(m):
+        args = m, ls, some, event
+        yield (
+            partial(famart.lp.event_dominance_lp, *args),
+            partial(_reference_event_dominance_lp, *args),
             None,
         )
 
@@ -319,6 +365,25 @@ def test_a_view_is_the_record_of_its_fields_for_every_builder():
                 assert _set_fields(view) == _VIEW_FIELDS
             checked += 1
     assert checked > 1000
+
+
+def test_negative_gain_and_event_dominance_programs_equal_their_fraction_definitions():
+    # Both builders read the space's integer rows into an IntProgram and
+    # return its view, as the others do; each is the program the
+    # Fraction definition builds.
+    checked = 0
+    for seed in range(200):
+        m, ls = random_finite_model(seed)
+        assert famart.lp.negative_gain_lp(m, ls) == _reference_negative_gain_lp(m, ls)
+        zeros = (ZERO,) * len(ls.basis)
+        for previsions in (zeros, (F(-2, 3),) + zeros[1:], tuple(F(k, 5) for k in range(len(zeros)))):
+            for event in _events(m):
+                args = m, ls, previsions, event
+                view = famart.lp.event_dominance_lp(*args)
+                assert type(view.int_form()) is IntProgram
+                assert view == _reference_event_dominance_lp(*args)
+                checked += 1
+    assert checked == 200 * 3 * 3
 
 
 def test_the_tree_decision_solves_views_of_its_local_programs(monkeypatch):

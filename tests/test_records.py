@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import famart
-from famart import checkers, programs
+from famart import checkers
 from famart.core import LinSpace, Model, RandVar, Record
+from famart.examples import example_dmw, serialize_model
 from famart.fap import Fap
-from famart.lp import Constraint, Infeasible, LinearProgram, Optimal, Unbounded, solve
-from famart.modelio import ModelDoc, parse_model, serialize_model
-from famart.spaces import AdaptedProcess, Filtration, example_dmw
+from famart.lp import Constraint, Infeasible, LinearProgram, Optimal, Unbounded, arbitrage_lp, solve
+from famart.modelio import ModelDoc, parse_model
+from famart.spaces import AdaptedProcess, Filtration
 
 
 def _records():
@@ -26,7 +27,7 @@ def _records():
     m, f, s = example_dmw(F(1, 3), 2)
     doc = parse_model(json.loads(json.dumps(serialize_model(m, filtration=f, process=s))))
     ls = doc.lin_space
-    lp = programs.arbitrage_lp(m, ls)
+    lp = arbitrage_lp(m, ls)
     return [
         m,
         ls.basis[0],

@@ -8,24 +8,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from famart import spaces
+from famart import examples
 from famart.cli import main
 from famart.core import MAX_DIGITS, TAIL, InvalidInput, Model, RandVar, expect
-from famart.modelio import parse_model
-from famart.spaces import (
+from famart.examples import (
     MAX_DMW_HORIZON,
     MAX_TRUNCATION,
     MAX_VALUES,
-    AdaptedProcess,
-    Filtration,
-    binomial_pmf,
     dmw_martingale_fap,
     example_bp,
     example_dmw,
     example_harmonic,
     random_finite_model,
-    trading_space,
 )
+from famart.modelio import parse_model
+from famart.spaces import AdaptedProcess, Filtration, binomial_pmf, trading_space
 
 
 def test_filtration_validation():
@@ -305,7 +302,7 @@ def _refuse_building(monkeypatch):
         raise AssertionError("built before the horizon check")
 
     monkeypatch.setattr(itertools, "product", refuse)
-    monkeypatch.setattr(spaces, "Fraction", refuse)
+    monkeypatch.setattr(examples, "Fraction", refuse)
 
 
 @pytest.mark.parametrize("n", [0, MAX_DMW_HORIZON + 1, 40, 64])
@@ -349,7 +346,7 @@ def _refuse_sizes(monkeypatch):
     def refuse(*args, **kwargs):
         raise _Built
 
-    monkeypatch.setattr(spaces, "Fraction", refuse)
+    monkeypatch.setattr(examples, "Fraction", refuse)
     monkeypatch.setattr(random, "Random", refuse)
 
 
