@@ -39,9 +39,11 @@ and coherence failures.  It is formed once, on integers, and every row
 reads it.  Where (3) holds, its functional certifies (4) and (6), and
 it, the support weights the solve keeps, and its gain start the (5)
 sweep, which often needs no ratio solve at all.
-(7) and coherence are read off the (4) verdict wherever their
-representation program is the (4) program; otherwise each is decided by
-one feasibility program whose Farkas vector gives the failure.
+(7) and coherence ask once whether their representation program is the
+(4) program (:func:`_decide_representation`).  If it is, the (3)
+decision gives the representing functional's payload, or its arbitrage
+as the sure-loss bet, with no solve; otherwise each is decided by one
+feasibility program whose Farkas vector gives the failure.
 
 The ``*_from`` functions build a verdict from another one with no solve:
 (4) and (6) from (3), (10) from (6), and (5*) from (5) and (3).  Inside
@@ -305,7 +307,7 @@ def _functional_certificate(m: Model, mm: MinMass) -> render.Certificate:
     holds = mm.verdict.holds
     return {
         "kind": "martingale_fap",
-        "fap": mm.kept()[1],
+        "fap": mm.int_form()[1],
         "equivalent": holds or is_equivalent(mm.fap, m),
         "abs_continuous": holds or is_abs_continuous(mm.fap, m),
     }
@@ -366,9 +368,14 @@ class MinMass(_View):
     ``least`` and ``total`` are the arbitrage's least value on the
     support and the sum of its values there: the amounts of the (4) and
     (5) witnesses, and the least win of the sure-loss bet.  All three are
-    None where (3) holds.  The rows read the integers of the gain (see
-    :meth:`kept`), and the decision's ``MinMass`` fills ``coefficients``
-    and ``gain`` from them only when they are read.
+    None where (3) holds.
+
+    The rows read its ``int_form()``: ``coefficients`` and ``gain`` as
+    ``(coefficients, values, den, tail)``, ``values`` the gain at the
+    explicit states, then at the tail where ``tail``, and the payload of
+    ``fap``, rendered once for every row; None with their fields.  The
+    decision's ``MinMass`` keeps them and fills ``coefficients`` and
+    ``gain`` from them only when they are read.
     """
 
     __slots__ = (
@@ -398,22 +405,15 @@ class MinMass(_View):
         gain = RandVar(values[:-1], values[-1]) if tail else RandVar(values)
         return tuple(Fraction(n, den) for n in cs), gain
 
-    def kept(self) -> tuple:
-        """``coefficients`` and ``gain`` as ``(coefficients, values, den,
-        tail)``, ``values`` the gain at the explicit states, then at the
-        tail where ``tail``, and the payload of ``fap``, rendered once for
-        every row; None with their fields.  Kept by the (3) decision, read
-        off the fields of a record built from them."""
-        if not hasattr(self, "_kept"):
-            x, gain, payload = self.gain, None, None
-            if x is not None:
-                tail, k = () if x.tail_value is None else (x.tail_value,), len(self.coefficients)
-                nums, den = int_row([*self.coefficients, *x.values, *tail])
-                gain = nums[:k], nums[k:], den, bool(tail)
-            if self.fap is not None:  # the (3) certificate holds it where (3) holds
-                payload = self.verdict.certificate.get("fap") or render.fap_payload(self.fap)
-            object.__setattr__(self, "_kept", (gain, payload))
-        return self._kept
+    def _read(self) -> tuple:
+        x, gain, payload = self.gain, None, None
+        if x is not None:
+            tail, k = () if x.tail_value is None else (x.tail_value,), len(self.coefficients)
+            nums, den = int_row([*self.coefficients, *x.values, *tail])
+            gain = nums[:k], nums[k:], den, bool(tail)
+        if self.fap is not None:  # the (3) certificate holds it where (3) holds
+            payload = self.verdict.certificate.get("fap") or render.fap_payload(self.fap)
+        return gain, payload
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -749,7 +749,7 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
         return _unbounded_ratio(mm.total, *mm.rendered[0])
-    return _ratio_sweep(m, ls, [int_row(mm.weights)], [mm.kept()[0]])
+    return _ratio_sweep(m, ls, [int_row(mm.weights)], [mm.int_form()[0]])
 
 
 def _unbounded_ratio(
@@ -798,7 +798,7 @@ def _ratio_sweep(
 
     It runs on integers: a pmf of ``cover`` is its weights in lowest
     terms over one denominator, as ``int_row`` gives them, and a gain of
-    ``gains`` is as :meth:`MinMass.kept` keeps it.  A solve's duals ``Y``
+    ``gains`` is as :meth:`MinMass.int_form` keeps it.  A solve's duals ``Y``
     and value ``V`` are read over one denominator ``D``, reduced once, so
     its pmf ``(e_i D - Y) / (D + V)`` is in lowest terms too, as the
     known pmfs it is compared with.  Bounds are numerator and denominator
@@ -982,65 +982,46 @@ def check_condition8(m: Model, ls: LinSpace) -> Verdict:
     return Verdict("(8)", holds, render.tail_values(tails), narrative)
 
 
-def _representation(
+def _decide_representation(
     m: Model,
     coords: Sequence[int],
     gambles: Sequence[RandVar],
     previsions: Sequence[Fraction],
     mm: MinMass | None,
-) -> Optimal | Infeasible:
-    """The outcome of ``coherence_lp(coords, gambles, previsions)``.
+) -> tuple[dict[str, Any] | None, Any, Fraction | None]:
+    """How ``coherence_lp(coords, gambles, previsions)`` decides: the
+    payload of a representing functional, then None and None; or None,
+    then a sure-loss bet and its least win ``min sum c_d (X_d - E_d)``
+    over ``coords``, which is positive.  The bet is its stakes and gain
+    and their negations, as :func:`famart.render.signed_payloads` renders
+    them.
 
     ``mm`` is the (3) solve of a space whose generators are ``gambles``.
-    Where the program is the (4) program (see :func:`_is_4_program`), the
-    outcome is read off ``mm`` with no solve, as :func:`acmfap_from` reads
-    (4).  Its functional's kept support weights are a feasible point.
-    Without one, its gain ``G = sum_d b_d X_d`` is positive on the
-    support, with least value ``w = mm.least > 0`` there, and the Farkas
-    weights ``(-w, b)`` combine the rows to ``G - w >= 0`` on the support,
-    against the bound ``-w < 0``.  So the sure-loss stakes are ``b`` and
-    their least win is ``w``, read off the integers ``mm`` keeps.
+    Where the program is the (4) program, the support in support order
+    with zero previsions, ``mm`` decides it with no solve, as
+    :func:`acmfap_from` reads (4).  Its functional's kept support weights
+    represent, and where it has no pure part its payload is rendered
+    already.  Without one, its arbitrage is positive on the support, with
+    least value ``mm.least`` there: that is the bet, and ``mm.rendered``
+    holds it.  Any other program is solved, and where it is infeasible
+    (its objective is zero, so it is bounded), the bet stakes the Farkas
+    weights on its prevision rows.
     """
-    if _is_4_program(m, coords, previsions, mm):
-        if mm.fap is not None:
-            return Optimal(ZERO, mm.weights, (ZERO,) * (1 + len(gambles)))
-        cs, g, den, _ = mm.kept()[0]
-        return Infeasible.view((((-min(g[c] for c in coords), *cs), den),))
-    out = _solve(coherence_lp(coords, gambles, previsions))
-    if isinstance(out, Unbounded):  # pragma: no cover - zero objective
-        raise AssertionError("a feasibility program is never unbounded")
-    return out
-
-
-def _is_4_program(
-    m: Model, coords: Sequence[int], previsions: Sequence[Fraction], mm: MinMass | None
-) -> bool:
-    """Whether the representation program over ``coords`` is the (4)
-    program, the support in support order with zero previsions, which
-    the (3) solve ``mm`` decides."""
-    return mm is not None and tuple(coords) == m.support() and not any(previsions)
-
-
-def _represented(
-    m: Model,
-    coords: Sequence[int],
-    weights: Sequence[Fraction],
-    previsions: Sequence[Fraction],
-    mm: MinMass | None,
-    event: frozenset[int] | None = None,
-) -> render.Certificate:
-    """The ``representing_fap`` certificate of ``weights`` on ``coords``.
-
-    Where the (3) solve ``mm`` decides the program and its functional has
-    no pure part, the weights are its kept support weights (see
-    :func:`_representation`), so the functional, holding or with
-    ``t* = 0``, is the (3) one, whose payload is rendered already.
-    """
-    if _is_4_program(m, coords, previsions, mm) and not mm.fap.alpha:
-        fap = mm.kept()[1]
+    if mm is not None and tuple(coords) == m.support() and not any(previsions):
+        if mm.fap is None:
+            return None, mm.rendered, mm.least
+        if not mm.fap.alpha:
+            return mm.int_form()[1], None, None
+        weights = mm.weights
     else:
-        fap = render.fap_payload(_representing_fap(m, coords, weights))
-    return render.representing_fap(fap, previsions, event)
+        out = _solve(coherence_lp(coords, gambles, previsions))
+        if isinstance(out, Infeasible):
+            ((ys, den),) = out.int_form()
+            cs, g, gden = _combined(LinSpace(gambles), ys[1:], den)
+            win = Fraction(min(g[c] for c in coords), gden) - dot(ys[1:], previsions) / den
+            return None, render.signed_payloads(cs, g, gden, m.has_tail), win
+        weights = out.primal
+    return render.fap_payload(_representing_fap(m, coords, weights)), None, None
 
 
 def check_coherence(
@@ -1057,9 +1038,9 @@ def check_coherence(
     ``sum c_d (X_d - E_d)`` is strictly positive at every coordinate.
     The (3) solve of the gambles as generators decides it where the
     representation program is the (4) program (see
-    :func:`_representation`); there a sure-loss bet stakes the (3)
-    arbitrage's coefficients and wins its least value on the support,
-    with no sum recomputed.
+    :func:`_decide_representation`); there a sure-loss bet stakes the
+    (3) arbitrage's coefficients and wins its least value on the
+    support, with no sum recomputed.
     """
     gambles = tuple(gambles)
     previsions = tuple(rat(e) for e in previsions)
@@ -1069,40 +1050,20 @@ def check_coherence(
         raise InvalidInput("one prevision per gamble is required")
     for x in gambles:
         x.check_conforms(m)
-    coords = coherence_coords(m)
-    out = _representation(m, coords, gambles, previsions, mm)
-    if isinstance(out, Optimal):
+    fap, bet, win = _decide_representation(m, coherence_coords(m), gambles, previsions, mm)
+    if fap is not None:
         return Verdict(
             "coherence",
             True,
-            _represented(m, coords, out.primal, previsions, mm),
+            render.representing_fap(fap, previsions),
             "coherent: the attached probability reproduces every prevision.",
         )
-    if _is_4_program(m, coords, previsions, mm):
-        stakes, win = mm.rendered[0][0], mm.least
-    else:
-        stakes, win = _sure_loss(coords, gambles, previsions, out.farkas)
-        stakes = rat_strs(stakes)
     return Verdict(
         "coherence",
         False,
-        render.sure_loss_bet(stakes, win, previsions),
+        render.sure_loss_bet(bet[0][0], win, previsions),
         f"incoherent: the attached stakes win at least {win} at every coordinate.",
     )
-
-
-def _sure_loss(
-    coords: Sequence[int],
-    gambles: Sequence[RandVar],
-    previsions: Sequence[Fraction],
-    farkas: Sequence[Fraction],
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """The stakes (the Farkas weights on the prevision rows of an
-    infeasible representation program over ``coords``) and their least
-    win ``min sum c_d (X_d - E_d)`` over ``coords``, which is positive."""
-    stakes = tuple(farkas[1:])
-    win = min(dot(stakes, [x.at(coord) for x in gambles]) for coord in coords)
-    return stakes, win - dot(stakes, previsions)
 
 
 def check_event_dominance(
@@ -1123,9 +1084,9 @@ def check_event_dominance(
     the stakes negated violates dominance on the least event.  The least
     event is weighted in support order, the tail last, so that on default
     inputs the program is the (4) program and the (3) solve of ``d``
-    decides it (see :func:`_representation`).  There a failure stakes the
-    (3) arbitrage's coefficients, and the violating gain is that
-    arbitrage negated, with no sum recomputed.
+    decides it (see :func:`_decide_representation`).  There a failure
+    stakes the (3) arbitrage's coefficients, and the violating gain is
+    that arbitrage negated, with no sum recomputed.
     """
     previsions = tuple(rat(e) for e in previsions)
     d.check_conforms(m)
@@ -1152,27 +1113,21 @@ def check_event_dominance(
                 )
     least = frozenset.intersection(*family)
     coords = sorted(least, key=lambda c: (c == TAIL, c))
-    out = _representation(m, coords, d.basis, previsions, mm)
-    if isinstance(out, Optimal):
+    fap, bet, win = _decide_representation(m, coords, d.basis, previsions, mm)
+    if fap is not None:
         return Verdict(
             "(7)",
             True,
-            _represented(m, coords, out.primal, previsions, mm, event=least),
+            render.representing_fap(fap, previsions, least),
             "dominance holds for every event; the attached probability sits "
             "on the least event, reproduces the previsions, and gives every "
             "event total mass.",
         )
-    if _is_4_program(m, coords, previsions, mm):
-        win, negated = mm.least, mm.rendered[1]
-    else:
-        stakes, win = _sure_loss(coords, d.basis, previsions, out.farkas)
-        coeffs = tuple(-c for c in stakes)
-        negated = rat_strs(coeffs), randvar_payload(d.combine(coeffs))
     return Verdict(
         "(7)",
         False,
         render.witness(
-            *negated,
+            *bet[1],
             claim="event_dominance_violated",
             amount=-win,
             event=least,

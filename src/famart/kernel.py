@@ -6,8 +6,9 @@ denominator, the form the engine builds and the simplex reads.  The
 checks here (:func:`farkas_rows`, :func:`proves_infeasible`,
 :func:`dual_rows`) read that integer form alone.  The ``Fraction``
 records, :class:`~famart.lp.LinearProgram` and the outcomes, live with
-the simplex in :mod:`famart.lp`; a process that only validates
-certificates compiles neither.
+the simplex in :mod:`famart.lp`, as views that keep their integers (see
+:class:`~famart.lp._View`); a process that only validates certificates
+compiles neither.
 """
 
 from __future__ import annotations
@@ -52,14 +53,11 @@ class IntProgram(Record):
     def linear_program(self, maximize: bool = True) -> LinearProgram:
         """The program these rows define, maximizing ``costs``, or
         minimizing their negation where ``maximize`` is false, as a view:
-        it holds this record as its integer form and fills its
+        it keeps this record as its integer form and fills its
         ``Fraction`` fields on first read (see :class:`LinearProgram`)."""
         from .lp import LinearProgram  # here, not at the top: certify builds no view
 
-        lp = object.__new__(LinearProgram)
-        object.__setattr__(lp, "maximize", maximize)
-        object.__setattr__(lp, "_rows", self)
-        return lp
+        return LinearProgram.view(self, maximize)
 
 
 # The integer kernel, which validation calls directly: weights and results

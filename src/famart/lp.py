@@ -15,17 +15,20 @@ fraction-free style of Edmonds and Bareiss; every entry is therefore the
 same rational a `fractions.Fraction` tableau would hold, and the pivot
 rule reads only signs and cross products of numerators.  A
 `LinearProgram` enters through :func:`solve`; the tableau, and
-:func:`reoptimizer`, read its kept integer form (an `IntProgram`, which
-the verification kernel :mod:`famart.kernel` reads too), and outcomes
-are views of integers (``int_form()``) that build `Fraction`s only when
-a field is read.
+:func:`reoptimizer`, read its integer form (an `IntProgram`, which the
+verification kernel :mod:`famart.kernel` reads too), and outcomes keep
+theirs in integers.
 
-The ``Fraction`` records live here, with the solver: a
-:class:`LinearProgram` keeps its integer form once read, and one read
-off an ``IntProgram`` is a view that builds its ``Fraction`` fields
-only when they are read.  So do the ``*_lp`` builders, which return
-such views of the integer rows :mod:`famart.programs` builds: only the
-checkers solve them, and certificate validation reads the rows alone.
+The ``Fraction`` records live here, with the solver, and share one view
+protocol, :class:`_View`: ``view(kept, *fields)`` builds a record that
+keeps ``kept``, ``_fill(kept)`` gives its ``_LAZY`` fields on first
+read, and ``int_form()`` returns what it keeps, or what ``_read()``
+reads off the fields of a record built from them.  A program read off
+an ``IntProgram`` is such a view, and so are the outcomes the simplex
+returns and the (3) decision of :mod:`famart.checkers`.  The ``*_lp``
+builders return views of the integer rows :mod:`famart.programs`
+builds: only the checkers solve them, and certificate validation reads
+the rows alone.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
 against the original program by plain arithmetic, with no access to
@@ -62,7 +65,6 @@ from .core import (
     Model,
     RandVar,
     Record,
-    _Kept,
     _rat_tuple,
     dot,
     int_row,
@@ -107,23 +109,66 @@ class Constraint(Record):
             raise InvalidInput(f"unknown relation {relation!r}")
 
 
-# The fields a view fills from its integer form on first read.
-_VIEW_FIELDS = frozenset({"objective", "constraints", "lower", "upper"})
+def _filled(cls: type, *fields: object) -> Any:
+    """A record of ``cls`` with ``fields`` set in slot order, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(record, name, value)
+    return record
 
 
-class LinearProgram(_Kept):
+class _View(Record):
+    """A record that can be built from what it keeps in the private slot
+    ``_kept`` (see :meth:`view`), and then fills its fields named in
+    ``_LAZY`` on first read: ``_fill(kept)`` gives their values.  The
+    slot is not a field: equality, hashing, printing and pickling read
+    the fields, so a view behaves as the record built from them, and a
+    copy or an unpickled view is that record.  :meth:`int_form` gives
+    what a view keeps; a record built from its fields reads it off them
+    with ``_read()`` and keeps it."""
+
+    __slots__ = ("_kept",)
+    _LAZY: tuple[str, ...] = ()
+
+    @classmethod
+    def view(cls, kept: Any, *fields: Any) -> Any:
+        """A record keeping ``kept``, its fields in ``_LAZY`` left to fill
+        and its other fields set to ``fields``, in slot order."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "_kept", kept)
+        if fields:  # an outcome's fields are all filled from ``kept``
+            names = [name for name in cls.__slots__ if name not in cls._LAZY]
+            for name, value in zip(names, fields, strict=True):
+                object.__setattr__(record, name, value)
+        return record
+
+    def __getattr__(self, name: str) -> Any:
+        # Python calls this only for an unset slot: a view's unread fields.
+        if name not in self._LAZY:
+            raise AttributeError(name)
+        for field, value in zip(self._LAZY, self._fill(self._kept)):
+            object.__setattr__(self, field, value)
+        return object.__getattribute__(self, name)
+
+    def int_form(self) -> Any:
+        """What a view keeps, or what ``_read()`` reads off the fields of
+        a record built from them, kept once read."""
+        if not hasattr(self, "_kept"):
+            object.__setattr__(self, "_kept", self._read())
+        return self._kept
+
+
+class LinearProgram(_View):
     """``max/min objective . x`` subject to rows and optional variable bounds.
 
     Bounds default to free variables; zero-variable and zero-constraint
     programs are legal (objective 0, empty solutions).
 
-    A program read off an :class:`IntProgram` is a view: it sets only
-    ``maximize`` and keeps the integer record as its integer form, which
-    is all :func:`famart.lp.solve` and the verification kernel read.  Its
-    other fields are filled from those integers on first read, equal
-    numerators sharing one ``Fraction``.  Equality, hashing, printing and
-    pickling read the fields, so a view behaves as the record built from
-    them.
+    Its integer form is an :class:`IntProgram`, which is all
+    :func:`famart.lp.solve` and the verification kernel read.  A program
+    read off one (:meth:`IntProgram.linear_program`) is a view: it sets
+    only ``maximize`` and fills its other fields from those integers on
+    first read, equal numerators sharing one ``Fraction``.
     """
 
     __slots__ = ("objective", "maximize", "constraints", "lower", "upper")
@@ -132,6 +177,7 @@ class LinearProgram(_Kept):
     constraints: tuple[Constraint, ...]
     lower: tuple[Fraction | None, ...]
     upper: tuple[Fraction | None, ...]
+    _LAZY = ("objective", "constraints", "lower", "upper")
 
     def __init__(
         self, objective, maximize=True, constraints=(), lower=None, upper=None
@@ -172,14 +218,7 @@ class LinearProgram(_Kept):
     def n_rows(self) -> int:
         return len(self.constraints)
 
-    def __getattr__(self, name: str) -> Any:
-        # Python calls this only for an unset slot: a view's unread fields.
-        if name not in _VIEW_FIELDS:
-            raise AttributeError(name)
-        try:
-            p = object.__getattribute__(self, "_rows")
-        except AttributeError:
-            raise AttributeError(name) from None
+    def _fill(self, p: IntProgram) -> tuple:
         den, cache = p.den, {}
 
         def q(n: int | None) -> Fraction | None:
@@ -195,72 +234,23 @@ class LinearProgram(_Kept):
             _filled(Constraint, tuple(map(q, row[:-1])), relation, q(row[-1]))
             for row, relation in zip(p.rows, p.relations)
         )
-        object.__setattr__(self, "objective", tuple(map(q, costs)))
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "lower", tuple(map(q, p.lower)))
-        object.__setattr__(self, "upper", tuple(map(q, p.upper)))
-        return object.__getattribute__(self, name)
+        return tuple(map(q, costs)), constraints, tuple(map(q, p.lower)), tuple(map(q, p.upper))
 
-    def int_form(self) -> "IntProgram":
-        """The program in integers, for the simplex and the verification
-        kernel; read on first use and kept."""
-        if not hasattr(self, "_rows"):
-            bounds = self.lower + self.upper
-            entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
-            for con in self.constraints:
-                entries += con.coeffs
-                entries.append(con.rhs)
-            flat, den = int_row(entries)
-            nums = iter(flat)
-            costs = tuple(islice(nums, self.n_vars))
-            bounds = tuple(b if b is None else next(nums) for b in bounds)
-            rows = [tuple(islice(nums, self.n_vars + 1)) for _ in self.constraints]
-            relations = [con.relation for con in self.constraints]
-            program = IntProgram(
-                rows, relations, costs, bounds[: self.n_vars], bounds[self.n_vars :], den
-            )
-            object.__setattr__(self, "_rows", program)
-        return self._rows
-
-
-def _filled(cls: type, *fields: object) -> Any:
-    """A record of ``cls`` with ``fields`` set in slot order, unchecked."""
-    record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(record, name, value)
-    return record
-
-
-class _View(Record):
-    """A record that can be built from what it keeps in the private slot
-    ``_kept`` (see :meth:`view`), and then fills its fields named in
-    ``_LAZY`` on first read: ``_fill(kept)`` gives their values.  The
-    slot is not a field: equality, hashing, printing and pickling read
-    the fields, so a view behaves as the record built from them, and a
-    copy or an unpickled view is that record."""
-
-    __slots__ = ("_kept",)
-    _LAZY: tuple[str, ...] = ()
-
-    @classmethod
-    def view(cls, kept: Any, *fields: Any) -> Any:
-        """A record keeping ``kept``, its fields in ``_LAZY`` left to fill
-        and its other fields set to ``fields``, in slot order."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "_kept", kept)
-        if fields:  # an outcome's fields are all filled from ``kept``
-            names = [name for name in cls.__slots__ if name not in cls._LAZY]
-            for name, value in zip(names, fields, strict=True):
-                object.__setattr__(record, name, value)
-        return record
-
-    def __getattr__(self, name: str) -> Any:
-        # Python calls this only for an unset slot: a view's unread fields.
-        if name not in self._LAZY:
-            raise AttributeError(name)
-        for field, value in zip(self._LAZY, self._fill(self._kept)):
-            object.__setattr__(self, field, value)
-        return object.__getattribute__(self, name)
+    def _read(self) -> IntProgram:
+        bounds = self.lower + self.upper
+        entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
+        for con in self.constraints:
+            entries += con.coeffs
+            entries.append(con.rhs)
+        flat, den = int_row(entries)
+        nums = iter(flat)
+        costs = tuple(islice(nums, self.n_vars))
+        bounds = tuple(b if b is None else next(nums) for b in bounds)
+        rows = [tuple(islice(nums, self.n_vars + 1)) for _ in self.constraints]
+        relations = [con.relation for con in self.constraints]
+        return IntProgram(
+            rows, relations, costs, bounds[: self.n_vars], bounds[self.n_vars :], den
+        )
 
 
 class _Outcome(_View):
@@ -268,7 +258,8 @@ class _Outcome(_View):
     that keeps each field as integers over one positive denominator, a
     ``(numerator, den)`` pair for a value and a ``(numerators, den)`` pair
     for a vector, and fills its ``Fraction`` fields on first read, equal
-    numerators sharing one ``Fraction``."""
+    numerators sharing one ``Fraction``.  Its :meth:`int_form` is those
+    pairs in field order, not always in lowest terms."""
 
     __slots__ = ()
 
@@ -285,21 +276,16 @@ class _Outcome(_View):
                 out.append(tuple(map(cache.__getitem__, nums)))
         return tuple(out)
 
-    def int_form(self) -> tuple:
-        """Each field as integers over one positive denominator, in field
-        order, not always in lowest terms: the pairs a view keeps, or those
-        read off the fields of an outcome built from them, kept once read."""
-        if not hasattr(self, "_kept"):
-            kept = []
-            for name in self.__slots__:
-                value = getattr(self, name)
-                if isinstance(value, (int, Fraction)):
-                    kept.append(value.as_integer_ratio())
-                else:
-                    nums, den = int_row(value)
-                    kept.append((tuple(nums), den))
-            object.__setattr__(self, "_kept", tuple(kept))
-        return self._kept
+    def _read(self) -> tuple:
+        kept = []
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, (int, Fraction)):
+                kept.append(value.as_integer_ratio())
+            else:
+                nums, den = int_row(value)
+                kept.append((tuple(nums), den))
+        return tuple(kept)
 
 
 class Optimal(_Outcome):

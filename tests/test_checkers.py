@@ -1,7 +1,10 @@
 """Condition checkers: worked examples, error paths, cross-properties."""
 
+import copy
 import json
+import pickle
 import random
+from collections import Counter
 from itertools import combinations
 from fractions import Fraction as F
 
@@ -37,11 +40,9 @@ from famart.lp import (
     Infeasible,
     IntProgram,
     Unbounded,
-    coherence_lp,
     martingale_mass_lp,
     negative_gain_lp,
     solve,
-    verify_outcome,
 )
 from famart.modelfile import randvar_payload, rat_strs
 from famart.modelio import build_report, parse_model
@@ -228,27 +229,50 @@ def test_integer_arbitrage_equals_the_fraction_one():
         seen["tail"] += m.has_tail
         if mm.fap is not None:  # t* = 0: (4), (7) and coherence hold
             continue
-        # The failing (7) and coherence rows carry what _sure_loss
-        # recomputes from the representation program's Farkas weights.
+        # The failing (7) and coherence rows stake the arbitrage, which
+        # wins its least value on their coordinates, summed here plainly.
         zeros = (F(0),) * len(ls.basis)
         for coords, row in (
             (m.support(), checkers.check_event_dominance(ls, zeros, [m.support()], m, mm)),
             (programs.coherence_coords(m), checkers.check_coherence(ls.basis, zeros, m, mm)),
         ):
             assert not row.holds
-            out = checkers._representation(m, coords, ls.basis, zeros, mm)
-            stakes, win = checkers._sure_loss(coords, ls.basis, zeros, out.farkas)
+            win = min(sum(c * x.at(coord) for c, x in zip(coeffs, ls.basis)) for coord in coords)
             cert = row.certificate
             if row.condition == "(7)":
-                against = tuple(-c for c in stakes)
+                against = tuple(-c for c in coeffs)
                 assert cert["coefficients"] == rat_strs(against)
                 assert cert["amount"] == rat_str(-win)
                 assert cert["gain"] == randvar_payload(ls.combine(against))
             else:
-                assert cert["stakes"] == rat_strs(stakes)
+                assert cert["stakes"] == rat_strs(coeffs)
                 assert cert["guaranteed_win"] == rat_str(win)
                 seen["sure_loss"] += 1
     assert min(seen.values()) > 0, seen
+
+
+def _by_value(kept):
+    """A ``MinMass.int_form()`` with its gain's integers read as ``Fraction``s."""
+    gain, payload = kept
+    if gain is not None:
+        cs, values, den, tail = gain
+        gain = [F(n, den) for n in cs], [F(n, den) for n in values], tail
+    return gain, payload
+
+
+def test_a_copy_of_the_3_decision_reads_off_the_integers_its_view_keeps():
+    # The min-mass program's decision is a view keeping its gain's
+    # integers and its functional's payload; a copy or an unpickled one
+    # is built from the fields and reads the same values off them.
+    kinds = Counter()
+    for seed in range(300):
+        mm = checkers.min_mass(*random_finite_model(seed))
+        kept = _by_value(mm.int_form())
+        for again in (copy.copy(mm), pickle.loads(pickle.dumps(mm))):
+            assert not hasattr(again, "_kept") and again == mm
+            assert _by_value(again.int_form()) == kept
+        kinds["holding" if mm.verdict.holds else "failing" if mm.fap is None else "t* = 0"] += 1
+    assert len(kinds) == 3, kinds
 
 
 def test_the_failing_3_chain_renders_from_integers_as_from_fractions():
@@ -1025,10 +1049,6 @@ def test_dominance_and_coherence_read_off_4_on_default_inputs(monkeypatch, examp
         checkers.check_coherence(ls.basis, zeros, m, mm),
     )
     assert calls == []
-    # The outcome read off (4) is a valid outcome of the (4) program.
-    program = coherence_lp(m.support(), ls.basis, zeros)
-    read_off = checkers._representation(m, m.support(), ls.basis, zeros, mm)
-    assert verify_outcome(program, read_off)
     extras = {"previsions": zeros, "events": [m.support()]}
     for d, f in zip(derived, fresh):
         assert d.holds == f.holds == acm.holds

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from famart import checkers, fap, programs, spaces
+from famart import checkers, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, OversizedOutput, RandVar, constant
@@ -945,6 +945,28 @@ def test_holding_4_and_7_and_coherence_rows_are_pinned():
 HOLDING_AND_COHERENCE_DIGEST = "b35946c4b79223d39679e8c8c46fd79a2ad8531536388dc2b95270b049f3e3a0"
 
 
+def test_solved_dominance_and_coherence_rows_are_pinned():
+    # The full (7) and coherence rows where the first prevision is 1/3,
+    # so that neither program is the (4) program and each is solved: on
+    # the default events (the support) and on the family of all states.
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for seed in range(60):
+        m, ls = random_finite_model(seed)
+        previsions = (F(1, 3),) + (F(0),) * (len(ls.basis) - 1)
+        for events in (None, (frozenset(range(m.n_states)),)):
+            doc = serialize_model(m, lin_space=ls, previsions=previsions, events=events)
+            for row in build_report(_roundtrip(doc))["verdicts"]:
+                if row["condition"] in ("(7)", "coherence"):
+                    kinds[row["condition"], row["holds"]] += 1
+                    digest.update(json.dumps(row, sort_keys=True).encode() + b"\n")
+    assert min(kinds.values()) >= 10 and len(kinds) == 4
+    assert digest.hexdigest() == SOLVED_DOMINANCE_COHERENCE_DIGEST
+
+
+SOLVED_DOMINANCE_COHERENCE_DIGEST = "24f4cc558a98a8b3d547c3c63333c9383c094aa0673b9df61a1273be02973b2d"
+
+
 def test_fuzz_report_digest_is_pinned():
     # Whole reports over the fuzz corpus's shapes (up to 6 states and 4
     # gains): failing (3) rows of both claims, t* = 0 and holding ones,
@@ -971,16 +993,16 @@ def test_unit_weight_5star_attaches_the_4_functional():
 
 
 def test_default_reports_read_their_rows_off_the_3_decision(monkeypatch):
-    # On default inputs no row recomputes the (3) arbitrage, the support
-    # weights of the (3) functional, a sure-loss bet or the unit-weight Q*.
+    # On default inputs no row recomputes the (3) arbitrage or the
+    # unit-weight Q*, and no (7) or coherence row solves a representation
+    # program: the (3) decision decides both.
     def refused(*args, **kwargs):
         raise AssertionError("recomputed what the (3) decision holds")
 
     docs = [_roundtrip(serialize_model(*random_finite_model(seed))) for seed in range(288)]
     docs += [_roundtrip(serialize_model(*example_harmonic(n))) for n in (3, 5)]
     holding = [checkers.min_mass(doc.model, doc.lin_space).verdict.holds for doc in docs]
-    monkeypatch.setattr(fap, "support_weights", refused)
-    monkeypatch.setattr(checkers, "_sure_loss", refused)
+    monkeypatch.setattr(checkers, "coherence_lp", refused)
     monkeypatch.setattr(checkers, "qstar_from_weight", refused)
     monkeypatch.setattr(RandVar, "scaled", refused)
     combine = LinSpace.combine

@@ -32,7 +32,6 @@ from famart.examples import (
 )
 from famart.fap import from_p0
 from famart.lp import (
-    _VIEW_FIELDS,
     EQ,
     GE,
     LE,
@@ -288,7 +287,7 @@ def _events(m):
 def _set_fields(lp):
     """The view fields of ``lp`` that hold a value, read without filling."""
     out = set()
-    for name in _VIEW_FIELDS:
+    for name in LinearProgram._LAZY:
         try:
             getattr(LinearProgram, name).__get__(lp, LinearProgram)
         except AttributeError:
@@ -346,7 +345,7 @@ def _check_view(view, eager, kept=None):
     assert _values(p) == _values(eager.int_form())
     assert _set_fields(view) == set()  # reading the integer form fills nothing
     assert view == eager and hash(view) == hash(eager) and repr(view) == repr(eager)
-    assert _set_fields(view) == _VIEW_FIELDS
+    assert _set_fields(view) == set(LinearProgram._LAZY)
     for again in (pickle.loads(pickle.dumps(view)), copy.copy(view), copy.deepcopy(view)):
         assert type(again) is LinearProgram and again == eager and repr(again) == repr(eager)
 
@@ -359,10 +358,10 @@ def test_a_view_is_the_record_of_its_fields_for_every_builder():
     for m, ls in models:
         for build, reference, kept in _builders(m, ls):
             _check_view(build(), reference(), kept)
-            for name in _VIEW_FIELDS:  # reading any one field fills all four
+            for name in LinearProgram._LAZY:  # reading any one field fills all four
                 view = build()
                 getattr(view, name)
-                assert _set_fields(view) == _VIEW_FIELDS
+                assert _set_fields(view) == set(LinearProgram._LAZY)
             checked += 1
     assert checked > 1000
 
@@ -438,8 +437,9 @@ def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
 
 def test_a_report_of_the_fuzz_corpus_fills_no_outcome_view(monkeypatch):
     # The (3) decision and the (5) sweep read the simplex's outcomes, and
-    # the (3) decision's own record, in integers: a report builds no
-    # Fraction field of an outcome or of the decision's gain.
+    # the (3) decision's own record, in integers, as the solver and the
+    # validators read the programs: a report builds no Fraction field of
+    # a program, an outcome or the decision's gain.
     fills, views = [], []
     view = _View.view.__func__
 
@@ -453,12 +453,13 @@ def test_a_report_of_the_fuzz_corpus_fills_no_outcome_view(monkeypatch):
         return value
 
     monkeypatch.setattr(_View, "view", classmethod(viewing))
-    for cls in (Optimal, Infeasible, Unbounded, checkers.MinMass):
+    for cls in (LinearProgram, Optimal, Infeasible, Unbounded, checkers.MinMass):
         monkeypatch.setattr(cls, "__getattr__", counting)
     for doc in fuzz_corpus():
         build_report(parse_model(doc))
     assert fills == []
-    assert set(views) == {"Optimal", "Infeasible", "MinMass"}  # no (5) is unbounded here
+    # No (5) is unbounded here.
+    assert set(views) == {"LinearProgram", "Optimal", "Infeasible", "MinMass"}
     # The fields are still there to read, and reading one fills its record.
     m, ls = random_finite_model(4)
     mm = checkers.min_mass(m, ls)
