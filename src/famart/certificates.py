@@ -1,9 +1,11 @@
 """Solver-independent re-validation of certificate payloads.
 
 Certificates are plain JSON-able dicts with every rational rendered as a
-``"num/den"`` string.  Each kind stores, alongside its witness data, the
-derived quantities a verifier would recompute (combination rows, bounds,
-objective values).  Validation recomputes all of them and demands exact
+``"num/den"`` string.  Each kind stores its witness data and the claims
+it makes of them (an amount, a bound, a least weight, a flag), and
+nothing a verifier would only recompute: a Farkas vector stores its
+weights, not the rows they combine to.  Validation recomputes what the
+witness implies and checks every stored claim against it by exact
 equality, so changing any single stored coordinate breaks at least one
 equation: a tampered certificate cannot stay valid.
 
@@ -39,12 +41,7 @@ from .core import (
 )
 from .fap import Fap
 from .kernel import IntProgram, dual_rows, farkas_rows, proves_infeasible
-from .programs import (
-    arbitrage_rows,
-    coherence_coords,
-    expectation_bound_rows,
-    martingale_mass_rows,
-)
+from .programs import coherence_coords, expectation_bound_rows, martingale_mass_rows
 
 # The certificate constructors, which :mod:`famart.render` defines.
 _CONSTRUCTORS = frozenset({
@@ -276,8 +273,6 @@ def _program_for(
     cert: Mapping[str, Any], m: Model, ls: LinSpace, extras: Mapping[str, Any]
 ) -> tuple[str, IntProgram | None]:
     builder = _get(cert, "lp")
-    if builder == "arbitrage":
-        return builder, arbitrage_rows(m, ls)
     if builder == "min-mass":
         return builder, martingale_mass_rows(m, ls)
     if builder == "expectation-bound":
@@ -302,21 +297,12 @@ def _validate_farkas(
         combo = farkas_rows(lp, *weights)
         if combo is None:
             return None
-        combined, den = combo
-        if not _same(combined[:-1], den, *_parse_vec(_get(cert, "combined"))):
-            return None
-        if not _equals(combined[-1], den, _get(cert, "bound")):
-            return None
-        return (builder, claim) if proves_infeasible(lp, combined) else None
+        return (builder, claim) if proves_infeasible(lp, combo[0]) else None
     if claim in ("max_at_most", "min_at_least"):
         dual = dual_rows(lp, *weights)
         if dual is None or dual[1] is None:
             return None
-        reduced, value, den = dual
-        if not _equals(value, den, _get(cert, "dual_value")):
-            return None
-        if not _same(reduced, den, *_parse_vec(_get(cert, "reduced"))):
-            return None
+        _, value, den = dual
         # The stored bound must be tight: these certificates state the
         # exact optimum, not just some valid bound.  For a minimization
         # the engine certifies the negated objective: its maximum equals
@@ -597,10 +583,12 @@ def validate_verdict(
     previsions, an event family, or a weight function; each is compared
     with the certificate by value.  Validation never re-runs the solver:
     it reads each certificate vector once into integers over a common
-    denominator, reads the ``arbitrage`` and ``min-mass`` programs as
-    integer rows off the space's kept basis rows (it builds no
-    ``LinearProgram`` for them), and checks every stored fact by integer
-    arithmetic.
+    denominator, reads the ``min-mass`` program as integer rows off the
+    space's kept basis rows (it builds no ``LinearProgram`` for it),
+    recomputes what a Farkas or dual vector combines the rows to, and
+    checks every stored claim by integer arithmetic.  A holding (6) or
+    (10) carries the (3) functional, as a holding (4) does: equivalent,
+    and killing every generator, it rules out arbitrage.
     """
     return _validate(m, ls, verdict, dict(extras or {}), None)
 
@@ -618,9 +606,10 @@ def validate_report(
     (``is``) of a check already run in this call is not run again: a
     report's rows share objects where one result serves several rows.
     (10) carries the (6) certificate, (5*) the (5) one, and (4), (5*),
-    (7) and coherence may carry the (3) functional's payload; the (5) and
-    (6) rows, or the (4) and (7) rows, may carry one combination.  Rows
-    read back from JSON share nothing, so each is checked in full.
+    (6), (7) and coherence may carry the (3) functional's payload, which
+    is then checked once for all of them and for (3); the (5) and (6)
+    rows, or the (4) and (7) rows, may carry one combination.  Rows read
+    back from JSON share nothing, so each is checked in full.
     """
     extras = dict(extras or {})
     audit = _Audit()
@@ -659,8 +648,6 @@ def _validate(
             if checked is None:
                 return False
             builder, claim = checked
-            if condition in _ALIKE:
-                return holds and builder == "arbitrage" and claim == "infeasible"
             if condition == "(3)":
                 if builder == "min-mass" and claim == "infeasible":
                     return not holds
@@ -680,7 +667,9 @@ def _validate(
                 and _validate_arbitrage_vector(cert, m, rows, audit)
             )
         if kind == "martingale_fap":
-            if condition == "(4)":
+            # An equivalent functional killing every generator leaves no
+            # gain nonnegative and nonzero on the support: (6), and (10).
+            if condition == "(4)" or (condition in _ALIKE and _get(cert, "equivalent") is True):
                 return holds and _validate_martingale_fap(cert, m, rows, audit)
             return False
         if kind == "separating_functional":

@@ -104,7 +104,7 @@ from .lp import (
 from .lp import arbitrage_lp, event_dominance_lp, negative_gain_lp  # noqa: F401
 from .lp import ratio_bound_lp  # noqa: F401
 from .modelfile import randvar_payload, rat_strs
-from .programs import arbitrage_rows, coherence_coords, ratio_bound_rows
+from .programs import coherence_coords, ratio_bound_rows
 from .spaces import binomial_pmf
 
 # The outcome of every program solved so far inside ``solving_once``, by
@@ -235,18 +235,18 @@ def check_weight(m: Model, y: RandVar) -> None:
 def check_no_arbitrage(m: Model, ls: LinSpace) -> Verdict:
     """Condition (6): no gain is nonnegative with strictly positive mass;
     decided by the (3) solve (see :func:`no_arbitrage_from`)."""
-    return no_arbitrage_from(m, ls, min_mass(m, ls))
+    return no_arbitrage_from(m, min_mass(m, ls))
 
 
-def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
+def no_arbitrage_from(m: Model, mm: MinMass) -> Verdict:
     """Condition (6) read off the (3) solve, with no solve of its own.
 
     By Stiemke's lemma (6) and (3) agree on these atomic models.  Where
-    (3) fails, its arbitrage is the (6) certificate.  Where it holds, the
-    functional's support weights ``q >= t* > 0`` kill every generator.
-    Weight ``q_c - t*`` on each support row of the arbitrage program and
-    ``t*`` on its total row combine the rows to zero with bound
-    ``-t* < 0``: a Farkas vector proving the program infeasible.
+    (3) fails, its arbitrage is the (6) certificate.  Where it holds, its
+    functional is: its weights are positive on the support and kill every
+    generator, so a gain nonnegative on the support has expectation zero
+    and vanishes there.  The certificate shares the (3) payload, as the
+    (4) one does (see :func:`_functional_certificate`).
     """
     if not mm.verdict.holds:
         return Verdict(
@@ -256,15 +256,13 @@ def no_arbitrage_from(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
             "arbitrage: the attached gain is nonnegative on the "
             "essential support with positive essential supremum.",
         )
-    weights, den = int_row(mm.weights)
-    t_star = min(weights)
-    farkas = [q - t_star for q in weights] + [t_star]
     return Verdict(
         "(6)",
         True,
-        render.farkas_witness(arbitrage_rows(m, ls), "arbitrage", farkas, den, "infeasible"),
-        "no-arbitrage: the search for a nonnegative gain with "
-        "positive essential supremum is infeasible (Farkas witness).",
+        _functional_certificate(m, mm),
+        "no-arbitrage: the attached equivalent martingale functional "
+        "kills every generator, so no gain is nonnegative with positive "
+        "essential supremum.",
     )
 
 
@@ -279,7 +277,7 @@ def norm_closure_from(no_arbitrage: Verdict) -> Verdict:
         narrative = (
             "the polyhedral cone of dominated gains is closed and meets "
             "the nonnegative cone only at zero (no-arbitrage reduction; "
-            "Farkas witness)."
+            "equivalent martingale functional)."
         )
     else:
         narrative = (
@@ -458,7 +456,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         verdict = Verdict(
             "(3)",
             False,
-            render.farkas_witness(lp, "min-mass", ys, den, claim="infeasible"),
+            render.farkas_witness("min-mass", ys, den, claim="infeasible"),
             "no signed weighting kills every generator; the scaled "
             "expectation bound fails for every representable (Q, c).",
         )
@@ -474,9 +472,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         verdict = Verdict(
             "(3)",
             False,
-            render.farkas_witness(
-                lp, "min-mass", ys, yd, claim="max_at_most", bound_value=t_star
-            ),
+            render.farkas_witness("min-mass", ys, yd, claim="max_at_most", bound_value=t_star),
             "weightings killing every generator exist but none is strictly "
             "positive (the attached dual bounds the best minimum weight by "
             "zero); the scaled expectation bound fails for every "
@@ -713,7 +709,7 @@ def verify_condition3(
             "(3)",
             True,
             render.farkas_witness(
-                lp, "expectation-bound", *dual, "min_at_least", value, extras=params
+                "expectation-bound", *dual, "min_at_least", value, extras=params
             ),
             "the scaled expectation of every gain stays below the "
             "essential supremum of its negation (dual bound attached).",

@@ -214,14 +214,13 @@ class Record:
 class _Kept(Record):
     """Slots for what a record reads off its fields and keeps: a model its
     coordinates, a trading space its integer rows, the model shape it was
-    found to fit, its arbitrage and min-mass programs and the filtration
-    tree it was built from, a program its integer form.  A base class's
-    slots are not fields, so equality, hashing, printing and pickling
-    ignore them."""
+    found to fit, its min-mass program and the filtration tree it was
+    built from, a program its integer form.  A base class's slots are not
+    fields, so equality, hashing, printing and pickling ignore them."""
 
     __slots__ = (
         "_charged", "_support", "_coords", "_rows",
-        "_shape", "_arbitrage", "_min_mass", "_tree",
+        "_shape", "_min_mass", "_tree",
     )
 
 

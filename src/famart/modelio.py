@@ -62,7 +62,7 @@ def build_report(doc: ModelDoc) -> dict[str, Any]:
         verdicts["(3)"] = emfap = mm.verdict
         verdicts["(4)"] = acm = checkers.acmfap_from(m, mm)
         verdicts["(5)"] = checkers.cstar_verdict(m, ls, mm)
-        verdicts["(6)"] = checkers.no_arbitrage_from(m, ls, mm)
+        verdicts["(6)"] = checkers.no_arbitrage_from(m, mm)
         if not m.has_tail:
             # The unit weight leaves the family as it is: (5*) is (5) and (3).
             extras["weight"] = weight = constant(1, m)

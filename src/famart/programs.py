@@ -8,13 +8,14 @@ contract between the two sides:
   give the same program: the same rows in the same order over the same
   variables.  Bland's rule is deterministic too, so the same program
   also gives the same pivots and the same certificate.
-- Every program the engine builds is an ``IntProgram``.  The three that
-  a Farkas witness names by id (its ``lp`` field), ``arbitrage``,
-  ``min-mass`` and ``expectation-bound``, and the (5) ratio programs are
-  built here (:func:`arbitrage_rows`, :func:`martingale_mass_rows`,
-  :func:`expectation_bound_rows`, :func:`ratio_bound_rows`); the
-  validator checks stored weights against those rows by integer
-  arithmetic.
+- Every program the engine builds is an ``IntProgram``.  The two that
+  a Farkas witness names by id (its ``lp`` field), ``min-mass`` and
+  ``expectation-bound``, and the (5) ratio programs are built here
+  (:func:`martingale_mass_rows`, :func:`expectation_bound_rows`,
+  :func:`ratio_bound_rows`); the validator checks stored weights
+  against those rows by integer arithmetic.  :func:`arbitrage_rows`
+  builds the ``>=``-only no-arbitrage program, which no report solves
+  or names.
 - The ``*_lp`` builders in :mod:`famart.lp` return ``LinearProgram``
   views of integer rows, which ``solve`` reads as they are and which
   make ``Fraction`` fields only when they are read.  Only the checkers
@@ -36,22 +37,15 @@ def arbitrage_rows(m: Model, ls: LinSpace) -> IntProgram:
 
     By positive homogeneity this is feasible exactly when some nonzero
     nonnegative gain exists, i.e. when there is arbitrage.  One ``>= 0``
-    row per support coordinate, then the total row ``>= 1``.  The space
-    keeps the program for the support it was last built on, so a report
-    and its re-validation build it once.
+    row per support coordinate, then the total row ``>= 1``.
     """
     ls.check_conforms(m)
     support = m.support()
-    kept = getattr(ls, "_arbitrage", None)
-    if kept is not None and kept[0] == support:
-        return kept[1]
     basis, den = ls.int_rows()
     k = len(basis)
     rows = [(*(row[c] for row in basis), 0) for c in support]
     rows.append((*(sum(row[c] for c in support) for row in basis), den))
-    program = IntProgram(rows, (GE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
-    object.__setattr__(ls, "_arbitrage", (support, program))
-    return program
+    return IntProgram(rows, (GE,) * len(rows), (0,) * k, (None,) * k, (None,) * k, den)
 
 
 def martingale_mass_rows(m: Model, ls: LinSpace) -> IntProgram:
@@ -68,7 +62,8 @@ def martingale_mass_rows(m: Model, ls: LinSpace) -> IntProgram:
     Variables are ordered support-first (charged states, then the tail
     when charged), with ``t`` last.  The mass row comes first, then one
     zero-expectation row per generator.  The space keeps the program for
-    the support it was last built on, as :func:`arbitrage_rows` does.
+    the support it was last built on, so a report and its re-validation
+    build it once.
     """
     ls.check_conforms(m)
     support = m.support()

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .core import MAX_DIGITS, InvalidInput, Model, OversizedOutput, rat_str
 from .fap import Fap, is_abs_continuous
-from .kernel import IntProgram, dual_rows, farkas_rows
 from .modelfile import coord_payload, rat_strs
-
-if TYPE_CHECKING:
-    from .lp import LinearProgram
 
 Certificate = dict[str, Any]
 
@@ -127,7 +123,6 @@ def separating_functional(
 
 
 def farkas_witness(
-    lp: LinearProgram | IntProgram,
     builder: str,
     weights: Sequence[int],
     den: int,
@@ -135,25 +130,19 @@ def farkas_witness(
     bound_value: Fraction | None = None,
     extras: Mapping[str, Any] | None = None,
 ) -> Certificate:
-    """Farkas or dual weights, integer numerators over a positive ``den``
-    (an outcome's ``int_form()`` pair), with what they combine to."""
+    """Farkas or dual weights on the rows of the program ``builder``
+    names, integer numerators over a positive ``den`` (an outcome's
+    ``int_form()`` pair), and for a dual the bound they prove.  What the
+    weights combine the rows to is the verifier's to recompute."""
     out: dict[str, Any] = {
         "kind": "farkas_witness",
         "lp": builder,
         "claim": claim,
         "weights": _strs(weights, den),
     }
-    if claim == "infeasible":
-        sums, d = farkas_rows(lp, weights, den)
-        *out["combined"], out["bound"] = _strs(sums, d)
-    elif claim in ("max_at_most", "min_at_least"):
-        reduced, value, d = dual_rows(lp, weights, den)
-        if value is None:
-            raise InvalidInput("weights are not dual feasible")
-        out["dual_value"] = _strs((value,), d)[0]
+    if claim in ("max_at_most", "min_at_least"):
         out["bound_value"] = rat_str(bound_value)
-        out["reduced"] = _strs(reduced, d)
-    else:
+    elif claim != "infeasible":
         raise InvalidInput(f"unknown farkas claim {claim!r}")
     if extras:
         out.update({k: v for k, v in extras.items()})

@@ -109,8 +109,32 @@ def test_no_arbitrage_holds_on_dmw():
     m, ls = _dmw(F(1, 3), 3)
     v = checkers.check_no_arbitrage(m, ls)
     assert v.holds
-    assert v.certificate["claim"] == "infeasible"
+    # The (3) functional: equivalent, and killing every generator.
+    assert v.certificate["kind"] == "martingale_fap"
+    assert v.certificate["equivalent"] is True
+    assert v.certificate == checkers.check_acmfap(m, ls).certificate
     assert validate_verdict(m, ls, v.to_dict())
+
+
+def test_a_6_row_needs_an_equivalent_functional():
+    # On finite-random seed 25 (3) fails with t* = 0, and (4) attaches the
+    # (3) optimum: it kills every generator, but a support weight is zero,
+    # so it proves (4) and not (6), whatever its stored flag says.
+    m, ls = random_finite_model(25)
+    cert = checkers.check_acmfap(m, ls).certificate
+    assert cert["kind"] == "martingale_fap" and cert["equivalent"] is False
+    for condition in ("(6)", "(10)"):
+        for equivalent in (False, True):
+            forged = dict(cert, equivalent=equivalent)
+            row = {"condition": condition, "holds": True, "certificate": forged}
+            assert not validate_verdict(m, ls, row)
+    # An equivalent one proves (6) and (10), and only where they hold.
+    m, ls = _dmw(F(1, 3), 2)
+    cert = checkers.check_acmfap(m, ls).certificate
+    for condition in ("(6)", "(10)"):
+        for holds in (True, False):
+            row = {"condition": condition, "holds": holds, "certificate": cert}
+            assert validate_verdict(m, ls, row) == holds
 
 
 def test_no_arbitrage_empty_basis_holds():
@@ -879,7 +903,7 @@ def test_negative_gain_program_id_is_unknown_to_validation():
     lp = negative_gain_lp(m, ls)
     out = solve(lp)
     assert isinstance(out, Infeasible)
-    cert = farkas_witness(lp, "negative-gain", *out.int_form()[0], claim="infeasible")
+    cert = farkas_witness("negative-gain", *out.int_form()[0], claim="infeasible")
     for condition, holds in (("(4)", True), ("(6)", True), ("(3)", False)):
         verdict = {"condition": condition, "holds": holds, "certificate": cert}
         with pytest.raises(CertificateFormat, match="unknown program id 'negative-gain'"):

@@ -1,5 +1,6 @@
 """Command line contract: exit codes, formats, and the certify loop."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from famart import checkers, lp
+from famart import checkers, lp, programs
 from famart.certificates import CertificateFormat, validate_verdict
 from famart.checkers import weighted_space
 from famart.cli import main
-from famart.core import RandVar, rat, rat_str
+from famart.core import RandVar, int_row, rat, rat_str
+from famart.kernel import dual_rows, farkas_rows
 from famart.modelio import CONDITION_ORDER, load_model_file
 
 
@@ -154,8 +156,8 @@ def test_check_prints_the_report_row(tmp_path, monkeypatch, capsys):
 def test_check_exits_3_when_the_report_audit_fires(dmw_file, monkeypatch, capsys):
     no_arbitrage_from = checkers.no_arbitrage_from
 
-    def flipped(m, ls, mm):
-        v = no_arbitrage_from(m, ls, mm)
+    def flipped(m, mm):
+        v = no_arbitrage_from(m, mm)
         return checkers.Verdict(v.condition, not v.holds, v.certificate, v.narrative)
 
     monkeypatch.setattr(checkers, "no_arbitrage_from", flipped)
@@ -433,6 +435,83 @@ def test_certify_names_a_row_whose_shared_certificate_alone_changed(
     assert captured.err == f"not valid: {condition}\n"
 
 
+def _as_written_before(m, ls, report):
+    """A copy of ``report`` as it was written before certificates dropped
+    what a verifier recomputes.  A Farkas row also held the row its
+    weights combine to (``combined``, ``bound``), and a dual row its
+    reduced costs and value (``reduced``, ``dual_value``).  A holding (6)
+    and (10) held a Farkas vector over the ``>=``-only ``arbitrage``
+    program: ``q_c - t*`` on each support row and ``t*`` on the total
+    row, for the (3) support weights ``q >= t* > 0``."""
+    old = copy.deepcopy(report)
+    for row in old["verdicts"]:
+        if row["condition"] in ("(6)", "(10)") and row["holds"]:
+            weights, den = int_row(checkers.min_mass(m, ls).weights)
+            t_star = min(weights)
+            farkas = [rat_str(F(q - t_star, den)) for q in weights] + [rat_str(F(t_star, den))]
+            row["certificate"] = {
+                "kind": "farkas_witness", "lp": "arbitrage", "claim": "infeasible",
+                "weights": farkas,
+            }
+            program = programs.arbitrage_rows(m, ls)
+        elif row["certificate"]["kind"] == "farkas_witness":
+            program = programs.martingale_mass_rows(m, ls)
+        else:
+            continue
+        cert = row["certificate"]
+        ys, den = int_row([rat(w) for w in cert["weights"]])
+        if cert["claim"] == "infeasible":
+            sums, d = farkas_rows(program, ys, den)
+            *cert["combined"], cert["bound"] = (rat_str(F(n, d)) for n in sums)
+        else:
+            reduced, value, d = dual_rows(program, ys, den)
+            cert["dual_value"] = rat_str(F(value, d))
+            cert["reduced"] = [rat_str(F(n, d)) for n in reduced]
+    return old
+
+
+@pytest.mark.parametrize(
+    "example",
+    [
+        ["dmw", "--n", "2"],
+        ["bp", "--N", "8", "--k", "4"],
+        ["finite-random", "--seed", "0"],
+        ["finite-random", "--seed", "25"],
+        ["harmonic", "--N", "5"],
+    ],
+    ids=["dmw", "bp", "infeasible", "max_at_most", "harmonic"],
+)
+def test_certify_reads_a_report_written_before_the_leaner_certificates(
+    tmp_path, capsys, example
+):
+    # A holding (6) or (10) row over the arbitrage program names a
+    # program validation no longer knows: malformed, exit 2.  Every other
+    # row certifies with the dropped leaves still in it, as does a whole
+    # report that has no such row.
+    model = tmp_path / "m.json"
+    assert main(["examples", *example, "--out", str(model)]) == 0
+    doc = load_model_file(str(model))
+    code, out = run_cli(["report", str(model)], capsys)
+    old = _as_written_before(doc.model, doc.lin_space, json.loads(out))
+    assert old != json.loads(out)
+    path = tmp_path / "row.json"
+    arbitrage_rows = 0
+    for row in old["verdicts"]:
+        path.write_text(json.dumps(row))
+        code = main(["certify", str(model), str(path)])
+        captured = capsys.readouterr()
+        if row["certificate"].get("lp") == "arbitrage":
+            arbitrage_rows += 1
+            assert code == 2
+            assert captured.err == "malformed certificate: unknown program id 'arbitrage'\n"
+        else:
+            assert (code, captured.out) == (0, '{"valid": true}\n'), row["condition"]
+    path.write_text(json.dumps(old))
+    assert main(["certify", str(model), str(path)]) == (2 if arbitrage_rows else 0)
+    capsys.readouterr()
+    assert arbitrage_rows == (2 if example[0] in ("dmw", "bp") else 0)
+
+
 @pytest.fixture()
 def dmw5_report(tmp_path, capsys):
     """A dmw n=5 model file and its report, which certifies."""
@@ -493,7 +572,7 @@ def test_certify_rejects_a_report_with_false_implications(dmw5_report, capsys):
 def test_oversized_output_is_exit_four(dmw_file, monkeypatch, capsys):
     # A valid model whose result would hold a 4401-digit rational: that
     # is not invalid input (exit 2) but output that cannot be written.
-    def oversized(m, ls, mm):
+    def oversized(m, mm):
         return rat_str(F(10**4400))
 
     monkeypatch.setattr(checkers, "no_arbitrage_from", oversized)

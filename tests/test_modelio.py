@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from famart import checkers, programs, spaces
+from famart import certificates, checkers, programs, spaces
 from famart.certificates import event_from_payload, validate_verdict
 from famart.cli import main
 from famart.core import TAIL, InvalidInput, LinSpace, Model, OversizedOutput, RandVar, constant
@@ -203,8 +203,8 @@ def _dmw_doc(n):
 def test_report_audit_fires_on_contradicting_verdicts(monkeypatch, doc, message):
     no_arbitrage_from = checkers.no_arbitrage_from
 
-    def flipped(m, ls, mm):
-        v = no_arbitrage_from(m, ls, mm)
+    def flipped(m, mm):
+        v = no_arbitrage_from(m, mm)
         return checkers.Verdict(v.condition, not v.holds, v.certificate, v.narrative)
 
     monkeypatch.setattr(checkers, "no_arbitrage_from", flipped)
@@ -212,11 +212,12 @@ def test_report_audit_fires_on_contradicting_verdicts(monkeypatch, doc, message)
         build_report(_roundtrip(doc))
 
 
-def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
-    # The (6) certificate and the re-validation of the (6) and (10) rows
-    # read one program, kept beside the space's integer rows; so does a
-    # certify process, which loads the model again.  Counted where the
-    # rows are built (all rows ">="), whichever module asks for them.
+def test_report_and_certify_build_no_arbitrage_program(monkeypatch, tmp_path, capsys):
+    # A holding (6) carries the (3) functional, and (10) relabels it, so
+    # neither a report nor a certify process builds the arbitrage
+    # program.  Counted where programs are built (all rows ">="),
+    # whichever module asks for them: on dmw the (5) sweep solves no
+    # ratio program, the only other ">="-only program.
     builds = []
     int_program = programs.IntProgram
 
@@ -229,9 +230,10 @@ def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
     m, f, s = example_dmw(F(1, 3), 2)
     doc = serialize_model(m, filtration=f, process=s)
     report = build_report(_roundtrip(doc))
-    assert len(builds) == 1
     rows = {v["condition"]: v for v in report["verdicts"]}
     assert rows["(6)"]["holds"] and rows["(10)"]["holds"]
+    assert rows["(6)"]["certificate"] == rows["(4)"]["certificate"]
+    assert rows["(6)"]["certificate"]["kind"] == "martingale_fap"
     assert rows["(10)"]["certificate"] == rows["(6)"]["certificate"]
     assert rows["(10)"]["narrative"] != rows["(6)"]["narrative"]
     model, path = tmp_path / "m.json", tmp_path / "report.json"
@@ -239,7 +241,42 @@ def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps(report))
     assert main(["certify", str(model), str(path)]) == 0
     assert capsys.readouterr().err == ""
-    assert len(builds) == 2
+    assert builds == []
+
+
+def test_report_builds_the_arbitrage_rows_once(monkeypatch, tmp_path, capsys):
+    # On the harmonic model (3) fails and its arbitrage is the (6)
+    # certificate, which (10) carries: the one (3) program is the only
+    # one built, and the audit checks the arbitrage's combination once.
+    # A certify process, which loads the model again, builds that one
+    # program again and no other.
+    builds, combinations = [], []
+    int_program = programs.IntProgram
+    validate_combination = certificates._validate_combination
+
+    def counting(rows, relations, *rest):
+        builds.append(set(relations))
+        return int_program(rows, relations, *rest)
+
+    def counting_combination(*args):
+        combinations.append(args)
+        return validate_combination(*args)
+
+    monkeypatch.setattr(programs, "IntProgram", counting)
+    monkeypatch.setattr(certificates, "_validate_combination", counting_combination)
+    doc = _harmonic_doc(4)
+    report = build_report(_roundtrip(doc))
+    assert builds == [{programs.EQ}] and len(combinations) == 1
+    rows = {v["condition"]: v for v in report["verdicts"]}
+    assert not rows["(6)"]["holds"] and not rows["(10)"]["holds"]
+    assert rows["(6)"]["certificate"]["kind"] == "arbitrage_vector"
+    assert rows["(10)"]["certificate"] == rows["(6)"]["certificate"]
+    model, path = tmp_path / "m.json", tmp_path / "report.json"
+    model.write_text(json.dumps(doc))
+    path.write_text(json.dumps(report))
+    assert main(["certify", str(model), str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert builds == [{programs.EQ}] * 2
 
 
 @pytest.mark.parametrize("seed", [0, 7], ids=["infeasible", "negative"])
@@ -292,16 +329,22 @@ def _changed_first_leaf(cert, key):
     return dict(cert, **{key: values})
 
 
-@pytest.mark.parametrize("doc", [_harmonic_doc(4), _dmw_doc(2)], ids=["arbitrage", "farkas"])
+@pytest.mark.parametrize(
+    "doc", [_harmonic_doc(4), _dmw_doc(2)], ids=["arbitrage", "functional"]
+)
 def test_report_audit_fires_on_a_changed_6_certificate(monkeypatch, doc):
     # The (10) row carries the (6) certificate, so the audit checks it
-    # once; a changed coefficient or weight must still fail it.
+    # once; a changed coefficient or functional mass must still fail it.
+    # A holding (6) carries the (3) payload, which (3) and (4) share:
+    # changed in the (6) row alone, it fails there.
     no_arbitrage_from = checkers.no_arbitrage_from
 
-    def changed(m, ls, mm):
-        v = no_arbitrage_from(m, ls, mm)
-        key = "weights" if v.holds else "coefficients"
-        cert = _changed_first_leaf(v.certificate, key)
+    def changed(m, mm):
+        v = no_arbitrage_from(m, mm)
+        if v.holds:
+            cert = dict(v.certificate, fap=_changed_first_leaf(v.certificate["fap"], "mass"))
+        else:
+            cert = _changed_first_leaf(v.certificate, "coefficients")
         return checkers.Verdict(v.condition, v.holds, cert, v.narrative)
 
     monkeypatch.setattr(checkers, "no_arbitrage_from", changed)
@@ -352,7 +395,7 @@ def test_arbitrage_program_is_built_again_for_another_support():
     m, f, s = example_dmw(F(1, 3), 2)
     ls = trading_space(f, s, m)
     first = programs.arbitrage_rows(m, ls)
-    assert programs.arbitrage_rows(m, ls) is first
+    assert programs.arbitrage_rows(m, ls) == first
     # A null path leaves the support: the program loses its row.
     masses = list(m.p0_mass)
     masses[0], masses[1] = F(0), masses[0] + masses[1]
@@ -596,11 +639,11 @@ def test_4_and_6_read_off_3_agree_with_fresh_checks():
         mm = checkers.min_mass(m, ls)
         for derived, fresh in (
             (checkers.acmfap_from(m, mm), acmfap_holds(m, ls)),
-            (checkers.no_arbitrage_from(m, ls, mm), no_arbitrage_holds(m, ls)),
+            (checkers.no_arbitrage_from(m, mm), no_arbitrage_holds(m, ls)),
         ):
             assert derived.holds == fresh
             assert validate_verdict(m, ls, derived.to_dict())
-        relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, ls, mm))
+        relabelled = checkers.norm_closure_from(checkers.no_arbitrage_from(m, mm))
         assert validate_verdict(m, ls, relabelled.to_dict())
         outcomes.add((mm.verdict.holds, checkers.acmfap_from(m, mm).holds))
     # (3) holds; (3) fails where (4) holds (least weight zero); both fail.
@@ -864,7 +907,7 @@ def test_report_digest_is_pinned():
     assert digest.hexdigest() == REPORT_DIGEST
 
 
-REPORT_DIGEST = "09fbb487b69c58a8539ef30a0846265a49ddb3af76aac6d59bce6e7a60663b4e"
+REPORT_DIGEST = "f445b003fb08083dc64b922a34fba808a49c7dcb4ae0dcc2d14f7d7c41566dd0"
 
 
 def _cstar_of(row):
@@ -978,7 +1021,7 @@ def test_fuzz_report_digest_is_pinned():
     assert digest.hexdigest() == FUZZ_REPORT_DIGEST
 
 
-FUZZ_REPORT_DIGEST = "6a5d427a92a6b1e8ba2062584c81ca03425b9bb4eb908b1752efff4fde9c8c84"
+FUZZ_REPORT_DIGEST = "aa5406b1ceae0a6ae14a8c810615cf525a54096d8af3869dd6c166a269773092"
 
 
 def test_unit_weight_5star_attaches_the_4_functional():
