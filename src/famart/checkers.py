@@ -3,9 +3,12 @@
 Every checker returns a :class:`Verdict` whose certificate, built by
 :mod:`famart.render`, re-validates against the model by plain arithmetic
 (see :mod:`famart.certificates`), never by re-running the solver.  The
-checkers solve the programs that :mod:`famart.programs` builds, through
-the :mod:`famart.lp` views of them; certificate validation reads the
-same programs from there.
+checkers solve the integer programs that :mod:`famart.programs` builds
+and read every outcome, and the (3) decision's :class:`MinMass`, in
+integers; the programs reach :func:`famart.lp.solve` as ``LinearProgram``
+views whose ``Fraction`` fields no report fills.  A ``Fraction`` is
+built only for a record field or a certificate leaf.  Certificate
+validation reads the same integer programs.
 
 Checked conditions, by their report labels:
 
@@ -93,7 +96,6 @@ from .lp import (
     LpOutcome,
     Optimal,
     Unbounded,
-    _View,
     coherence_lp,
     expectation_bound_lp,
     martingale_mass_lp,
@@ -305,7 +307,7 @@ def _functional_certificate(m: Model, mm: MinMass) -> render.Certificate:
     holds = mm.verdict.holds
     return {
         "kind": "martingale_fap",
-        "fap": mm.int_form()[1],
+        "fap": mm.payload,
         "equivalent": holds or is_equivalent(mm.fap, m),
         "abs_continuous": holds or is_abs_continuous(mm.fap, m),
     }
@@ -338,7 +340,7 @@ def acmfap_from(m: Model, mm: MinMass) -> Verdict:
     )
 
 
-class MinMass(_View):
+class MinMass(Record):
     """The (3) solve, and what it decides of (4), (5) and (6).
 
     ``fap`` kills every generator with nonnegative weights: the (3)
@@ -346,18 +348,23 @@ class MinMass(_View):
     ``t*`` is zero, and None where ``t* < 0`` or the program is
     infeasible.  ``weights`` are the weights ``fap`` puts on the support
     coordinates, in support order (:func:`famart.fap.support_weights`),
-    kept from the solve so that no row computes them again; None with
-    ``fap``.  ``gain`` is ``sum_d coefficients[d] X_d``, read off the
-    weights ``y`` of the (3) program's rows: a mass row, then one row per
-    generator, over support weights ``s_c >= 0`` and a free floor ``t``.
+    kept from the solve so that no row computes them again; ``payload``
+    is the payload of ``fap``, rendered once for every row that carries
+    it.  Both are None with ``fap``.
 
+    ``gain`` is ``(coefficients, values, den, tail)``: integer numerators
+    over the one positive denominator ``den`` of the coefficients ``b``
+    of a gain ``G = sum_d b_d X_d`` and of its values at the explicit
+    states, then at the tail where ``tail``.  It is read off the weights
+    ``y`` of the (3) program's rows: a mass row, then one row per
+    generator, over support weights ``s_c >= 0`` and a free floor ``t``.
     Where (3) fails, the Farkas weights, or the dual bounding ``t`` by
-    ``y_0 = t* <= 0``, make ``G = sum_d y_d X_d >= -y_0 >= 0`` on the
-    support, positive unless ``t* = 0``, and the column of ``t`` keeps
-    ``G`` from vanishing there: ``gain`` is this arbitrage, scaled to sup
-    norm one.  Where (3) holds, the dual makes ``G >= -t*`` on the
-    support, and ``gain`` is ``G / t*``, a feasible point of every ratio
-    program of (5).  With no generators, ``gain`` is None.
+    ``y_0 = t* <= 0``, make ``sum_d y_d X_d >= -y_0 >= 0`` on the
+    support, positive unless ``t* = 0``, and the column of ``t`` keeps it
+    from vanishing there: ``G`` is this arbitrage, scaled to sup norm
+    one.  Where (3) holds, the dual makes ``sum_d y_d X_d >= -t*`` on the
+    support, and ``G`` is that sum over ``t*``, a feasible point of every
+    ratio program of (5).  With no generators, ``gain`` is None.
 
     Where (3) fails, ``rendered`` holds the arbitrage and its negation as
     certificate payloads, each rendered once from integers (see
@@ -367,51 +374,26 @@ class MinMass(_View):
     support and the sum of its values there: the amounts of the (4) and
     (5) witnesses, and the least win of the sure-loss bet.  All three are
     None where (3) holds.
-
-    The rows read its ``int_form()``: ``coefficients`` and ``gain`` as
-    ``(coefficients, values, den, tail)``, ``values`` the gain at the
-    explicit states, then at the tail where ``tail``, and the payload of
-    ``fap``, rendered once for every row; None with their fields.  The
-    decision's ``MinMass`` keeps them and fills ``coefficients`` and
-    ``gain`` from them only when they are read.
     """
 
     __slots__ = (
-        "verdict", "fap", "weights", "coefficients", "gain", "rendered", "least", "total"
+        "verdict", "fap", "weights", "payload", "gain", "rendered", "least", "total"
     )
     verdict: Verdict
     fap: Fap | None
     weights: tuple[Fraction, ...] | None
-    coefficients: tuple[Fraction, ...] | None
-    gain: RandVar | None
+    payload: dict[str, Any] | None
+    gain: tuple[list[int], list[int], int, bool] | None
     rendered: tuple[tuple[list[str], dict[str, Any]], ...] | None
     least: Fraction | None
     total: Fraction | None
 
     def __init__(
-        self, verdict, fap, weights, coefficients, gain, rendered=None, least=None, total=None
+        self, verdict, fap, weights, payload, gain, rendered=None, least=None, total=None
     ) -> None:
-        fields = verdict, fap, weights, coefficients, gain, rendered, least, total
+        fields = verdict, fap, weights, payload, gain, rendered, least, total
         for name, value in zip(self.__slots__, fields):
             object.__setattr__(self, name, value)
-
-    _LAZY = ("coefficients", "gain")
-
-    def _fill(self, kept: Any) -> tuple:
-        cs, g, den, tail = kept[0]
-        values = [Fraction(n, den) for n in g]
-        gain = RandVar(values[:-1], values[-1]) if tail else RandVar(values)
-        return tuple(Fraction(n, den) for n in cs), gain
-
-    def _read(self) -> tuple:
-        x, gain, payload = self.gain, None, None
-        if x is not None:
-            tail, k = () if x.tail_value is None else (x.tail_value,), len(self.coefficients)
-            nums, den = int_row([*self.coefficients, *x.values, *tail])
-            gain = nums[:k], nums[k:], den, bool(tail)
-        if self.fap is not None:  # the (3) certificate holds it where (3) holds
-            payload = self.verdict.certificate.get("fap") or render.fap_payload(self.fap)
-        return gain, payload
 
 
 def find_emfap(m: Model, ls: LinSpace) -> Verdict:
@@ -446,7 +428,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
             "the space of gains is trivial; the reference measure itself "
             "is an equivalent martingale functional.",
         )
-        return MinMass(verdict, fap, weights, None, None)
+        return MinMass(verdict, fap, weights, verdict.certificate["fap"], None)
     lp = martingale_mass_lp(m, ls)
     # Not through the memo: a report builds this program once, and hashing
     # it costs more than the memo could save.
@@ -481,8 +463,7 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         return _with_arbitrage(m, ls, verdict, ys, weights)
     verdict, fap, in_order = _holding(m, weights, t_star)
     gain = _combined(ls, [y * td for y in ys[1:]], yd * tn)  # sum_d y_d X_d / t*
-    kept = (*gain, m.has_tail), verdict.certificate["fap"]
-    return MinMass.view(kept, verdict, fap, in_order, None, None, None)
+    return MinMass(verdict, fap, in_order, verdict.certificate["fap"], (*gain, m.has_tail))
 
 
 def _holding(
@@ -605,8 +586,12 @@ def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
         wealth /= q
     for c in parts[-1][path[-1]]:
         values[c] = wealth - 1
-    gain = RandVar(values[:-1], values[-1] if m.has_tail else None)
-    return MinMass(*_holding(m, weights, value[0]), tuple(coeffs), gain)
+    tail = values[-1:] if m.has_tail else []
+    nums, den = int_row([*coeffs, *values[:-1], *tail])
+    k = len(coeffs)
+    verdict, fap, in_order = _holding(m, weights, value[0])
+    gain = nums[:k], nums[k:], den, m.has_tail
+    return MinMass(verdict, fap, in_order, verdict.certificate["fap"], gain)
 
 
 def _local_max_min(
@@ -643,8 +628,8 @@ def _local_max_min(
         rows.append((0,) * n + (v,) + (0,) * (k - n - 1) + (-den, 0))
     lower, upper = (0,) * k + (None,), (None,) * (k + 1)
     program = IntProgram(rows, (EQ, EQ) + (GE,) * k, (0,) * k + (den,), lower, upper, den)
-    out = solve(program.linear_program())
-    return out.value, {j: pq for (j, _), pq in zip(live, zip(out.primal, q))}
+    (vn, vd), (ps, pd), _ = solve(program.linear_program()).int_form()
+    return Fraction(vn, vd), {j: (Fraction(n, pd), qj) for (j, _), n, qj in zip(live, ps, q)}
 
 
 def _with_arbitrage(
@@ -675,8 +660,8 @@ def _with_arbitrage(
         payload = render.fap_payload(fap)
     rendered = render.signed_payloads(cs, g, top, m.has_tail)
     least, total = Fraction(min(on_support), top), Fraction(sum(on_support), top)
-    kept = (cs, g, top, m.has_tail), payload
-    return MinMass.view(kept, verdict, fap, in_order, rendered, least, total)
+    gain = cs, g, top, m.has_tail
+    return MinMass(verdict, fap, in_order, payload, gain, rendered, least, total)
 
 
 def verify_condition3(
@@ -745,7 +730,7 @@ def cstar_verdict(m: Model, ls: LinSpace, mm: MinMass) -> Verdict:
         return _ratio_sweep(m, ls, [], [])
     if not mm.verdict.holds:
         return _unbounded_ratio(mm.total, *mm.rendered[0])
-    return _ratio_sweep(m, ls, [int_row(mm.weights)], [mm.int_form()[0]])
+    return _ratio_sweep(m, ls, [int_row(mm.weights)], [mm.gain])
 
 
 def _unbounded_ratio(
@@ -794,7 +779,7 @@ def _ratio_sweep(
 
     It runs on integers: a pmf of ``cover`` is its weights in lowest
     terms over one denominator, as ``int_row`` gives them, and a gain of
-    ``gains`` is as :meth:`MinMass.int_form` keeps it.  A solve's duals ``Y``
+    ``gains`` is a :attr:`MinMass.gain`.  A solve's duals ``Y``
     and value ``V`` are read over one denominator ``D``, reduced once, so
     its pmf ``(e_i D - Y) / (D + V)`` is in lowest terms too, as the
     known pmfs it is compared with.  Bounds are numerator and denominator
@@ -1007,7 +992,7 @@ def _decide_representation(
         if mm.fap is None:
             return None, mm.rendered, mm.least
         if not mm.fap.alpha:
-            return mm.int_form()[1], None, None
+            return mm.payload, None, None
         weights = mm.weights
     else:
         out = _solve(coherence_lp(coords, gambles, previsions))
@@ -1016,7 +1001,8 @@ def _decide_representation(
             cs, g, gden = _combined(LinSpace(gambles), ys[1:], den)
             win = Fraction(min(g[c] for c in coords), gden) - dot(ys[1:], previsions) / den
             return None, render.signed_payloads(cs, g, gden, m.has_tail), win
-        weights = out.primal
+        ws, wden = out.int_form()[1]
+        weights = [Fraction(n, wden) for n in ws]
     return render.fap_payload(_representing_fap(m, coords, weights)), None, None
 
 

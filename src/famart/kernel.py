@@ -4,10 +4,10 @@ and the integer checks that certificate validation runs.
 A program is an :class:`IntProgram` of integer numerators over one
 denominator, the form the engine builds and the simplex reads.  The
 checks here (:func:`farkas_rows`, :func:`proves_infeasible`,
-:func:`dual_rows`) read that integer form alone.  The ``Fraction``
-records, :class:`~famart.lp.LinearProgram` and the outcomes, live with
-the simplex in :mod:`famart.lp`, as views that keep their integers (see
-:class:`~famart.lp._View`); a process that only validates certificates
+:func:`dual_rows`) take an ``IntProgram`` and nothing else.  The
+``Fraction`` records, :class:`~famart.lp.LinearProgram` and the
+outcomes, live at the public edge in :mod:`famart.lp`, which hands the
+checks their integer forms; a process that only validates certificates
 compiles neither.
 """
 
@@ -61,12 +61,7 @@ class IntProgram(Record):
 
 
 # The integer kernel, which validation calls directly: weights and results
-# are integer numerators over a positive denominator.  It reads a program
-# in integers: an ``IntProgram``, or a ``LinearProgram``'s kept integer form.
-
-
-def _program(lp: LinearProgram | IntProgram) -> IntProgram:
-    return lp if type(lp) is IntProgram else lp.int_form()
+# are integer numerators over a positive denominator.
 
 
 def _combine_rows(
@@ -95,11 +90,10 @@ def _box_max(p: IntProgram, costs: Sequence[int]) -> tuple[int, int] | None:
 
 
 def farkas_rows(
-    lp: LinearProgram | IntProgram, weights: Sequence[int], den: int
+    p: IntProgram, weights: Sequence[int], den: int
 ) -> tuple[list[int], int] | None:
     """Combined row of Farkas weights acting on rows normalized to ``<=``
     form (see :func:`_combine_rows`); None when a sign is wrong."""
-    p = _program(lp)
     if len(weights) != len(p.rows):
         return None
     signed = []
@@ -110,22 +104,21 @@ def farkas_rows(
     return _combine_rows(p, signed, den)
 
 
-def proves_infeasible(lp: LinearProgram | IntProgram, combined: Sequence[int]) -> bool:
+def proves_infeasible(p: IntProgram, combined: Sequence[int]) -> bool:
     """Whether a combined row's minimum over the box, which is minus the
     maximum of its negation, exceeds its right-hand side."""
-    top = _box_max(_program(lp), [-g for g in combined[:-1]])
+    top = _box_max(p, [-g for g in combined[:-1]])
     return top is not None and -top[0] > combined[-1] * top[1]
 
 
 def dual_rows(
-    lp: LinearProgram | IntProgram, dual: Sequence[int], den: int
+    p: IntProgram, dual: Sequence[int], den: int
 ) -> tuple[list[int], int | None, int] | None:
     """Reduced costs ``c - A^T y`` of the maximization form and the dual
     objective, for multipliers ``y_i = dual[i] / den``.  The value is None
     if ``y`` is not dual-feasible (wrong signs, or reduced costs pointing
     past a missing bound); any feasible value bounds the maximum above.
     """
-    p = _program(lp)
     if len(dual) != len(p.rows):
         return None
     sums, d = _combine_rows(p, dual, den)

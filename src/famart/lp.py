@@ -19,20 +19,18 @@ rule reads only signs and cross products of numerators.  A
 verification kernel :mod:`famart.kernel` reads too), and outcomes keep
 theirs in integers.
 
-The ``Fraction`` records live here, with the solver, and share one view
-protocol, :class:`_View`: ``view(kept, *fields)`` builds a record that
-keeps ``kept``, ``_fill(kept)`` gives its ``_LAZY`` fields on first
+The ``Fraction`` records live here, at the public edge, and share one
+view protocol, :class:`_View`: ``view(kept, *fields)`` builds a record
+that keeps ``kept``, ``_fill(kept)`` gives its ``_LAZY`` fields on first
 read, and ``int_form()`` returns what it keeps, or what ``_read()``
-reads off the fields of a record built from them.  A program read off
-an ``IntProgram`` is such a view, and so are the outcomes the simplex
-returns and the (3) decision of :mod:`famart.checkers`.  The ``*_lp``
-builders return views of the integer rows :mod:`famart.programs`
-builds: only the checkers solve them, and certificate validation reads
-the rows alone.
+reads off the fields of a record built from them.  A program read off an
+``IntProgram`` is such a view, and so are the outcomes the simplex
+returns.  The ``*_lp`` builders return views of the integer rows
+:mod:`famart.programs` builds; the engine reads only their integers.
 
 Every outcome embeds a certificate that :func:`verify_outcome` re-checks
-against the original program by plain arithmetic, with no access to
-solver internals:
+against the original program by plain arithmetic on the integer forms of
+both, with no access to solver internals:
 
 ``Optimal``
     Primal point, dual multipliers, and exactly equal objective values.
@@ -66,7 +64,6 @@ from .core import (
     RandVar,
     Record,
     _rat_tuple,
-    dot,
     int_row,
     rat,
 )
@@ -238,7 +235,8 @@ class LinearProgram(_View):
 
     def _read(self) -> IntProgram:
         bounds = self.lower + self.upper
-        entries = [*_max_objective(self), *[b for b in bounds if b is not None]]
+        costs = self.objective if self.maximize else [-c for c in self.objective]
+        entries = [*costs, *[b for b in bounds if b is not None]]
         for con in self.constraints:
             entries += con.coeffs
             entries.append(con.rhs)
@@ -259,7 +257,9 @@ class _Outcome(_View):
     ``(numerator, den)`` pair for a value and a ``(numerators, den)`` pair
     for a vector, and fills its ``Fraction`` fields on first read, equal
     numerators sharing one ``Fraction``.  Its :meth:`int_form` is those
-    pairs in field order, not always in lowest terms."""
+    pairs in field order, not always in lowest terms; reading them off a
+    record built from its fields raises ``InvalidInput`` on an entry that
+    is not an int or a ``Fraction``."""
 
     __slots__ = ()
 
@@ -280,12 +280,18 @@ class _Outcome(_View):
         kept = []
         for name in self.__slots__:
             value = getattr(self, name)
-            if isinstance(value, (int, Fraction)):
+            if _exact(value):
                 kept.append(value.as_integer_ratio())
-            else:
+            elif isinstance(value, (tuple, list)) and all(map(_exact, value)):
                 nums, den = int_row(value)
                 kept.append((tuple(nums), den))
+            else:  # a float would bring rounding into an exact check
+                raise InvalidInput(f"{name} is not an int, a Fraction or a list of them")
         return tuple(kept)
+
+
+def _exact(x: object) -> bool:
+    return type(x) is int or isinstance(x, Fraction)
 
 
 class Optimal(_Outcome):
@@ -319,10 +325,6 @@ class Unbounded(_Outcome):
 
 
 LpOutcome = Union[Optimal, Infeasible, Unbounded]
-
-
-def _max_objective(lp: LinearProgram) -> tuple[Fraction, ...]:
-    return lp.objective if lp.maximize else tuple(-c for c in lp.objective)
 
 
 # --------------------------------------------------------------------------
@@ -743,80 +745,28 @@ def reoptimizer(
 # --------------------------------------------------------------------------
 
 
-def _primal_feasible(lp: LinearProgram, x: Sequence[Fraction]) -> bool:
-    if len(x) != lp.n_vars:
+def _feasible(p: IntProgram, xs: Sequence[int], den: int, ray: bool = False) -> bool:
+    """Whether the point ``xs / den`` satisfies the rows and bounds of
+    ``p``, or, with ``ray``, whether the direction ``xs / den`` keeps them
+    from any point that does: every right-hand side and bound read as 0."""
+    if len(xs) != len(p.costs):
         return False
-    for con in lp.constraints:
-        lhs = dot(con.coeffs, x)
-        if con.relation == LE and lhs > con.rhs:
+    scale = 0 if ray else den
+    for row, relation in zip(p.rows, p.relations):
+        lhs, rhs = sum(map(mul, row, xs)), row[-1] * scale  # over p.den * den
+        if lhs > rhs if relation == LE else lhs < rhs if relation == GE else lhs != rhs:
             return False
-        if con.relation == GE and lhs < con.rhs:
+    for x, lo, hi in zip(xs, p.lower, p.upper):
+        if lo is not None and x * p.den < lo * scale:
             return False
-        if con.relation == EQ and lhs != con.rhs:
-            return False
-    for v, lo, hi in zip(x, lp.lower, lp.upper):
-        if lo is not None and v < lo:
-            return False
-        if hi is not None and v > hi:
+        if hi is not None and x * p.den > hi * scale:
             return False
     return True
 
 
-def dual_objective(lp: LinearProgram, dual: Sequence[Fraction]) -> Fraction | None:
-    """Exact dual objective of the maximization form, or None if ``dual``
-    is not dual-feasible; see :func:`dual_rows`."""
-    out = dual_rows(lp, *int_row(dual))
-    return None if out is None or out[1] is None else Fraction(out[1], out[2])
-
-
-def _verify_optimal(lp: LinearProgram, out: Optimal) -> bool:
-    if len(out.primal) != lp.n_vars or len(out.dual) != lp.n_rows:
-        return False
-    if not _primal_feasible(lp, out.primal):
-        return False
-    cmax = _max_objective(lp)
-    vmax = out.value if lp.maximize else -out.value
-    if dot(cmax, out.primal) != vmax:
-        return False
-    return dual_objective(lp, out.dual) == vmax
-
-
-def farkas_combination(
-    lp: LinearProgram | IntProgram, weights: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], Fraction] | None:
-    """Combined coefficient row ``sum w_i a_i`` and bound ``sum w_i b_i``
-    of a Farkas vector; see :func:`farkas_rows`."""
-    combo = farkas_rows(lp, *int_row(weights))
-    if combo is None:
-        return None
-    sums, den = combo
-    return tuple(Fraction(g, den) for g in sums[:-1]), Fraction(sums[-1], den)
-
-
-def _verify_unbounded(lp: LinearProgram, out: Unbounded) -> bool:
-    if len(out.point) != lp.n_vars or len(out.ray) != lp.n_vars:
-        return False
-    if not _primal_feasible(lp, out.point):
-        return False
-    for con in lp.constraints:
-        d = dot(con.coeffs, out.ray)
-        if con.relation == LE and d > 0:
-            return False
-        if con.relation == GE and d < 0:
-            return False
-        if con.relation == EQ and d != 0:
-            return False
-    for d, lo, hi in zip(out.ray, lp.lower, lp.upper):
-        if lo is not None and d < 0:
-            return False
-        if hi is not None and d > 0:
-            return False
-    cmax = _max_objective(lp)
-    return dot(cmax, out.ray) > 0
-
-
 def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
-    """Exact, solver-independent check of an outcome's certificate.
+    """Exact, solver-independent check of an outcome's certificate, on the
+    integer forms of the program and of the outcome.
 
     Returns False on malformed certificates instead of raising, among
     them any entry that is not an int or a ``Fraction``: a float would
@@ -825,26 +775,56 @@ def verify_outcome(lp: LinearProgram, out: LpOutcome) -> bool:
     if not isinstance(out, (Optimal, Infeasible, Unbounded)):
         return False
     try:
-        fields = [getattr(out, f) for f in out.__slots__]
-        if isinstance(out, Optimal):
-            fields[0] = (out.value,)
-        if not all(
-            type(x) is int or isinstance(x, Fraction) for v in fields for x in v
-        ):
-            return False
-        if isinstance(out, Optimal):
-            return _verify_optimal(lp, out)
+        p, kept = lp.int_form(), out.int_form()
         if isinstance(out, Infeasible):
-            combo = farkas_rows(lp, *int_row(out.farkas))
-            return combo is not None and proves_infeasible(lp, combo[0])
-        return _verify_unbounded(lp, out)
+            combo = farkas_rows(p, *kept[0])
+            return combo is not None and proves_infeasible(p, combo[0])
+        if isinstance(out, Unbounded):
+            (xs, xd), (ds, dd) = kept
+            return (
+                _feasible(p, xs, xd)
+                and _feasible(p, ds, dd, ray=True)
+                and sum(map(mul, p.costs, ds)) > 0
+            )
+        (vn, vd), (xs, xd), (ys, yd) = kept
+        vmax = vn if lp.maximize else -vn  # over vd
+        dual = dual_rows(p, ys, yd)
+        return (
+            _feasible(p, xs, xd)
+            and sum(map(mul, p.costs, xs)) * vd == vmax * p.den * xd
+            and dual is not None
+            and dual[1] is not None
+            and dual[1] * vd == vmax * dual[2]
+        )
     except (InvalidInput, TypeError, ZeroDivisionError):
         return False
+
+
+# The Fraction wrappers of the kernel's checks, for callers of this module.
+
+
+def dual_objective(lp: LinearProgram, dual: Sequence[Fraction]) -> Fraction | None:
+    """Exact dual objective of the maximization form, or None if ``dual``
+    is not dual-feasible; see :func:`dual_rows`."""
+    out = dual_rows(lp.int_form(), *int_row(dual))
+    return None if out is None or out[1] is None else Fraction(out[1], out[2])
+
+
+def farkas_combination(
+    lp: LinearProgram, weights: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], Fraction] | None:
+    """Combined coefficient row ``sum w_i a_i`` and bound ``sum w_i b_i``
+    of a Farkas vector; see :func:`farkas_rows`."""
+    combo = farkas_rows(lp.int_form(), *int_row(weights))
+    if combo is None:
+        return None
+    sums, den = combo
+    return tuple(Fraction(g, den) for g in sums[:-1]), Fraction(sums[-1], den)
 
 
 def reduced_costs(
     lp: LinearProgram, dual: Sequence[Fraction]
 ) -> tuple[Fraction, ...] | None:
     """Per-variable reduced costs ``c - A^T y`` of the maximization form."""
-    out = dual_rows(lp, *int_row(dual))
+    out = dual_rows(lp.int_form(), *int_row(dual))
     return None if out is None else tuple(Fraction(r, out[2]) for r in out[0])

@@ -11,6 +11,9 @@ certificate with the ``Fraction`` encoders; the integer sweep must
 reproduce it byte for byte.  :func:`reference_arbitrage` is the
 failing (3) arbitrage formed in ``Fraction`` arithmetic, which the
 integer form in ``checkers`` must reproduce exactly.
+:func:`reference_verify_outcome` checks a simplex outcome in ``Fraction``
+arithmetic on the program's ``Fraction`` fields; the integer check of
+:func:`famart.lp.verify_outcome` must agree with it.
 :func:`counting_solves` counts the programs the checkers solve, and
 :func:`fuzz_corpus` yields the benchmark's seed-0 fuzz corpus.
 """
@@ -19,10 +22,13 @@ import json
 from fractions import Fraction as F
 
 from famart import checkers
-from famart.core import ZERO, int_row, rat_str, sup_norm
+from famart.core import ZERO, InvalidInput, dot, int_row, rat_str, sup_norm
 from famart.examples import random_finite_model, serialize_model
 from famart.lp import (
+    EQ,
     GE,
+    LE,
+    Infeasible,
     IntProgram,
     LinearProgram,
     Optimal,
@@ -128,6 +134,127 @@ def reference_arbitrage(m, ls, y):
     x = ls.combine(y[1:])
     norm = sup_norm(x, m)
     return tuple(b / norm for b in y[1:]), x.scaled(1 / norm)
+
+
+def _max_objective(lp):
+    return lp.objective if lp.maximize else tuple(-c for c in lp.objective)
+
+
+def _primal_feasible(lp, x):
+    if len(x) != lp.n_vars:
+        return False
+    for con in lp.constraints:
+        lhs = dot(con.coeffs, x)
+        if con.relation == LE and lhs > con.rhs:
+            return False
+        if con.relation == GE and lhs < con.rhs:
+            return False
+        if con.relation == EQ and lhs != con.rhs:
+            return False
+    for v, lo, hi in zip(x, lp.lower, lp.upper):
+        if lo is not None and v < lo:
+            return False
+        if hi is not None and v > hi:
+            return False
+    return True
+
+
+def _box_max(lp, costs):
+    """``max costs . x`` over the variable bounds; None if unbounded."""
+    top = ZERO
+    for c, lo, hi in zip(costs, lp.lower, lp.upper):
+        if c:
+            bound = hi if c > 0 else lo
+            if bound is None:
+                return None
+            top += c * bound
+    return top
+
+
+def _combined(lp, y):
+    """``sum_i y_i a_i`` over the rows ``a_i`` of ``lp``."""
+    return [dot(y, [con.coeffs[j] for con in lp.constraints]) for j in range(lp.n_vars)]
+
+
+def _dual_objective(lp, y):
+    """The dual objective of the maximization form at ``y``; None where
+    ``y`` is not dual-feasible."""
+    if len(y) != lp.n_rows:
+        return None
+    for w, con in zip(y, lp.constraints):
+        if (con.relation == LE and w < 0) or (con.relation == GE and w > 0):
+            return None
+    reduced = [c - g for c, g in zip(_max_objective(lp), _combined(lp, y))]
+    slack = _box_max(lp, reduced)
+    return None if slack is None else dot(y, [con.rhs for con in lp.constraints]) + slack
+
+
+def _verify_optimal(lp, out):
+    if len(out.primal) != lp.n_vars or len(out.dual) != lp.n_rows:
+        return False
+    if not _primal_feasible(lp, out.primal):
+        return False
+    vmax = out.value if lp.maximize else -out.value
+    if dot(_max_objective(lp), out.primal) != vmax:
+        return False
+    return _dual_objective(lp, out.dual) == vmax
+
+
+def _verify_infeasible(lp, w):
+    """Whether the Farkas weights ``w``, on rows normalized to ``<=``
+    form, combine them into a row whose minimum over the variable bounds
+    exceeds its right-hand side."""
+    if len(w) != lp.n_rows:
+        return False
+    signed = []
+    for x, con in zip(w, lp.constraints):
+        if con.relation != EQ and x < 0:
+            return False
+        signed.append(-x if con.relation == GE else x)
+    top = _box_max(lp, [-g for g in _combined(lp, signed)])
+    return top is not None and -top > dot(signed, [con.rhs for con in lp.constraints])
+
+
+def _verify_unbounded(lp, out):
+    if len(out.point) != lp.n_vars or len(out.ray) != lp.n_vars:
+        return False
+    if not _primal_feasible(lp, out.point):
+        return False
+    for con in lp.constraints:
+        d = dot(con.coeffs, out.ray)
+        if con.relation == LE and d > 0:
+            return False
+        if con.relation == GE and d < 0:
+            return False
+        if con.relation == EQ and d != 0:
+            return False
+    for d, lo, hi in zip(out.ray, lp.lower, lp.upper):
+        if lo is not None and d < 0:
+            return False
+        if hi is not None and d > 0:
+            return False
+    return dot(_max_objective(lp), out.ray) > 0
+
+
+def reference_verify_outcome(lp, out):
+    """Whether ``out`` certifies its answer on ``lp``, checked on the
+    ``Fraction`` fields of both; False on an entry that is not an int or
+    a ``Fraction`` and on a malformed certificate."""
+    if not isinstance(out, (Optimal, Infeasible, Unbounded)):
+        return False
+    try:
+        fields = [getattr(out, f) for f in out.__slots__]
+        if isinstance(out, Optimal):
+            fields[0] = (out.value,)
+        if not all(type(x) is int or isinstance(x, F) for v in fields for x in v):
+            return False
+        if isinstance(out, Optimal):
+            return _verify_optimal(lp, out)
+        if isinstance(out, Infeasible):
+            return _verify_infeasible(lp, out.farkas)
+        return _verify_unbounded(lp, out)
+    except (InvalidInput, TypeError, ZeroDivisionError):
+        return False
 
 
 def counting_solves(monkeypatch):

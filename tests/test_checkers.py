@@ -247,8 +247,7 @@ def test_integer_arbitrage_equals_the_fraction_one():
         if mm.verdict.holds:
             continue
         coeffs, gain = reference_arbitrage(m, ls, _row_weights(m, ls))
-        assert mm.coefficients == coeffs
-        assert mm.gain == gain  # values and tail
+        assert _by_value(mm.gain) == (coeffs, gain)  # values and tail
         seen[mm.verdict.certificate["claim"]] += 1
         seen["tail"] += m.has_tail
         if mm.fap is not None:  # t* = 0: (4), (7) and coherence hold
@@ -275,26 +274,30 @@ def test_integer_arbitrage_equals_the_fraction_one():
     assert min(seen.values()) > 0, seen
 
 
-def _by_value(kept):
-    """A ``MinMass.int_form()`` with its gain's integers read as ``Fraction``s."""
-    gain, payload = kept
-    if gain is not None:
-        cs, values, den, tail = gain
-        gain = [F(n, den) for n in cs], [F(n, den) for n in values], tail
-    return gain, payload
+def _by_value(gain):
+    """A ``MinMass.gain``'s integers read as ``Fraction``s: its
+    coefficients, and the gain they combine as a ``RandVar``."""
+    cs, values, den, tail = gain
+    values = [F(n, den) for n in values]
+    x = RandVar(values[:-1], values[-1]) if tail else RandVar(values)
+    return tuple(F(n, den) for n in cs), x
 
 
-def test_a_copy_of_the_3_decision_reads_off_the_integers_its_view_keeps():
-    # The min-mass program's decision is a view keeping its gain's
-    # integers and its functional's payload; a copy or an unpickled one
-    # is built from the fields and reads the same values off them.
+def test_a_copy_of_the_3_decision_keeps_its_integers_and_payload():
+    # The min-mass program's decision is a plain record holding its gain's
+    # integers and its functional's payload; a copy or an unpickled one is
+    # equal and holds the same values.
     kinds = Counter()
     for seed in range(300):
-        mm = checkers.min_mass(*random_finite_model(seed))
-        kept = _by_value(mm.int_form())
+        m, ls = random_finite_model(seed)
+        mm = checkers.min_mass(m, ls)
+        _cs, values, den, tail = mm.gain
+        assert den > 0 and tail == m.has_tail and len(values) == m.n_states + tail
+        assert mm.payload == (None if mm.fap is None else render.fap_payload(mm.fap))
         for again in (copy.copy(mm), pickle.loads(pickle.dumps(mm))):
-            assert not hasattr(again, "_kept") and again == mm
-            assert _by_value(again.int_form()) == kept
+            assert again == mm
+            assert _by_value(again.gain) == _by_value(mm.gain)
+            assert again.payload == mm.payload
         kinds["holding" if mm.verdict.holds else "failing" if mm.fap is None else "t* = 0"] += 1
     assert len(kinds) == 3, kinds
 
@@ -315,12 +318,13 @@ def test_the_failing_3_chain_renders_from_integers_as_from_fractions():
             assert mm.rendered is mm.least is mm.total is None
             seen["holding"] += 1
             continue
-        negated = tuple(-c for c in mm.coefficients)
+        coefficients, gain = _by_value(mm.gain)
+        negated = tuple(-c for c in coefficients)
         assert mm.rendered == (
-            (rat_strs(mm.coefficients), randvar_payload(mm.gain)),
-            (rat_strs(negated), randvar_payload(mm.gain.negated())),
+            (rat_strs(coefficients), randvar_payload(gain)),
+            (rat_strs(negated), randvar_payload(gain.negated())),
         )
-        on_support = [mm.gain.at(c) for c in m.support()]
+        on_support = [gain.at(c) for c in m.support()]
         assert mm.least == min(on_support) and mm.total == sum(on_support)
         assert type(mm.least) is type(mm.total) is F
         seen["failing"] += 1
@@ -685,7 +689,7 @@ def test_integer_sweep_equals_the_fraction_sweep():
             continue
         q = support_weights(m, mm.fap)
         cover = [tuple(q[c] for c in m.support())]
-        want = reference_ratio_sweep(m, ls, cover, [(mm.coefficients, mm.gain)])
+        want = reference_ratio_sweep(m, ls, cover, [_by_value(mm.gain)])
         got = checkers.cstar_verdict(m, ls, mm)
         assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
         seen["seeded"] += 1

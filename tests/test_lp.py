@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -24,6 +25,7 @@ from famart.lp import (
     verify_outcome,
 )
 from famart.modelio import parse_model
+from references import reference_verify_outcome
 from test_modelio import _pinned_model_files
 
 
@@ -325,6 +327,56 @@ def test_outcome_digest_is_pinned():
         digest.update(repr(out).encode() + b"\n")
     assert kinds == {Optimal, Infeasible, Unbounded}
     assert digest.hexdigest() == OUTCOME_DIGEST
+
+
+def _mutations(out):
+    """``out`` with one numerator of its integer form moved by +1 or -1
+    over that field's denominator, in every way, as views."""
+    kept = out.int_form()
+    for f, (nums, den) in enumerate(kept):
+        entries = [nums] if type(nums) is int else list(nums)
+        for k, step in itertools.product(range(len(entries)), (1, -1)):
+            moved = entries.copy()
+            moved[k] += step
+            field = (moved[0] if type(nums) is int else tuple(moved)), den
+            yield type(out).view((*kept[:f], field, *kept[f + 1 :]))
+
+
+def _inexact(out):
+    """``out`` built from its fields with one entry a float or a bool."""
+    fields = [getattr(out, name) for name in out.__slots__]
+    for f, value in enumerate(fields):
+        for bad in (float, bool):
+            if isinstance(value, tuple):
+                if value:
+                    yield type(out)(*fields[:f], (bad(value[0]), *value[1:]), *fields[f + 1 :])
+            else:
+                yield type(out)(*fields[:f], bad(value), *fields[f + 1 :])
+
+
+def test_verify_outcome_agrees_with_the_fraction_reference():
+    # verify_outcome checks the integer forms of a program and an outcome;
+    # the reference checks their Fraction fields.  They must agree on the
+    # outcomes of the digest programs, on every outcome one numerator away
+    # from them, and on outcomes holding a float or a bool.
+    verdicts = Counter()
+    for lp in _digest_programs():
+        out = solve(lp)
+        assert verify_outcome(lp, out) and reference_verify_outcome(lp, out)
+        for changed in _mutations(out):
+            got = verify_outcome(lp, changed)
+            assert got == reference_verify_outcome(lp, changed), (lp, changed)
+            verdicts[type(out).__name__, got] += 1
+        for changed in _inexact(out):
+            assert not verify_outcome(lp, changed)
+            assert not reference_verify_outcome(lp, changed)
+            verdicts["inexact"] += 1
+    # Some moves keep a certificate valid: a Farkas weight with slack, or
+    # an unbounded outcome's point moved inside the feasible set.
+    assert set(verdicts) == {
+        *itertools.product(("Optimal", "Infeasible", "Unbounded"), (True, False)),
+        "inexact",
+    }, verdicts
 
 
 def _set_fields(out) -> set[str]:

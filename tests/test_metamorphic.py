@@ -5,6 +5,7 @@ answer: the conditions see the reference measure only through its null
 sets, and the explicit states only as a set.
 
 - (a) Permute the explicit states, with their masses and values.
+- (c) Replace the reference measure by one with the same null sets.
 - (d) Append a null state, with any values.
 
 Every row's ``holds``, the (3) ``minimum_weight`` and the (5) ``value``
@@ -34,6 +35,15 @@ def _permuted(m, ls, rng):
     return Model(masses), LinSpace(basis)
 
 
+def _reweighted(m, ls, rng):
+    """Relation (c): each reference mass multiplied by a random positive
+    rational, then all renormalized, so the null sets stay as they are."""
+    masses = [x * F(rng.randint(1, 9), rng.randint(1, 9)) for x in m.p0_mass]
+    tail = None if m.p0_tail is None else m.p0_tail * F(rng.randint(1, 9), rng.randint(1, 9))
+    total = sum(masses) + (tail or 0)
+    return Model([x / total for x in masses], None if tail is None else tail / total), ls
+
+
 def _with_null_state(m, ls, rng):
     """Relation (d): one more explicit state, of mass zero, where every
     generator takes a random value."""
@@ -59,7 +69,9 @@ def _facts(m, ls):
     return facts
 
 
-@pytest.mark.parametrize("relation", [_permuted, _with_null_state], ids=["a", "d"])
+@pytest.mark.parametrize(
+    "relation", [_permuted, _reweighted, _with_null_state], ids=["a", "c", "d"]
+)
 def test_relation_leaves_every_report_fact(relation):
     holding = 0
     for seed in SEEDS:

@@ -29,6 +29,7 @@ from famart.modelio import CONDITION_ORDER, AuditError, build_report, model_dige
 from famart.spaces import trading_space
 
 from references import acmfap_holds, counting_solves, no_arbitrage_holds, ratio_sweep
+from test_checkers import _by_value
 
 
 def _roundtrip(doc):
@@ -585,9 +586,10 @@ def test_tree_decision_agrees_with_the_lp():
         for row in tree_report["verdicts"]:
             assert validate_verdict(m, ls, row, doc.extras())
         # The gain attains c* and is at least -1 on the support.
-        gain = [mm.gain.at(c) for c in m.support()]
+        coefficients, x = _by_value(mm.gain)
+        gain = [x.at(c) for c in m.support()]
         assert min(gain) >= -1 and max(gain) == F(_cstar_of(tree_report["verdicts"][2]))
-        assert ls.combine(mm.coefficients) == mm.gain
+        assert ls.combine(coefficients) == x
     assert min(paths.values()) >= 40 and len(paths) == 3
 
 

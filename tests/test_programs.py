@@ -29,6 +29,7 @@ from famart.examples import (
     example_harmonic,
     random_finite_model,
     random_tree_model,
+    serialize_model,
 )
 from famart.fap import from_p0
 from famart.lp import (
@@ -46,6 +47,7 @@ from famart.modelio import build_report, parse_model
 from famart.spaces import trading_space
 
 from references import fuzz_corpus
+from test_modelio import _duplicate_rows_doc, _roundtrip
 from references import ratio_bound_lp as _reference_ratio_bound_lp
 
 
@@ -430,11 +432,22 @@ def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
     assert fills == []
 
 
-def test_a_report_of_the_fuzz_corpus_fills_no_outcome_view(monkeypatch):
-    # The (3) decision and the (5) sweep read the simplex's outcomes, and
-    # the (3) decision's own record, in integers, as the solver and the
-    # validators read the programs: a report builds no Fraction field of
-    # a program, an outcome or the decision's gain.
+def _report_docs():
+    """The fuzz corpus, the random filtration trees of seeds 0-299, and a
+    model whose (7) and coherence rows solve a representation program."""
+    for doc in fuzz_corpus():
+        yield parse_model(doc)
+    for seed in range(300):
+        m, f, s = random_tree_model(seed)
+        yield _roundtrip(serialize_model(m, filtration=f, process=s))
+    yield _duplicate_rows_doc()
+
+
+def test_no_report_fills_an_outcome_view(monkeypatch):
+    # The (3) decision, the tree's local programs, the (5) sweep and the
+    # (7) and coherence solves read the simplex's outcomes in integers,
+    # as the solver and the validators read the programs: a report builds
+    # no Fraction field of a program or an outcome.
     fills, views = [], []
     view = _View.view.__func__
 
@@ -448,14 +461,14 @@ def test_a_report_of_the_fuzz_corpus_fills_no_outcome_view(monkeypatch):
         return value
 
     monkeypatch.setattr(_View, "view", classmethod(viewing))
-    for cls in (LinearProgram, Optimal, Infeasible, Unbounded, checkers.MinMass):
+    for cls in (LinearProgram, Optimal, Infeasible, Unbounded):
         monkeypatch.setattr(cls, "__getattr__", counting)
-    for doc in fuzz_corpus():
-        build_report(parse_model(doc))
+    for doc in _report_docs():
+        build_report(doc)
     assert fills == []
     # No (5) is unbounded here.
-    assert set(views) == {"LinearProgram", "Optimal", "Infeasible", "MinMass"}
+    assert set(views) == {"LinearProgram", "Optimal", "Infeasible"}
     # The fields are still there to read, and reading one fills its record.
     m, ls = random_finite_model(4)
-    mm = checkers.min_mass(m, ls)
-    assert not mm.verdict.holds and mm.gain.values and fills == [("MinMass", "gain")]
+    out = famart.lp.solve(famart.lp.martingale_mass_lp(m, ls))
+    assert out.farkas and fills == [("Infeasible", "farkas")]
