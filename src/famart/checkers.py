@@ -86,10 +86,8 @@ from .core import (
     rat,
     rat_str,
 )
-from .fap import Fap, from_p0, is_abs_continuous, is_equivalent
+from .fap import Fap, is_abs_continuous, is_equivalent
 from .lp import (
-    EQ,
-    GE,
     Infeasible,
     IntProgram,
     LinearProgram,
@@ -413,22 +411,13 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
     solve decides of the other conditions (see :class:`MinMass`).  A space
     that :func:`famart.spaces.trading_space` built keeps its filtration
     tree and is decided node by node where it can be (see
-    :func:`tree_min_mass`); any other space by the min-mass program."""
+    :func:`tree_min_mass`); any other space by the min-mass program.
+    With no generators both give the max-min functional, uniform on the
+    support with ``t* = 1/|support|``, and no ``gain``."""
     ls.check_conforms(m)
     mm = tree_min_mass(m, ls)
     if mm is not None:
         return mm
-    if not ls.basis:
-        fap = from_p0(m)
-        weights = tuple(m.p0_tail if c == TAIL else m.p0_mass[c] for c in m.support())
-        verdict = Verdict(
-            "(3)",
-            True,
-            render.separating_functional(m, fap, min(weights)),
-            "the space of gains is trivial; the reference measure itself "
-            "is an equivalent martingale functional.",
-        )
-        return MinMass(verdict, fap, weights, verdict.certificate["fap"], None)
     lp = martingale_mass_lp(m, ls)
     # Not through the memo: a report builds this program once, and hashing
     # it costs more than the memo could save.
@@ -462,8 +451,10 @@ def min_mass(m: Model, ls: LinSpace) -> MinMass:
         )
         return _with_arbitrage(m, ls, verdict, ys, weights)
     verdict, fap, in_order = _holding(m, weights, t_star)
-    gain = _combined(ls, [y * td for y in ys[1:]], yd * tn)  # sum_d y_d X_d / t*
-    return MinMass(verdict, fap, in_order, verdict.certificate["fap"], (*gain, m.has_tail))
+    gain = None
+    if ls.basis:  # sum_d y_d X_d / t*
+        gain = (*_combined(ls, [y * td for y in ys[1:]], yd * tn), m.has_tail)
+    return MinMass(verdict, fap, in_order, verdict.certificate["fap"], gain)
 
 
 def _holding(
@@ -514,8 +505,11 @@ def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
     So (3) holds unless a live node has a one-step arbitrage, and then
     ``t* = V(root)``: a final block of k support coordinates has
     ``V = 1/k``, any other live node ``V = max_p min_j p_j V(j)`` over its
-    local martingales ``p``.  The functional is the product of the
-    maximizing ``p`` along each path, each final block split evenly.
+    local martingales ``p``, in closed form (see :func:`_local_max_min`).
+    The functional is the product of the maximizing ``p`` along each
+    path, each final block split evenly.  With no generators no node
+    moves: it is uniform on the support, ``t* = 1/|support|``, and
+    ``gain`` is None.
 
     The largest mass a martingale pmf can put on a coordinate, ``q_max``,
     is the product along its path of the largest local mass ``q`` on the
@@ -526,11 +520,11 @@ def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
     at least -1 on the support and attains ``1/q_max - 1``, which is c*.
 
     None where the LP decides: where the space keeps no tree (a basis
-    file, a weighted space, a space built or copied by hand), has no
-    generators, or where a live node has a one-step arbitrage.
+    file, a weighted space, a space built or copied by hand), or where a
+    live node has a one-step arbitrage.
     """
     kept = getattr(ls, "_tree", None)
-    if kept is None or not ls.basis:
+    if kept is None:
         return None
     support = frozenset(m.support())
     parts, tree = kept
@@ -590,7 +584,7 @@ def tree_min_mass(m: Model, ls: LinSpace) -> MinMass | None:
     nums, den = int_row([*coeffs, *values[:-1], *tail])
     k = len(coeffs)
     verdict, fap, in_order = _holding(m, weights, value[0])
-    gain = nums[:k], nums[k:], den, m.has_tail
+    gain = (nums[:k], nums[k:], den, m.has_tail) if k else None
     return MinMass(verdict, fap, in_order, verdict.certificate["fap"], gain)
 
 
@@ -598,38 +592,38 @@ def _local_max_min(
     live: Sequence[tuple[int, Fraction]], value: Sequence[Fraction]
 ) -> tuple[Fraction, dict[int, tuple[Fraction, Fraction]]] | None:
     """At a node whose live children ``j`` have increments ``d``, listed
-    in ``live`` as ``(j, d)``: the largest ``min_j p_j V(j)`` over local
-    martingales ``p``, with, for each child, ``p_j`` of a ``p`` that
+    in ``live`` as ``(j, d)``: the largest ``t = min_j p_j V(j)`` over
+    local martingales ``p``, with, for each child, ``p_j`` of a ``p`` that
     attains it and the largest mass ``q_j`` any local martingale puts on
     it.  None on a one-step arbitrage.
 
+    Write ``p_j = t / V(j) + r_j`` with ``r >= 0``, ``A = sum 1/V(j)``
+    and ``B = sum d_j / V(j)``: mass one is ``t A + sum r = 1`` and the
+    martingale ``t B + sum r_j d_j = 0``.  If ``B = 0``, ``t = 1/A`` and
+    ``r = 0``.  Otherwise the rest ``1 - t A`` must cancel ``t B``, which
+    costs ``t`` least on the extreme increment ``e`` opposite to ``B``:
+    ``t = e / (A e - B)``, with all of ``r`` on children whose increment
+    is ``e``.  Any split between tied children is optimal; the first one
+    takes it all, the vertex the Bland-rule simplex reaches when the
+    node's max-min is posed as a program, so the functional is that
+    program's.
+
     ``q_j`` is 1 where ``d = 0``, and otherwise ``e / (e - d)``, where
-    ``e`` is the increment farthest on the other side.  With every
-    increment zero, every pmf is a martingale and ``p_j`` is proportional
-    to ``1/V(j)``; two children of opposite increments have one
-    martingale; otherwise a small program decides.
+    ``e`` is the increment farthest on the other side.
     """
     ds = [d for _, d in live]
     lo, hi = min(ds), max(ds)
-    if not any(ds):
-        total = sum(1 / value[j] for j, _ in live)
-        return 1 / total, {j: (1 / (value[j] * total), ONE) for j, _ in live}
-    if lo >= 0 or hi <= 0:
+    if any(ds) and (lo >= 0 or hi <= 0):
         return None
     q = [lo / (lo - d) if d > 0 else hi / (hi - d) if d else ONE for d in ds]
-    if len(live) == 2:
-        (i, a), (j, b) = live
-        p = b / (b - a)
-        return min(p * value[i], (1 - p) * value[j]), {i: (p, q[0]), j: (1 - p, q[1])}
-    k = len(live)
-    nums, den = int_row([*ds, *(value[j] for j, _ in live)])
-    rows = [(den,) * k + (0, den), (*nums[:k], 0, 0)]
-    for n, v in enumerate(nums[k:]):  # p_j V(j) >= t
-        rows.append((0,) * n + (v,) + (0,) * (k - n - 1) + (-den, 0))
-    lower, upper = (0,) * k + (None,), (None,) * (k + 1)
-    program = IntProgram(rows, (EQ, EQ) + (GE,) * k, (0,) * k + (den,), lower, upper, den)
-    (vn, vd), (ps, pd), _ = solve(program.linear_program()).int_form()
-    return Fraction(vn, vd), {j: (Fraction(n, pd), qj) for (j, _), n, qj in zip(live, ps, q)}
+    a = sum(1 / value[j] for j, _ in live)
+    b = sum(d / value[j] for j, d in live)
+    e = lo if b > 0 else hi
+    t = e / (a * e - b) if b else 1 / a
+    p = [t / value[j] for j, _ in live]
+    if b:
+        p[ds.index(e)] += 1 - t * a
+    return t, {j: (pj, qj) for (j, _), pj, qj in zip(live, p, q)}
 
 
 def _with_arbitrage(

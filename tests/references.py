@@ -11,6 +11,8 @@ certificate with the ``Fraction`` encoders; the integer sweep must
 reproduce it byte for byte.  :func:`reference_arbitrage` is the
 failing (3) arbitrage formed in ``Fraction`` arithmetic, which the
 integer form in ``checkers`` must reproduce exactly.
+:func:`reference_local_max_min` decides a filtration tree's node by
+cases and a small program, where ``checkers`` has one closed form.
 :func:`reference_verify_outcome` checks a simplex outcome in ``Fraction``
 arithmetic on the program's ``Fraction`` fields; the integer check of
 :func:`famart.lp.verify_outcome` must agree with it.
@@ -22,7 +24,7 @@ import json
 from fractions import Fraction as F
 
 from famart import checkers
-from famart.core import ZERO, InvalidInput, dot, int_row, rat_str, sup_norm
+from famart.core import ONE, ZERO, InvalidInput, dot, int_row, rat_str, sup_norm
 from famart.examples import random_finite_model, serialize_model
 from famart.lp import (
     EQ,
@@ -134,6 +136,35 @@ def reference_arbitrage(m, ls, y):
     x = ls.combine(y[1:])
     norm = sup_norm(x, m)
     return tuple(b / norm for b in y[1:]), x.scaled(1 / norm)
+
+
+def reference_local_max_min(live, value):
+    """The tree node's max-min decision of ``checkers._local_max_min`` by
+    cases: every increment zero (``p_j`` proportional to ``1/V(j)``), two
+    children of opposite increments (their one martingale), and otherwise
+    the node's small program, maximizing ``t`` subject to ``p_j V(j) >= t``
+    over local martingales ``p``, solved by the simplex."""
+    ds = [d for _, d in live]
+    lo, hi = min(ds), max(ds)
+    if not any(ds):
+        total = sum(1 / value[j] for j, _ in live)
+        return 1 / total, {j: (1 / (value[j] * total), ONE) for j, _ in live}
+    if lo >= 0 or hi <= 0:
+        return None
+    q = [lo / (lo - d) if d > 0 else hi / (hi - d) if d else ONE for d in ds]
+    if len(live) == 2:
+        (i, a), (j, b) = live
+        p = b / (b - a)
+        return min(p * value[i], (1 - p) * value[j]), {i: (p, q[0]), j: (1 - p, q[1])}
+    k = len(live)
+    nums, den = int_row([*ds, *(value[j] for j, _ in live)])
+    rows = [(den,) * k + (0, den), (*nums[:k], 0, 0)]
+    for n, v in enumerate(nums[k:]):  # p_j V(j) >= t
+        rows.append((0,) * n + (v,) + (0,) * (k - n - 1) + (-den, 0))
+    lower, upper = (0,) * k + (None,), (None,) * (k + 1)
+    program = IntProgram(rows, (EQ, EQ) + (GE,) * k, (0,) * k + (den,), lower, upper, den)
+    (vn, vd), (ps, pd), _ = solve(program.linear_program()).int_form()
+    return F(vn, vd), {j: (F(n, pd), qj) for (j, _), n, qj in zip(live, ps, q)}
 
 
 def _max_objective(lp):

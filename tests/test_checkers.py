@@ -57,6 +57,7 @@ from references import (
     no_arbitrage_holds,
     ratio_sweep,
     reference_arbitrage,
+    reference_local_max_min,
     reference_ratio_sweep,
 )
 
@@ -380,6 +381,100 @@ def test_min_mass_keeps_the_support_weights_of_its_functional():
             assert mm.weights == tuple(q[c] for c in m.support())
             seen[path] += 1
     assert len(paths["tree"]) >= 40 and min(seen.values()) > 0, seen
+
+
+def _closed_form_agrees_with_the_reference(seeds):
+    """Decide (3) on the trees of ``random_tree_model`` at ``seeds`` with
+    each node's closed form compared with :func:`reference_local_max_min`:
+    ``t``, each ``p_j`` and each ``q_j`` must be the reference's.  Returns
+    the nodes reached, by number of live children and whether the node
+    has a one-step arbitrage."""
+    closed_form, reached = checkers._local_max_min, Counter()
+
+    def compared(live, value):
+        got = closed_form(live, value)
+        assert got == reference_local_max_min(live, value), (live, value)
+        reached[len(live), got is None] += 1
+        return got
+
+    checkers._local_max_min = compared
+    try:
+        for seed in seeds:
+            m, f, s = random_tree_model(seed)
+            checkers.tree_min_mass(m, trading_space(f, s, m))
+    finally:
+        checkers._local_max_min = closed_form
+    return reached
+
+
+def test_the_tree_node_closed_form_equals_the_reference_on_tree_seeds():
+    reached = _closed_form_agrees_with_the_reference(range(300))
+    assert min(reached[k, False] for k in (1, 2, 3)) > 0, reached
+    assert min(reached[k, True] for k in (1, 2, 3)) > 0, reached
+
+
+@pytest.mark.parametrize(
+    "ds, vs",
+    [
+        ((0, 0, 0), (F(1, 2), 1, F(1, 3))),  # every increment zero
+        ((-1, 2), (F(1, 2), F(1, 3))),  # two children
+        ((-1, 1, 2), (1, F(1, 2), 1)),  # B > 0: the rest on the least increment
+        ((1, -1, -2), (1, F(1, 2), 1)),  # B < 0: the rest on the largest
+        ((-1, -1, 3), (1, 1, 1)),  # a tied least increment
+        ((2, -1, 2, -3), (F(1, 3), 1, F(1, 3), 1)),  # a tied largest increment
+        ((1, -2, 1), (1, 1, 1)),  # B = 0 with moves
+        ((0, -1, 0, 2), (1, F(1, 2), F(1, 4), 1)),  # zero increments among moves
+        ((1,), (1,)),  # one moving child
+        ((0, 2), (1, 1)),  # a move and no move
+        ((1, 2, 0), (1, 1, 1)),  # increments of one sign
+        ((-1, -F(1, 2)), (1, F(1, 2))),  # increments of the other sign
+    ],
+)
+def test_the_tree_node_closed_form_on_hand_built_nodes(ds, vs):
+    # Children listed out of order, as a node's children need not be.
+    live = [(2 * n + 1, F(d)) for n, d in enumerate(ds)]
+    value = [None] * (2 * len(ds) + 1)
+    for (j, _), v in zip(live, vs):
+        value[j] = F(v)
+    got = checkers._local_max_min(live, value)
+    assert got == reference_local_max_min(live, value)
+    if got is None:
+        assert any(ds) and (min(ds) >= 0 or max(ds) <= 0)
+        return
+    t, local = got
+    p = {j: pj for j, (pj, _) in local.items()}
+    assert sum(p.values()) == 1 and min(p.values()) >= 0
+    assert sum(p[j] * d for j, d in live) == 0
+    assert min(p[j] * value[j] for j, _ in live) == t
+    # A tied extreme takes the rest on its first child only.
+    above = [j for j, _ in live if p[j] * value[j] > t]
+    assert len(above) <= 1
+
+
+def test_no_generators_give_the_uniform_functional():
+    # With no generators (3) holds on the max-min functional, uniform on
+    # the support: t* = 1/|support|, whether the space keeps a tree or is
+    # decided by the min-mass program, and every report row certifies.
+    models = [
+        (_two_state(), LinSpace(())),
+        (Model((F(1, 2), F(0), F(1, 8)), F(3, 8)), LinSpace(())),
+        (Model((F(1), F(0)), F(0)), LinSpace(())),
+    ]
+    for seed in range(100):
+        m, f, s = random_tree_model(seed)
+        ls = trading_space(f, s, m)
+        if not ls.basis:
+            models.append((m, ls))
+    assert len(models) > 10
+    for m, ls in models:
+        mm = checkers.min_mass(m, ls)
+        size = len(m.support())
+        assert mm.verdict.holds and mm.gain is None
+        assert mm.weights == (F(1, size),) * size
+        assert F(mm.verdict.certificate["minimum_weight"]) == F(1, size)
+        doc = parse_model(json.loads(json.dumps(serialize_model(m, lin_space=ls))))
+        rows = json.loads(json.dumps(build_report(doc)))["verdicts"]
+        assert certificates.validate_report(m, ls, rows, doc.extras()) is None
 
 
 def test_a_holding_4_shares_the_3_functional_payload():

@@ -9,7 +9,9 @@ sets, and the explicit states only as a set.
 - (d) Append a null state, with any values.
 
 Every row's ``holds``, the (3) ``minimum_weight`` and the (5) ``value``
-must stay as they are, and the changed report must certify.
+must stay as they are, and the changed report must certify.  Relation
+(c) is checked on basis files and on filtration files, whose (3) is
+decided on the filtration tree.
 """
 
 import json
@@ -20,10 +22,12 @@ import pytest
 
 from famart.certificates import validate_report
 from famart.core import LinSpace, Model, RandVar
-from famart.examples import random_finite_model, serialize_model
+from famart.examples import random_finite_model, random_tree_model, serialize_model
 from famart.modelio import build_report, parse_model
+from famart.spaces import trading_space
 
 SEEDS = range(100)
+TREE_SEEDS = range(100)
 
 
 def _permuted(m, ls, rng):
@@ -51,11 +55,13 @@ def _with_null_state(m, ls, rng):
     return Model((*m.p0_mass, F(0))), LinSpace(basis)
 
 
-def _facts(m, ls):
+def _facts(m, ls=None, **filtration):
     """Each row's condition and ``holds``, with the (3) least weight and
-    the (5) c* where they hold, of the report on ``m`` and ``ls``; the
-    report, read back from JSON, must certify."""
-    doc = parse_model(json.loads(json.dumps(serialize_model(m, lin_space=ls))))
+    the (5) c* where they hold, of the report on ``m`` and ``ls``, or on
+    ``m`` and a ``filtration`` and ``process``; the report, read back from
+    JSON, must certify."""
+    model = serialize_model(m, lin_space=ls, **filtration)
+    doc = parse_model(json.loads(json.dumps(model)))
     rows = json.loads(json.dumps(build_report(doc)))["verdicts"]
     assert validate_report(doc.model, doc.lin_space, rows, doc.extras()) is None
     facts = []
@@ -81,3 +87,15 @@ def test_relation_leaves_every_report_fact(relation):
         holding += expected[0][1]
     # Both branches of the (3) decision are covered.
     assert 0 < holding < len(SEEDS)
+
+
+def test_reweighting_leaves_every_filtration_report_fact():
+    # Relation (c) on filtration files, with and without generators.
+    without = 0
+    for seed in TREE_SEEDS:
+        m, f, s = random_tree_model(seed)
+        expected = _facts(m, filtration=f, process=s)
+        reweighted, _ = _reweighted(m, None, random.Random(seed))
+        assert _facts(reweighted, filtration=f, process=s) == expected, seed
+        without += not trading_space(f, s, m).basis
+    assert 0 < without < len(TREE_SEEDS)

@@ -382,27 +382,26 @@ def test_negative_gain_and_event_dominance_programs_equal_their_fraction_definit
     assert checked == 200 * 3 * 3
 
 
-def test_the_tree_decision_solves_views_of_its_local_programs(monkeypatch):
-    # The tree's local max-min programs are integer rows; the solver gets
-    # an unfilled view of each, which behaves as the record of its fields.
-    solved = []
-    solve = checkers.solve
+def test_the_tree_decision_makes_no_solve(monkeypatch):
+    # Every tree node is decided in closed form: with the solver and the
+    # reoptimizer refusing, the tree decision returns what it returns
+    # with them, on trees with and without generators.
+    markets = [random_tree_model(seed) for seed in range(300)]
+    markets += [example_bp(n, n - 2)[:3] for n in (8, 40)]
+    markets += [example_dmw(F(1, 3), n) for n in (3, 5)]
+    decided = []
+    for m, f, s in markets:
+        ls = trading_space(f, s, m)
+        decided.append((m, ls, checkers.tree_min_mass(m, ls)))
 
-    def recording(lp):
-        solved.append((lp, _set_fields(lp)))
-        return solve(lp)
+    def refuse(*args):
+        raise AssertionError("the tree decision called the solver")
 
-    monkeypatch.setattr(checkers, "solve", recording)
-    for seed in range(100):
-        m, f, s = random_tree_model(seed)
-        checkers.tree_min_mass(m, trading_space(f, s, m))
-    assert len(solved) > 20
-    for lp, fields in solved:
-        assert fields == set()
-        eager = LinearProgram(lp.objective, lp.maximize, lp.constraints, lp.lower, lp.upper)
-        assert lp.int_form() == eager.int_form()
-        assert lp == eager and hash(lp) == hash(eager) and repr(lp) == repr(eager)
-        assert pickle.loads(pickle.dumps(lp)) == eager
+    monkeypatch.setattr(checkers, "solve", refuse)
+    monkeypatch.setattr(checkers, "reoptimizer", refuse)
+    for m, ls, mm in decided:
+        assert checkers.tree_min_mass(m, ls) == mm
+    assert sum(mm is not None for _, _, mm in decided) > 150
 
 
 def test_a_report_of_the_fuzz_corpus_fills_no_view(monkeypatch):
@@ -444,10 +443,10 @@ def _report_docs():
 
 
 def test_no_report_fills_an_outcome_view(monkeypatch):
-    # The (3) decision, the tree's local programs, the (5) sweep and the
-    # (7) and coherence solves read the simplex's outcomes in integers,
-    # as the solver and the validators read the programs: a report builds
-    # no Fraction field of a program or an outcome.
+    # The (3) decision, the (5) sweep and the (7) and coherence solves
+    # read the simplex's outcomes in integers, as the solver and the
+    # validators read the programs: a report builds no Fraction field of a
+    # program or an outcome.
     fills, views = [], []
     view = _View.view.__func__
 
